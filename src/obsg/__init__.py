@@ -11,18 +11,14 @@ __version__ = "0.1.0"
 
 from .datamodel import (
     Dataset,
+    Detection,
     ObjectInstance,
-    PredictionScene,
-    PredictionSet,
     RelationTriplet,
     SceneAnnotation,
-    ScoredObject,
-    ScoredRelation,
     Violation,
     parse_dataset,
     parse_predictions,
     serialize_dataset,
-    serialize_predictions,
     size_class,
     validate,
 )
@@ -36,14 +32,12 @@ from .geometry import (
     AxisBox,
     OrientedBox,
     PairGeometry,
-    enclosing_axis_box,
     intersection_area,
     pair_geometry,
     rotated_iou,
     shoelace_area,
 )
 from .ingest import (
-    Detection,
     TileSpec,
     convert_to_hbb,
     crop_scene,
@@ -71,12 +65,10 @@ from .metrics import (
 )
 from .pairing import (
     PairLabelMatrix,
-    PairScores,
     enumerate_pairs,
     label_pairs,
     relpn_loss,
     sample_pairs,
-    select_top_pairs,
 )
 from .registry import CategoryRegistry, canonical_registry
 from .scorer import (
@@ -91,7 +83,6 @@ from .scorer import (
     predict_triplets,
     save_prior,
     save_scorer,
-    total_loss,
     train_linear,
 )
 from .stats import StatsReport, compute_stats

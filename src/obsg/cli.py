@@ -22,14 +22,13 @@ import numpy as np
 from . import __version__
 from .datamodel import (
     Dataset,
-    PredictionScene,
-    PredictionSet,
-    ScoredObject,
-    ScoredRelation,
+    ObjectInstance,
+    RelationTriplet,
+    SceneAnnotation,
+    _load_root,
     parse_dataset,
     parse_predictions,
     serialize_dataset,
-    serialize_predictions,
     validate,
 )
 from .errors import DataError, ManifestError
@@ -41,7 +40,7 @@ from .metrics import (
     report_to_csv as eval_report_to_csv,
     report_to_json as eval_report_to_json,
 )
-from .pairing import enumerate_pairs, label_pairs, sample_pairs
+from .pairing import MAX_NEGATIVE_PAIRS, MAX_POSITIVE_PAIRS, label_pairs, sample_pairs
 from .registry import CategoryRegistry
 from .scorer import (
     TrainConfig,
@@ -58,8 +57,11 @@ from .synth import Rule, SynthConfig, generate
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -86,18 +88,8 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def _parse_k_values(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",")]
-    if not parts or any(not p for p in parts):
-        raise ValueError(f"bad K list: {text!r}")
-    try:
-        ks = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"K values must be integers: {text!r}") from None
-    if any(k <= 0 for k in ks):
-        raise ValueError(f"K values must be positive: {text!r}")
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError(f"K values must be strictly ascending without duplicates: {text!r}")
-    return ks
+    """Comma-separated integers; ``MatchConfig`` checks their values."""
+    return tuple(int(p) for p in text.split(","))
 
 
 def _load_dataset(path: str, check: bool = True) -> Dataset:
@@ -121,10 +113,7 @@ def _rule_class(registry: CategoryRegistry, value, kind: str, where: str) -> int
 
 
 def _load_rules(path: str, registry: CategoryRegistry) -> tuple[Rule, ...]:
-    try:
-        raw = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid rules JSON: {exc}") from None
+    raw = _load_root(_read_text(path))
     if not isinstance(raw, list):
         raise DataError("rules file must hold a JSON list")
     rules = []
@@ -226,8 +215,8 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
         if sampling:
             chosen = sample_pairs(
                 matrix,
-                args.max_pos if args.max_pos is not None else 64,
-                args.max_neg if args.max_neg is not None else 192,
+                args.max_pos if args.max_pos is not None else MAX_POSITIVE_PAIRS,
+                args.max_neg if args.max_neg is not None else MAX_NEGATIVE_PAIRS,
                 rng,
             )
             entry["sampled_indices"] = chosen.tolist()
@@ -275,23 +264,18 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             graph_constraint=not args.no_graph_constraint,
         )
         objects = tuple(
-            ScoredObject(o.id, o.category, o.box, 1.0, o.truncated)
+            ObjectInstance(o.id, o.category, o.box, o.truncated, score=1.0)
             for o in scene.objects
         )
         relations = tuple(
-            ScoredRelation(t.subject_id, t.predicate, t.object_id, t.predicate_prob)
+            RelationTriplet(t.subject_id, t.predicate, t.object_id, t.predicate_prob)
             for t in triplets
         )
         scenes.append(
-            PredictionScene(scene.image_id, scene.width, scene.height, objects, relations)
+            SceneAnnotation(scene.image_id, scene.width, scene.height, objects, relations)
         )
-    predictions = PredictionSet(
-        dataset.registry.object_names,
-        dataset.registry.relation_names,
-        dataset.split,
-        tuple(scenes),
-    )
-    _write_output(args.output, serialize_predictions(predictions))
+    predictions = Dataset(dataset.registry, dataset.split, tuple(scenes))
+    _write_output(args.output, serialize_dataset(predictions))
     return 0
 
 

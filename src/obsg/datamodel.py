@@ -10,10 +10,12 @@ A manifest is a single JSON document::
                               "truncated": false}],
                  "relations": [{"subject": 0, "predicate": 12, "object": 1}]}]}
 
-Prediction files use the same skeleton with an additional ``score`` on every
-object and relation.  An optional top-level ``relation_kinds`` list persists
-spatial/semantic tags for registries that deviate from the canonical
-vocabulary; when absent, tags are inferred by canonical name lookup.
+Prediction files use the same skeleton and parse to the same types, with a
+finite ``score`` on every object (after ``truncated``) and relation (after
+``object``); ``serialize_dataset`` writes a score wherever one is set.  An
+optional top-level ``relation_kinds`` list persists spatial/semantic tags
+for registries that deviate from the canonical vocabulary, in either kind
+of file; when absent, tags are inferred by canonical name lookup.
 
 Parsing is strict: ``parse_dataset`` either returns a dataset that passes
 ``validate`` with zero violations or raises :class:`ManifestError` naming
@@ -25,8 +27,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any
 
 from .errors import ManifestError
 from .geometry import OrientedBox
@@ -60,38 +62,54 @@ def size_class(area: float) -> str:
 
 @dataclass(frozen=True)
 class ObjectInstance:
-    """One annotated object: scene-unique id, category index, oriented box."""
+    """One object: scene-unique id, category index, oriented box.
+
+    ``score`` is the detection confidence of a predicted object and stays
+    ``None`` on ground truth.
+    """
 
     id: int
     category: int
     box: OrientedBox
     truncated: bool = False
+    score: float | None = field(default=None, kw_only=True)
 
 
 @dataclass(frozen=True)
 class RelationTriplet:
-    """Directed relation (subject, predicate, object) between object ids."""
+    """Directed relation (subject, predicate, object) between object ids.
+
+    ``score`` is the confidence of a predicted relation and stays ``None``
+    on ground truth.
+    """
 
     subject: int
     predicate: int
     object: int
+    score: float | None = None
+
+
+@dataclass(frozen=True)
+class Detection:
+    """A scored box hypothesis of one category."""
+
+    box: OrientedBox
+    category: int
+    score: float
+
+    def translate(self, dx: float, dy: float) -> "Detection":
+        return replace(self, box=self.box.translate(dx, dy))
 
 
 @dataclass(frozen=True)
 class SceneAnnotation:
-    """All annotations of a single image."""
+    """All annotations, or all predictions, of a single image."""
 
     image_id: str
     width: int
     height: int
     objects: tuple[ObjectInstance, ...]
     relations: tuple[RelationTriplet, ...]
-
-    def object_by_id(self, object_id: int) -> ObjectInstance:
-        for obj in self.objects:
-            if obj.id == object_id:
-                return obj
-        raise KeyError(f"no object with id {object_id} in image {self.image_id!r}")
 
 
 @dataclass(frozen=True)
@@ -110,42 +128,6 @@ class Violation:
     code: str
     image_id: str | None
     detail: str
-
-
-@dataclass(frozen=True)
-class ScoredObject:
-    id: int
-    category: int
-    box: OrientedBox
-    score: float
-    truncated: bool = False
-
-
-@dataclass(frozen=True)
-class ScoredRelation:
-    subject: int
-    predicate: int
-    object: int
-    score: float
-
-
-@dataclass(frozen=True)
-class PredictionScene:
-    image_id: str
-    width: int
-    height: int
-    objects: tuple[ScoredObject, ...]
-    relations: tuple[ScoredRelation, ...]
-
-
-@dataclass(frozen=True)
-class PredictionSet:
-    """Parsed prediction file: same vocabulary lists, scored content."""
-
-    object_names: tuple[str, ...]
-    relation_names: tuple[str, ...]
-    split: str
-    scenes: tuple[PredictionScene, ...]
 
 
 def validate(dataset: Dataset) -> list[Violation]:
@@ -323,31 +305,39 @@ def _parse_header(root: Any) -> tuple[str, CategoryRegistry]:
 
 
 def _load_root(data: str | bytes) -> Any:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    """The decoded JSON document of a manifest, prediction or model file.
+
+    Bytes that are not UTF-8, malformed JSON and nesting too deep to decode
+    all raise :class:`ManifestError`.
+    """
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         return json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ManifestError("invalid JSON: nested too deeply") from None
 
 
-def parse_dataset(data: str | bytes, check: bool = True) -> Dataset:
-    """Parse a manifest document.
+def _parse_score(raw: Any, path: str, image_id: str) -> float:
+    score = _get(raw, "score", float, path)
+    if not math.isfinite(score):
+        raise ManifestError(f"{path}.score: non-finite score (image {image_id!r})")
+    return score
 
-    Args:
-        data: JSON text or UTF-8 bytes.
-        check: run :func:`validate` on the result and reject violations.
 
-    Raises:
-        ManifestError: malformed syntax, a structural defect (unknown
-            category index, dangling object reference, non-rectangular
-            box) or, with ``check``, any validation violation.
+def _parse(data: str | bytes, scored: bool) -> Dataset:
+    """Dataset of a manifest, or with ``scored`` of a prediction file.
+
+    A prediction file must score every object and relation, and since it
+    never passes through :func:`validate`, duplicate object ids are
+    rejected here.
     """
     root = _load_root(data)
     split, registry = _parse_header(root)
     scenes = []
-    images = _get(root, "images", list, "$")
-    for i, raw_scene in enumerate(images):
+    for i, raw_scene in enumerate(_get(root, "images", list, "$")):
         path = f"$.images[{i}]"
         image_id = _get(raw_scene, "id", str, path)
         if not image_id:
@@ -359,6 +349,10 @@ def parse_dataset(data: str | bytes, check: bool = True) -> Dataset:
         for j, raw_obj in enumerate(_get(raw_scene, "objects", list, path)):
             opath = f"{path}.objects[{j}]"
             obj_id = _get(raw_obj, "id", int, opath)
+            if scored and obj_id in ids:
+                raise ManifestError(
+                    f"{opath}.id: object id {obj_id} reused (image {image_id!r})"
+                )
             category = _get(raw_obj, "category", int, opath)
             if not 0 <= category < registry.num_objects:
                 raise ManifestError(
@@ -368,7 +362,8 @@ def parse_dataset(data: str | bytes, check: bool = True) -> Dataset:
             box = _parse_box(raw_obj.get("obb"), f"{opath}.obb")
             truncated = raw_obj.get("truncated", False)
             _expect(truncated, bool, f"{opath}.truncated")
-            objects.append(ObjectInstance(obj_id, category, box, truncated))
+            score = _parse_score(raw_obj, opath, image_id) if scored else None
+            objects.append(ObjectInstance(obj_id, category, box, truncated, score=score))
             ids.add(obj_id)
         relations = []
         for j, raw_rel in enumerate(_get(raw_scene, "relations", list, path)):
@@ -386,11 +381,27 @@ def parse_dataset(data: str | bytes, check: bool = True) -> Dataset:
                     raise ManifestError(
                         f"{rpath}: dangling object id {endpoint} (image {image_id!r})"
                     )
-            relations.append(RelationTriplet(subject, predicate, obj_ref))
+            score = _parse_score(raw_rel, rpath, image_id) if scored else None
+            relations.append(RelationTriplet(subject, predicate, obj_ref, score))
         scenes.append(
             SceneAnnotation(image_id, width, height, tuple(objects), tuple(relations))
         )
-    dataset = Dataset(registry, split, tuple(scenes))
+    return Dataset(registry, split, tuple(scenes))
+
+
+def parse_dataset(data: str | bytes, check: bool = True) -> Dataset:
+    """Parse a manifest document.
+
+    Args:
+        data: JSON text or UTF-8 bytes.
+        check: run :func:`validate` on the result and reject violations.
+
+    Raises:
+        ManifestError: malformed syntax, a structural defect (unknown
+            category index, dangling object reference, non-rectangular
+            box) or, with ``check``, any validation violation.
+    """
+    dataset = _parse(data, scored=False)
     if check:
         violations = validate(dataset)
         if violations:
@@ -401,6 +412,17 @@ def parse_dataset(data: str | bytes, check: bool = True) -> Dataset:
                 f"manifest has {len(violations)} validation violation(s): {head}"
             )
     return dataset
+
+
+def parse_predictions(data: str | bytes) -> Dataset:
+    """Parse a prediction file: the manifest skeleton with a finite score
+    on every object and relation.
+
+    Raises:
+        ManifestError: as :func:`parse_dataset` without ``check``, and for
+            a missing or non-finite score or a reused object id.
+    """
+    return _parse(data, scored=True)
 
 
 # --- serialization -------------------------------------------------------
@@ -420,8 +442,30 @@ def _registry_json(registry: CategoryRegistry) -> dict[str, Any]:
     return doc
 
 
+def _object_json(obj: ObjectInstance) -> dict[str, Any]:
+    doc = {
+        "id": obj.id,
+        "category": obj.category,
+        "obb": _box_json(obj.box),
+        "truncated": obj.truncated,
+    }
+    if obj.score is not None:
+        doc["score"] = obj.score
+    return doc
+
+
+def _relation_json(rel: RelationTriplet) -> dict[str, Any]:
+    doc = {"subject": rel.subject, "predicate": rel.predicate, "object": rel.object}
+    if rel.score is not None:
+        doc["score"] = rel.score
+    return doc
+
+
 def serialize_dataset(dataset: Dataset) -> str:
-    """Manifest JSON for a dataset; deterministic byte-for-byte."""
+    """Manifest or prediction-file JSON; deterministic byte-for-byte.
+
+    Scores are written wherever they are set.
+    """
     doc: dict[str, Any] = {"version": MANIFEST_VERSION, "split": dataset.split}
     doc.update(_registry_json(dataset.registry))
     doc["images"] = [
@@ -429,109 +473,9 @@ def serialize_dataset(dataset: Dataset) -> str:
             "id": scene.image_id,
             "width": scene.width,
             "height": scene.height,
-            "objects": [
-                {
-                    "id": obj.id,
-                    "category": obj.category,
-                    "obb": _box_json(obj.box),
-                    "truncated": obj.truncated,
-                }
-                for obj in scene.objects
-            ],
-            "relations": [
-                {"subject": r.subject, "predicate": r.predicate, "object": r.object}
-                for r in scene.relations
-            ],
+            "objects": [_object_json(obj) for obj in scene.objects],
+            "relations": [_relation_json(rel) for rel in scene.relations],
         }
         for scene in dataset.scenes
     ]
-    return json.dumps(doc, separators=(",", ":"))
-
-
-def parse_predictions(data: str | bytes) -> PredictionSet:
-    """Parse a prediction file (manifest skeleton plus per-item scores)."""
-    root = _load_root(data)
-    split, registry = _parse_header(root)
-    scenes = []
-    for i, raw_scene in enumerate(_get(root, "images", list, "$")):
-        path = f"$.images[{i}]"
-        image_id = _get(raw_scene, "id", str, path)
-        width = _get(raw_scene, "width", int, path)
-        height = _get(raw_scene, "height", int, path)
-        objects = []
-        ids: set[int] = set()
-        for j, raw_obj in enumerate(_get(raw_scene, "objects", list, path)):
-            opath = f"{path}.objects[{j}]"
-            obj_id = _get(raw_obj, "id", int, opath)
-            if obj_id in ids:
-                raise ManifestError(f"{opath}.id: object id {obj_id} reused")
-            category = _get(raw_obj, "category", int, opath)
-            if not 0 <= category < registry.num_objects:
-                raise ManifestError(f"{opath}.category: index {category} out of range")
-            box = _parse_box(raw_obj.get("obb"), f"{opath}.obb")
-            score = _get(raw_obj, "score", float, opath)
-            if not math.isfinite(score):
-                raise ManifestError(f"{opath}.score: non-finite score")
-            truncated = raw_obj.get("truncated", False)
-            _expect(truncated, bool, f"{opath}.truncated")
-            objects.append(ScoredObject(obj_id, category, box, score, truncated))
-            ids.add(obj_id)
-        relations = []
-        for j, raw_rel in enumerate(_get(raw_scene, "relations", list, path)):
-            rpath = f"{path}.relations[{j}]"
-            subject = _get(raw_rel, "subject", int, rpath)
-            predicate = _get(raw_rel, "predicate", int, rpath)
-            obj_ref = _get(raw_rel, "object", int, rpath)
-            score = _get(raw_rel, "score", float, rpath)
-            if not 0 <= predicate < registry.num_relations:
-                raise ManifestError(f"{rpath}.predicate: index {predicate} out of range")
-            if not math.isfinite(score):
-                raise ManifestError(f"{rpath}.score: non-finite score")
-            for endpoint in (subject, obj_ref):
-                if endpoint not in ids:
-                    raise ManifestError(f"{rpath}: dangling object id {endpoint}")
-            relations.append(ScoredRelation(subject, predicate, obj_ref, score))
-        scenes.append(
-            PredictionScene(image_id, width, height, tuple(objects), tuple(relations))
-        )
-    return PredictionSet(
-        registry.object_names, registry.relation_names, split, tuple(scenes)
-    )
-
-
-def serialize_predictions(predictions: PredictionSet) -> str:
-    """Prediction-file JSON; deterministic byte-for-byte."""
-    doc: dict[str, Any] = {
-        "version": MANIFEST_VERSION,
-        "split": predictions.split,
-        "object_categories": list(predictions.object_names),
-        "relation_categories": list(predictions.relation_names),
-        "images": [
-            {
-                "id": scene.image_id,
-                "width": scene.width,
-                "height": scene.height,
-                "objects": [
-                    {
-                        "id": obj.id,
-                        "category": obj.category,
-                        "obb": _box_json(obj.box),
-                        "truncated": obj.truncated,
-                        "score": obj.score,
-                    }
-                    for obj in scene.objects
-                ],
-                "relations": [
-                    {
-                        "subject": r.subject,
-                        "predicate": r.predicate,
-                        "object": r.object,
-                        "score": r.score,
-                    }
-                    for r in scene.relations
-                ],
-            }
-            for scene in predictions.scenes
-        ],
-    }
     return json.dumps(doc, separators=(",", ":"))

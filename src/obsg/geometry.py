@@ -223,15 +223,6 @@ class OrientedBox:
     def translate(self, dx: float, dy: float) -> "OrientedBox":
         return OrientedBox(tuple((x + dx, y + dy) for x, y in self.vertices))  # type: ignore[arg-type]
 
-    def contains_point(self, x: float, y: float) -> bool:
-        """Membership test via the box's local frame, boundary inclusive."""
-        cx, cy, w, h, theta = self.params
-        ux, uy = math.cos(theta), math.sin(theta)
-        dx, dy = x - cx, y - cy
-        along = dx * ux + dy * uy
-        across = -dx * uy + dy * ux
-        return abs(along) <= w / 2.0 and abs(across) <= h / 2.0
-
 
 @dataclass(frozen=True)
 class PairGeometry:
@@ -319,13 +310,6 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     if union <= 0.0:
         return 0.0
     return min(max(inter / union, 0.0), 1.0)
-
-
-def enclosing_axis_box(a: OrientedBox, b: OrientedBox) -> AxisBox:
-    """Smallest axis-aligned rectangle covering both boxes."""
-    xs = [p[0] for p in a.vertices] + [p[0] for p in b.vertices]
-    ys = [p[1] for p in a.vertices] + [p[1] for p in b.vertices]
-    return AxisBox(min(xs), min(ys), max(xs), max(ys))
 
 
 def pair_geometry(

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .datamodel import Dataset, ObjectInstance, SceneAnnotation
+from .datamodel import Dataset, Detection, ObjectInstance, SceneAnnotation
 from .geometry import OrientedBox, intersection_area, rotated_iou
 
 TILE_SIZE = 800
@@ -39,18 +39,6 @@ class TileSpec:
             raise ValueError(f"bad tile size/stride: {self.size}/{self.stride}")
         if self.origin_x < 0 or self.origin_y < 0:
             raise ValueError(f"negative tile origin: {self}")
-
-
-@dataclass(frozen=True)
-class Detection:
-    """A scored box hypothesis of one category."""
-
-    box: OrientedBox
-    category: int
-    score: float
-
-    def translate(self, dx: float, dy: float) -> "Detection":
-        return replace(self, box=self.box.translate(dx, dy))
 
 
 def _grid_positions(extent: int, size: int, stride: int) -> list[int]:

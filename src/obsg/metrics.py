@@ -19,14 +19,12 @@ recall averages the per-predicate recalls of predicates with ground truth.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .datamodel import Dataset, PredictionScene, PredictionSet, SceneAnnotation
+from .datamodel import Dataset, Detection, SceneAnnotation
 from .errors import DataError, RegistryMismatchError
 from .geometry import OrientedBox, rotated_iou
-from .ingest import Detection
 
 SUBTASKS = ("predcls", "sgcls", "sgdet")
 DEFAULT_K_VALUES = (20, 50, 100, 500)
@@ -304,18 +302,20 @@ class EvalReport:
     mean_recall_at_k: dict[int, float] | None = None
 
 
-def _check_names(gt: Dataset, predictions: PredictionSet) -> None:
+def _check_names(gt: Dataset, predictions: Dataset) -> None:
+    # Names only: a prediction file without a relation_kinds key parses to
+    # canonical kinds, which may differ from those of the ground truth.
     if (
-        predictions.object_names != gt.registry.object_names
-        or predictions.relation_names != gt.registry.relation_names
+        predictions.registry.object_names != gt.registry.object_names
+        or predictions.registry.relation_names != gt.registry.relation_names
     ):
         raise RegistryMismatchError(
             "prediction file and ground truth use different category lists"
         )
 
 
-def _prediction_index(predictions: PredictionSet) -> dict[str, PredictionScene]:
-    index: dict[str, PredictionScene] = {}
+def _prediction_index(predictions: Dataset) -> dict[str, SceneAnnotation]:
+    index: dict[str, SceneAnnotation] = {}
     for scene in predictions.scenes:
         if scene.image_id in index:
             raise DataError(f"duplicate prediction image id {scene.image_id!r}")
@@ -325,7 +325,7 @@ def _prediction_index(predictions: PredictionSet) -> dict[str, PredictionScene]:
 
 def evaluate_detections(
     gt: Dataset,
-    predictions: PredictionSet,
+    predictions: Dataset,
     iou_threshold: float = 0.5,
     include_empty_classes: bool = False,
 ) -> EvalReport:
@@ -405,7 +405,7 @@ def targets_from_scene(scene: SceneAnnotation) -> list[TripletTarget]:
     return targets
 
 
-def triplets_from_prediction_scene(scene: PredictionScene) -> list[PredictedTriplet]:
+def triplets_from_prediction_scene(scene: SceneAnnotation) -> list[PredictedTriplet]:
     """Expand a prediction scene's relations into scored triplets.
 
     The composite score multiplies both endpoint scores with the relation
@@ -431,7 +431,7 @@ def triplets_from_prediction_scene(scene: PredictionScene) -> list[PredictedTrip
 
 
 def evaluate_scene_graphs(
-    gt: Dataset, predictions: PredictionSet, config: MatchConfig | None = None
+    gt: Dataset, predictions: Dataset, config: MatchConfig | None = None
 ) -> EvalReport:
     """Recall@K report over a dataset for one scene-graph subtask.
 

@@ -56,23 +56,6 @@ class PairLabelMatrix:
         return int(self.labels.shape[0])
 
 
-@dataclass(frozen=True)
-class PairScores:
-    """Relatedness logits aligned with the pair enumeration of one scene."""
-
-    n: int
-    logits: np.ndarray
-
-    def __post_init__(self) -> None:
-        expected = self.n * (self.n - 1) if self.n > 1 else 0
-        if self.logits.shape != (expected,):
-            raise ValueError(
-                f"logits shape {self.logits.shape} does not fit n={self.n}"
-            )
-        if not np.all(np.isfinite(self.logits)):
-            raise ValueError("pair logits must be finite")
-
-
 def label_pairs(scene: SceneAnnotation) -> PairLabelMatrix:
     """Binary relatedness of every ordered pair, from the scene's triplets."""
     n = len(scene.objects)
@@ -114,15 +97,6 @@ def sample_pairs(
     return np.sort(np.concatenate([pos, neg]).astype(np.int64))
 
 
-def select_top_pairs(scores: PairScores, m: int) -> list[tuple[int, int]]:
-    """The ``m`` highest-logit pairs, ties resolved by enumeration order."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0: {m}")
-    pairs = enumerate_pairs(scores.n)
-    order = np.argsort(-scores.logits, kind="stable")
-    return [pairs[int(k)] for k in order[:m]]
-
-
 def relpn_loss(
     logits: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -150,10 +124,3 @@ def relpn_loss(
     sigmoid[~pos] = exp_neg / (1.0 + exp_neg)
     grad = (sigmoid - y) / x.size
     return float(np.mean(per_pair)), grad
-
-
-def expected_pair_count(n: int) -> int:
-    """n*(n-1), the number of ordered pairs a scene with n objects yields."""
-    if n < 0:
-        raise ValueError(f"object count must be >= 0: {n}")
-    return n * (n - 1)

@@ -17,14 +17,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, SceneAnnotation
+from .datamodel import Dataset, Detection, SceneAnnotation, _load_root
 from .errors import DataError, ManifestError, RegistryMismatchError, TrainingDivergenceError
 from .geometry import PairGeometry, pair_geometry
-from .ingest import Detection
 from .metrics import PredictedTriplet
 from .pairing import enumerate_pairs, label_pairs, pair_index, sample_pairs
 from .registry import CategoryRegistry
@@ -32,23 +30,6 @@ from .registry import CategoryRegistry
 DEFAULT_ALPHA = 1.0
 FEATURE_VERSION = 1
 GEOMETRY_FEATURES = 15
-
-DEFAULT_LOSS_WEIGHTS = (1.0, 1.0, 1.0)
-
-
-def total_loss(
-    relpn: float,
-    refine: float,
-    relation: float,
-    weights: Sequence[float] = DEFAULT_LOSS_WEIGHTS,
-) -> float:
-    """Weighted sum of the three training losses; weights must be >= 0."""
-    if len(weights) != 3:
-        raise ValueError(f"expected 3 weights, got {len(weights)}")
-    if any(w < 0 for w in weights):
-        raise ValueError(f"loss weights must be non-negative: {tuple(weights)}")
-    return weights[0] * relpn + weights[1] * refine + weights[2] * relation
-
 
 def ce_loss(logits: np.ndarray, true_index: int) -> tuple[float, np.ndarray]:
     """Cross-entropy of one logit vector and its gradient.
@@ -452,12 +433,7 @@ def load_scorer(text: str | bytes, registry: CategoryRegistry) -> LinearScorer:
 
 
 def _load_model_doc(text: str | bytes, kind: str) -> dict:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"invalid model JSON: {exc}") from None
+    doc = _load_root(text)
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise ManifestError(f"expected a {kind!r} document")
     if doc.get("version") != 1:

@@ -15,8 +15,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .datamodel import Dataset, SIZE_CLASS_NAMES, size_class
+from .datamodel import Dataset, SIZE_CLASS_NAMES, _load_root, size_class
 from .errors import ManifestError
+from .metrics import _csv_cell
 
 SPLIT_ORDER = ("train", "val", "test")
 
@@ -127,12 +128,7 @@ def report_to_json(report: StatsReport) -> str:
 
 
 def report_from_json(text: str | bytes) -> StatsReport:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"invalid stats JSON: {exc}") from None
+    doc = _load_root(text)
     if not isinstance(doc, dict) or doc.get("kind") != "stats":
         raise ManifestError("expected a stats report document")
     hists = doc["per_image_histograms"]
@@ -155,12 +151,6 @@ def report_from_json(text: str | bytes) -> StatsReport:
             tuple(float(v) for v in row) for row in doc["cooccurrence_log"]
         ),
     )
-
-
-def _csv_cell(text: str) -> str:
-    if any(ch in text for ch in ",\"\n"):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def report_to_csv(reports: StatsReport | Sequence[StatsReport]) -> str:

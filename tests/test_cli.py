@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from obsg import cli, parse_dataset, parse_predictions
+from obsg import cli, parse_dataset, parse_predictions, serialize_dataset
 from obsg.registry import canonical_registry
 from obsg.scorer import load_scorer
 
@@ -72,10 +72,29 @@ def test_validate_reports_violations(tmp_path):
     assert lines[-1] == "1 violations"
 
 
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
 def test_validate_unparseable_manifest(tmp_path, capsys):
     bad = tmp_path / "broken.json"
-    bad.write_text("{not json")
-    assert cli.run(["validate", "--input", str(bad)]) == 1
+    for content in (b"{not json", b'{"version": "1.0\xff"}', DEEP_JSON.encode()):
+        bad.write_bytes(content)
+        assert cli.run(["validate", "--input", str(bad)]) == 1, content[:20]
+        assert "error:" in capsys.readouterr().err
+
+
+def test_undecodable_model_and_prediction_files_are_data_errors(tmp_path, capsys):
+    gt = synth_manifest(tmp_path, images=3, seed=37)
+    prior = tmp_path / "prior.json"
+    assert cli.run(["fit-prior", "--input", str(gt), "--output", str(prior)]) == 0
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(gt.read_bytes().replace(b'"train"', b'"tr\xe4in"', 1))
+    capsys.readouterr()
+    assert cli.run(["predict", "--input", str(gt), "--prior", str(deep)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert cli.run(["eval-sgg", "--gt", str(gt), "--pred", str(latin1)]) == 1
     assert "error:" in capsys.readouterr().err
 
 
@@ -208,6 +227,7 @@ def test_prior_predict_eval_pipeline(tmp_path):
     assert all(
         obj.score == 1.0 for scene in predictions.scenes for obj in scene.objects
     )
+    assert (serialize_dataset(predictions) + "\n").encode() == pred.read_bytes()
 
     report_path = tmp_path / "sgg.json"
     code = cli.run(

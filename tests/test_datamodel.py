@@ -10,19 +10,14 @@ from obsg import (
     ManifestError,
     ObjectInstance,
     OrientedBox,
-    PredictionScene,
-    PredictionSet,
     RelationTriplet,
     SceneAnnotation,
-    ScoredObject,
-    ScoredRelation,
     SynthConfig,
     canonical_registry,
     generate,
     parse_dataset,
     parse_predictions,
     serialize_dataset,
-    serialize_predictions,
     size_class,
     validate,
 )
@@ -67,6 +62,19 @@ def minimal_manifest():
     }
 
 
+def scored_manifest():
+    """``minimal_manifest`` as a prediction file: every item scored."""
+    doc = minimal_manifest()
+    scene = doc["images"][0]
+    for item in scene["objects"] + scene["relations"]:
+        item["score"] = 0.5
+    return doc
+
+
+# Each parser with a document it accepts.
+PARSERS = ((parse_dataset, minimal_manifest), (parse_predictions, scored_manifest))
+
+
 def test_parse_minimal_manifest():
     dataset = parse_dataset(json.dumps(minimal_manifest()))
     assert dataset.split == "train"
@@ -80,12 +88,22 @@ def test_parse_minimal_manifest():
 
 
 def test_parse_rejects_dangling_reference():
-    doc = minimal_manifest()
-    doc["images"][0]["relations"][0]["object"] = 99
-    with pytest.raises(ManifestError) as err:
-        parse_dataset(json.dumps(doc))
-    assert "99" in str(err.value)
-    assert "img-1" in str(err.value)
+    for parse, make_doc in PARSERS:
+        doc = make_doc()
+        doc["images"][0]["relations"][0]["object"] = 99
+        with pytest.raises(ManifestError) as err:
+            parse(json.dumps(doc))
+        assert "99" in str(err.value)
+        assert "img-1" in str(err.value)
+
+
+def test_parse_rejects_empty_image_id():
+    for parse, make_doc in PARSERS:
+        doc = make_doc()
+        doc["images"][0]["id"] = ""
+        with pytest.raises(ManifestError) as err:
+            parse(json.dumps(doc))
+        assert "$.images[0].id" in str(err.value)
 
 
 def test_parse_rejects_bad_box_with_path():
@@ -108,16 +126,26 @@ def test_parse_rejects_unknown_version_and_split():
 
 
 def test_parse_rejects_category_out_of_range():
-    doc = minimal_manifest()
-    doc["images"][0]["objects"][0]["category"] = 3
-    with pytest.raises(ManifestError) as err:
-        parse_dataset(json.dumps(doc))
-    assert "category" in str(err.value)
+    for parse, make_doc in PARSERS:
+        doc = make_doc()
+        doc["images"][0]["objects"][0]["category"] = 3
+        with pytest.raises(ManifestError) as err:
+            parse(json.dumps(doc))
+        assert "category" in str(err.value)
+        assert "img-1" in str(err.value)
+        doc = make_doc()
+        doc["images"][0]["relations"][0]["predicate"] = 2
+        with pytest.raises(ManifestError) as err:
+            parse(json.dumps(doc))
+        assert "predicate" in str(err.value)
+        assert "img-1" in str(err.value)
 
 
 def test_parse_rejects_malformed_json():
-    with pytest.raises(ManifestError):
-        parse_dataset("{not json")
+    for parse, _ in PARSERS:
+        for data in ("{not json", b"\xff{}", "[" * 100_000 + "]" * 100_000):
+            with pytest.raises(ManifestError):
+                parse(data)
 
 
 def test_serialize_parse_identity():
@@ -301,65 +329,53 @@ def test_relation_kinds_serialized_only_when_non_canonical():
     )
     doc = json.loads(serialize_dataset(tagged))
     assert doc["relation_kinds"] == ["spatial", "semantic"]
-    parsed = parse_dataset(serialize_dataset(tagged))
-    assert parsed.registry.relation_kinds == ("spatial", "semantic")
+    for parse, _ in PARSERS:
+        parsed = parse(serialize_dataset(tagged))
+        assert parsed.registry.relation_kinds == ("spatial", "semantic")
 
 
 def test_prediction_round_trip():
-    scene = PredictionScene(
+    scene = SceneAnnotation(
         image_id="img-1",
         width=100,
         height=100,
         objects=(
-            ScoredObject(0, 0, unit_box(), 0.9),
-            ScoredObject(1, 1, unit_box(20, 20), 0.7),
+            ObjectInstance(0, 0, unit_box(), score=0.9),
+            ObjectInstance(1, 1, unit_box(20, 20), True, score=0.7),
         ),
-        relations=(ScoredRelation(0, 1, 1, 0.5),),
+        relations=(RelationTriplet(0, 1, 1, 0.5),),
     )
-    preds = PredictionSet(
-        ("cat-a", "cat-b", "cat-c"), ("rel-x", "rel-y"), "val", (scene,)
-    )
-    text = serialize_predictions(preds)
+    preds = Dataset(small_registry(), "val", (scene,))
+    text = serialize_dataset(preds)
+    assert '"truncated":true,"score":0.7' in text
+    assert '"object":1,"score":0.5' in text
     again = parse_predictions(text)
     assert again == preds
-    assert serialize_predictions(again) == text
+    assert serialize_dataset(again) == text
+    # score is keyword-only, so a positional fifth argument cannot land in it
+    with pytest.raises(TypeError):
+        ObjectInstance(0, 0, unit_box(), False, 0.9)
 
 
 def test_prediction_requires_scores():
-    doc = json.loads(
-        serialize_predictions(
-            PredictionSet(
-                ("cat-a",),
-                ("rel-x",),
-                "val",
-                (
-                    PredictionScene(
-                        "i", 10, 10, (ScoredObject(0, 0, unit_box(0, 0, 5), 1.0),), ()
-                    ),
-                ),
-            )
-        )
-    )
-    del doc["images"][0]["objects"][0]["score"]
-    with pytest.raises(ManifestError) as err:
-        parse_predictions(json.dumps(doc))
-    assert "score" in str(err.value)
+    for kind in ("objects", "relations"):
+        doc = scored_manifest()
+        del doc["images"][0][kind][0]["score"]
+        with pytest.raises(ManifestError) as err:
+            parse_predictions(json.dumps(doc))
+        assert "score" in str(err.value)
 
 
 def test_prediction_rejects_non_finite_score():
-    text = serialize_predictions(
-        PredictionSet(
-            ("cat-a",),
-            ("rel-x",),
-            "val",
-            (
-                PredictionScene(
-                    "i", 10, 10, (ScoredObject(0, 0, unit_box(0, 0, 5), 1.0),), ()
-                ),
-            ),
-        )
-    )
-    doc = json.loads(text)
+    doc = scored_manifest()
     doc["images"][0]["objects"][0]["score"] = float("nan")
     with pytest.raises(ManifestError):
         parse_predictions(json.dumps(doc).replace("NaN", "1e999"))
+
+
+def test_prediction_rejects_reused_object_id():
+    doc = scored_manifest()
+    doc["images"][0]["objects"][1]["id"] = 0
+    with pytest.raises(ManifestError) as err:
+        parse_predictions(json.dumps(doc))
+    assert "reused" in str(err.value)

@@ -8,7 +8,6 @@ import pytest
 from obsg import (
     AxisBox,
     OrientedBox,
-    enclosing_axis_box,
     intersection_area,
     pair_geometry,
     rotated_iou,
@@ -248,53 +247,6 @@ def test_iou_against_monte_carlo_sample():
             continue
         allowance = 4.0 * sigma + 5.0 / k_union
         assert abs(rotated_iou(a, b) - estimate) <= allowance
-
-
-def test_contains_point_agrees_with_local_frame():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        box = random_box(rng)
-        cx, cy, w, h, theta = box.params
-        for _ in range(20):
-            # Sample in the box frame, inside and outside, then rotate out.
-            along = float(rng.uniform(-0.8, 0.8)) * w / 2.0
-            across = float(rng.uniform(-0.8, 0.8)) * h / 2.0
-            x = cx + along * math.cos(theta) - across * math.sin(theta)
-            y = cy + along * math.sin(theta) + across * math.cos(theta)
-            assert box.contains_point(x, y)
-            far = 2.0 * max(w, h)
-            assert not box.contains_point(cx + far * math.cos(theta + 0.5),
-                                          cy + far * math.sin(theta + 0.5))
-
-
-def test_enclosing_axis_box_corner_case():
-    a = OrientedBox.axis_aligned(0.0, 0.0, 1.0, 1.0)
-    b = OrientedBox.axis_aligned(2.0, 2.0, 3.0, 3.0)
-    cover = enclosing_axis_box(a, b)
-    assert (cover.xmin, cover.ymin, cover.xmax, cover.ymax) == (0.0, 0.0, 3.0, 3.0)
-
-
-def test_enclosing_axis_box_containment():
-    a = OrientedBox.from_params(10.0, 10.0, 8.0, 6.0, 0.7)
-    b = OrientedBox.from_params(10.0, 10.0, 1.0, 1.0, 0.1)
-    cover = enclosing_axis_box(a, b)
-    hbb = a.to_hbb()
-    assert (cover.xmin, cover.ymin, cover.xmax, cover.ymax) == (
-        hbb.xmin, hbb.ymin, hbb.xmax, hbb.ymax,
-    )
-
-
-def test_enclosing_axis_box_random_pairs():
-    """Covers all 8 vertices and is minimal per side."""
-    rng = np.random.default_rng(13)
-    for _ in range(1000):
-        a = random_box(rng)
-        b = random_box(rng)
-        cover = enclosing_axis_box(a, b)
-        xs = [p[0] for p in a.vertices + b.vertices]
-        ys = [p[1] for p in a.vertices + b.vertices]
-        assert cover.xmin == min(xs) and cover.xmax == max(xs)
-        assert cover.ymin == min(ys) and cover.ymax == max(ys)
 
 
 def test_pair_geometry_identity_case():

@@ -16,13 +16,9 @@ from obsg import (
     ObjectInstance,
     OrientedBox,
     PredictedTriplet,
-    PredictionScene,
-    PredictionSet,
     RegistryMismatchError,
     RelationTriplet,
     SceneAnnotation,
-    ScoredObject,
-    ScoredRelation,
     SynthConfig,
     TripletTarget,
     average_precision,
@@ -305,15 +301,12 @@ def long_tail_fixture():
     relations += (RelationTriplet(200, 1, 201),)
     scene = SceneAnnotation("tail", 300, 200, objects, relations)
     gt = Dataset(registry, "val", (scene,))
-    scored = tuple(ScoredObject(o.id, 0, o.box, 1.0) for o in objects)
+    scored = tuple(ObjectInstance(o.id, 0, o.box, score=1.0) for o in objects)
     pred_rels = tuple(
-        ScoredRelation(2 * i, 0, 2 * i + 1, 1.0) for i in range(100)
+        RelationTriplet(2 * i, 0, 2 * i + 1, 1.0) for i in range(100)
     )
-    preds = PredictionSet(
-        ("thing",),
-        ("common", "rare"),
-        "val",
-        (PredictionScene("tail", 300, 200, scored, pred_rels),),
+    preds = Dataset(
+        registry, "val", (SceneAnnotation("tail", 300, 200, scored, pred_rels),)
     )
     return gt, preds
 
@@ -335,18 +328,19 @@ def det_fixture():
     box = OrientedBox.axis_aligned(10, 10, 30, 30)
     scene = SceneAnnotation("i0", 100, 100, (ObjectInstance(0, 0, box),), ())
     gt = Dataset(registry, "val", (scene,))
-    preds = PredictionSet(
-        ("a", "b"),
-        ("r",),
+    preds = Dataset(
+        registry,
         "val",
         (
-            PredictionScene(
+            SceneAnnotation(
                 "i0",
                 100,
                 100,
                 (
-                    ScoredObject(0, 0, box, 0.9),
-                    ScoredObject(1, 1, OrientedBox.axis_aligned(50, 50, 70, 70), 0.8),
+                    ObjectInstance(0, 0, box, score=0.9),
+                    ObjectInstance(
+                        1, 1, OrientedBox.axis_aligned(50, 50, 70, 70), score=0.8
+                    ),
                 ),
                 (),
             ),
@@ -373,16 +367,20 @@ def test_evaluate_detections_include_empty_pins_zero():
 
 def test_evaluate_detections_registry_mismatch():
     gt, preds = det_fixture()
-    renamed = PredictionSet(("x", "b"), ("r",), "val", preds.scenes)
+    renamed = Dataset(CategoryRegistry(("x", "b"), ("r",)), "val", preds.scenes)
     with pytest.raises(RegistryMismatchError):
         evaluate_detections(gt, renamed)
+    # Only names must agree: a prediction file without a relation_kinds key
+    # parses to canonical kinds, whatever kinds the ground truth declares.
+    retagged = Dataset(
+        CategoryRegistry(("a", "b"), ("r",), ("spatial",)), "val", preds.scenes
+    )
+    assert evaluate_detections(gt, retagged).mean_ap == 1.0
 
 
 def test_evaluate_detections_duplicate_image_id():
     gt, preds = det_fixture()
-    doubled = PredictionSet(
-        ("a", "b"), ("r",), "val", (preds.scenes[0], preds.scenes[0])
-    )
+    doubled = Dataset(preds.registry, "val", (preds.scenes[0], preds.scenes[0]))
     with pytest.raises(DataError):
         evaluate_detections(gt, doubled)
 
@@ -390,7 +388,7 @@ def test_evaluate_detections_duplicate_image_id():
 def test_evaluate_detections_requires_ground_truth():
     registry = CategoryRegistry(("a",), ("r",))
     gt = Dataset(registry, "val", (SceneAnnotation("i0", 10, 10, (), ()),))
-    preds = PredictionSet(("a",), ("r",), "val", ())
+    preds = Dataset(registry, "val", ())
     with pytest.raises(DataError):
         evaluate_detections(gt, preds)
 
@@ -399,21 +397,16 @@ def predictions_from_gt(dataset):
     scenes = []
     for scene in dataset.scenes:
         objects = tuple(
-            ScoredObject(o.id, o.category, o.box, 1.0) for o in scene.objects
+            ObjectInstance(o.id, o.category, o.box, score=1.0) for o in scene.objects
         )
         relations = tuple(
-            ScoredRelation(r.subject, r.predicate, r.object, 1.0)
+            RelationTriplet(r.subject, r.predicate, r.object, 1.0)
             for r in scene.relations
         )
         scenes.append(
-            PredictionScene(scene.image_id, scene.width, scene.height, objects, relations)
+            SceneAnnotation(scene.image_id, scene.width, scene.height, objects, relations)
         )
-    return PredictionSet(
-        dataset.registry.object_names,
-        dataset.registry.relation_names,
-        dataset.split,
-        tuple(scenes),
-    )
+    return Dataset(dataset.registry, dataset.split, tuple(scenes))
 
 
 def synth_with_relations(seed, n_images=30):

@@ -32,22 +32,10 @@ from obsg import (
     predict_triplets,
     save_prior,
     save_scorer,
-    total_loss,
     train_linear,
 )
 from obsg.geometry import pair_geometry
 from obsg.scorer import feature_count, linear_loss_and_grad
-
-
-def test_total_loss():
-    assert total_loss(0.5, 0.3, 0.2) == 1.0
-    assert total_loss(0.0, 0.0, 0.0) == 0.0
-    assert total_loss(2.0, 1.0, 1.0) - total_loss(1.0, 1.0, 1.0) == 1.0
-    assert total_loss(1.0, 2.0, 3.0, weights=(0.0, 1.0, 0.5)) == 3.5
-    with pytest.raises(ValueError):
-        total_loss(1.0, 1.0, 1.0, weights=(1.0, -0.1, 1.0))
-    with pytest.raises(ValueError):
-        total_loss(1.0, 1.0, 1.0, weights=(1.0, 1.0))
 
 
 def test_ce_loss_uniform_and_saturated():
