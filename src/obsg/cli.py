@@ -279,6 +279,21 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+def _warn_uncovered(gt: Dataset, predictions: Dataset) -> None:
+    """One stderr line when evaluation skips images on either side."""
+    gt_ids = {scene.image_id for scene in gt.scenes}
+    pred_ids = {scene.image_id for scene in predictions.scenes}
+    missing = len(gt_ids - pred_ids)
+    unknown = len(pred_ids - gt_ids)
+    if missing or unknown:
+        print(
+            f"warning: {missing} of {len(gt_ids)} ground-truth images have no "
+            f"prediction scene; {unknown} of {len(pred_ids)} prediction images "
+            "are not in the ground truth",
+            file=sys.stderr,
+        )
+
+
 def _cmd_eval_det(args: argparse.Namespace) -> int:
     gt = _load_dataset(args.gt)
     predictions = parse_predictions(_read_text(args.pred))
@@ -288,6 +303,7 @@ def _cmd_eval_det(args: argparse.Namespace) -> int:
         iou_threshold=args.iou_threshold,
         include_empty_classes=args.include_empty,
     )
+    _warn_uncovered(gt, predictions)
     text = (
         eval_report_to_csv(report) if args.format == "csv" else eval_report_to_json(report)
     )
@@ -305,6 +321,7 @@ def _cmd_eval_sgg(args: argparse.Namespace) -> int:
         graph_constraint=not args.no_graph_constraint,
     )
     report = evaluate_scene_graphs(gt, predictions, config)
+    _warn_uncovered(gt, predictions)
     text = (
         eval_report_to_csv(report) if args.format == "csv" else eval_report_to_json(report)
     )

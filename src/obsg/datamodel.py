@@ -233,7 +233,10 @@ def validate(dataset: Dataset) -> list[Violation]:
 def _expect(value: Any, kind: type, path: str) -> Any:
     if kind is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise ManifestError(f"{path}: integer too large for a float") from None
         raise ManifestError(f"{path}: expected number, got {value!r}")
     if kind is int:
         if isinstance(value, int) and not isinstance(value, bool):

@@ -186,6 +186,17 @@ class OrientedBox:
         theta = math.atan2(v[1][1] - v[0][1], v[1][0] - v[0][0]) % TWO_PI
         return (cx, cy, w, h, theta)
 
+    @cached_property
+    def extent(self) -> tuple[float, float, float, float]:
+        """(xmin, ymin, xmax, ymax) of the stored vertices."""
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = self.vertices
+        return (
+            min(x0, x1, x2, x3),
+            min(y0, y1, y2, y3),
+            max(x0, x1, x2, x3),
+            max(y0, y1, y2, y3),
+        )
+
     @property
     def center(self) -> Point:
         p = self.params
@@ -216,9 +227,7 @@ class OrientedBox:
 
     def to_hbb(self) -> AxisBox:
         """Smallest axis-aligned box covering every vertex."""
-        xs = [p[0] for p in self.vertices]
-        ys = [p[1] for p in self.vertices]
-        return AxisBox(min(xs), min(ys), max(xs), max(ys))
+        return AxisBox(*self.extent)
 
     def translate(self, dx: float, dy: float) -> "OrientedBox":
         return OrientedBox(tuple((x + dx, y + dy) for x, y in self.vertices))  # type: ignore[arg-type]
@@ -289,8 +298,15 @@ def intersection_area(a: OrientedBox, b: OrientedBox) -> float:
     """Exact overlap area of two oriented boxes.
 
     Clips ``a`` against the four half-planes of ``b`` and measures the
-    remaining convex polygon with the shoelace formula.
+    remaining convex polygon with the shoelace formula.  Boxes whose axis
+    extents are strictly disjoint cannot overlap and return 0.0 without
+    clipping, the same reject detectron2's ``pairwise_iou_rotated`` makes;
+    extents that touch still go through the clipper.
     """
+    axmin, aymin, axmax, aymax = a.extent
+    bxmin, bymin, bxmax, bymax = b.extent
+    if axmax < bxmin or bxmax < axmin or aymax < bymin or bymax < aymin:
+        return 0.0
     poly = _positive_loop(a.vertices)
     clip = _positive_loop(b.vertices)
     for i in range(4):

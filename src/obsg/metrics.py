@@ -315,10 +315,22 @@ def _check_names(gt: Dataset, predictions: Dataset) -> None:
 
 
 def _prediction_index(predictions: Dataset) -> dict[str, SceneAnnotation]:
+    """Prediction scenes by image id; every object and relation needs a score."""
     index: dict[str, SceneAnnotation] = {}
     for scene in predictions.scenes:
         if scene.image_id in index:
             raise DataError(f"duplicate prediction image id {scene.image_id!r}")
+        for obj in scene.objects:
+            if obj.score is None:
+                raise DataError(
+                    f"prediction image {scene.image_id!r}: object {obj.id} has no score"
+                )
+        for rel in scene.relations:
+            if rel.score is None:
+                raise DataError(
+                    f"prediction image {scene.image_id!r}: relation "
+                    f"{rel.subject}-{rel.predicate}->{rel.object} has no score"
+                )
         index[scene.image_id] = scene
     return index
 

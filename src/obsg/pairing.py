@@ -33,6 +33,23 @@ def pair_index(n: int, i: int, j: int) -> int:
     return i * (n - 1) + j - (1 if j > i else 0)
 
 
+def pair_endpoints(n: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Subject and object positions ``(ii, jj)`` of enumerated pair indices.
+
+    The inverse of :func:`pair_index` over an index array: for ``k`` equal to
+    ``arange(n * (n - 1))`` the two arrays list ``enumerate_pairs(n)``.
+    """
+    k = np.asarray(k, dtype=np.intp)
+    if k.size == 0:
+        return k, k
+    if n < 2 or k.min() < 0 or k.max() >= n * (n - 1):
+        raise ValueError(f"pair indices outside the {n * (n - 1)} pairs of n={n}")
+    ii = k // (n - 1)
+    jj = k - ii * (n - 1)
+    jj += jj >= ii
+    return ii, jj
+
+
 @dataclass(frozen=True)
 class PairLabelMatrix:
     """Relatedness labels for every ordered pair of one scene.

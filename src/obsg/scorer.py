@@ -20,16 +20,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Dataset, Detection, SceneAnnotation, _load_root
+from .datamodel import Dataset, Detection, SceneAnnotation, _expect, _get, _load_root
 from .errors import DataError, ManifestError, RegistryMismatchError, TrainingDivergenceError
-from .geometry import PairGeometry, pair_geometry
+from .geometry import TWO_PI, OrientedBox, PairGeometry, rotated_iou
 from .metrics import PredictedTriplet
-from .pairing import enumerate_pairs, label_pairs, pair_index, sample_pairs
+from .pairing import enumerate_pairs, label_pairs, pair_endpoints, pair_index, sample_pairs
 from .registry import CategoryRegistry
 
 DEFAULT_ALPHA = 1.0
 FEATURE_VERSION = 1
 GEOMETRY_FEATURES = 15
+# Pairs scored per array block in predict_triplets: large enough to amortise
+# the per-block numpy calls, small enough that the block's temporaries stay
+# far below the memory of the scene itself.
+PAIR_BLOCK = 1024
+# Prior counts are stored as int64.
+_MAX_COUNT = np.iinfo(np.int64).max
 
 def ce_loss(logits: np.ndarray, true_index: int) -> tuple[float, np.ndarray]:
     """Cross-entropy of one logit vector and its gradient.
@@ -207,6 +213,68 @@ def linear_loss_and_grad(
     return loss, grad
 
 
+def _categories(scene: SceneAnnotation) -> np.ndarray:
+    return np.array([obj.category for obj in scene.objects], dtype=np.intp)
+
+
+@dataclass(frozen=True)
+class _SceneArrays:
+    """Columns of one scene's objects, built once and gathered per pair."""
+
+    boxes: tuple[OrientedBox, ...]
+    params: np.ndarray  # (n, 5): cx, cy, w, h, theta
+    extents: np.ndarray  # (n, 4): xmin, ymin, xmax, ymax
+    scale: np.ndarray  # (5,): image width, height, width, height, 2*pi
+
+    @classmethod
+    def of(cls, scene: SceneAnnotation) -> "_SceneArrays":
+        if scene.width <= 0 or scene.height <= 0:
+            raise ValueError(
+                f"image extent must be positive: {scene.width} x {scene.height}"
+            )
+        boxes = tuple(obj.box for obj in scene.objects)
+        return cls(
+            boxes,
+            np.array([box.params for box in boxes], dtype=np.float64).reshape(-1, 5),
+            np.array([box.extent for box in boxes], dtype=np.float64).reshape(-1, 4),
+            np.array([scene.width, scene.height, scene.width, scene.height, TWO_PI]),
+        )
+
+    def geometry(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+        """(k, 15) geometry block of the pairs (ii, jj), laid out as the
+        first ``GEOMETRY_FEATURES`` entries of :func:`pair_features`.
+
+        IoU is computed only for pairs whose axis extents meet; the rest
+        overlap nowhere and keep 0.0.
+        """
+        s = self.params[ii]
+        o = self.params[jj]
+        ns = s / self.scale
+        no = o / self.scale
+        block = np.empty((len(ii), GEOMETRY_FEATURES), dtype=np.float64)
+        block[:, 0] = np.hypot(ns[:, 0] - no[:, 0], ns[:, 1] - no[:, 1])
+        block[:, 1] = np.log((s[:, 2] * s[:, 3]) / (o[:, 2] * o[:, 3]))
+        block[:, 2] = np.log(s[:, 2] / s[:, 3])
+        block[:, 3] = np.log(o[:, 2] / o[:, 3])
+        block[:, 4] = 0.0
+        block[:, 5:10] = ns
+        block[:, 10:15] = no
+        es = self.extents[ii]
+        eo = self.extents[jj]
+        meet = (
+            (es[:, 0] <= eo[:, 2])
+            & (eo[:, 0] <= es[:, 2])
+            & (es[:, 1] <= eo[:, 3])
+            & (eo[:, 1] <= es[:, 3])
+        )
+        boxes = self.boxes
+        for k, i, j in zip(
+            np.flatnonzero(meet).tolist(), ii[meet].tolist(), jj[meet].tolist()
+        ):
+            block[k, 4] = rotated_iou(boxes[i], boxes[j])
+        return block
+
+
 def _scene_pair_rows(
     scene: SceneAnnotation,
     num_classes: int,
@@ -214,30 +282,26 @@ def _scene_pair_rows(
     max_pos: int,
     max_neg: int,
     rng: np.random.Generator,
-) -> tuple[list[np.ndarray], list[int]]:
-    """Sampled (features, label) rows of one scene; label R means unrelated."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled feature rows of one scene and their labels; R means unrelated."""
     matrix = label_pairs(scene)
     if matrix.num_pairs == 0:
-        return [], []
+        return np.zeros((0, feature_count(num_classes))), np.zeros(0, dtype=np.int64)
+    n = len(scene.objects)
+    labels = np.full(matrix.num_pairs, num_relations, dtype=np.int64)
     position = {obj.id: idx for idx, obj in enumerate(scene.objects)}
-    predicate_of: dict[int, int] = {}
-    for rel in scene.relations:
-        k = pair_index(
-            len(scene.objects), position[rel.subject], position[rel.object]
-        )
-        predicate_of.setdefault(k, rel.predicate)
+    # Written last to first, so the first triplet of a pair sets its label.
+    for rel in reversed(scene.relations):
+        labels[pair_index(n, position[rel.subject], position[rel.object])] = rel.predicate
     chosen = sample_pairs(matrix, max_pos, max_neg, rng)
-    pairs = enumerate_pairs(len(scene.objects))
-    rows: list[np.ndarray] = []
-    labels: list[int] = []
-    for k in chosen:
-        i, j = pairs[int(k)]
-        subj = scene.objects[i]
-        obj = scene.objects[j]
-        geom = pair_geometry(subj.box, obj.box, scene.width, scene.height)
-        rows.append(pair_features(geom, subj.category, obj.category, num_classes))
-        labels.append(predicate_of.get(int(k), num_relations))
-    return rows, labels
+    ii, jj = pair_endpoints(n, chosen)
+    categories = _categories(scene)
+    rows = np.zeros((len(chosen), feature_count(num_classes)), dtype=np.float64)
+    rows[:, :GEOMETRY_FEATURES] = _SceneArrays.of(scene).geometry(ii, jj)
+    rows[np.arange(len(chosen)), GEOMETRY_FEATURES + categories[ii]] = 1.0
+    rows[np.arange(len(chosen)), GEOMETRY_FEATURES + num_classes + categories[jj]] = 1.0
+    rows[:, -1] = 1.0
+    return rows, labels[chosen]
 
 
 def train_linear(dataset: Dataset, config: TrainConfig) -> LinearScorer:
@@ -252,7 +316,7 @@ def train_linear(dataset: Dataset, config: TrainConfig) -> LinearScorer:
     num_relations = registry.num_relations
     rng = np.random.default_rng(config.seed)
     rows: list[np.ndarray] = []
-    labels: list[int] = []
+    labels: list[np.ndarray] = []
     for scene in dataset.scenes:
         scene_rows, scene_labels = _scene_pair_rows(
             scene,
@@ -262,12 +326,12 @@ def train_linear(dataset: Dataset, config: TrainConfig) -> LinearScorer:
             config.max_neg,
             rng,
         )
-        rows.extend(scene_rows)
-        labels.extend(scene_labels)
-    if not rows:
+        rows.append(scene_rows)
+        labels.append(scene_labels)
+    if sum(len(r) for r in rows) == 0:
         raise DataError("dataset yields no object pairs to train on")
-    features = np.stack(rows)
-    targets = np.asarray(labels, dtype=np.int64)
+    features = np.concatenate(rows)
+    targets = np.concatenate(labels)
     weights = np.zeros(
         (feature_count(registry.num_objects), num_relations + 1), dtype=np.float64
     )
@@ -287,12 +351,6 @@ def train_linear(dataset: Dataset, config: TrainConfig) -> LinearScorer:
     return LinearScorer(weights, registry.content_hash(), tuple(history))
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    m = float(np.max(x))
-    e = np.exp(x - m)
-    return e / e.sum()
-
-
 def predict_triplets(
     scene: SceneAnnotation,
     prior: FrequencyPrior,
@@ -309,60 +367,110 @@ def predict_triplets(
     enumeration order.  With ``graph_constraint`` each surviving pair emits
     only its best predicate, otherwise every predicate.  Endpoint scores
     are 1.0 because the endpoints are annotated boxes.
+
+    Pairs are scored as arrays, in blocks of whole subject rows of at most
+    ``PAIR_BLOCK`` pairs (one row when a row is longer), so memory stays
+    bounded on scenes with many objects.
     """
     if top_m is not None and top_m < 0:
         raise ValueError(f"top_m must be >= 0: {top_m}")
+    num_objects = prior.num_objects
     num_relations = prior.num_relations
-    pairs = enumerate_pairs(len(scene.objects))
-    fused_rows: list[np.ndarray] = []
-    relatedness: list[float] = []
-    for i, j in pairs:
-        subj = scene.objects[i]
-        obj = scene.objects[j]
-        row = prior.distribution(subj.category, obj.category)
-        if linear is not None:
-            geom = pair_geometry(subj.box, obj.box, scene.width, scene.height)
-            feats = pair_features(geom, subj.category, obj.category, prior.num_objects)
-            row = row * _softmax(linear.logits(feats))
-            total = row.sum()
-            if total <= 0:
-                raise DataError("fused distribution collapsed to zero")
-            row = row / total
-        fused_rows.append(row)
-        relatedness.append(1.0 - float(row[num_relations]))
-    if top_m is None:
-        surviving = range(len(pairs))
-    else:
-        order = np.argsort(-np.asarray(relatedness), kind="stable")
-        surviving = sorted(int(k) for k in order[:top_m])
-    out: list[PredictedTriplet] = []
-    for k in surviving:
-        i, j = pairs[k]
-        subj = scene.objects[i]
-        obj = scene.objects[j]
-        predicate_probs = fused_rows[k][:num_relations]
-        total = float(predicate_probs.sum())
-        if total <= 0:
-            continue
-        predicate_probs = predicate_probs / total
-        if graph_constraint:
-            chosen = [int(np.argmax(predicate_probs))]
-        else:
-            chosen = list(range(num_relations))
-        for p in chosen:
-            prob = float(predicate_probs[p])
-            out.append(
-                PredictedTriplet(
-                    subject=Detection(subj.box, subj.category, 1.0),
-                    predicate=p,
-                    object=Detection(obj.box, obj.category, 1.0),
-                    score=prob,
-                    predicate_prob=prob,
-                    subject_id=subj.id,
-                    object_id=obj.id,
-                )
+    if linear is not None and linear.weights.shape != (
+        feature_count(num_objects),
+        num_relations + 1,
+    ):
+        raise ValueError(
+            f"scorer weights {linear.weights.shape} do not fit the prior's "
+            f"{num_objects} classes and {num_relations} predicates"
+        )
+    n = len(scene.objects)
+    num_pairs = n * (n - 1)
+    arrays = _SceneArrays.of(scene) if linear is not None else None
+    categories = _categories(scene)
+    # Per pair: relatedness, whether any predicate mass is left, and the
+    # scores of the predicates it would emit (the best one under the graph
+    # constraint, whose index goes to ``best``).
+    relatedness = np.empty(num_pairs, dtype=np.float64)
+    emitting = np.empty(num_pairs, dtype=bool)
+    scores = np.empty((num_pairs, 1 if graph_constraint else num_relations))
+    best = np.empty(num_pairs, dtype=np.intp)
+    rows_per_block = max(1, PAIR_BLOCK // max(n - 1, 1))
+    for first in range(0, n, rows_per_block):
+        block = np.arange(
+            first * (n - 1), min(first + rows_per_block, n) * (n - 1), dtype=np.intp
+        )
+        ii, jj = pair_endpoints(n, block)
+        cs = categories[ii]
+        co = categories[jj]
+        fused = _prior_rows(prior, cs, co)
+        if arrays is not None:
+            w = linear.weights
+            logits = (
+                arrays.geometry(ii, jj) @ w[:GEOMETRY_FEATURES]
+                + w[GEOMETRY_FEATURES + cs]
+                + w[GEOMETRY_FEATURES + num_objects + co]
+                + w[-1]
             )
+            soft = np.exp(logits - logits.max(axis=1, keepdims=True))
+            fused *= soft / soft.sum(axis=1, keepdims=True)
+            total = fused.sum(axis=1, keepdims=True)
+            if np.any(total <= 0):
+                raise DataError("fused distribution collapsed to zero")
+            fused /= total
+        relatedness[block] = 1.0 - fused[:, num_relations]
+        mass = fused[:, :num_relations].sum(axis=1, keepdims=True)
+        emitting[block] = mass[:, 0] > 0
+        # Rows without predicate mass divide 0 by 0; they are never emitted.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            probs = fused[:, :num_relations] / mass
+        if graph_constraint:
+            best[block] = probs.argmax(axis=1)
+            scores[block, 0] = probs[np.arange(len(block)), best[block]]
+        else:
+            scores[block] = probs
+    if top_m is None:
+        surviving = np.flatnonzero(emitting)
+    else:
+        surviving = np.sort(np.argsort(-relatedness, kind="stable")[:top_m])
+        surviving = surviving[emitting[surviving]]
+    if graph_constraint:
+        chosen = best[surviving][:, None]
+    else:
+        chosen = np.broadcast_to(np.arange(num_relations), (len(surviving), num_relations))
+    ii, jj = pair_endpoints(n, surviving)
+    per_pair = chosen.shape[1]
+    objects = scene.objects
+    detections = [Detection(obj.box, obj.category, 1.0) for obj in objects]
+    out: list[PredictedTriplet] = []
+    for i, j, p, prob in zip(
+        np.repeat(ii, per_pair).tolist(),
+        np.repeat(jj, per_pair).tolist(),
+        chosen.ravel().tolist(),
+        scores[surviving].ravel().tolist(),
+    ):
+        out.append(
+            PredictedTriplet(
+                subject=detections[i],
+                predicate=p,
+                object=detections[j],
+                score=prob,
+                predicate_prob=prob,
+                subject_id=objects[i].id,
+                object_id=objects[j].id,
+            )
+        )
     return out
+
+
+def _prior_rows(prior: FrequencyPrior, cs: np.ndarray, co: np.ndarray) -> np.ndarray:
+    """Rows of :meth:`FrequencyPrior.distribution` for the class pairs (cs, co)."""
+    rows = prior.counts[cs, co] + prior.alpha
+    total = rows.sum(axis=1, keepdims=True)
+    unseen = total[:, 0] <= 0
+    rows[unseen] = 1.0
+    total[unseen] = rows.shape[1]
+    return rows / total
 
 
 # --- persistence ----------------------------------------------------------
@@ -387,17 +495,35 @@ def save_prior(prior: FrequencyPrior) -> str:
 
 
 def load_prior(text: str | bytes, registry: CategoryRegistry) -> FrequencyPrior:
+    """Prior saved by :func:`save_prior`, checked against ``registry``.
+
+    Every count entry must be four integers, ``[subject, object, predicate,
+    count]``, with indices inside the table and a non-negative count;
+    ``alpha`` must be finite and non-negative.
+    """
     doc = _load_model_doc(text, "frequency_prior")
     _check_hash(doc, registry)
-    num_objects = doc["num_objects"]
-    num_relations = doc["num_relations"]
+    num_objects = _get(doc, "num_objects", int, "$")
+    num_relations = _get(doc, "num_relations", int, "$")
     if num_objects != registry.num_objects or num_relations != registry.num_relations:
         raise RegistryMismatchError("prior table size does not match the registry")
-    counts = np.zeros((num_objects, num_objects, num_relations + 1), dtype=np.int64)
-    for entry in doc["counts"]:
-        s, o, p, c = entry
+    alpha = _get(doc, "alpha", float, "$")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ManifestError(f"$.alpha: expected a finite number >= 0, got {alpha!r}")
+    shape = (num_objects, num_objects, num_relations + 1)
+    counts = np.zeros(shape, dtype=np.int64)
+    for k, entry in enumerate(_get(doc, "counts", list, "$")):
+        path = f"$.counts[{k}]"
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise ManifestError(f"{path}: expected [subject, object, predicate, count]")
+        s, o, p, c = (_expect(v, int, f"{path}[{i}]") for i, v in enumerate(entry))
+        for i, (index, size) in enumerate(zip((s, o, p), shape)):
+            if not 0 <= index < size:
+                raise ManifestError(f"{path}[{i}]: index {index} outside 0..{size - 1}")
+        if not 0 <= c <= _MAX_COUNT:
+            raise ManifestError(f"{path}[3]: count {c} outside 0..{_MAX_COUNT}")
         counts[s, o, p] = c
-    return FrequencyPrior(counts, float(doc["alpha"]), doc["registry_hash"])
+    return FrequencyPrior(counts, alpha, doc["registry_hash"])
 
 
 def save_scorer(scorer: LinearScorer) -> str:
@@ -414,21 +540,41 @@ def save_scorer(scorer: LinearScorer) -> str:
 
 
 def load_scorer(text: str | bytes, registry: CategoryRegistry) -> LinearScorer:
+    """Scorer saved by :func:`save_scorer`, checked against ``registry``.
+
+    ``weights`` must hold exactly as many finite numbers as ``shape`` asks.
+    """
     doc = _load_model_doc(text, "linear_scorer")
     _check_hash(doc, registry)
     if doc.get("feature_version") != FEATURE_VERSION:
         raise ManifestError(
             f"unsupported feature version {doc.get('feature_version')!r}"
         )
-    shape = tuple(doc["shape"])
+    raw_shape = _get(doc, "shape", list, "$")
+    shape = tuple(_expect(v, int, f"$.shape[{i}]") for i, v in enumerate(raw_shape))
     expected = (feature_count(registry.num_objects), registry.num_relations + 1)
     if shape != expected:
         raise RegistryMismatchError(
             f"scorer shape {shape} does not match registry shape {expected}"
         )
-    weights = np.asarray(doc["weights"], dtype=np.float64).reshape(shape)
+    raw = _get(doc, "weights", list, "$")
+    if len(raw) != shape[0] * shape[1]:
+        raise ManifestError(f"$.weights: {len(raw)} values for shape {list(shape)}")
+    if not set(map(type, raw)) <= {int, float}:
+        for i, value in enumerate(raw):
+            _expect(value, float, f"$.weights[{i}]")
+    try:
+        weights = np.array(raw, dtype=np.float64)
+    except OverflowError:
+        raise ManifestError("$.weights: integer too large for a float") from None
+    bad = np.flatnonzero(~np.isfinite(weights))
+    if bad.size:
+        raise ManifestError(f"$.weights[{bad[0]}]: non-finite weight {raw[bad[0]]!r}")
+    history = _get(doc, "loss_history", list, "$") if "loss_history" in doc else []
     return LinearScorer(
-        weights, doc["registry_hash"], tuple(doc.get("loss_history", []))
+        weights.reshape(shape),
+        doc["registry_hash"],
+        tuple(_expect(v, float, f"$.loss_history[{i}]") for i, v in enumerate(history)),
     )
 
 

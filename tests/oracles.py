@@ -4,7 +4,10 @@ Everything here is deliberately written from scratch with plain loops and
 its own membership tests so that agreement with the library is evidence,
 not tautology.  Only matching *semantics* shared by contract (greedy order,
 tie rules) reuse the library's IoU values, since exact flag equality
-requires identical overlap numbers.
+requires identical overlap numbers.  Likewise the per-pair prediction
+reference is built on the library's scalar pieces (``pair_geometry``,
+``pair_features``, ``FrequencyPrior.distribution``), which define the
+scores that the array path must reproduce.
 """
 
 from __future__ import annotations
@@ -13,7 +16,16 @@ import math
 
 import numpy as np
 
-from obsg import OrientedBox, rotated_iou
+from obsg import (
+    DataError,
+    Detection,
+    OrientedBox,
+    PredictedTriplet,
+    enumerate_pairs,
+    pair_features,
+    pair_geometry,
+    rotated_iou,
+)
 
 
 def reference_shoelace(points) -> float:
@@ -241,3 +253,95 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def reference_intersection_area(a: OrientedBox, b: OrientedBox) -> float:
+    """Overlap area by Sutherland-Hodgman clipping, with no bounding-box reject.
+
+    Clips ``a`` against every edge of ``b`` (both loops made positive) and
+    returns the shoelace area of what remains.
+    """
+    def positive(points):
+        points = list(points)
+        return points if reference_shoelace(points) >= 0.0 else points[::-1]
+
+    def side(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+    poly = positive(a.vertices)
+    clip = positive(b.vertices)
+    for e in range(4):
+        p, q = clip[e], clip[(e + 1) % 4]
+        kept = []
+        for v in range(len(poly)):
+            cur, nxt = poly[v], poly[(v + 1) % len(poly)]
+            dc, dn = side(p, q, cur), side(p, q, nxt)
+            if dc >= 0.0:
+                kept.append(cur)
+            if dc * dn < 0.0:
+                t = dc / (dc - dn)
+                kept.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
+        poly = kept
+        if len(poly) < 3:
+            return 0.0
+    return abs(reference_shoelace(poly))
+
+
+def reference_predict_triplets(scene, prior, linear=None, top_m=None, graph_constraint=True):
+    """Per-pair relation scoring: one prior row, feature vector and softmax
+    per ordered pair, in enumeration order, as ``predict_triplets`` defines."""
+    if top_m is not None and top_m < 0:
+        raise ValueError(f"top_m must be >= 0: {top_m}")
+    num_relations = prior.num_relations
+    pairs = enumerate_pairs(len(scene.objects))
+    fused_rows = []
+    relatedness = []
+    for i, j in pairs:
+        subj = scene.objects[i]
+        obj = scene.objects[j]
+        row = prior.distribution(subj.category, obj.category)
+        if linear is not None:
+            geom = pair_geometry(subj.box, obj.box, scene.width, scene.height)
+            feats = pair_features(geom, subj.category, obj.category, prior.num_objects)
+            logits = linear.logits(feats)
+            e = np.exp(logits - float(np.max(logits)))
+            row = row * (e / e.sum())
+            total = row.sum()
+            if total <= 0:
+                raise DataError("fused distribution collapsed to zero")
+            row = row / total
+        fused_rows.append(row)
+        relatedness.append(1.0 - float(row[num_relations]))
+    if top_m is None:
+        surviving = range(len(pairs))
+    else:
+        order = np.argsort(-np.asarray(relatedness), kind="stable")
+        surviving = sorted(int(k) for k in order[:top_m])
+    out = []
+    for k in surviving:
+        i, j = pairs[k]
+        subj = scene.objects[i]
+        obj = scene.objects[j]
+        predicate_probs = fused_rows[k][:num_relations]
+        total = float(predicate_probs.sum())
+        if total <= 0:
+            continue
+        predicate_probs = predicate_probs / total
+        if graph_constraint:
+            chosen = [int(np.argmax(predicate_probs))]
+        else:
+            chosen = list(range(num_relations))
+        for p in chosen:
+            prob = float(predicate_probs[p])
+            out.append(
+                PredictedTriplet(
+                    subject=Detection(subj.box, subj.category, 1.0),
+                    predicate=p,
+                    object=Detection(obj.box, obj.category, 1.0),
+                    score=prob,
+                    predicate_prob=prob,
+                    subject_id=subj.id,
+                    object_id=obj.id,
+                )
+            )
+    return out

@@ -338,3 +338,77 @@ def test_output_dash_writes_stdout(tmp_path, capsys):
     assert cli.run(["stats", "--input", str(gt), "--output", "-"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["num_images"] == 3
+
+
+def fitted_prior(tmp_path, gt):
+    prior = tmp_path / "prior.json"
+    assert cli.run(["fit-prior", "--input", str(gt), "--output", str(prior)]) == 0
+    return prior
+
+
+@pytest.mark.parametrize(
+    "entry", [[999, 0, 0, 1], [0, 0, 0, -5], [0, 0, 1], [0, 0, 0, 0.5]]
+)
+def test_predict_rejects_malformed_prior_counts(tmp_path, capsys, entry):
+    gt = synth_manifest(tmp_path, images=3, seed=43)
+    prior = fitted_prior(tmp_path, gt)
+    doc = json.loads(prior.read_text())
+    doc["counts"][0] = entry
+    prior.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli.run(["predict", "--input", str(gt), "--prior", str(prior)])
+    assert code == 1
+    assert "error: $.counts[0]" in capsys.readouterr().err
+
+
+def test_predict_rejects_non_finite_scorer_weights(tmp_path, capsys):
+    gt = synth_manifest(tmp_path, images=4, seed=44)
+    prior = fitted_prior(tmp_path, gt)
+    scorer = tmp_path / "scorer.json"
+    argv = ["train-linear", "--input", str(gt), "--seed", "1", "--epochs", "2"]
+    assert cli.run(argv + ["--output", str(scorer)]) == 0
+    good = json.loads(scorer.read_text())
+    for edit, message in (
+        (lambda d: d["weights"].__setitem__(7, float("nan")), "$.weights[7]"),
+        (lambda d: d["weights"].pop(), "$.weights:"),
+    ):
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        scorer.write_text(json.dumps(doc))
+        capsys.readouterr()
+        argv = ["predict", "--input", str(gt), "--prior", str(prior), "--linear", str(scorer)]
+        assert cli.run(argv) == 1
+        assert message in capsys.readouterr().err
+
+
+def test_eval_reports_images_it_skips(tmp_path, capsys):
+    gt = synth_manifest(tmp_path, images=6, seed=45)
+    prior = fitted_prior(tmp_path, gt)
+    pred = tmp_path / "pred.json"
+    argv = ["predict", "--input", str(gt), "--prior", str(prior), "--output", str(pred)]
+    assert cli.run(argv) == 0
+    evals = (["eval-sgg", "--task", "predcls"], ["eval-det"])
+    covered = {}
+    capsys.readouterr()
+    for command in evals:
+        out = tmp_path / "covered.json"
+        code = cli.run(command + ["--gt", str(gt), "--pred", str(pred), "--output", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        covered[command[0]] = out.read_bytes()
+
+    doc = json.loads(pred.read_text())
+    for scene in doc["images"][:4]:
+        scene["id"] = "renamed-" + scene["id"]
+    renamed = tmp_path / "renamed.json"
+    renamed.write_text(json.dumps(doc))
+    for command in evals:
+        out = tmp_path / "renamed-report.json"
+        code = cli.run(command + ["--gt", str(gt), "--pred", str(renamed), "--output", str(out)])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "warning: 4 of 6 ground-truth images have no prediction scene; "
+            "4 of 6 prediction images are not in the ground truth"
+        ]
+        assert out.read_bytes() != covered[command[0]]

@@ -112,6 +112,11 @@ def test_parse_rejects_bad_box_with_path():
     with pytest.raises(ManifestError) as err:
         parse_dataset(json.dumps(doc))
     assert "$.images[0].objects[1].obb" in str(err.value)
+    # An integer literal beyond float range.
+    doc["images"][0]["objects"][1]["obb"] = [[0, 0], [10**400, 0], [1, 1], [0, 1]]
+    with pytest.raises(ManifestError) as err:
+        parse_dataset(json.dumps(doc))
+    assert "$.images[0].objects[1].obb[1][0]" in str(err.value)
 
 
 def test_parse_rejects_unknown_version_and_split():

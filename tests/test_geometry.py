@@ -14,7 +14,13 @@ from obsg import (
     shoelace_area,
 )
 
-from oracles import mc_intersection_area, mc_iou, random_box, reference_shoelace
+from oracles import (
+    mc_intersection_area,
+    mc_iou,
+    random_box,
+    reference_intersection_area,
+    reference_shoelace,
+)
 
 # Octagon fixture: concentric congruent unit squares at 0 and 45 degrees.
 # The overlap is a regular octagon of area 2*(sqrt(2)-1); the value below
@@ -197,6 +203,57 @@ def test_intersection_disjoint_boxes():
     b = OrientedBox.from_params(100.0, 100.0, 2.0, 2.0, 1.1)
     assert intersection_area(a, b) == 0.0
     assert rotated_iou(a, b) == 0.0
+
+
+def extents_strictly_disjoint(a, b):
+    axmin, aymin, axmax, aymax = a.extent
+    bxmin, bymin, bxmax, bymax = b.extent
+    return axmax < bxmin or bxmax < axmin or aymax < bymin or bymax < aymin
+
+
+def test_intersection_early_out_agrees_with_plain_clipper():
+    """Disjoint, edge-touching and corner-touching boxes give what a clipper
+    without the bounding-box reject gives; strictly disjoint extents give
+    exactly 0.0."""
+    diamond = OrientedBox.from_params(0.0, 0.0, 1.0, 1.0, math.pi / 4.0)
+    reach = diamond.extent[2]
+    pairs = [
+        # shared edge, shared corner, and a gap of one ulp-scale step
+        (OrientedBox.axis_aligned(0, 0, 10, 10), OrientedBox.axis_aligned(10, 0, 20, 10)),
+        (OrientedBox.axis_aligned(0, 0, 10, 10), OrientedBox.axis_aligned(10, 10, 20, 20)),
+        (OrientedBox.axis_aligned(0, 0, 10, 10), OrientedBox.axis_aligned(10 + 1e-9, 0, 20, 10)),
+        (OrientedBox.axis_aligned(0, 0, 10, 10), OrientedBox.axis_aligned(0, -7, 10, -1e-12)),
+        # rotated boxes meeting vertex to vertex, and just apart
+        (diamond, diamond.translate(2 * reach, 0.0)),
+        (diamond, diamond.translate(2 * reach + 1e-9, 0.0)),
+        # extents overlap although the diamonds do not
+        (diamond, diamond.translate(reach * 1.5, reach * 1.5)),
+        (OrientedBox.from_params(1e6, 1e6, 4.0, 1.0, 0.3),
+         OrientedBox.from_params(1e6 + 50.0, 1e6, 4.0, 1.0, 1.3)),
+    ]
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        pairs.append((random_box(rng, center_hi=60.0), random_box(rng, center_hi=60.0)))
+    disjoint = 0
+    for a, b in pairs:
+        for first, second in ((a, b), (b, a)):
+            fast = intersection_area(first, second)
+            plain = reference_intersection_area(first, second)
+            assert abs(fast - plain) <= 1e-9 * max(first.area, second.area)
+            if extents_strictly_disjoint(first, second):
+                disjoint += 1
+                assert fast == 0.0
+                assert plain <= 1e-9 * max(first.area, second.area)
+    assert disjoint > 100
+
+
+def test_extent_is_the_vertex_bounding_box():
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        box = random_box(rng)
+        xs = [p[0] for p in box.vertices]
+        ys = [p[1] for p in box.vertices]
+        assert box.extent == (min(xs), min(ys), max(xs), max(ys))
 
 
 def test_intersection_contained_box():

@@ -433,6 +433,28 @@ def test_ground_truth_detections_reach_full_map():
     assert all(ap == 1.0 for ap in report.per_class_ap.values())
 
 
+def test_evaluation_rejects_unscored_predictions():
+    gt = synth_with_relations(79, n_images=5)
+    with pytest.raises(DataError, match=repr(gt.scenes[0].image_id)):
+        evaluate_detections(gt, gt)
+    with pytest.raises(DataError, match=repr(gt.scenes[0].image_id)):
+        evaluate_scene_graphs(gt, gt)
+    # Scored objects but an unscored relation.
+    scored = predictions_from_gt(gt)
+    scene = next(s for s in scored.scenes if s.relations)
+    unscored = tuple(
+        RelationTriplet(r.subject, r.predicate, r.object) for r in scene.relations
+    )
+    scenes = tuple(
+        SceneAnnotation(s.image_id, s.width, s.height, s.objects, unscored)
+        if s is scene
+        else s
+        for s in scored.scenes
+    )
+    with pytest.raises(DataError, match=repr(scene.image_id)):
+        evaluate_scene_graphs(gt, Dataset(gt.registry, gt.split, scenes))
+
+
 def test_evaluate_scene_graphs_requires_triplets():
     registry = CategoryRegistry(("a",), ("r",))
     box = OrientedBox.axis_aligned(0, 0, 10, 10)

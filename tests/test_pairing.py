@@ -17,7 +17,7 @@ from obsg import (
     relpn_loss,
     sample_pairs,
 )
-from obsg.pairing import pair_index
+from obsg.pairing import pair_endpoints, pair_index
 
 
 def test_enumerate_pairs_small_cases():
@@ -47,6 +47,17 @@ def scene_with_relations(n, relations):
     )
     triplets = tuple(RelationTriplet(100 + s, p, 100 + o) for s, p, o in relations)
     return SceneAnnotation("s", 1000, 1000, objects, triplets)
+
+
+def test_pair_endpoints_list_the_enumeration():
+    for n in range(13):
+        ii, jj = pair_endpoints(n, np.arange(n * (n - 1) if n > 1 else 0))
+        assert list(zip(ii.tolist(), jj.tolist())) == enumerate_pairs(n)
+    ii, jj = pair_endpoints(7, np.array([5, 41, 0, 18]))
+    assert [pair_index(7, i, j) for i, j in zip(ii, jj)] == [5, 41, 0, 18]
+    for n, k in ((7, [42]), (7, [-1]), (1, [0])):
+        with pytest.raises(ValueError):
+            pair_endpoints(n, np.array(k))
 
 
 def test_label_pairs_no_relations():

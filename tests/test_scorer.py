@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from obsg import (
@@ -24,18 +26,22 @@ from obsg import (
     TrainingDivergenceError,
     canonical_registry,
     ce_loss,
+    enumerate_pairs,
     fit_frequency_prior,
     generate,
+    label_pairs,
     load_prior,
     load_scorer,
     pair_features,
     predict_triplets,
+    sample_pairs,
     save_prior,
     save_scorer,
     train_linear,
 )
+from obsg import scorer as scorer_module
 from obsg.geometry import pair_geometry
-from obsg.scorer import feature_count, linear_loss_and_grad
+from obsg.scorer import _prior_rows, _scene_pair_rows, feature_count, linear_loss_and_grad
 
 
 def test_ce_loss_uniform_and_saturated():
@@ -135,6 +141,16 @@ def test_fit_prior_smoothed_rows_normalize():
             assert np.all(dist > 0)
             assert abs(dist.sum() - 1.0) <= 1e-9
     assert prior.distribution(0, 1)[0] == 1.5 / 2.0
+
+
+def test_prior_rows_equal_distribution():
+    # Class pair (0, 0) is never seen: with alpha 0 it takes the uniform row.
+    for alpha in (0.0, 0.5):
+        prior = fit_frequency_prior(two_class_dataset(), alpha=alpha)
+        cs, co = np.meshgrid(np.arange(2), np.arange(2), indexing="ij")
+        rows = _prior_rows(prior, cs.ravel(), co.ravel())
+        expected = [prior.distribution(s, o) for s, o in zip(cs.ravel(), co.ravel())]
+        assert np.array_equal(rows, np.stack(expected))
 
 
 def test_fit_prior_rejects_negative_alpha():
@@ -392,3 +408,173 @@ def test_load_rejects_tampered_documents():
 
     with pytest.raises(ManifestError):
         load_prior("{broken", registry)
+
+
+# --- array scoring against the per-pair reference -------------------------
+
+NUM_CLASSES = 3
+NUM_PREDICATES = 2
+SCORE_TOL = 1e-12
+
+
+@st.composite
+def scoring_cases(draw):
+    n = draw(st.integers(0, 12))
+    offset = draw(st.sampled_from([0.0, 1e3, 1e6]))
+    boxes = []
+    for _ in range(n):
+        # Boxes of a few pixels on a 60 px field: some overlap, many do not.
+        cx = draw(st.floats(0.0, 60.0)) + offset
+        cy = draw(st.floats(0.0, 60.0)) + offset
+        w = draw(st.floats(1.0, 20.0))
+        h = draw(st.floats(1.0, 20.0))
+        theta = draw(st.sampled_from([0.0, 0.5, math.pi / 2, 2.0]))
+        boxes.append(OrientedBox.from_params(cx, cy, w, h, theta))
+    objects = tuple(
+        ObjectInstance(10 + k, draw(st.integers(0, NUM_CLASSES - 1)), box)
+        for k, box in enumerate(boxes)
+    )
+    extent = int(offset + 100)
+    scene = SceneAnnotation("s", extent, extent, objects, ())
+    # Small counts with many zero cells: with alpha == 0 some class pairs
+    # are unseen (uniform rows) and many rows tie on relatedness.
+    counts = np.array(
+        draw(
+            st.lists(
+                st.sampled_from([0, 0, 0, 1, 2, 5]),
+                min_size=NUM_CLASSES**2 * (NUM_PREDICATES + 1),
+                max_size=NUM_CLASSES**2 * (NUM_PREDICATES + 1),
+            )
+        ),
+        dtype=np.int64,
+    ).reshape(NUM_CLASSES, NUM_CLASSES, NUM_PREDICATES + 1)
+    alpha = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    prior = FrequencyPrior(counts, alpha, "h")
+    linear = None
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**32 - 1))
+        weights = np.random.default_rng(seed).normal(
+            size=(feature_count(NUM_CLASSES), NUM_PREDICATES + 1)
+        )
+        linear = LinearScorer(weights, "h")
+    top_m = draw(st.sampled_from([None, 0, 1, 5]))
+    graph_constraint = draw(st.booleans())
+    return scene, prior, linear, top_m, graph_constraint
+
+
+@settings(max_examples=300, deadline=None)
+@given(scoring_cases())
+def test_predict_triplets_matches_per_pair_reference(case):
+    scene, prior, linear, top_m, graph_constraint = case
+    fast = predict_triplets(scene, prior, linear, top_m, graph_constraint)
+    slow = oracles.reference_predict_triplets(scene, prior, linear, top_m, graph_constraint)
+    key = lambda t: (t.subject_id, t.predicate, t.object_id, t.subject, t.object)  # noqa: E731
+    assert [key(t) for t in fast] == [key(t) for t in slow]
+    for f, s in zip(fast, slow):
+        assert abs(f.score - s.score) <= SCORE_TOL
+        assert f.predicate_prob == f.score
+    if linear is None:
+        # Prior-only scores take the same arithmetic path: equal bits.
+        assert fast == slow
+
+
+@pytest.mark.parametrize("block", [scorer_module.PAIR_BLOCK, 100, 1])
+def test_predict_triplets_blocks_cover_long_rows(monkeypatch, block):
+    # 40 objects give 1560 pairs in rows of 39: several blocks of whole
+    # rows, or one row per block when a row is longer than the block.
+    monkeypatch.setattr(scorer_module, "PAIR_BLOCK", block)
+    rng = np.random.default_rng(5)
+    registry, prior = two_relation_prior()
+    objects = tuple(
+        ObjectInstance(k, k % 2, oracles.random_box(rng, 0.0, 400.0, 2.0, 30.0))
+        for k in range(40)
+    )
+    scene = SceneAnnotation("s", 400, 400, objects, ())
+    linear = LinearScorer(
+        rng.normal(size=(feature_count(2), 3)), registry.content_hash()
+    )
+    for scorer in (None, linear):
+        fast = predict_triplets(scene, prior, scorer, top_m=100)
+        slow = oracles.reference_predict_triplets(scene, prior, scorer, top_m=100)
+        assert [(t.subject_id, t.object_id, t.predicate) for t in fast] == [
+            (t.subject_id, t.object_id, t.predicate) for t in slow
+        ]
+        assert max(abs(f.score - s.score) for f, s in zip(fast, slow)) <= SCORE_TOL
+
+
+def test_training_rows_match_pair_features():
+    dataset = generate(SynthConfig(n_images=6, seed=31, max_objects=12))
+    num_classes = dataset.registry.num_objects
+    for scene in dataset.scenes:
+        rows, labels = _scene_pair_rows(
+            scene, num_classes, dataset.registry.num_relations, 64, 192,
+            np.random.default_rng(0),
+        )
+        pairs = enumerate_pairs(len(scene.objects))
+        chosen = sample_pairs(label_pairs(scene), 64, 192, np.random.default_rng(0))
+        assert len(rows) == len(labels) == len(chosen)
+        for row, k in zip(rows, chosen):
+            i, j = pairs[k]
+            subj, obj = scene.objects[i], scene.objects[j]
+            geom = pair_geometry(subj.box, obj.box, scene.width, scene.height)
+            expected = pair_features(geom, subj.category, obj.category, num_classes)
+            assert np.allclose(row, expected, rtol=0.0, atol=1e-12)
+            assert np.array_equal(row[15:], expected[15:])
+
+
+def prior_doc():
+    registry, prior = one_relation_prior()
+    return registry, json.loads(save_prior(prior))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.pop("num_objects"),
+        lambda d: d.update(num_relations="1"),
+        lambda d: d.update(counts={"0": 1}),
+        lambda d: d["counts"].__setitem__(0, [999, 0, 0, 1]),
+        lambda d: d["counts"].__setitem__(0, [0, 1, 2, 1]),
+        lambda d: d["counts"].__setitem__(0, [0, 0, 0, -5]),
+        lambda d: d["counts"].__setitem__(0, [0, 1, 0]),
+        lambda d: d["counts"].__setitem__(0, [0, 1, 0, 1.5]),
+        lambda d: d["counts"].__setitem__(0, [0, True, 0, 1]),
+        lambda d: d["counts"].__setitem__(0, [0, 1, 0, 2**64]),
+        lambda d: d["counts"].__setitem__(0, 7),
+        lambda d: d.update(alpha=-0.5),
+        lambda d: d.update(alpha=float("nan")),
+        lambda d: d.update(alpha=float("inf")),
+        lambda d: d.update(alpha="1"),
+        lambda d: d.pop("alpha"),
+    ],
+)
+def test_load_prior_rejects_malformed_documents(edit):
+    registry, doc = prior_doc()
+    edit(doc)
+    with pytest.raises(ManifestError, match=r"\$"):
+        load_prior(json.dumps(doc), registry)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["weights"].__setitem__(3, float("nan")),
+        lambda d: d["weights"].__setitem__(0, float("-inf")),
+        lambda d: d["weights"].pop(),
+        lambda d: d["weights"].append(0.0),
+        lambda d: d["weights"].__setitem__(1, "0.5"),
+        lambda d: d["weights"].__setitem__(1, None),
+        lambda d: d["weights"].__setitem__(1, 10**400),
+        lambda d: d.update(weights={"0": 1.0}),
+        lambda d: d.pop("weights"),
+        lambda d: d.update(shape=["24", 2]),
+        lambda d: d.update(loss_history="low"),
+    ],
+)
+def test_load_scorer_rejects_malformed_documents(edit):
+    registry, _ = one_relation_prior()
+    scorer = LinearScorer(np.zeros((feature_count(2), 2)), registry.content_hash(), (1.0,))
+    doc = json.loads(save_scorer(scorer))
+    edit(doc)
+    with pytest.raises(ManifestError, match=r"\$"):
+        load_scorer(json.dumps(doc), registry)
