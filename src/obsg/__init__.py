@@ -31,9 +31,7 @@ from .errors import (
 from .geometry import (
     AxisBox,
     OrientedBox,
-    PairGeometry,
     intersection_area,
-    pair_geometry,
     rotated_iou,
     shoelace_area,
 )
@@ -64,9 +62,8 @@ from .metrics import (
     recall_at_k,
 )
 from .pairing import (
-    PairLabelMatrix,
-    enumerate_pairs,
     label_pairs,
+    relation_pairs,
     relpn_loss,
     sample_pairs,
 )
@@ -79,7 +76,6 @@ from .scorer import (
     fit_frequency_prior,
     load_prior,
     load_scorer,
-    pair_features,
     predict_triplets,
     save_prior,
     save_scorer,

@@ -112,6 +112,9 @@ def _rule_class(registry: CategoryRegistry, value, kind: str, where: str) -> int
     raise DataError(f"{where}: expected a {kind} name or index, got {value!r}")
 
 
+_RULE_KEYS = ("subject", "object", "predicate", "min_iou", "max_center_distance")
+
+
 def _load_rules(path: str, registry: CategoryRegistry) -> tuple[Rule, ...]:
     raw = _load_root(_read_text(path))
     if not isinstance(raw, list):
@@ -121,17 +124,25 @@ def _load_rules(path: str, registry: CategoryRegistry) -> tuple[Rule, ...]:
         where = f"rules[{i}]"
         if not isinstance(entry, dict):
             raise DataError(f"{where}: expected an object")
-        rules.append(
-            Rule(
-                subject=_rule_class(registry, entry.get("subject"), "object", where),
-                object=_rule_class(registry, entry.get("object"), "object", where),
-                predicate=_rule_class(
-                    registry, entry.get("predicate"), "relation", where
-                ),
-                min_iou=entry.get("min_iou"),
-                max_center_distance=entry.get("max_center_distance"),
+        unknown = sorted(set(entry) - set(_RULE_KEYS))
+        if unknown:
+            raise DataError(f"{where}: unknown key {unknown[0]!r}")
+        subject = _rule_class(registry, entry.get("subject"), "object", where)
+        object_ = _rule_class(registry, entry.get("object"), "object", where)
+        predicate = _rule_class(registry, entry.get("predicate"), "relation", where)
+        try:
+            rules.append(
+                Rule(
+                    subject,
+                    object_,
+                    predicate,
+                    min_iou=entry.get("min_iou"),
+                    max_center_distance=entry.get("max_center_distance"),
+                )
             )
-        )
+        except ValueError as exc:
+            # Rule names the offending key first: "min_iou: ...".
+            raise DataError(f"{where}.{exc}") from None
     return tuple(rules)
 
 
@@ -205,16 +216,16 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     images = []
     for scene in dataset.scenes:
-        matrix = label_pairs(scene)
+        labels = label_pairs(scene)
         entry = {
             "id": scene.image_id,
             "objects": len(scene.objects),
-            "pairs": matrix.num_pairs,
-            "labels": matrix.labels.tolist(),
+            "pairs": len(labels),
+            "labels": labels.tolist(),
         }
         if sampling:
             chosen = sample_pairs(
-                matrix,
+                labels,
                 args.max_pos if args.max_pos is not None else MAX_POSITIVE_PAIRS,
                 args.max_neg if args.max_neg is not None else MAX_NEGATIVE_PAIRS,
                 rng,

@@ -233,23 +233,6 @@ class OrientedBox:
         return OrientedBox(tuple((x + dx, y + dy) for x, y in self.vertices))  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class PairGeometry:
-    """Geometric description of an ordered (subject, object) box pair.
-
-    ``normalized_coords`` holds the ten box parameters of subject then
-    object, each divided by the image width (x and w), height (y and h) or
-    2*pi (angles).
-    """
-
-    center_distance: float
-    area_ratio: float
-    aspect_subject: float
-    aspect_object: float
-    pair_iou: float
-    normalized_coords: tuple[float, ...]
-
-
 def _positive_loop(vertices: Sequence[Point]) -> list[Point]:
     """Vertex loop with positive shoelace sum (clockwise on screen)."""
     pts = list(vertices)
@@ -326,46 +309,3 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     if union <= 0.0:
         return 0.0
     return min(max(inter / union, 0.0), 1.0)
-
-
-def pair_geometry(
-    subject: OrientedBox,
-    object_: OrientedBox,
-    image_width: float,
-    image_height: float,
-) -> PairGeometry:
-    """Geometric features of the ordered pair (subject, object).
-
-    Args:
-        subject, object_: the two boxes, subject first.
-        image_width, image_height: positive image extent used to normalize
-            the coordinate block.
-
-    Swapping the arguments inverts ``area_ratio`` and swaps the two aspect
-    ratios; ``center_distance`` and ``pair_iou`` are symmetric.
-    """
-    if image_width <= 0 or image_height <= 0:
-        raise ValueError(
-            f"image extent must be positive: {image_width} x {image_height}"
-        )
-    scx, scy, sw, sh, st = subject.params
-    ocx, ocy, ow, oh, ot = object_.params
-    return PairGeometry(
-        center_distance=math.hypot(scx - ocx, scy - ocy),
-        area_ratio=(sw * sh) / (ow * oh),
-        aspect_subject=sw / sh,
-        aspect_object=ow / oh,
-        pair_iou=rotated_iou(subject, object_),
-        normalized_coords=(
-            scx / image_width,
-            scy / image_height,
-            sw / image_width,
-            sh / image_height,
-            st / TWO_PI,
-            ocx / image_width,
-            ocy / image_height,
-            ow / image_width,
-            oh / image_height,
-            ot / TWO_PI,
-        ),
-    )

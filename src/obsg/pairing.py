@@ -9,8 +9,6 @@ generator; nothing here touches global random state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .datamodel import SceneAnnotation
@@ -19,25 +17,12 @@ MAX_POSITIVE_PAIRS = 64
 MAX_NEGATIVE_PAIRS = 192
 
 
-def enumerate_pairs(n: int) -> list[tuple[int, int]]:
-    """All ordered pairs (i, j), i != j, lexicographic; n*(n-1) entries."""
-    if n < 0:
-        raise ValueError(f"object count must be >= 0: {n}")
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
-
-
-def pair_index(n: int, i: int, j: int) -> int:
-    """Position of (i, j) in the enumeration of ``enumerate_pairs(n)``."""
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"invalid pair ({i}, {j}) for n={n}")
-    return i * (n - 1) + j - (1 if j > i else 0)
-
-
 def pair_endpoints(n: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Subject and object positions ``(ii, jj)`` of enumerated pair indices.
 
-    The inverse of :func:`pair_index` over an index array: for ``k`` equal to
-    ``arange(n * (n - 1))`` the two arrays list ``enumerate_pairs(n)``.
+    Pair index ``k`` of (i, j) is ``i * (n - 1) + j - (j > i)``; for ``k``
+    equal to ``arange(n * (n - 1))`` the two arrays list every ordered pair
+    in lexicographic order.
     """
     k = np.asarray(k, dtype=np.intp)
     if k.size == 0:
@@ -50,57 +35,53 @@ def pair_endpoints(n: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ii, jj
 
 
-@dataclass(frozen=True)
-class PairLabelMatrix:
-    """Relatedness labels for every ordered pair of one scene.
+def relation_pairs(scene: SceneAnnotation) -> list[int]:
+    """Pair index of every relation of the scene, in relation order.
 
-    ``labels[k]`` is 1 when the k-th enumerated pair carries at least one
-    relation, else 0; positions index ``scene.objects``.
+    Raises:
+        ValueError: a relation whose subject and object are one object.
     """
-
-    n: int
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        expected = self.n * (self.n - 1) if self.n > 1 else 0
-        if self.labels.shape != (expected,):
-            raise ValueError(
-                f"labels shape {self.labels.shape} does not fit n={self.n}"
-            )
-
-    @property
-    def num_pairs(self) -> int:
-        return int(self.labels.shape[0])
-
-
-def label_pairs(scene: SceneAnnotation) -> PairLabelMatrix:
-    """Binary relatedness of every ordered pair, from the scene's triplets."""
     n = len(scene.objects)
     position = {obj.id: idx for idx, obj in enumerate(scene.objects)}
-    labels = np.zeros(n * (n - 1) if n > 1 else 0, dtype=np.int8)
+    pairs = []
     for rel in scene.relations:
         i = position[rel.subject]
         j = position[rel.object]
-        labels[pair_index(n, i, j)] = 1
-    return PairLabelMatrix(n, labels)
+        if i == j:
+            raise ValueError(
+                f"self-relation on object {rel.subject} in image {scene.image_id!r}"
+            )
+        pairs.append(i * (n - 1) + j - (j > i))
+    return pairs
+
+
+def label_pairs(scene: SceneAnnotation) -> np.ndarray:
+    """int8 relatedness of every ordered pair: 1 when at least one triplet
+    has that subject and object, else 0; indexed like :func:`pair_endpoints`."""
+    n = len(scene.objects)
+    labels = np.zeros(n * (n - 1), dtype=np.int8)
+    labels[relation_pairs(scene)] = 1
+    return labels
 
 
 def sample_pairs(
-    matrix: PairLabelMatrix,
+    labels: np.ndarray,
     max_pos: int = MAX_POSITIVE_PAIRS,
     max_neg: int = MAX_NEGATIVE_PAIRS,
     rng: np.random.Generator | int | None = None,
 ) -> np.ndarray:
     """Capped uniform subsample of pair indices, positives and negatives.
 
-    Uniform without replacement within each label, deterministic for a given
-    seed.  A generator (or seed) is mandatory only when a cap actually
-    binds.  Returns ascending pair indices into the enumeration.
+    ``labels`` holds the relatedness of every pair, 1 (or True) when
+    related, as :func:`label_pairs` returns it.  Uniform without replacement
+    within each label, deterministic for a given seed.  A generator (or
+    seed) is mandatory only when a cap actually binds.  Returns ascending
+    pair indices into the enumeration.
     """
     if max_pos < 0 or max_neg < 0:
         raise ValueError(f"caps must be >= 0: max_pos={max_pos} max_neg={max_neg}")
-    pos = np.flatnonzero(matrix.labels == 1)
-    neg = np.flatnonzero(matrix.labels == 0)
+    pos = np.flatnonzero(labels == 1)
+    neg = np.flatnonzero(labels == 0)
     needs_rng = len(pos) > max_pos or len(neg) > max_neg
     if needs_rng:
         if rng is None:

@@ -22,9 +22,9 @@ import numpy as np
 
 from .datamodel import Dataset, Detection, SceneAnnotation, _expect, _get, _load_root
 from .errors import DataError, ManifestError, RegistryMismatchError, TrainingDivergenceError
-from .geometry import TWO_PI, OrientedBox, PairGeometry, rotated_iou
+from .geometry import TWO_PI, OrientedBox, rotated_iou
 from .metrics import PredictedTriplet
-from .pairing import enumerate_pairs, label_pairs, pair_endpoints, pair_index, sample_pairs
+from .pairing import pair_endpoints, relation_pairs, sample_pairs
 from .registry import CategoryRegistry
 
 DEFAULT_ALPHA = 1.0
@@ -100,26 +100,42 @@ class FrequencyPrior:
 
 
 def fit_frequency_prior(dataset: Dataset, alpha: float = DEFAULT_ALPHA) -> FrequencyPrior:
-    """Count every ordered object pair of every scene into a prior table."""
+    """Count every ordered object pair of every scene into a prior table.
+
+    Each triplet adds 1 to its (subject class, object class, predicate)
+    cell.  A scene with class histogram h holds h[s] * h[o] ordered pairs of
+    classes (s, o), less h[s] when s == o; the no-relation cell is that
+    total over scenes minus one per distinct related ordered pair.  Only
+    objects and relations are visited, never the pairs themselves.
+    """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0: {alpha}")
     num_objects = dataset.registry.num_objects
-    num_relations = dataset.registry.num_relations
-    counts = np.zeros((num_objects, num_objects, num_relations + 1), dtype=np.int64)
-    for scene in dataset.scenes:
-        position = {obj.id: idx for idx, obj in enumerate(scene.objects)}
-        classes = [obj.category for obj in scene.objects]
-        n = len(classes)
-        related = np.zeros(n * (n - 1) if n > 1 else 0, dtype=bool)
-        for rel in scene.relations:
-            i = position[rel.subject]
-            j = position[rel.object]
-            counts[classes[i], classes[j], rel.predicate] += 1
-            related[pair_index(n, i, j)] = True
-        for k, (i, j) in enumerate(enumerate_pairs(n)):
-            if not related[k]:
-                counts[classes[i], classes[j], num_relations] += 1
+    width = dataset.registry.num_relations + 1
+    # Flat indices, counted by one bincount each after the scene loop.
+    histogram_cells: list[int] = []
+    triplet_cells: list[int] = []
+    related_cells: list[int] = []
+    for row, scene in enumerate(dataset.scenes):
+        histogram_cells.extend(row * num_objects + obj.category for obj in scene.objects)
+        category = {obj.id: obj.category for obj in scene.objects}
+        distinct: dict[int, int] = {}
+        for k, rel in zip(relation_pairs(scene), scene.relations):
+            cell = category[rel.subject] * num_objects + category[rel.object]
+            triplet_cells.append(cell * width + rel.predicate)
+            distinct[k] = cell
+        related_cells.extend(distinct.values())
+    histograms = _bincount(histogram_cells, (len(dataset.scenes), num_objects))
+    pairs = histograms.T @ histograms - np.diag(histograms.sum(axis=0))
+    counts = _bincount(triplet_cells, (num_objects, num_objects, width))
+    counts[:, :, -1] = pairs - _bincount(related_cells, (num_objects, num_objects))
     return FrequencyPrior(counts, alpha, dataset.registry.content_hash())
+
+
+def _bincount(cells: list[int], shape: tuple[int, ...]) -> np.ndarray:
+    """int64 array of ``shape`` counting each flat index in ``cells``."""
+    counts = np.bincount(np.array(cells, dtype=np.intp), minlength=math.prod(shape))
+    return counts.astype(np.int64, copy=False).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -157,36 +173,10 @@ class LinearScorer:
     def num_relations(self) -> int:
         return int(self.weights.shape[1]) - 1
 
-    def logits(self, features: np.ndarray) -> np.ndarray:
-        return np.asarray(features, dtype=np.float64) @ self.weights
-
 
 def feature_count(num_classes: int) -> int:
     """Length of the pair feature vector for a registry of that size."""
     return GEOMETRY_FEATURES + 2 * num_classes + 1
-
-
-def pair_features(
-    geom: PairGeometry, subject_class: int, object_class: int, num_classes: int
-) -> np.ndarray:
-    """Feature vector: bounded geometry terms, both class one-hots, bias.
-
-    Ratios enter through their logarithm; the center distance is recomputed
-    in image-normalized units from the normalized coordinate block.
-    """
-    nc = geom.normalized_coords
-    norm_distance = math.hypot(nc[0] - nc[5], nc[1] - nc[6])
-    vec = np.zeros(feature_count(num_classes), dtype=np.float64)
-    vec[0] = norm_distance
-    vec[1] = math.log(geom.area_ratio)
-    vec[2] = math.log(geom.aspect_subject)
-    vec[3] = math.log(geom.aspect_object)
-    vec[4] = geom.pair_iou
-    vec[5 : 5 + len(nc)] = nc
-    vec[GEOMETRY_FEATURES + subject_class] = 1.0
-    vec[GEOMETRY_FEATURES + num_classes + object_class] = 1.0
-    vec[-1] = 1.0
-    return vec
 
 
 def linear_loss_and_grad(
@@ -241,8 +231,13 @@ class _SceneArrays:
         )
 
     def geometry(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-        """(k, 15) geometry block of the pairs (ii, jj), laid out as the
-        first ``GEOMETRY_FEATURES`` entries of :func:`pair_features`.
+        """(k, 15) geometry block of the pairs (ii, jj): the first
+        ``GEOMETRY_FEATURES`` columns of a scorer feature row.
+
+        Columns: image-normalized center distance; log area ratio; log
+        aspect (w/h) of subject and of object; rotated IoU; then the five
+        parameters (cx, cy, w, h, theta) of subject and of object, divided
+        by image width, height, width, height and 2*pi.
 
         IoU is computed only for pairs whose axis extents meet; the rest
         overlap nowhere and keep 0.0.
@@ -284,16 +279,16 @@ def _scene_pair_rows(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sampled feature rows of one scene and their labels; R means unrelated."""
-    matrix = label_pairs(scene)
-    if matrix.num_pairs == 0:
-        return np.zeros((0, feature_count(num_classes))), np.zeros(0, dtype=np.int64)
     n = len(scene.objects)
-    labels = np.full(matrix.num_pairs, num_relations, dtype=np.int64)
-    position = {obj.id: idx for idx, obj in enumerate(scene.objects)}
-    # Written last to first, so the first triplet of a pair sets its label.
-    for rel in reversed(scene.relations):
-        labels[pair_index(n, position[rel.subject], position[rel.object])] = rel.predicate
-    chosen = sample_pairs(matrix, max_pos, max_neg, rng)
+    # The first triplet of a pair sets its label.
+    first: dict[int, int] = {}
+    for k, rel in zip(relation_pairs(scene), scene.relations):
+        first.setdefault(k, rel.predicate)
+    if n < 2:
+        return np.zeros((0, feature_count(num_classes))), np.zeros(0, dtype=np.int64)
+    labels = np.full(n * (n - 1), num_relations, dtype=np.int64)
+    labels[list(first)] = list(first.values())
+    chosen = sample_pairs(labels != num_relations, max_pos, max_neg, rng)
     ii, jj = pair_endpoints(n, chosen)
     categories = _categories(scene)
     rows = np.zeros((len(chosen), feature_count(num_classes)), dtype=np.float64)

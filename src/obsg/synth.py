@@ -12,6 +12,7 @@ condition holds for the pair.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ from .datamodel import (
     RelationTriplet,
     SceneAnnotation,
 )
-from .geometry import OrientedBox, PairGeometry, pair_geometry
+from .geometry import OrientedBox, rotated_iou
 from .registry import CategoryRegistry, canonical_registry
 
 
@@ -30,9 +31,9 @@ from .registry import CategoryRegistry, canonical_registry
 class Rule:
     """Class-pair rule: relation holds when every stated condition does.
 
-    ``min_iou`` demands pair_iou strictly above the bound;
-    ``max_center_distance`` demands center distance strictly below the
-    bound.  A rule with neither condition always fires.
+    ``min_iou`` demands the rotated IoU of the two boxes strictly above the
+    bound; ``max_center_distance`` demands the distance of their centers
+    strictly below the bound.  A rule with neither condition always fires.
     """
 
     subject: int
@@ -41,14 +42,24 @@ class Rule:
     min_iou: float | None = None
     max_center_distance: float | None = None
 
-    def condition(self, geom: PairGeometry) -> bool:
-        if self.min_iou is not None and not geom.pair_iou > self.min_iou:
+    def __post_init__(self) -> None:
+        for name in ("min_iou", "max_center_distance"):
+            value = getattr(self, name)
+            if value is not None and not (
+                isinstance(value, numbers.Real)
+                and not isinstance(value, bool)
+                and (isinstance(value, numbers.Integral) or math.isfinite(value))
+            ):
+                raise ValueError(f"{name}: expected a finite number, got {value!r}")
+
+    def condition(self, subject: OrientedBox, object_: OrientedBox) -> bool:
+        if self.min_iou is not None and not rotated_iou(subject, object_) > self.min_iou:
             return False
-        if (
-            self.max_center_distance is not None
-            and not geom.center_distance < self.max_center_distance
-        ):
-            return False
+        if self.max_center_distance is not None:
+            scx, scy = subject.center
+            ocx, ocy = object_.center
+            if not math.hypot(scx - ocx, scy - ocy) < self.max_center_distance:
+                return False
         return True
 
 
@@ -154,21 +165,17 @@ def _generate_scene(
         for i in range(n)
     )
     relations: list[RelationTriplet] = []
-    size = config.image_size
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             rule = rule_map.get((objects[i].category, objects[j].category))
-            if rule is None:
-                continue
-            geom = pair_geometry(objects[i].box, objects[j].box, size, size)
-            if rule.condition(geom):
+            if rule is not None and rule.condition(objects[i].box, objects[j].box):
                 relations.append(RelationTriplet(i, rule.predicate, j))
     return SceneAnnotation(
         image_id=image_id,
-        width=size,
-        height=size,
+        width=config.image_size,
+        height=config.image_size,
         objects=objects,
         relations=tuple(relations),
     )

@@ -4,10 +4,13 @@ Everything here is deliberately written from scratch with plain loops and
 its own membership tests so that agreement with the library is evidence,
 not tautology.  Only matching *semantics* shared by contract (greedy order,
 tie rules) reuse the library's IoU values, since exact flag equality
-requires identical overlap numbers.  Likewise the per-pair prediction
-reference is built on the library's scalar pieces (``pair_geometry``,
-``pair_features``, ``FrequencyPrior.distribution``), which define the
-scores that the array path must reproduce.
+requires identical overlap numbers.  The pair layer keeps the scalar forms
+that the library replaced with index arrays: the list enumeration of
+ordered pairs, per-pair geometry and feature vectors, the per-pair
+prediction loop and the pair-walking frequency prior.  They are built on
+the library's box parameters, ``rotated_iou`` and
+``FrequencyPrior.distribution``, which define the numbers that the array
+paths must reproduce.
 """
 
 from __future__ import annotations
@@ -19,13 +22,13 @@ import numpy as np
 from obsg import (
     DataError,
     Detection,
+    FrequencyPrior,
     OrientedBox,
     PredictedTriplet,
-    enumerate_pairs,
-    pair_features,
-    pair_geometry,
     rotated_iou,
 )
+from obsg.geometry import TWO_PI
+from obsg.scorer import GEOMETRY_FEATURES, feature_count
 
 
 def reference_shoelace(points) -> float:
@@ -287,13 +290,67 @@ def reference_intersection_area(a: OrientedBox, b: OrientedBox) -> float:
     return abs(reference_shoelace(poly))
 
 
+def reference_pairs(n: int) -> list[tuple[int, int]]:
+    """All ordered pairs (i, j), i != j, lexicographic; n*(n-1) entries."""
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
+
+
+def reference_pair_features(subject, object_, scene, num_classes) -> np.ndarray:
+    """Scorer feature row of one ordered pair of ``scene`` objects.
+
+    Center distance in image units, log area ratio, both log aspects, IoU,
+    the ten box parameters of subject then object divided by the image
+    width (x and w), height (y and h) or 2*pi (angles), both class one-hots
+    and a bias.
+    """
+    scx, scy, sw, sh, st = subject.box.params
+    ocx, ocy, ow, oh, ot = object_.box.params
+    width, height = scene.width, scene.height
+    nc = (
+        scx / width, scy / height, sw / width, sh / height, st / TWO_PI,
+        ocx / width, ocy / height, ow / width, oh / height, ot / TWO_PI,
+    )
+    vec = np.zeros(feature_count(num_classes), dtype=np.float64)
+    vec[0] = math.hypot(nc[0] - nc[5], nc[1] - nc[6])
+    vec[1] = math.log((sw * sh) / (ow * oh))
+    vec[2] = math.log(sw / sh)
+    vec[3] = math.log(ow / oh)
+    vec[4] = rotated_iou(subject.box, object_.box)
+    vec[5:15] = nc
+    vec[GEOMETRY_FEATURES + subject.category] = 1.0
+    vec[GEOMETRY_FEATURES + num_classes + object_.category] = 1.0
+    vec[-1] = 1.0
+    return vec
+
+
+def reference_fit_frequency_prior(dataset, alpha) -> FrequencyPrior:
+    """Frequency prior counted pair by pair: each triplet into its cell,
+    each ordered pair that carries no triplet into the no-relation cell."""
+    num_objects = dataset.registry.num_objects
+    num_relations = dataset.registry.num_relations
+    counts = np.zeros((num_objects, num_objects, num_relations + 1), dtype=np.int64)
+    for scene in dataset.scenes:
+        position = {obj.id: idx for idx, obj in enumerate(scene.objects)}
+        classes = [obj.category for obj in scene.objects]
+        related = set()
+        for rel in scene.relations:
+            i = position[rel.subject]
+            j = position[rel.object]
+            counts[classes[i], classes[j], rel.predicate] += 1
+            related.add((i, j))
+        for i, j in reference_pairs(len(classes)):
+            if (i, j) not in related:
+                counts[classes[i], classes[j], num_relations] += 1
+    return FrequencyPrior(counts, alpha, dataset.registry.content_hash())
+
+
 def reference_predict_triplets(scene, prior, linear=None, top_m=None, graph_constraint=True):
     """Per-pair relation scoring: one prior row, feature vector and softmax
     per ordered pair, in enumeration order, as ``predict_triplets`` defines."""
     if top_m is not None and top_m < 0:
         raise ValueError(f"top_m must be >= 0: {top_m}")
     num_relations = prior.num_relations
-    pairs = enumerate_pairs(len(scene.objects))
+    pairs = reference_pairs(len(scene.objects))
     fused_rows = []
     relatedness = []
     for i, j in pairs:
@@ -301,9 +358,8 @@ def reference_predict_triplets(scene, prior, linear=None, top_m=None, graph_cons
         obj = scene.objects[j]
         row = prior.distribution(subj.category, obj.category)
         if linear is not None:
-            geom = pair_geometry(subj.box, obj.box, scene.width, scene.height)
-            feats = pair_features(geom, subj.category, obj.category, prior.num_objects)
-            logits = linear.logits(feats)
+            feats = reference_pair_features(subj, obj, scene, prior.num_objects)
+            logits = feats @ linear.weights
             e = np.exp(logits - float(np.max(logits)))
             row = row * (e / e.sum())
             total = row.sum()

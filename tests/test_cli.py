@@ -118,6 +118,38 @@ def test_synth_deterministic_and_parseable(tmp_path):
     assert len(dataset.scenes) == 10
 
 
+def synth_with_rules(tmp_path, rule):
+    rules = tmp_path / "rules.json"
+    base = {"subject": "van", "object": "parking lot", "predicate": "park at"}
+    rules.write_text(json.dumps([{**base, **rule}]))
+    out = tmp_path / "gt.json"
+    argv = ["synth", "--images", "20", "--seed", "1", "--min-objects", "6"]
+    return cli.run(argv + ["--rules", str(rules), "--output", str(out)]), out
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        ({"min_iou": "0.5"}, "rules[0].min_iou: expected a finite number, got '0.5'"),
+        ({"max_center_distance": float("nan")}, "rules[0].max_center_distance: "),
+        ({"min_iou": True}, "rules[0].min_iou: expected a finite number, got True"),
+        ({"min_IoU": 0.5}, "rules[0]: unknown key 'min_IoU'"),
+    ],
+    ids=["string", "nan", "bool", "unknown-key"],
+)
+def test_synth_rejects_malformed_rules(tmp_path, capsys, rule, message):
+    code, out = synth_with_rules(tmp_path, rule)
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_accepts_numeric_rule_thresholds(tmp_path):
+    code, out = synth_with_rules(tmp_path, {"max_center_distance": 100000})
+    assert code == 0
+    assert sum(len(s.relations) for s in parse_dataset(out.read_text()).scenes) > 0
+
+
 def test_stats_json_and_csv(tmp_path):
     gt = synth_manifest(tmp_path, images=12, seed=9)
     out = tmp_path / "stats.json"

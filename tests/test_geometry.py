@@ -1,4 +1,4 @@
-"""Geometry tests: constructions, areas, clipping IoU and pair features."""
+"""Geometry tests: constructions, areas, clipping IoU and pair geometry."""
 
 import math
 
@@ -7,12 +7,14 @@ import pytest
 
 from obsg import (
     AxisBox,
+    ObjectInstance,
     OrientedBox,
+    SceneAnnotation,
     intersection_area,
-    pair_geometry,
     rotated_iou,
     shoelace_area,
 )
+from obsg.scorer import _SceneArrays
 
 from oracles import (
     mc_intersection_area,
@@ -306,19 +308,25 @@ def test_iou_against_monte_carlo_sample():
         assert abs(rotated_iou(a, b) - estimate) <= allowance
 
 
+def pair_block(a, b, width=100.0, height=100.0):
+    """Geometry rows of the pairs (a, b) and (b, a) of a two-box scene."""
+    objects = (ObjectInstance(0, 0, a), ObjectInstance(1, 0, b))
+    scene = SceneAnnotation("s", width, height, objects, ())
+    return _SceneArrays.of(scene).geometry(np.array([0, 1]), np.array([1, 0]))
+
+
 def test_pair_geometry_identity_case():
     box = OrientedBox.from_params(50.0, 50.0, 10.0, 4.0, 0.6)
-    geom = pair_geometry(box, box, 100.0, 100.0)
-    assert geom.center_distance == 0.0
-    assert abs(geom.area_ratio - 1.0) < 1e-12
-    assert abs(geom.pair_iou - 1.0) < 1e-9
+    row = pair_block(box, box)[0]
+    assert row[0] == 0.0  # center distance
+    assert abs(row[1]) < 1e-12  # log area ratio
+    assert abs(row[4] - 1.0) < 1e-9  # IoU
 
 
 def test_pair_geometry_three_four_five():
     a = OrientedBox.from_params(0.0, 0.0, 1.0, 1.0, 0.0)
     b = OrientedBox.from_params(3.0, 4.0, 1.0, 1.0, 0.0)
-    geom = pair_geometry(a, b, 100.0, 100.0)
-    assert abs(geom.center_distance - 5.0) < 1e-12
+    assert abs(pair_block(a, b)[0, 0] - 0.05) < 1e-12  # 5 px in a 100 px image
 
 
 def test_pair_geometry_swap_law():
@@ -326,13 +334,13 @@ def test_pair_geometry_swap_law():
     for _ in range(100):
         a = random_box(rng)
         b = random_box(rng)
-        sab = pair_geometry(a, b, 200.0, 150.0)
-        sba = pair_geometry(b, a, 200.0, 150.0)
-        assert abs(sab.area_ratio * sba.area_ratio - 1.0) < 1e-9
-        assert abs(sab.center_distance - sba.center_distance) < 1e-12
-        assert abs(sab.pair_iou - sba.pair_iou) < 1e-9
-        assert sab.aspect_subject == sba.aspect_object
-        assert sab.aspect_object == sba.aspect_subject
+        sab, sba = pair_block(a, b, 200.0, 150.0)
+        assert abs(sab[1] + sba[1]) < 1e-9
+        assert abs(sab[0] - sba[0]) < 1e-12
+        assert abs(sab[4] - sba[4]) < 1e-9
+        assert sab[2] == sba[3]
+        assert sab[3] == sba[2]
+        assert np.array_equal(sab[5:10], sba[10:15])
 
 
 def test_pair_geometry_fields_recomputed_from_vertices():
@@ -341,28 +349,28 @@ def test_pair_geometry_fields_recomputed_from_vertices():
     for _ in range(100):
         a = random_box(rng)
         b = random_box(rng)
-        geom = pair_geometry(a, b, width, height)
+        row = pair_block(a, b, width, height)[0]
         acx = sum(p[0] for p in a.vertices) / 4.0
         acy = sum(p[1] for p in a.vertices) / 4.0
         bcx = sum(p[0] for p in b.vertices) / 4.0
         bcy = sum(p[1] for p in b.vertices) / 4.0
-        assert abs(geom.center_distance - math.hypot(acx - bcx, acy - bcy)) < 1e-9
+        distance = math.hypot((acx - bcx) / width, (acy - bcy) / height)
+        assert abs(row[0] - distance) < 1e-9
         area_a = abs(reference_shoelace(a.vertices))
         area_b = abs(reference_shoelace(b.vertices))
-        assert abs(geom.area_ratio - area_a / area_b) < 1e-9 * geom.area_ratio
-        coords = geom.normalized_coords
-        assert len(coords) == 10
-        assert abs(coords[0] - acx / width) < 1e-9
-        assert abs(coords[1] - acy / height) < 1e-9
-        assert abs(coords[5] - bcx / width) < 1e-9
-        assert abs(coords[6] - bcy / height) < 1e-9
-        for value in coords[2:5]:
+        assert abs(row[1] - math.log(area_a / area_b)) < 1e-9
+        assert row[4] == rotated_iou(a, b)
+        assert abs(row[5] - acx / width) < 1e-9
+        assert abs(row[6] - acy / height) < 1e-9
+        assert abs(row[10] - bcx / width) < 1e-9
+        assert abs(row[11] - bcy / height) < 1e-9
+        for value in row[7:10]:
             assert value > 0.0
 
 
 def test_pair_geometry_rejects_bad_extent():
     box = OrientedBox.from_params(0.0, 0.0, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        pair_geometry(box, box, 0.0, 100.0)
+        pair_block(box, box, 0.0, 100.0)
     with pytest.raises(ValueError):
-        pair_geometry(box, box, 100.0, -5.0)
+        pair_block(box, box, 100.0, -5.0)

@@ -9,35 +9,28 @@ import oracles
 from obsg import (
     ObjectInstance,
     OrientedBox,
-    PairLabelMatrix,
     RelationTriplet,
     SceneAnnotation,
-    enumerate_pairs,
     label_pairs,
+    relation_pairs,
     relpn_loss,
     sample_pairs,
 )
-from obsg.pairing import pair_endpoints, pair_index
+from obsg.pairing import pair_endpoints
+
+
+def listed_pairs(n):
+    ii, jj = pair_endpoints(n, np.arange(n * (n - 1)))
+    return list(zip(ii.tolist(), jj.tolist()))
 
 
 def test_enumerate_pairs_small_cases():
-    assert enumerate_pairs(0) == []
-    assert enumerate_pairs(1) == []
-    assert enumerate_pairs(3) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-    assert len(enumerate_pairs(40)) == 1560
+    assert listed_pairs(0) == []
+    assert listed_pairs(1) == []
+    assert listed_pairs(3) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+    assert len(listed_pairs(40)) == 1560
     with pytest.raises(ValueError):
-        enumerate_pairs(-1)
-
-
-def test_pair_index_agrees_with_enumeration():
-    for n in range(2, 9):
-        pairs = enumerate_pairs(n)
-        for k, (i, j) in enumerate(pairs):
-            assert pair_index(n, i, j) == k
-    with pytest.raises(ValueError):
-        pair_index(4, 2, 2)
-    with pytest.raises(ValueError):
-        pair_index(4, 0, 4)
+        pair_endpoints(1, np.array([0]))
 
 
 def scene_with_relations(n, relations):
@@ -49,101 +42,119 @@ def scene_with_relations(n, relations):
     return SceneAnnotation("s", 1000, 1000, objects, triplets)
 
 
+def test_pair_index_agrees_with_enumeration():
+    for n in range(2, 9):
+        pairs = oracles.reference_pairs(n)
+        scene = scene_with_relations(n, [(i, 0, j) for i, j in pairs])
+        assert relation_pairs(scene) == list(range(len(pairs)))
+    with pytest.raises(ValueError):
+        relation_pairs(scene_with_relations(4, [(0, 0, 1), (2, 0, 2)]))
+
+
+def test_relation_pairs_follow_relation_order():
+    # Shuffled relations, parallel triplets and both directions of a pair.
+    rng = np.random.default_rng(64)
+    for n in range(13):
+        pairs = oracles.reference_pairs(n)
+        relations = [
+            (*pairs[int(k)], int(p))
+            for k, p in zip(
+                rng.integers(0, max(len(pairs), 1), size=3 * len(pairs)),
+                rng.integers(0, 3, size=3 * len(pairs)),
+            )
+        ]
+        scene = scene_with_relations(n, [(i, p, j) for i, j, p in relations])
+        assert relation_pairs(scene) == [pairs.index((i, j)) for i, j, _ in relations]
+
+
 def test_pair_endpoints_list_the_enumeration():
     for n in range(13):
-        ii, jj = pair_endpoints(n, np.arange(n * (n - 1) if n > 1 else 0))
-        assert list(zip(ii.tolist(), jj.tolist())) == enumerate_pairs(n)
+        assert listed_pairs(n) == oracles.reference_pairs(n)
     ii, jj = pair_endpoints(7, np.array([5, 41, 0, 18]))
-    assert [pair_index(7, i, j) for i, j in zip(ii, jj)] == [5, 41, 0, 18]
+    scene = scene_with_relations(7, [(i, 0, j) for i, j in zip(ii.tolist(), jj.tolist())])
+    assert relation_pairs(scene) == [5, 41, 0, 18]
     for n, k in ((7, [42]), (7, [-1]), (1, [0])):
         with pytest.raises(ValueError):
             pair_endpoints(n, np.array(k))
 
 
 def test_label_pairs_no_relations():
-    matrix = label_pairs(scene_with_relations(4, []))
-    assert matrix.n == 4
-    assert matrix.num_pairs == 12
-    assert not matrix.labels.any()
+    labels = label_pairs(scene_with_relations(4, []))
+    assert labels.shape == (12,)
+    assert labels.dtype == np.int8
+    assert not labels.any()
 
 
 def test_label_pairs_collapses_parallel_triplets():
     # Two predicates on the same ordered pair still label it once.
-    matrix = label_pairs(scene_with_relations(3, [(0, 0, 1), (0, 1, 1)]))
-    assert matrix.labels.sum() == 1
-    assert matrix.labels[pair_index(3, 0, 1)] == 1
+    labels = label_pairs(scene_with_relations(3, [(0, 0, 1), (0, 1, 1)]))
+    assert labels.sum() == 1
+    assert labels[oracles.reference_pairs(3).index((0, 1))] == 1
 
 
 def test_label_pairs_is_direction_sensitive():
-    matrix = label_pairs(scene_with_relations(3, [(2, 0, 0)]))
-    assert matrix.labels[pair_index(3, 2, 0)] == 1
-    assert matrix.labels[pair_index(3, 0, 2)] == 0
+    labels = label_pairs(scene_with_relations(3, [(2, 0, 0)]))
+    pairs = oracles.reference_pairs(3)
+    assert labels[pairs.index((2, 0))] == 1
+    assert labels[pairs.index((0, 2))] == 0
 
 
 def test_label_pairs_matches_brute_force():
     rng = np.random.default_rng(60)
     for _ in range(50):
         n = int(rng.integers(2, 8))
-        pairs = enumerate_pairs(n)
+        pairs = oracles.reference_pairs(n)
         chosen = {
             pairs[int(k)]
             for k in rng.choice(len(pairs), size=int(rng.integers(0, len(pairs))), replace=False)
         }
-        matrix = label_pairs(
-            scene_with_relations(n, [(i, 0, j) for i, j in chosen])
-        )
+        labels = label_pairs(scene_with_relations(n, [(i, 0, j) for i, j in chosen]))
         for k, (i, j) in enumerate(pairs):
-            assert matrix.labels[k] == int((i, j) in chosen)
-
-
-def test_pair_containers_validate_shape():
-    with pytest.raises(ValueError):
-        PairLabelMatrix(3, np.zeros(5, dtype=np.int8))
-    assert PairLabelMatrix(1, np.zeros(0, dtype=np.int8)).num_pairs == 0
+            assert labels[k] == int((i, j) in chosen)
 
 
 def test_sample_pairs_caps_do_not_bind():
-    matrix = label_pairs(scene_with_relations(3, [(0, 0, 1)]))
-    taken = sample_pairs(matrix, max_pos=64, max_neg=192)
+    labels = label_pairs(scene_with_relations(3, [(0, 0, 1)]))
+    taken = sample_pairs(labels, max_pos=64, max_neg=192)
     assert taken.tolist() == list(range(6))
     assert taken.dtype == np.int64
 
 
 def test_sample_pairs_binding_requires_rng():
-    matrix = label_pairs(scene_with_relations(5, [(0, 0, 1), (1, 0, 2)]))
+    labels = label_pairs(scene_with_relations(5, [(0, 0, 1), (1, 0, 2)]))
     with pytest.raises(ValueError):
-        sample_pairs(matrix, max_pos=1, max_neg=100)
+        sample_pairs(labels, max_pos=1, max_neg=100)
     with pytest.raises(ValueError):
-        sample_pairs(matrix, max_pos=-1, max_neg=1)
+        sample_pairs(labels, max_pos=-1, max_neg=1)
 
 
 def test_sample_pairs_counts_and_label_split():
-    matrix = label_pairs(
+    labels = label_pairs(
         scene_with_relations(6, [(0, 0, 1), (1, 0, 2), (2, 0, 3), (3, 0, 4)])
     )
-    pos_set = set(np.flatnonzero(matrix.labels == 1).tolist())
-    neg_set = set(np.flatnonzero(matrix.labels == 0).tolist())
-    taken = sample_pairs(matrix, max_pos=2, max_neg=5, rng=9)
+    pos_set = set(np.flatnonzero(labels == 1).tolist())
+    neg_set = set(np.flatnonzero(labels == 0).tolist())
+    taken = sample_pairs(labels, max_pos=2, max_neg=5, rng=9)
     taken_list = taken.tolist()
     assert len(taken_list) == 7
     assert len(set(taken_list)) == 7
     assert sum(1 for k in taken_list if k in pos_set) == 2
     assert sum(1 for k in taken_list if k in neg_set) == 5
     assert taken_list == sorted(taken_list)
-    only_neg = sample_pairs(matrix, max_pos=0, max_neg=5, rng=9)
+    only_neg = sample_pairs(labels, max_pos=0, max_neg=5, rng=9)
     assert all(k in neg_set for k in only_neg.tolist())
 
 
 def test_sample_pairs_deterministic_per_seed():
-    matrix = label_pairs(
+    labels = label_pairs(
         scene_with_relations(7, [(i, 0, (i + 1) % 7) for i in range(7)])
     )
     draws = {
-        seed: sample_pairs(matrix, max_pos=3, max_neg=10, rng=seed).tolist()
+        seed: sample_pairs(labels, max_pos=3, max_neg=10, rng=seed).tolist()
         for seed in range(100)
     }
     for seed, draw in draws.items():
-        again = sample_pairs(matrix, max_pos=3, max_neg=10, rng=seed).tolist()
+        again = sample_pairs(labels, max_pos=3, max_neg=10, rng=seed).tolist()
         assert draw == again
     assert len({tuple(d) for d in draws.values()}) > 1
 

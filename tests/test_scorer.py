@@ -26,13 +26,11 @@ from obsg import (
     TrainingDivergenceError,
     canonical_registry,
     ce_loss,
-    enumerate_pairs,
     fit_frequency_prior,
     generate,
     label_pairs,
     load_prior,
     load_scorer,
-    pair_features,
     predict_triplets,
     sample_pairs,
     save_prior,
@@ -40,8 +38,13 @@ from obsg import (
     train_linear,
 )
 from obsg import scorer as scorer_module
-from obsg.geometry import pair_geometry
-from obsg.scorer import _prior_rows, _scene_pair_rows, feature_count, linear_loss_and_grad
+from obsg.scorer import (
+    _prior_rows,
+    _scene_pair_rows,
+    _SceneArrays,
+    feature_count,
+    linear_loss_and_grad,
+)
 
 
 def test_ce_loss_uniform_and_saturated():
@@ -99,10 +102,10 @@ def test_linear_loss_validation():
 
 
 def test_pair_features_layout():
-    a = OrientedBox.axis_aligned(0, 0, 10, 10)
-    b = OrientedBox.axis_aligned(30, 40, 40, 50)
-    geom = pair_geometry(a, b, 100, 100)
-    vec = pair_features(geom, 1, 2, num_classes=4)
+    a = ObjectInstance(0, 1, OrientedBox.axis_aligned(0, 0, 10, 10))
+    b = ObjectInstance(1, 2, OrientedBox.axis_aligned(30, 40, 40, 50))
+    scene = SceneAnnotation("s", 100, 100, (a, b), ())
+    vec = oracles.reference_pair_features(a, b, scene, num_classes=4)
     assert vec.shape == (feature_count(4),)
     assert feature_count(4) == 15 + 8 + 1
     assert abs(vec[0] - 0.5) < 1e-12  # hypot(0.3, 0.4) in image units
@@ -112,6 +115,9 @@ def test_pair_features_layout():
     one_hots = vec[15:23]
     assert one_hots.tolist() == [0, 1, 0, 0, 0, 0, 1, 0]
     assert vec[-1] == 1.0
+    block = _SceneArrays.of(scene).geometry(np.array([0]), np.array([1]))
+    assert block.shape == (1, 15)
+    assert np.array_equal(block[0], vec[:15])
 
 
 def two_class_dataset():
@@ -151,6 +157,52 @@ def test_prior_rows_equal_distribution():
         rows = _prior_rows(prior, cs.ravel(), co.ravel())
         expected = [prior.distribution(s, o) for s, o in zip(cs.ravel(), co.ravel())]
         assert np.array_equal(rows, np.stack(expected))
+
+
+@st.composite
+def prior_datasets(draw):
+    registry = CategoryRegistry(("A", "B", "C"), ("r0", "r1"))
+    box = OrientedBox.axis_aligned(0, 0, 10, 10)
+    scenes = []
+    for index in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 12))
+        # Few classes, so classes repeat; object ids need not be positions.
+        objects = tuple(
+            ObjectInstance(7 * k + 3, draw(st.integers(0, 2)), box) for k in range(n)
+        )
+        relations = []
+        if n >= 2:
+            # Drawn with repeats: parallel triplets on one ordered pair and
+            # both directions of a pair both occur.
+            ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda e: e[0] != e[1]
+            )
+            for i, j in draw(st.lists(ends, max_size=2 * n)):
+                relations.append(
+                    RelationTriplet(objects[i].id, draw(st.integers(0, 1)), objects[j].id)
+                )
+        scenes.append(SceneAnnotation(f"s{index}", 100, 100, objects, tuple(relations)))
+    return Dataset(registry, "train", tuple(scenes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(prior_datasets(), st.sampled_from([0.0, 0.5, 1.0]))
+def test_fit_prior_matches_per_pair_reference(dataset, alpha):
+    fast = fit_frequency_prior(dataset, alpha)
+    slow = oracles.reference_fit_frequency_prior(dataset, alpha)
+    assert fast.counts.dtype == slow.counts.dtype == np.int64
+    assert np.array_equal(fast.counts, slow.counts)
+    assert save_prior(fast) == save_prior(slow)
+
+
+def test_fit_prior_rejects_self_relation():
+    dataset = two_class_dataset()
+    scene = dataset.scenes[0]
+    looped = SceneAnnotation(
+        "s", 100, 100, scene.objects, scene.relations + (RelationTriplet(1, 0, 1),)
+    )
+    with pytest.raises(ValueError):
+        fit_frequency_prior(Dataset(dataset.registry, "train", (looped,)))
 
 
 def test_fit_prior_rejects_negative_alpha():
@@ -204,13 +256,12 @@ def test_train_linear_separates_by_geometry():
     correct = 0
     total = 0
     for scene in dataset.scenes:
-        for (i, j), rel in (((0, 1), 0), ((1, 0), 1)):
-            geom = pair_geometry(
-                scene.objects[i].box, scene.objects[j].box, scene.width, scene.height
-            )
-            vec = pair_features(geom, 0, 0, num_classes=1)
-            predicted = int(np.argmax(scorer.logits(vec)))
-            correct += predicted == scene.relations[rel].predicate
+        # Pairs (0, 1) and (1, 0), with the one-hots of class 0 and a bias.
+        block = _SceneArrays.of(scene).geometry(np.array([0, 1]), np.array([1, 0]))
+        features = np.hstack([block, np.ones((2, 3))])
+        predicted = np.argmax(features @ scorer.weights, axis=1)
+        for k, rel in enumerate((0, 1)):
+            correct += predicted[k] == scene.relations[rel].predicate
             total += 1
     assert correct / total >= 0.95
     assert scorer.loss_history[-1] <= scorer.loss_history[0]
@@ -510,16 +561,38 @@ def test_training_rows_match_pair_features():
             scene, num_classes, dataset.registry.num_relations, 64, 192,
             np.random.default_rng(0),
         )
-        pairs = enumerate_pairs(len(scene.objects))
+        pairs = oracles.reference_pairs(len(scene.objects))
         chosen = sample_pairs(label_pairs(scene), 64, 192, np.random.default_rng(0))
         assert len(rows) == len(labels) == len(chosen)
         for row, k in zip(rows, chosen):
             i, j = pairs[k]
-            subj, obj = scene.objects[i], scene.objects[j]
-            geom = pair_geometry(subj.box, obj.box, scene.width, scene.height)
-            expected = pair_features(geom, subj.category, obj.category, num_classes)
+            expected = oracles.reference_pair_features(
+                scene.objects[i], scene.objects[j], scene, num_classes
+            )
             assert np.allclose(row, expected, rtol=0.0, atol=1e-12)
             assert np.array_equal(row[15:], expected[15:])
+
+
+def test_training_labels_take_the_first_triplet():
+    # Pair (0, 1) carries predicates 2 then 0, pair (2, 0) predicate 1, and
+    # pair (1, 0) predicate 0: every other pair is labeled R (unrelated).
+    objects = tuple(
+        ObjectInstance(10 + k, k % 2, OrientedBox.axis_aligned(20 * k, 0, 20 * k + 9, 9))
+        for k in range(4)
+    )
+    relations = tuple(
+        RelationTriplet(10 + s, p, 10 + o)
+        for s, p, o in ((0, 2, 1), (2, 1, 0), (0, 0, 1), (1, 0, 0))
+    )
+    scene = SceneAnnotation("s", 100, 100, objects, relations)
+    rows, labels = _scene_pair_rows(scene, 2, 3, 64, 192, np.random.default_rng(0))
+    expected = {(0, 1): 2, (2, 0): 1, (1, 0): 0}
+    pairs = oracles.reference_pairs(4)
+    assert len(labels) == len(pairs)
+    assert labels.tolist() == [expected.get(pair, 3) for pair in pairs]
+    self_related = SceneAnnotation("s", 100, 100, objects, (RelationTriplet(11, 0, 11),))
+    with pytest.raises(ValueError):
+        _scene_pair_rows(self_related, 2, 3, 64, 192, np.random.default_rng(0))
 
 
 def prior_doc():

@@ -1,18 +1,21 @@
 """Synthetic scene generation: determinism, rule entailment, class skew."""
 
+import math
+
 import numpy as np
 import pytest
 
 from obsg import (
     CategoryRegistry,
+    OrientedBox,
     Rule,
     SynthConfig,
     default_rules,
     generate,
+    rotated_iou,
     serialize_dataset,
     validate,
 )
-from obsg.geometry import pair_geometry
 from obsg.synth import class_weights
 
 
@@ -64,6 +67,13 @@ def test_generated_datasets_validate_clean():
         assert validate(generate(config)) == []
 
 
+def vertex_center(box):
+    return (
+        sum(p[0] for p in box.vertices) / 4.0,
+        sum(p[1] for p in box.vertices) / 4.0,
+    )
+
+
 def test_relations_match_independent_rederivation():
     config = SynthConfig(n_images=40, seed=12)
     dataset = generate(config)
@@ -78,12 +88,12 @@ def test_relations_match_independent_rederivation():
                 rule = by_pair.get((a.category, b.category))
                 if rule is None:
                     continue
-                geom = pair_geometry(a.box, b.box, scene.width, scene.height)
-                if rule.min_iou is not None and not geom.pair_iou > rule.min_iou:
+                if rule.min_iou is not None and not rotated_iou(a.box, b.box) > rule.min_iou:
                     continue
+                (ax, ay), (bx, by) = vertex_center(a.box), vertex_center(b.box)
                 if (
                     rule.max_center_distance is not None
-                    and not geom.center_distance < rule.max_center_distance
+                    and not math.hypot(ax - bx, ay - by) < rule.max_center_distance
                 ):
                     continue
                 rederived.add((a.id, rule.predicate, b.id))
@@ -170,6 +180,26 @@ def test_rule_table_validation():
         SynthConfig(n_images=1, seed=1, registry=registry, rules=(Rule(0, 2, 0),))
     with pytest.raises(ValueError):
         SynthConfig(n_images=1, seed=1, registry=registry, rules=(Rule(0, 1, 7),))
+
+
+def test_rule_thresholds_must_be_finite_numbers():
+    for bad in ("0.5", float("nan"), float("inf"), True, [0.5]):
+        with pytest.raises(ValueError, match="min_iou"):
+            Rule(0, 1, 0, min_iou=bad)
+        with pytest.raises(ValueError, match="max_center_distance"):
+            Rule(0, 1, 0, max_center_distance=bad)
+    for good in (0, 0.25, 10**400, np.float64(3.0)):
+        assert Rule(0, 1, 0, min_iou=good, max_center_distance=good).min_iou is good
+
+
+def test_rule_condition_bounds_are_strict():
+    box = OrientedBox.axis_aligned(0, 0, 10, 10)
+    far = box.translate(30.0, 40.0)  # IoU 0, centers 50 px apart
+    assert Rule(0, 1, 0).condition(box, far)
+    assert not Rule(0, 1, 0, min_iou=0.0).condition(box, far)
+    assert Rule(0, 1, 0, min_iou=0.0).condition(box, box.translate(5.0, 0.0))
+    assert not Rule(0, 1, 0, max_center_distance=50.0).condition(box, far)
+    assert Rule(0, 1, 0, max_center_distance=50.5).condition(box, far)
 
 
 def test_default_rules_reference_canonical_names():
