@@ -47,9 +47,8 @@ from .ingest import (
 from .metrics import (
     EvalReport,
     MatchConfig,
-    PredictedTriplet,
+    Triplet,
     TripletMatchResult,
-    TripletTarget,
     average_precision,
     evaluate_detections,
     evaluate_scene_graphs,
@@ -60,6 +59,7 @@ from .metrics import (
     precision,
     recall,
     recall_at_k,
+    scene_triplets,
 )
 from .pairing import (
     label_pairs,

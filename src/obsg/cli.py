@@ -23,7 +23,6 @@ from . import __version__
 from .datamodel import (
     Dataset,
     ObjectInstance,
-    RelationTriplet,
     SceneAnnotation,
     _load_root,
     parse_dataset,
@@ -267,23 +266,22 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     )
     scenes = []
     for scene in dataset.scenes:
-        triplets = predict_triplets(
+        relations = predict_triplets(
             scene,
             prior,
             linear=linear,
             top_m=args.top_m,
             graph_constraint=not args.no_graph_constraint,
         )
+        # The endpoints are annotated boxes: each is scored 1.0.
         objects = tuple(
             ObjectInstance(o.id, o.category, o.box, o.truncated, score=1.0)
             for o in scene.objects
         )
-        relations = tuple(
-            RelationTriplet(t.subject_id, t.predicate, t.object_id, t.predicate_prob)
-            for t in triplets
-        )
         scenes.append(
-            SceneAnnotation(scene.image_id, scene.width, scene.height, objects, relations)
+            SceneAnnotation(
+                scene.image_id, scene.width, scene.height, objects, tuple(relations)
+            )
         )
     predictions = Dataset(dataset.registry, dataset.split, tuple(scenes))
     _write_output(args.output, serialize_dataset(predictions))
@@ -479,3 +477,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

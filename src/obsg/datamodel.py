@@ -12,10 +12,7 @@ A manifest is a single JSON document::
 
 Prediction files use the same skeleton and parse to the same types, with a
 finite ``score`` on every object (after ``truncated``) and relation (after
-``object``); ``serialize_dataset`` writes a score wherever one is set.  An
-optional top-level ``relation_kinds`` list persists spatial/semantic tags
-for registries that deviate from the canonical vocabulary, in either kind
-of file; when absent, tags are inferred by canonical name lookup.
+``object``); ``serialize_dataset`` writes a score wherever one is set.
 
 Parsing is strict: ``parse_dataset`` either returns a dataset that passes
 ``validate`` with zero violations or raises :class:`ManifestError` naming
@@ -32,7 +29,7 @@ from typing import Any
 
 from .errors import ManifestError
 from .geometry import OrientedBox
-from .registry import CategoryRegistry, canonical_kinds
+from .registry import CategoryRegistry
 
 MANIFEST_VERSION = "1.0"
 SPLITS = ("train", "val", "test")
@@ -293,15 +290,8 @@ def _parse_header(root: Any) -> tuple[str, CategoryRegistry]:
         raise ManifestError(f"$.split: expected one of {SPLITS}, got {split!r}")
     object_names = _parse_names(root, "object_categories")
     relation_names = _parse_names(root, "relation_categories")
-    if "relation_kinds" in root:
-        kinds = tuple(
-            _expect(k, str, f"$.relation_kinds[{i}]")
-            for i, k in enumerate(_expect(root["relation_kinds"], list, "$.relation_kinds"))
-        )
-    else:
-        kinds = canonical_kinds(relation_names)
     try:
-        registry = CategoryRegistry(object_names, relation_names, kinds)
+        registry = CategoryRegistry(object_names, relation_names)
     except ValueError as exc:
         raise ManifestError(f"$: bad category lists: {exc}") from None
     return split, registry
@@ -435,16 +425,6 @@ def _box_json(box: OrientedBox) -> list[list[float]]:
     return [[x, y] for x, y in box.vertices]
 
 
-def _registry_json(registry: CategoryRegistry) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "object_categories": list(registry.object_names),
-        "relation_categories": list(registry.relation_names),
-    }
-    if registry.relation_kinds != canonical_kinds(registry.relation_names):
-        doc["relation_kinds"] = list(registry.relation_kinds)
-    return doc
-
-
 def _object_json(obj: ObjectInstance) -> dict[str, Any]:
     doc = {
         "id": obj.id,
@@ -469,8 +449,12 @@ def serialize_dataset(dataset: Dataset) -> str:
 
     Scores are written wherever they are set.
     """
-    doc: dict[str, Any] = {"version": MANIFEST_VERSION, "split": dataset.split}
-    doc.update(_registry_json(dataset.registry))
+    doc: dict[str, Any] = {
+        "version": MANIFEST_VERSION,
+        "split": dataset.split,
+        "object_categories": list(dataset.registry.object_names),
+        "relation_categories": list(dataset.registry.relation_names),
+    }
     doc["images"] = [
         {
             "id": scene.image_id,

@@ -4,13 +4,15 @@ Detection side: greedy score-ordered matching against ground truth at a
 rotated-IoU threshold, all-point interpolated average precision per
 category, and mAP over categories that have at least one ground-truth box.
 
-Scene-graph side: triplet matching for the three standard subtasks.  A
-predicted triplet matches a ground-truth triplet when the predicate and
-both endpoint class labels agree and the endpoints correspond: by ground
-truth box identity for ``predcls`` and ``sgcls``, by rotated IoU at the
-configured threshold on both boxes for ``sgdet``.  Each ground truth is
+Scene-graph side: a relation resolved to its two objects is a
+:class:`Triplet`, for predictions and ground truth alike, and triplet
+matching covers the three standard subtasks.  A predicted triplet matches a
+ground-truth triplet when the predicate and both endpoint class labels agree
+and the endpoints correspond: by object id for ``predcls`` and ``sgcls``, by
+rotated IoU at the configured threshold on both boxes for ``sgdet``.
+Targets are looked up by that key, never scanned.  Each ground truth is
 matched at most once.  With the graph constraint (default) only the highest
-scored predicate of each ordered box pair enters the ranking.  Recall@K
+scored predicate of each ordered object pair enters the ranking.  Recall@K
 counts ground truth matched by predictions inside each image's top K;
 dataset numbers aggregate matched/total tallies over images, and mean
 recall averages the per-predicate recalls of predicates with ground truth.
@@ -22,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .datamodel import Dataset, Detection, SceneAnnotation
+from .datamodel import Dataset, Detection, ObjectInstance, SceneAnnotation
 from .errors import DataError, RegistryMismatchError
 from .geometry import OrientedBox, rotated_iou
 
@@ -74,35 +76,17 @@ class MatchConfig:
 
 
 @dataclass(frozen=True)
-class PredictedTriplet:
-    """One scored relation hypothesis between two detections.
+class Triplet:
+    """A relation resolved to its two objects.
 
-    ``score`` is the composite ranking score (subject score times predicate
-    probability times object score).  ``subject_id``/``object_id`` carry the
-    ground-truth box identity for the identity-matched subtasks and may stay
-    ``None`` for sgdet.
+    ``score`` is the ranking score of a predicted triplet and stays ``None``
+    on ground truth.
     """
 
-    subject: Detection
+    subject: ObjectInstance
     predicate: int
-    object: Detection
-    score: float
-    predicate_prob: float | None = None
-    subject_id: int | None = None
-    object_id: int | None = None
-
-
-@dataclass(frozen=True)
-class TripletTarget:
-    """A ground-truth triplet resolved to classes and boxes."""
-
-    subject_id: int
-    object_id: int
-    predicate: int
-    subject_category: int
-    object_category: int
-    subject_box: OrientedBox
-    object_box: OrientedBox
+    object: ObjectInstance
+    score: float | None = None
 
 
 @dataclass(frozen=True)
@@ -205,36 +189,36 @@ def mean_recall_at_k(per_predicate_recall: Sequence[float]) -> float:
     return sum(per_predicate_recall) / len(per_predicate_recall)
 
 
-def _pair_key(pred: PredictedTriplet) -> tuple:
-    if pred.subject_id is not None and pred.object_id is not None:
-        return (pred.subject_id, pred.object_id)
-    return (
-        pred.subject.box.vertices,
-        pred.subject.category,
-        pred.object.box.vertices,
-        pred.object.category,
-    )
+def _match_key(triplet: Triplet, identity: bool) -> tuple:
+    """What a prediction and a target must share to match: the predicate and
+    both classes, and with ``identity`` both object ids."""
+    key = (triplet.predicate, triplet.subject.category, triplet.object.category)
+    if identity:
+        key += (triplet.subject.id, triplet.object.id)
+    return key
 
 
 def match_triplets(
-    predictions: Sequence[PredictedTriplet],
-    targets: Sequence[TripletTarget],
+    predictions: Sequence[Triplet],
+    targets: Sequence[Triplet],
     config: MatchConfig,
 ) -> TripletMatchResult:
     """Greedy ranked matching of predicted against ground-truth triplets.
 
-    Predictions are ranked by descending composite score, ties by input
-    order.  Under the graph constraint only the first-ranked predicate per
-    ordered pair key survives.  Matching consumes each ground truth at most
-    once; among eligible ground truths a prediction takes the one with the
-    largest minimum endpoint IoU, remaining ties to the lowest index.
+    Predictions are ranked by descending score, ties by input order.  Under
+    the graph constraint only the first-ranked predicate per ordered pair of
+    object ids survives.  Matching consumes each ground truth at most once;
+    among eligible ground truths a prediction takes the one with the largest
+    minimum endpoint IoU (sgdet), remaining ties, and every identity match,
+    to the lowest index.  A prediction visits only the targets that share
+    its :func:`_match_key`, in ascending index.
     """
     order = sorted(range(len(predictions)), key=lambda i: -predictions[i].score)
     if config.graph_constraint:
-        seen: set[tuple] = set()
+        seen: set[tuple[int, int]] = set()
         ranking = []
         for i in order:
-            key = _pair_key(predictions[i])
+            key = (predictions[i].subject.id, predictions[i].object.id)
             if key in seen:
                 continue
             seen.add(key)
@@ -242,45 +226,33 @@ def match_triplets(
     else:
         ranking = order
     identity = config.subtask in IDENTITY_SUBTASKS
-    taken = [False] * len(targets)
+    # Untaken targets per key, ascending; a match removes its target.
+    buckets: dict[tuple, list[int]] = {}
+    for g, target in enumerate(targets):
+        buckets.setdefault(_match_key(target, identity), []).append(g)
     matched: list[int] = []
     for i in ranking:
         pred = predictions[i]
-        if identity and (pred.subject_id is None or pred.object_id is None):
-            raise DataError(
-                f"subtask {config.subtask!r} needs ground-truth box identities"
-            )
-        best_gt = -1
-        best_quality = -1.0
-        for g, target in enumerate(targets):
-            if taken[g]:
-                continue
-            if target.predicate != pred.predicate:
-                continue
-            if pred.subject.category != target.subject_category:
-                continue
-            if pred.object.category != target.object_category:
-                continue
-            if identity:
-                if (
-                    pred.subject_id != target.subject_id
-                    or pred.object_id != target.object_id
-                ):
-                    continue
-                quality = 1.0
-            else:
-                iou_s = rotated_iou(pred.subject.box, target.subject_box)
+        candidates = buckets.get(_match_key(pred, identity), [])
+        if identity:
+            best_gt = candidates[0] if candidates else -1
+        else:
+            best_gt = -1
+            best_quality = -1.0
+            for g in candidates:
+                target = targets[g]
+                iou_s = rotated_iou(pred.subject.box, target.subject.box)
                 if iou_s < config.iou_threshold:
                     continue
-                iou_o = rotated_iou(pred.object.box, target.object_box)
+                iou_o = rotated_iou(pred.object.box, target.object.box)
                 if iou_o < config.iou_threshold:
                     continue
                 quality = min(iou_s, iou_o)
-            if quality > best_quality:
-                best_quality = quality
-                best_gt = g
+                if quality > best_quality:
+                    best_quality = quality
+                    best_gt = g
         if best_gt >= 0:
-            taken[best_gt] = True
+            candidates.remove(best_gt)
         matched.append(best_gt)
     return TripletMatchResult(tuple(ranking), tuple(matched))
 
@@ -303,8 +275,6 @@ class EvalReport:
 
 
 def _check_names(gt: Dataset, predictions: Dataset) -> None:
-    # Names only: a prediction file without a relation_kinds key parses to
-    # canonical kinds, which may differ from those of the ground truth.
     if (
         predictions.registry.object_names != gt.registry.object_names
         or predictions.registry.relation_names != gt.registry.relation_names
@@ -396,49 +366,27 @@ def evaluate_detections(
     )
 
 
-def targets_from_scene(scene: SceneAnnotation) -> list[TripletTarget]:
-    """Resolve a scene's relation triplets to boxes and class labels."""
-    by_id = {obj.id: obj for obj in scene.objects}
-    targets = []
-    for rel in scene.relations:
-        subj = by_id[rel.subject]
-        obj = by_id[rel.object]
-        targets.append(
-            TripletTarget(
-                subject_id=rel.subject,
-                object_id=rel.object,
-                predicate=rel.predicate,
-                subject_category=subj.category,
-                object_category=obj.category,
-                subject_box=subj.box,
-                object_box=obj.box,
-            )
-        )
-    return targets
+def scene_triplets(scene: SceneAnnotation) -> list[Triplet]:
+    """Resolve a scene's relations to their objects, in relation order.
 
+    A scored relation gets the composite score subject score times relation
+    score times object score; an unscored (ground-truth) one keeps ``None``.
 
-def triplets_from_prediction_scene(scene: SceneAnnotation) -> list[PredictedTriplet]:
-    """Expand a prediction scene's relations into scored triplets.
-
-    The composite score multiplies both endpoint scores with the relation
-    score; endpoint ids are kept for identity matching.
+    Raises:
+        DataError: a relation names an object id missing from the scene.
     """
     by_id = {obj.id: obj for obj in scene.objects}
     triplets = []
     for rel in scene.relations:
-        subj = by_id[rel.subject]
-        obj = by_id[rel.object]
-        triplets.append(
-            PredictedTriplet(
-                subject=Detection(subj.box, subj.category, subj.score),
-                predicate=rel.predicate,
-                object=Detection(obj.box, obj.category, obj.score),
-                score=subj.score * rel.score * obj.score,
-                predicate_prob=rel.score,
-                subject_id=rel.subject,
-                object_id=rel.object,
+        subj = by_id.get(rel.subject)
+        obj = by_id.get(rel.object)
+        if subj is None or obj is None:
+            missing = rel.subject if subj is None else rel.object
+            raise DataError(
+                f"image {scene.image_id!r}: relation references missing object id {missing}"
             )
-        )
+        score = None if rel.score is None else subj.score * rel.score * obj.score
+        triplets.append(Triplet(subj, rel.predicate, obj, score))
     return triplets
 
 
@@ -464,13 +412,9 @@ def evaluate_scene_graphs(
     tp_per_pred = [0] * len(rel_names)
     fp_per_pred = [0] * len(rel_names)
     for scene in gt.scenes:
-        targets = targets_from_scene(scene)
+        targets = scene_triplets(scene)
         pred_scene = pred_index.get(scene.image_id)
-        preds = (
-            triplets_from_prediction_scene(pred_scene)
-            if pred_scene is not None
-            else []
-        )
+        preds = scene_triplets(pred_scene) if pred_scene is not None else []
         result = match_triplets(preds, targets, config)
         gt_total += len(targets)
         for target in targets:

@@ -39,14 +39,20 @@ def relation_pairs(scene: SceneAnnotation) -> list[int]:
     """Pair index of every relation of the scene, in relation order.
 
     Raises:
-        ValueError: a relation whose subject and object are one object.
+        ValueError: a relation whose subject and object are one object, or
+            that names an object id missing from the scene.
     """
     n = len(scene.objects)
     position = {obj.id: idx for idx, obj in enumerate(scene.objects)}
     pairs = []
     for rel in scene.relations:
-        i = position[rel.subject]
-        j = position[rel.object]
+        i = position.get(rel.subject)
+        j = position.get(rel.object)
+        if i is None or j is None:
+            raise ValueError(
+                f"relation references missing object id "
+                f"{rel.subject if i is None else rel.object} in image {scene.image_id!r}"
+            )
         if i == j:
             raise ValueError(
                 f"self-relation on object {rel.subject} in image {scene.image_id!r}"

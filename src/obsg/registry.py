@@ -4,15 +4,16 @@ A registry fixes the integer encoding used throughout manifests, priors and
 reports: category indices are positions in these name lists.  The canonical
 registry ships 60 object categories and 64 relation predicates; each
 predicate is tagged as ``spatial`` (decidable from layout alone) or
-``semantic``.  Custom registries of any size are allowed as long as names
-are unique and non-empty.
+``semantic`` by its name, so a name outside the canonical vocabulary is
+semantic.  Custom registries of any size are allowed as long as names are
+unique and non-empty.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SPATIAL = "spatial"
 SEMANTIC = "semantic"
@@ -180,18 +181,8 @@ class CategoryRegistry:
 
     object_names: tuple[str, ...]
     relation_names: tuple[str, ...]
-    relation_kinds: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if not self.relation_kinds:
-            object.__setattr__(
-                self, "relation_kinds", tuple(SEMANTIC for _ in self.relation_names)
-            )
-        if len(self.relation_kinds) != len(self.relation_names):
-            raise ValueError(
-                f"{len(self.relation_kinds)} kinds for "
-                f"{len(self.relation_names)} relation names"
-            )
         for names, label in (
             (self.object_names, "object"),
             (self.relation_names, "relation"),
@@ -202,9 +193,11 @@ class CategoryRegistry:
                 raise ValueError(f"blank {label} name in {names!r}")
             if len(set(names)) != len(names):
                 raise ValueError(f"duplicate {label} names in {names!r}")
-        bad = [k for k in self.relation_kinds if k not in (SPATIAL, SEMANTIC)]
-        if bad:
-            raise ValueError(f"unknown relation kinds: {bad!r}")
+
+    @property
+    def relation_kinds(self) -> tuple[str, ...]:
+        """Spatial/semantic tag of each predicate, by canonical name lookup."""
+        return canonical_kinds(self.relation_names)
 
     @property
     def num_objects(self) -> int:
@@ -247,5 +240,4 @@ def canonical_registry() -> CategoryRegistry:
     return CategoryRegistry(
         object_names=CANONICAL_OBJECT_NAMES,
         relation_names=CANONICAL_RELATION_NAMES,
-        relation_kinds=canonical_kinds(CANONICAL_RELATION_NAMES),
     )

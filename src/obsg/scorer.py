@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Dataset, Detection, SceneAnnotation, _expect, _get, _load_root
+from .datamodel import Dataset, RelationTriplet, SceneAnnotation, _expect, _get, _load_root
 from .errors import DataError, ManifestError, RegistryMismatchError, TrainingDivergenceError
 from .geometry import TWO_PI, OrientedBox, rotated_iou
-from .metrics import PredictedTriplet
 from .pairing import pair_endpoints, relation_pairs, sample_pairs
 from .registry import CategoryRegistry
 
@@ -352,7 +351,7 @@ def predict_triplets(
     linear: LinearScorer | None = None,
     top_m: int | None = None,
     graph_constraint: bool = True,
-) -> list[PredictedTriplet]:
+) -> list[RelationTriplet]:
     """Score relation candidates over a scene's annotated objects.
 
     Every ordered object pair receives a fused predicate distribution (the
@@ -360,8 +359,8 @@ def predict_triplets(
     scorer is given).  ``top_m`` keeps only the pairs with the highest
     relatedness, defined as one minus the fused no-relation mass, ties by
     enumeration order.  With ``graph_constraint`` each surviving pair emits
-    only its best predicate, otherwise every predicate.  Endpoint scores
-    are 1.0 because the endpoints are annotated boxes.
+    only its best predicate, otherwise every predicate.  Each emitted
+    relation is scored with its predicate probability.
 
     Pairs are scored as arrays, in blocks of whole subject rows of at most
     ``PAIR_BLOCK`` pairs (one row when a row is longer), so memory stays
@@ -435,27 +434,16 @@ def predict_triplets(
         chosen = np.broadcast_to(np.arange(num_relations), (len(surviving), num_relations))
     ii, jj = pair_endpoints(n, surviving)
     per_pair = chosen.shape[1]
-    objects = scene.objects
-    detections = [Detection(obj.box, obj.category, 1.0) for obj in objects]
-    out: list[PredictedTriplet] = []
-    for i, j, p, prob in zip(
-        np.repeat(ii, per_pair).tolist(),
-        np.repeat(jj, per_pair).tolist(),
-        chosen.ravel().tolist(),
-        scores[surviving].ravel().tolist(),
-    ):
-        out.append(
-            PredictedTriplet(
-                subject=detections[i],
-                predicate=p,
-                object=detections[j],
-                score=prob,
-                predicate_prob=prob,
-                subject_id=objects[i].id,
-                object_id=objects[j].id,
-            )
+    ids = [obj.id for obj in scene.objects]
+    return [
+        RelationTriplet(ids[i], p, ids[j], prob)
+        for i, j, p, prob in zip(
+            np.repeat(ii, per_pair).tolist(),
+            np.repeat(jj, per_pair).tolist(),
+            chosen.ravel().tolist(),
+            scores[surviving].ravel().tolist(),
         )
-    return out
+    ]
 
 
 def _prior_rows(prior: FrequencyPrior, cs: np.ndarray, co: np.ndarray) -> np.ndarray:

@@ -21,10 +21,9 @@ import numpy as np
 
 from obsg import (
     DataError,
-    Detection,
     FrequencyPrior,
     OrientedBox,
-    PredictedTriplet,
+    RelationTriplet,
     rotated_iou,
 )
 from obsg.geometry import TWO_PI
@@ -172,15 +171,7 @@ def reference_match_triplets(predictions, targets, config):
         seen = set()
         for i in order:
             p = predictions[i]
-            if p.subject_id is not None and p.object_id is not None:
-                key = (p.subject_id, p.object_id)
-            else:
-                key = (
-                    p.subject.box.vertices,
-                    p.subject.category,
-                    p.object.box.vertices,
-                    p.object.category,
-                )
+            key = (p.subject.id, p.object.id)
             if key in seen:
                 continue
             seen.add(key)
@@ -199,17 +190,17 @@ def reference_match_triplets(predictions, targets, config):
                 continue
             if t.predicate != p.predicate:
                 continue
-            if p.subject.category != t.subject_category:
+            if p.subject.category != t.subject.category:
                 continue
-            if p.object.category != t.object_category:
+            if p.object.category != t.object.category:
                 continue
             if identity:
-                if p.subject_id != t.subject_id or p.object_id != t.object_id:
+                if p.subject.id != t.subject.id or p.object.id != t.object.id:
                     continue
                 quality = 1.0
             else:
-                iou_s = rotated_iou(p.subject.box, t.subject_box)
-                iou_o = rotated_iou(p.object.box, t.object_box)
+                iou_s = rotated_iou(p.subject.box, t.subject.box)
+                iou_o = rotated_iou(p.object.box, t.object.box)
                 if min(iou_s, iou_o) < config.iou_threshold:
                     continue
                 quality = min(iou_s, iou_o)
@@ -388,16 +379,5 @@ def reference_predict_triplets(scene, prior, linear=None, top_m=None, graph_cons
         else:
             chosen = list(range(num_relations))
         for p in chosen:
-            prob = float(predicate_probs[p])
-            out.append(
-                PredictedTriplet(
-                    subject=Detection(subj.box, subj.category, 1.0),
-                    predicate=p,
-                    object=Detection(obj.box, obj.category, 1.0),
-                    score=prob,
-                    predicate_prob=prob,
-                    subject_id=subj.id,
-                    object_id=obj.id,
-                )
-            )
+            out.append(RelationTriplet(subj.id, p, obj.id, float(predicate_probs[p])))
     return out

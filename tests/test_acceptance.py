@@ -16,10 +16,10 @@ import oracles
 from obsg import (
     Detection,
     MatchConfig,
+    ObjectInstance,
     OrientedBox,
-    PredictedTriplet,
     SynthConfig,
-    TripletTarget,
+    Triplet,
     average_precision,
     ce_loss,
     cli,
@@ -100,32 +100,26 @@ def _random_triplet_instance(rng, identity):
         for _ in range(n_obj)
     ]
     cats = [int(rng.integers(0, 3)) for _ in range(n_obj)]
+    objects = [ObjectInstance(k, cats[k], boxes[k]) for k in range(n_obj)]
     pairs = [(i, j) for i in range(n_obj) for j in range(n_obj) if i != j]
     order = rng.permutation(len(pairs))
     targets = []
     for idx in order[: int(rng.integers(1, 7))]:
         i, j = pairs[int(idx)]
-        targets.append(
-            TripletTarget(i, j, int(rng.integers(0, 4)), cats[i], cats[j], boxes[i], boxes[j])
-        )
+        targets.append(Triplet(objects[i], int(rng.integers(0, 4)), objects[j]))
     predictions = []
-    for _ in range(int(rng.integers(0, 11))):
+    for k in range(int(rng.integers(0, 11))):
         i, j = pairs[int(rng.integers(0, len(pairs)))]
         if identity:
-            s_box, o_box = boxes[i], boxes[j]
-            ids = {"subject_id": i, "object_id": j}
+            subject, object_ = objects[i], objects[j]
         else:
+            # Every jittered prediction is a pair of detections of its own.
             s_box = boxes[i].translate(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
             o_box = boxes[j].translate(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
-            ids = {}
+            subject = ObjectInstance(n_obj + 2 * k, cats[i], s_box)
+            object_ = ObjectInstance(n_obj + 2 * k + 1, cats[j], o_box)
         predictions.append(
-            PredictedTriplet(
-                subject=Detection(s_box, cats[i], 1.0),
-                predicate=int(rng.integers(0, 4)),
-                object=Detection(o_box, cats[j], 1.0),
-                score=float(rng.uniform()),
-                **ids,
-            )
+            Triplet(subject, int(rng.integers(0, 4)), object_, float(rng.uniform()))
         )
     return predictions, targets
 

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +105,20 @@ def test_undecodable_model_and_prediction_files_are_data_errors(tmp_path, capsys
 def test_missing_input_gives_io_exit_code(tmp_path):
     assert cli.run(["validate", "--input", str(tmp_path / "absent.json")]) == 2
     assert cli.run(["stats", "--input", str(tmp_path / "absent.json")]) == 2
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "obsg.cli", "validate", "--input", str(tmp_path / "absent.json")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
 
 
 def test_unknown_subcommand_and_bad_flags(tmp_path):

@@ -312,8 +312,6 @@ def test_registry_rejects_bad_names():
         CategoryRegistry(("a",), ("r", ""))
     with pytest.raises(ValueError):
         CategoryRegistry((), ("r",))
-    with pytest.raises(ValueError):
-        CategoryRegistry(("a",), ("r",), ("bogus-kind",))
 
 
 def test_registry_content_hash_tracks_names():
@@ -324,19 +322,14 @@ def test_registry_content_hash_tracks_names():
     assert a.content_hash() != c.content_hash()
 
 
-def test_relation_kinds_serialized_only_when_non_canonical():
-    plain = Dataset(small_registry(), "train", ())
-    assert "relation_kinds" not in json.loads(serialize_dataset(plain))
-    tagged = Dataset(
-        CategoryRegistry(("a",), ("rel-x", "rel-y"), ("spatial", "semantic")),
-        "train",
-        (),
-    )
-    doc = json.loads(serialize_dataset(tagged))
-    assert doc["relation_kinds"] == ["spatial", "semantic"]
-    for parse, _ in PARSERS:
-        parsed = parse(serialize_dataset(tagged))
-        assert parsed.registry.relation_kinds == ("spatial", "semantic")
+def test_relation_kinds_key_is_ignored():
+    # Kinds follow from the relation names; a stored list is not read.
+    for parse, make_doc in PARSERS:
+        doc = make_doc()
+        doc["relation_kinds"] = ["bogus-kind"]
+        parsed = parse(json.dumps(doc))
+        assert parsed == parse(json.dumps(make_doc()))
+        assert "relation_kinds" not in json.loads(serialize_dataset(parsed))
 
 
 def test_prediction_round_trip():

@@ -7,14 +7,19 @@ import pytest
 
 import oracles
 from obsg import (
+    CategoryRegistry,
+    Dataset,
     ObjectInstance,
     OrientedBox,
     RelationTriplet,
     SceneAnnotation,
+    TrainConfig,
+    fit_frequency_prior,
     label_pairs,
     relation_pairs,
     relpn_loss,
     sample_pairs,
+    train_linear,
 )
 from obsg.pairing import pair_endpoints
 
@@ -49,6 +54,23 @@ def test_pair_index_agrees_with_enumeration():
         assert relation_pairs(scene) == list(range(len(pairs)))
     with pytest.raises(ValueError):
         relation_pairs(scene_with_relations(4, [(0, 0, 1), (2, 0, 2)]))
+
+
+def test_dangling_relation_id_is_a_value_error():
+    # A relation to, then from, id 109 on a scene of objects 100 and 101;
+    # only a scene built in Python can hold it, since parsing rejects it.
+    for relation in ((0, 0, 9), (9, 0, 0)):
+        scene = scene_with_relations(2, [relation])
+        dataset = Dataset(CategoryRegistry(("a",), ("r",)), "train", (scene,))
+        calls = (
+            lambda: relation_pairs(scene),
+            lambda: label_pairs(scene),
+            lambda: fit_frequency_prior(dataset),
+            lambda: train_linear(dataset, TrainConfig(seed=0, epochs=1)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=r"missing object id 109 in image 's'"):
+                call()
 
 
 def test_relation_pairs_follow_relation_order():

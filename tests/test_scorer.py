@@ -344,11 +344,7 @@ def test_predict_triplets_skips_zero_predicate_mass():
     out = predict_triplets(scene, prior)
     # Pair (B, A) carries only no-relation mass and emits nothing.
     assert len(out) == 1
-    pred = out[0]
-    assert pred.subject_id == 10 and pred.object_id == 20
-    assert pred.predicate == 0
-    assert pred.score == 1.0 and pred.predicate_prob == 1.0
-    assert pred.subject.score == 1.0 and pred.object.score == 1.0
+    assert out == [RelationTriplet(10, 0, 20, 1.0)]
 
 
 def two_relation_prior():
@@ -374,7 +370,7 @@ def test_predict_triplets_graph_constraint_and_top_m():
     assert predict_triplets(scene, prior, top_m=0) == []
     top = predict_triplets(scene, prior, top_m=1)
     # Pair (A, B) has relatedness 1.0 against 0.5 and survives the cut.
-    assert [(p.subject_id, p.object_id) for p in top] == [(10, 20)]
+    assert [(p.subject, p.object) for p in top] == [(10, 20)]
     with pytest.raises(ValueError):
         predict_triplets(scene, prior, top_m=-1)
 
@@ -393,8 +389,8 @@ def test_predict_triplets_zero_scorer_matches_prior_only():
     )
     fused = predict_triplets(scene, prior, linear=zero)
     plain = predict_triplets(scene, prior)
-    assert [(p.predicate, p.subject_id, p.object_id) for p in fused] == [
-        (p.predicate, p.subject_id, p.object_id) for p in plain
+    assert [(p.predicate, p.subject, p.object) for p in fused] == [
+        (p.predicate, p.subject, p.object) for p in plain
     ]
     for f, p in zip(fused, plain):
         assert abs(f.score - p.score) <= 1e-12
@@ -519,11 +515,10 @@ def test_predict_triplets_matches_per_pair_reference(case):
     scene, prior, linear, top_m, graph_constraint = case
     fast = predict_triplets(scene, prior, linear, top_m, graph_constraint)
     slow = oracles.reference_predict_triplets(scene, prior, linear, top_m, graph_constraint)
-    key = lambda t: (t.subject_id, t.predicate, t.object_id, t.subject, t.object)  # noqa: E731
+    key = lambda t: (t.subject, t.predicate, t.object)  # noqa: E731
     assert [key(t) for t in fast] == [key(t) for t in slow]
     for f, s in zip(fast, slow):
         assert abs(f.score - s.score) <= SCORE_TOL
-        assert f.predicate_prob == f.score
     if linear is None:
         # Prior-only scores take the same arithmetic path: equal bits.
         assert fast == slow
@@ -547,8 +542,8 @@ def test_predict_triplets_blocks_cover_long_rows(monkeypatch, block):
     for scorer in (None, linear):
         fast = predict_triplets(scene, prior, scorer, top_m=100)
         slow = oracles.reference_predict_triplets(scene, prior, scorer, top_m=100)
-        assert [(t.subject_id, t.object_id, t.predicate) for t in fast] == [
-            (t.subject_id, t.object_id, t.predicate) for t in slow
+        assert [(t.subject, t.object, t.predicate) for t in fast] == [
+            (t.subject, t.object, t.predicate) for t in slow
         ]
         assert max(abs(f.score - s.score) for f, s in zip(fast, slow)) <= SCORE_TOL
 
