@@ -29,7 +29,6 @@ from .errors import (
     TrainingDivergenceError,
 )
 from .geometry import (
-    AxisBox,
     OrientedBox,
     intersection_area,
     rotated_iou,

@@ -130,7 +130,7 @@ class Violation:
 def validate(dataset: Dataset) -> list[Violation]:
     """Check every type invariant; an empty list means the dataset is clean.
 
-    Codes: IMAGE_EXTENT, DUPLICATE_IMAGE_ID, NEGATIVE_OBJECT_ID,
+    Codes: SPLIT_NAME, IMAGE_EXTENT, DUPLICATE_IMAGE_ID, NEGATIVE_OBJECT_ID,
     DUPLICATE_OBJECT_ID, CATEGORY_RANGE, VERTEX_ORDER, BOX_BOUNDS,
     PREDICATE_RANGE, DANGLING_REFERENCE, SELF_RELATION, DUPLICATE_TRIPLET.
     """

@@ -52,36 +52,6 @@ def shoelace_area(vertices: Sequence[Point]) -> float:
 
 
 @dataclass(frozen=True)
-class AxisBox:
-    """Axis-aligned rectangle given by its extreme coordinates."""
-
-    xmin: float
-    ymin: float
-    xmax: float
-    ymax: float
-
-    def __post_init__(self) -> None:
-        if not (self.xmin <= self.xmax and self.ymin <= self.ymax):
-            raise ValueError(f"inverted axis box: {self}")
-
-    @property
-    def width(self) -> float:
-        return self.xmax - self.xmin
-
-    @property
-    def height(self) -> float:
-        return self.ymax - self.ymin
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    def to_oriented(self) -> "OrientedBox":
-        """Equivalent OrientedBox with theta == 0."""
-        return OrientedBox.axis_aligned(self.xmin, self.ymin, self.xmax, self.ymax)
-
-
-@dataclass(frozen=True)
 class OrientedBox:
     """Rectangle with arbitrary planar rotation.
 
@@ -224,10 +194,6 @@ class OrientedBox:
     def is_clockwise(self) -> bool:
         """True when the stored loop appears clockwise on screen."""
         return shoelace_area(self.vertices) > 0.0
-
-    def to_hbb(self) -> AxisBox:
-        """Smallest axis-aligned box covering every vertex."""
-        return AxisBox(*self.extent)
 
     def translate(self, dx: float, dy: float) -> "OrientedBox":
         return OrientedBox(tuple((x + dx, y + dy) for x, y in self.vertices))  # type: ignore[arg-type]

@@ -139,7 +139,7 @@ def convert_to_hbb(dataset: Dataset) -> Dataset:
     scenes = []
     for scene in dataset.scenes:
         objects = tuple(
-            replace(obj, box=obj.box.to_hbb().to_oriented()) for obj in scene.objects
+            replace(obj, box=OrientedBox.axis_aligned(*obj.box.extent)) for obj in scene.objects
         )
         scenes.append(replace(scene, objects=objects))
     return Dataset(dataset.registry, dataset.split, tuple(scenes))

@@ -101,21 +101,20 @@ class TripletMatchResult:
     ranking: tuple[int, ...]
     matched: tuple[int, ...]
 
-    def flags(self) -> list[bool]:
-        return [g >= 0 for g in self.matched]
-
 
 def match_detections(
-    predictions: Sequence[Detection],
+    predictions: Sequence[ObjectInstance | Detection],
     truths: Sequence[OrientedBox],
     iou_threshold: float = 0.5,
 ) -> list[bool]:
     """Per-prediction TP flags for one image and one category.
 
-    Predictions are visited by descending score, ties by input order.  A
-    prediction is a TP iff its best-IoU still-unmatched ground truth reaches
-    ``iou_threshold`` (equal IoUs resolve to the lowest ground-truth index);
-    that ground truth is then consumed.  Flags are returned in input order.
+    A prediction is anything with a ``box`` and a ``score``: a scored
+    object or a :class:`Detection`.  Predictions are visited by descending
+    score, ties by input order.  A prediction is a TP iff its best-IoU
+    still-unmatched ground truth reaches ``iou_threshold`` (equal IoUs
+    resolve to the lowest ground-truth index); that ground truth is then
+    consumed.  Flags are returned in input order.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1]: {iou_threshold}")
@@ -305,6 +304,25 @@ def _prediction_index(predictions: Dataset) -> dict[str, SceneAnnotation]:
     return index
 
 
+def _objects_by_category(
+    scene: SceneAnnotation, num_classes: int, side: str
+) -> dict[int, list[ObjectInstance]]:
+    """A scene's objects grouped by category, each group in file order.
+
+    Raises:
+        DataError: an object's category lies outside the registry.
+    """
+    groups: dict[int, list[ObjectInstance]] = {}
+    for obj in scene.objects:
+        if not 0 <= obj.category < num_classes:
+            raise DataError(
+                f"{side} image {scene.image_id!r}: object {obj.id} has category "
+                f"{obj.category}, outside the registry's {num_classes} classes"
+            )
+        groups.setdefault(obj.category, []).append(obj)
+    return groups
+
+
 def evaluate_detections(
     gt: Dataset,
     predictions: Dataset,
@@ -315,39 +333,41 @@ def evaluate_detections(
 
     Per category, detections from all images are ranked globally by score
     (ties follow ground-truth scene order, then file order) with matching
-    done per image.  Categories without ground truth are excluded from the
-    mean unless ``include_empty_classes`` pins their AP to 0.
+    done per image, once for each category that has a prediction there.
+    Categories without ground truth are excluded from the mean unless
+    ``include_empty_classes`` pins their AP to 0.
+
+    Raises:
+        DataError: an object's category lies outside the registry.
     """
     _check_names(gt, predictions)
     pred_index = _prediction_index(predictions)
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1]: {iou_threshold}")
     names = gt.registry.object_names
     num_classes = len(names)
-    # (score, global input order) plus flag, per class
-    scored_flags: list[list[tuple[float, int, bool]]] = [[] for _ in range(num_classes)]
+    # (score, flag) per class, in ground-truth scene order then file order
+    scored_flags: list[list[tuple[float, bool]]] = [[] for _ in range(num_classes)]
     gt_totals = [0] * num_classes
-    counter = 0
     for scene in gt.scenes:
+        truths = _objects_by_category(scene, num_classes, "ground-truth")
+        for c, objects in truths.items():
+            gt_totals[c] += len(objects)
         pred_scene = pred_index.get(scene.image_id)
-        scene_preds = pred_scene.objects if pred_scene is not None else ()
-        for c in range(num_classes):
-            truths = [o.box for o in scene.objects if o.category == c]
-            gt_totals[c] += len(truths)
-            dets = [
-                Detection(o.box, o.category, o.score)
-                for o in scene_preds
-                if o.category == c
-            ]
-            flags = match_detections(dets, truths, iou_threshold)
-            for det, flag in zip(dets, flags):
-                scored_flags[c].append((det.score, counter, flag))
-                counter += 1
+        if pred_scene is None:
+            continue
+        by_category = _objects_by_category(pred_scene, num_classes, "prediction")
+        for c, preds in by_category.items():
+            boxes = [o.box for o in truths.get(c, ())]
+            flags = match_detections(preds, boxes, iou_threshold)
+            scored_flags[c].extend(zip([o.score for o in preds], flags))
     if sum(gt_totals) == 0:
         raise DataError("ground truth contains no objects")
     per_class_ap: dict[str, float] = {}
     counts: dict[str, dict[str, int]] = {}
     for c in range(num_classes):
-        rows = sorted(scored_flags[c], key=lambda r: (-r[0], r[1]))
-        flags = [flag for _, _, flag in rows]
+        # A stable sort: equal scores keep scene and file order.
+        flags = [flag for _, flag in sorted(scored_flags[c], key=lambda r: -r[0])]
         tp = sum(flags)
         counts[names[c]] = {
             "tp": tp,

@@ -83,20 +83,6 @@ class FrequencyPrior:
     def num_relations(self) -> int:
         return int(self.counts.shape[2]) - 1
 
-    def distribution(self, subject_class: int, object_class: int) -> np.ndarray:
-        """Probabilities over predicates plus no-relation; sums to 1.
-
-        With alpha == 0 a class pair never seen in training has no counts at
-        all; the distribution falls back to uniform rather than dividing by
-        zero.
-        """
-        row = self.counts[subject_class, object_class].astype(np.float64)
-        smoothed = row + self.alpha
-        total = smoothed.sum()
-        if total <= 0:
-            return np.full(row.shape, 1.0 / row.size)
-        return smoothed / total
-
 
 def fit_frequency_prior(dataset: Dataset, alpha: float = DEFAULT_ALPHA) -> FrequencyPrior:
     """Count every ordered object pair of every scene into a prior table.
@@ -167,10 +153,6 @@ class LinearScorer:
     def __post_init__(self) -> None:
         if self.weights.ndim != 2:
             raise ValueError(f"weights must be 2-D, got shape {self.weights.shape}")
-
-    @property
-    def num_relations(self) -> int:
-        return int(self.weights.shape[1]) - 1
 
 
 def feature_count(num_classes: int) -> int:
@@ -447,7 +429,12 @@ def predict_triplets(
 
 
 def _prior_rows(prior: FrequencyPrior, cs: np.ndarray, co: np.ndarray) -> np.ndarray:
-    """Rows of :meth:`FrequencyPrior.distribution` for the class pairs (cs, co)."""
+    """Prior probabilities over predicates plus no-relation, one row per class
+    pair (cs, co); each row sums to 1.
+
+    With alpha == 0 a class pair never seen in training has no counts at
+    all; its row falls back to uniform rather than dividing by zero.
+    """
     rows = prior.counts[cs, co] + prior.alpha
     total = rows.sum(axis=1, keepdims=True)
     unseen = total[:, 0] <= 0

@@ -2,9 +2,9 @@
 
 Everything is a plain count over the dataset: per-category object and
 relation totals, per-image histograms, size-class fractions and the
-log-scaled subject-to-object co-occurrence matrix.  JSON round-trips
-loss-free; CSV mirrors the two category tables with one count column per
-split.
+log-scaled subject-to-object co-occurrence matrix.  The JSON report
+carries every field of a :class:`StatsReport`; CSV mirrors the two category
+tables with one count column per split.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .datamodel import Dataset, SIZE_CLASS_NAMES, _load_root, size_class
-from .errors import ManifestError
+from .datamodel import Dataset, SIZE_CLASS_NAMES, size_class
 from .metrics import _csv_cell
 
 SPLIT_ORDER = ("train", "val", "test")
@@ -100,10 +99,6 @@ def _hist_json(hist: dict[int, int]) -> list[list[int]]:
     return [[k, v] for k, v in sorted(hist.items())]
 
 
-def _hist_from_json(raw: list) -> dict[int, int]:
-    return {int(k): int(v) for k, v in raw}
-
-
 def report_to_json(report: StatsReport) -> str:
     doc = {
         "kind": "stats",
@@ -125,32 +120,6 @@ def report_to_json(report: StatsReport) -> str:
         "cooccurrence_log": [list(row) for row in report.cooccurrence_log],
     }
     return json.dumps(doc, separators=(",", ":"))
-
-
-def report_from_json(text: str | bytes) -> StatsReport:
-    doc = _load_root(text)
-    if not isinstance(doc, dict) or doc.get("kind") != "stats":
-        raise ManifestError("expected a stats report document")
-    hists = doc["per_image_histograms"]
-    return StatsReport(
-        split=doc["split"],
-        object_names=tuple(doc["object_categories"]),
-        relation_names=tuple(doc["relation_categories"]),
-        num_images=int(doc["num_images"]),
-        object_counts=tuple(int(c) for c in doc["object_counts"]),
-        relation_counts=tuple(int(c) for c in doc["relation_counts"]),
-        objects_per_image=_hist_from_json(hists["objects"]),
-        object_categories_per_image=_hist_from_json(hists["object_categories"]),
-        relations_per_image=_hist_from_json(hists["relations"]),
-        relation_categories_per_image=_hist_from_json(hists["relation_categories"]),
-        size_class_fractions={
-            name: float(doc["size_class_fractions"][name])
-            for name in SIZE_CLASS_NAMES
-        },
-        cooccurrence_log=tuple(
-            tuple(float(v) for v in row) for row in doc["cooccurrence_log"]
-        ),
-    )
 
 
 def report_to_csv(reports: StatsReport | Sequence[StatsReport]) -> str:

@@ -8,9 +8,11 @@ requires identical overlap numbers.  The pair layer keeps the scalar forms
 that the library replaced with index arrays: the list enumeration of
 ordered pairs, per-pair geometry and feature vectors, the per-pair
 prediction loop and the pair-walking frequency prior.  They are built on
-the library's box parameters, ``rotated_iou`` and
-``FrequencyPrior.distribution``, which define the numbers that the array
-paths must reproduce.
+the library's box parameters, ``rotated_iou`` and the prior row of one
+class pair (``reference_prior_row``), which define the numbers that the
+array paths must reproduce.  ``reference_evaluate_detections`` keeps the
+per-(image, class) detection evaluation that the library replaced with one
+grouping pass per image.
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ import numpy as np
 
 from obsg import (
     DataError,
+    EvalReport,
     FrequencyPrior,
     OrientedBox,
     RelationTriplet,
+    average_precision,
+    match_detections,
     rotated_iou,
 )
 from obsg.geometry import TWO_PI
@@ -130,6 +135,50 @@ def reference_match_detections(detections, truths, iou_threshold):
             flags[i] = True
             used[best] = True
     return flags
+
+
+def reference_evaluate_detections(gt, predictions, iou_threshold=0.5, include_empty_classes=False):
+    """Detection report visiting every category slot of every image: the
+    library's matcher runs once per (image, class), with or without
+    predictions, and every prediction gets a global input counter that
+    breaks score ties.  Assumes valid inputs; AP uses the library's
+    ``average_precision`` so that equal flags give equal values."""
+    pred_index = {scene.image_id: scene for scene in predictions.scenes}
+    names = gt.registry.object_names
+    num_classes = len(names)
+    scored_flags = [[] for _ in range(num_classes)]
+    gt_totals = [0] * num_classes
+    counter = 0
+    for scene in gt.scenes:
+        pred_scene = pred_index.get(scene.image_id)
+        scene_preds = pred_scene.objects if pred_scene is not None else ()
+        for c in range(num_classes):
+            truths = [o.box for o in scene.objects if o.category == c]
+            gt_totals[c] += len(truths)
+            dets = [o for o in scene_preds if o.category == c]
+            flags = match_detections(dets, truths, iou_threshold)
+            for det, flag in zip(dets, flags):
+                scored_flags[c].append((det.score, counter, flag))
+                counter += 1
+    if sum(gt_totals) == 0:
+        raise DataError("ground truth contains no objects")
+    per_class_ap = {}
+    counts = {}
+    for c in range(num_classes):
+        rows = sorted(scored_flags[c], key=lambda r: (-r[0], r[1]))
+        flags = [flag for _, _, flag in rows]
+        tp = sum(flags)
+        counts[names[c]] = {"tp": tp, "fp": len(flags) - tp, "fn": gt_totals[c] - tp}
+        if gt_totals[c] > 0:
+            per_class_ap[names[c]] = average_precision(flags, gt_totals[c])
+        elif include_empty_classes:
+            per_class_ap[names[c]] = 0.0
+    return EvalReport(
+        kind="detection",
+        counts=counts,
+        per_class_ap=per_class_ap,
+        mean_ap=sum(per_class_ap.values()) / len(per_class_ap),
+    )
 
 
 def reference_average_precision(flags, n_gt) -> float:
@@ -335,6 +384,17 @@ def reference_fit_frequency_prior(dataset, alpha) -> FrequencyPrior:
     return FrequencyPrior(counts, alpha, dataset.registry.content_hash())
 
 
+def reference_prior_row(prior, subject_class, object_class) -> np.ndarray:
+    """Prior probabilities over predicates plus no-relation for one class
+    pair; sums to 1, and an unseen pair with alpha 0 gets the uniform row."""
+    row = prior.counts[subject_class, object_class].astype(np.float64)
+    smoothed = row + prior.alpha
+    total = smoothed.sum()
+    if total <= 0:
+        return np.full(row.shape, 1.0 / row.size)
+    return smoothed / total
+
+
 def reference_predict_triplets(scene, prior, linear=None, top_m=None, graph_constraint=True):
     """Per-pair relation scoring: one prior row, feature vector and softmax
     per ordered pair, in enumeration order, as ``predict_triplets`` defines."""
@@ -347,7 +407,7 @@ def reference_predict_triplets(scene, prior, linear=None, top_m=None, graph_cons
     for i, j in pairs:
         subj = scene.objects[i]
         obj = scene.objects[j]
-        row = prior.distribution(subj.category, obj.category)
+        row = reference_prior_row(prior, subj.category, obj.category)
         if linear is not None:
             feats = reference_pair_features(subj, obj, scene, prior.num_objects)
             logits = feats @ linear.weights

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from obsg import (
-    AxisBox,
+    CategoryRegistry,
+    Dataset,
     ObjectInstance,
     OrientedBox,
     SceneAnnotation,
+    convert_to_hbb,
     intersection_area,
     rotated_iou,
     shoelace_area,
@@ -155,41 +157,41 @@ def test_shoelace_sign_convention():
     assert shoelace_area(list(reversed(cw))) == -2.0
 
 
-def test_axis_box_properties():
-    box = AxisBox(1.0, 2.0, 5.0, 4.0)
-    assert box.width == 4.0
-    assert box.height == 2.0
-    assert box.area == 8.0
-    oriented = box.to_oriented()
-    assert oriented.vertices == ((1.0, 2.0), (5.0, 2.0), (5.0, 4.0), (1.0, 4.0))
-    with pytest.raises(ValueError):
-        AxisBox(3.0, 0.0, 1.0, 1.0)
+def hbb_boxes(boxes: list[OrientedBox]) -> list[OrientedBox]:
+    """The boxes ``convert_to_hbb`` gives for ``boxes``, in order."""
+    registry = CategoryRegistry(("a",), ("r",))
+    objects = tuple(ObjectInstance(i, 0, box) for i, box in enumerate(boxes))
+    scene = SceneAnnotation("s", 100, 100, objects, ())
+    converted = convert_to_hbb(Dataset(registry, "train", (scene,)))
+    return [obj.box for obj in converted.scenes[0].objects]
 
 
 def test_to_hbb_axis_aligned_identity():
     box = OrientedBox.axis_aligned(1.0, 2.0, 5.0, 4.0)
-    hbb = box.to_hbb()
-    assert (hbb.xmin, hbb.ymin, hbb.xmax, hbb.ymax) == (1.0, 2.0, 5.0, 4.0)
+    [hbb] = hbb_boxes([box])
+    assert hbb.vertices == box.vertices
+    assert hbb.extent == (1.0, 2.0, 5.0, 4.0)
 
 
 def test_to_hbb_rotated_square():
     box = OrientedBox.from_params(0.0, 0.0, 1.0, 1.0, math.pi / 4.0)
-    hbb = box.to_hbb()
+    [hbb] = hbb_boxes([box])
     root2 = math.sqrt(2.0)
     assert abs(hbb.width - root2) < 1e-12
     assert abs(hbb.height - root2) < 1e-12
 
 
 def test_to_hbb_tight_on_random_boxes():
-    """Extents equal the vertex min/max exactly, so every side touches a vertex."""
+    """The cover's vertices are the four corners of the box's extent exactly,
+    clockwise from the top left, so every side touches a vertex."""
     rng = np.random.default_rng(7)
-    for _ in range(1000):
-        box = random_box(rng)
-        hbb = box.to_hbb()
+    boxes = [random_box(rng) for _ in range(1000)]
+    for box, hbb in zip(boxes, hbb_boxes(boxes)):
         xs = [p[0] for p in box.vertices]
         ys = [p[1] for p in box.vertices]
-        assert hbb.xmin == min(xs) and hbb.xmax == max(xs)
-        assert hbb.ymin == min(ys) and hbb.ymax == max(ys)
+        xmin, ymin, xmax, ymax = min(xs), min(ys), max(xs), max(ys)
+        assert box.extent == (xmin, ymin, xmax, ymax)
+        assert hbb.vertices == ((xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax))
 
 
 def test_intersection_identical_boxes():

@@ -162,7 +162,6 @@ def test_match_triplets_predcls_single_hit():
     result = match_triplets([pred], [target], MatchConfig("predcls"))
     assert result.ranking == (0,)
     assert result.matched == (0,)
-    assert result.flags() == [True]
 
 
 def test_match_triplets_sgdet_needs_both_endpoints_over_threshold():
@@ -460,6 +459,102 @@ def test_evaluate_detections_requires_ground_truth():
     preds = Dataset(registry, "val", ())
     with pytest.raises(DataError):
         evaluate_detections(gt, preds)
+
+
+def test_evaluate_detections_checks_threshold_without_predictions():
+    # No prediction object reaches the matcher, so only the up-front check
+    # can reject the threshold.
+    gt, preds = det_fixture()
+    empty = Dataset(preds.registry, "val", (SceneAnnotation("i0", 100, 100, (), ()),))
+    for bad in (0.0, -0.5, 1.5):
+        for predictions in (empty, Dataset(preds.registry, "val", ())):
+            with pytest.raises(ValueError, match="iou_threshold"):
+                evaluate_detections(gt, predictions, iou_threshold=bad)
+
+
+def test_evaluate_detections_rejects_category_outside_registry():
+    gt, preds = det_fixture()
+    box = OrientedBox.axis_aligned(10, 10, 30, 30)
+    for category in (2, -1):
+        stray = ObjectInstance(5, category, box, score=0.5)
+        scene = preds.scenes[0]
+        bad_preds = Dataset(
+            preds.registry,
+            "val",
+            (SceneAnnotation("i0", 100, 100, scene.objects + (stray,), ()),),
+        )
+        with pytest.raises(DataError, match="prediction image 'i0': object 5"):
+            evaluate_detections(gt, bad_preds)
+        bad_gt = Dataset(
+            gt.registry,
+            "val",
+            (SceneAnnotation("i0", 100, 100, gt.scenes[0].objects + (stray,), ()),),
+        )
+        with pytest.raises(DataError, match="ground-truth image 'i0': object 5"):
+            evaluate_detections(bad_gt, preds)
+
+
+def random_detection_case(rng):
+    """Ground truth and predictions over five classes: classes 0-2 on both
+    sides, class 3 only predicted and class 4 only annotated.  Some ground
+    truth images have no prediction scene, some prediction scenes name no
+    ground-truth image, and scores come from a set of three so that they
+    tie within and across images."""
+    registry = CategoryRegistry(("a", "b", "c", "pred-only", "gt-only"), ("r",))
+    gt_scenes = []
+    pred_scenes = []
+    for index in range(int(rng.integers(1, 6))):
+        image_id = f"img{index}"
+        truths = []
+        for k in range(int(rng.integers(0, 7))):
+            box = oracles.random_box(rng, center_lo=10, center_hi=90, side_lo=6, side_hi=30)
+            truths.append(ObjectInstance(k, int(rng.choice([0, 1, 2, 4])), box))
+        gt_scenes.append(SceneAnnotation(image_id, 100, 100, tuple(truths), ()))
+        if rng.uniform() < 0.2:
+            continue
+        preds = []
+        for k in range(int(rng.integers(0, 9))):
+            if truths and rng.uniform() < 0.6:
+                base = truths[int(rng.integers(0, len(truths)))]
+                box = base.box.translate(*rng.uniform(-5, 5, size=2).tolist())
+                category = base.category if rng.uniform() < 0.8 else int(rng.integers(0, 4))
+            else:
+                box = oracles.random_box(rng, center_lo=10, center_hi=90, side_lo=6, side_hi=30)
+                category = int(rng.integers(0, 4))
+            if category == 4:
+                category = 3
+            score = float(rng.choice([0.25, 0.5, 0.75]))
+            preds.append(ObjectInstance(k, category, box, score=score))
+        pred_scenes.append(SceneAnnotation(image_id, 100, 100, tuple(preds), ()))
+    for index in range(int(rng.integers(0, 3))):
+        box = oracles.random_box(rng, center_lo=10, center_hi=90, side_lo=6, side_hi=30)
+        stray = ObjectInstance(0, int(rng.integers(0, 4)), box, score=0.5)
+        pred_scenes.append(SceneAnnotation(f"unknown{index}", 100, 100, (stray,), ()))
+    order = rng.permutation(len(pred_scenes))
+    return (
+        Dataset(registry, "val", tuple(gt_scenes)),
+        Dataset(registry, "val", tuple(pred_scenes[i] for i in order)),
+    )
+
+
+def test_evaluate_detections_matches_per_class_reference():
+    rng = np.random.default_rng(61)
+    compared = 0
+    for _ in range(300):
+        gt, preds = random_detection_case(rng)
+        threshold = float(rng.choice([0.3, 0.5, 0.7]))
+        for include_empty in (False, True):
+            try:
+                expected = oracles.reference_evaluate_detections(
+                    gt, preds, threshold, include_empty
+                )
+            except DataError:
+                with pytest.raises(DataError, match="no objects"):
+                    evaluate_detections(gt, preds, threshold, include_empty)
+                continue
+            assert evaluate_detections(gt, preds, threshold, include_empty) == expected
+            compared += 1
+    assert compared > 500
 
 
 def predictions_from_gt(dataset):
