@@ -18,6 +18,15 @@ Parsing is strict: ``parse_dataset`` either returns a dataset that passes
 ``validate`` with zero violations or raises :class:`ManifestError` naming
 the offending path.  ``validate`` itself never raises on bad content; it
 reports coded violations so programmatically built datasets can be checked.
+
+Parsing makes one fast pass over the decoded JSON (``_parse_fast``): inline
+exact-type checks, no path strings, no error text.  At its first failed
+check, whatever it is, the located walk (``_parse_located``) re-runs from
+the start of the document and raises its :class:`ManifestError`, so every
+message is the walk's by construction.  A prediction file must also give
+every image a positive extent.  ``serialize_dataset`` writes the document
+text directly, with no dict per record, byte-identical to ``json.dumps`` of
+the nested dicts.
 """
 
 from __future__ import annotations
@@ -320,14 +329,17 @@ def _parse_score(raw: Any, path: str, image_id: str) -> float:
     return score
 
 
-def _parse(data: str | bytes, scored: bool) -> Dataset:
-    """Dataset of a manifest, or with ``scored`` of a prediction file.
+def _parse_located(root: Any, scored: bool) -> Dataset:
+    """Dataset of a decoded manifest, or with ``scored`` of a prediction file,
+    checked field by field with the JSON path of every check at hand.
 
-    A prediction file must score every object and relation, and since it
-    never passes through :func:`validate`, duplicate object ids are
-    rejected here.
+    This is the diagnosis walk: :func:`_parse` runs it only after the fast
+    pass has rejected the document, and it raises the located
+    :class:`ManifestError` of the first defect.  A prediction file must
+    score every object and relation and give the image a positive extent,
+    and since it never passes through :func:`validate`, duplicate object
+    ids are rejected here.
     """
-    root = _load_root(data)
     split, registry = _parse_header(root)
     scenes = []
     for i, raw_scene in enumerate(_get(root, "images", list, "$")):
@@ -337,6 +349,10 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
             raise ManifestError(f"{path}.id: empty image id")
         width = _get(raw_scene, "width", int, path)
         height = _get(raw_scene, "height", int, path)
+        if scored and (width <= 0 or height <= 0):
+            raise ManifestError(
+                f"{path}: non-positive extent {width}x{height} (image {image_id!r})"
+            )
         objects = []
         ids: set[int] = set()
         for j, raw_obj in enumerate(_get(raw_scene, "objects", list, path)):
@@ -382,6 +398,145 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
     return Dataset(registry, split, tuple(scenes))
 
 
+class _Rejected(Exception):
+    """A failed check of the fast pass; :func:`_parse` never lets it out."""
+
+
+# What the fast pass raises at its first failed check: its own rejection, a
+# missing key, an operation on the wrong JSON type, a bad box or category
+# list, and an integer beyond float range.
+_FAST_FAILURES = (_Rejected, KeyError, TypeError, ValueError, OverflowError)
+
+
+def _fast_number(value: Any) -> float:
+    """``value`` as a float when JSON holds a number there, else rejected."""
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        return float(value)
+    raise _Rejected
+
+
+def _parse_fast(root: Any, scored: bool) -> Dataset:
+    """The dataset :func:`_parse_located` builds, from one pass of inline
+    exact-type checks that formats no path and no message.
+
+    It makes every check of the walk, and raises one of ``_FAST_FAILURES``
+    at the first that fails.  JSON decodes to exact ``dict``, ``list``,
+    ``str``, ``int``, ``float`` and ``bool``, so ``type(v) is int`` is the
+    walk's integer check, bools excluded.  A box unpacks as four pairs; any
+    other shape fails to unpack or leaves a non-number where a coordinate
+    belongs.
+    """
+    if root["version"] != MANIFEST_VERSION or root["split"] not in SPLITS:
+        raise _Rejected
+    names = []
+    for key in ("object_categories", "relation_categories"):
+        items = root[key]
+        if type(items) is not list or any(type(name) is not str for name in items):
+            raise _Rejected
+        names.append(tuple(items))
+    registry = CategoryRegistry(*names)
+    num_objects = registry.num_objects
+    num_relations = registry.num_relations
+    raw_scenes = root["images"]
+    if type(raw_scenes) is not list:
+        raise _Rejected
+    isfinite = math.isfinite
+    from_vertices = OrientedBox.from_vertices
+    scenes = []
+    for raw_scene in raw_scenes:
+        image_id = raw_scene["id"]
+        width = raw_scene["width"]
+        height = raw_scene["height"]
+        raw_objects = raw_scene["objects"]
+        raw_relations = raw_scene["relations"]
+        if not (
+            type(image_id) is str
+            and image_id
+            and type(width) is int
+            and type(height) is int
+            and type(raw_objects) is list
+            and type(raw_relations) is list
+        ):
+            raise _Rejected
+        if scored and (width <= 0 or height <= 0):
+            raise _Rejected
+        objects = []
+        ids: set[int] = set()
+        score = None
+        for raw in raw_objects:
+            obj_id = raw["id"]
+            category = raw["category"]
+            if not (type(obj_id) is int and type(category) is int):
+                raise _Rejected
+            if not 0 <= category < num_objects or (scored and obj_id in ids):
+                raise _Rejected
+            (x1, y1), (x2, y2), (x3, y3), (x4, y4) = raw.get("obb")
+            if not (
+                type(x1) is float and type(y1) is float
+                and type(x2) is float and type(y2) is float
+                and type(x3) is float and type(y3) is float
+                and type(x4) is float and type(y4) is float
+            ):
+                x1, y1, x2, y2, x3, y3, x4, y4 = map(
+                    _fast_number, (x1, y1, x2, y2, x3, y3, x4, y4)
+                )
+            box = from_vertices(((x1, y1), (x2, y2), (x3, y3), (x4, y4)))
+            truncated = raw.get("truncated", False)
+            if type(truncated) is not bool:
+                raise _Rejected
+            if scored:
+                score = raw["score"]
+                if type(score) is not float:
+                    score = _fast_number(score)
+                if not isfinite(score):
+                    raise _Rejected
+            objects.append(ObjectInstance(obj_id, category, box, truncated, score=score))
+            ids.add(obj_id)
+        relations = []
+        for raw in raw_relations:
+            subject = raw["subject"]
+            predicate = raw["predicate"]
+            obj_ref = raw["object"]
+            if not (
+                type(subject) is int
+                and type(predicate) is int
+                and type(obj_ref) is int
+                and 0 <= predicate < num_relations
+                and subject in ids
+                and obj_ref in ids
+            ):
+                raise _Rejected
+            if scored:
+                score = raw["score"]
+                if type(score) is not float:
+                    score = _fast_number(score)
+                if not isfinite(score):
+                    raise _Rejected
+            relations.append(RelationTriplet(subject, predicate, obj_ref, score))
+        scenes.append(
+            SceneAnnotation(image_id, width, height, tuple(objects), tuple(relations))
+        )
+    return Dataset(registry, root["split"], tuple(scenes))
+
+
+def _parse(data: str | bytes, scored: bool) -> Dataset:
+    """Dataset of a manifest, or with ``scored`` of a prediction file.
+
+    The fast pass builds the dataset of every document the walk accepts.
+    At its first failed check the walk re-runs from the start of the
+    decoded document and raises its located :class:`ManifestError`, so
+    messages are the walk's by construction.
+    """
+    root = _load_root(data)
+    try:
+        return _parse_fast(root, scored)
+    except _FAST_FAILURES:
+        pass
+    return _parse_located(root, scored)
+
+
 def parse_dataset(data: str | bytes, check: bool = True) -> Dataset:
     """Parse a manifest document.
 
@@ -413,56 +568,90 @@ def parse_predictions(data: str | bytes) -> Dataset:
 
     Raises:
         ManifestError: as :func:`parse_dataset` without ``check``, and for
-            a missing or non-finite score or a reused object id.
+            a missing or non-finite score, a reused object id or an image
+            whose width or height is not positive.
     """
     return _parse(data, scored=True)
 
 
 # --- serialization -------------------------------------------------------
 
-
-def _box_json(box: OrientedBox) -> list[list[float]]:
-    return [[x, y] for x, y in box.vertices]
-
-
-def _object_json(obj: ObjectInstance) -> dict[str, Any]:
-    doc = {
-        "id": obj.id,
-        "category": obj.category,
-        "obb": _box_json(obj.box),
-        "truncated": obj.truncated,
-    }
-    if obj.score is not None:
-        doc["score"] = obj.score
-    return doc
+# ``json.dumps`` writes a float through ``float.__repr__`` (float subclasses
+# included), which never puts an "n" in a finite float; "nan", "inf" and
+# "-inf" each have one and are written NaN, Infinity and -Infinity.
+_float_repr = float.__repr__
+_dumps = json.dumps
 
 
-def _relation_json(rel: RelationTriplet) -> dict[str, Any]:
-    doc = {"subject": rel.subject, "predicate": rel.predicate, "object": rel.object}
-    if rel.score is not None:
-        doc["score"] = rel.score
-    return doc
+def _number_text(value: Any) -> str:
+    """``value`` as ``json.dumps`` writes it, through ``float.__repr__``
+    for a finite float."""
+    try:
+        text = _float_repr(value)
+        if "n" not in text:
+            return text
+    except TypeError:
+        pass
+    return _dumps(value)
+
+
+def _box_text(box: OrientedBox) -> str:
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = box.vertices
+    try:
+        text = (
+            f"[[{_float_repr(x1)},{_float_repr(y1)}],[{_float_repr(x2)},{_float_repr(y2)}],"
+            f"[{_float_repr(x3)},{_float_repr(y3)}],[{_float_repr(x4)},{_float_repr(y4)}]]"
+        )
+        if "n" not in text:
+            return text
+    except TypeError:
+        pass
+    # An int or a non-finite coordinate: json.dumps has the rules for it.
+    return _dumps([list(p) for p in box.vertices], separators=(",", ":"))
+
+
+def _scene_text(scene: SceneAnnotation) -> str:
+    objects = []
+    for obj in scene.objects:
+        truncated = "true" if obj.truncated else "false"
+        score = "" if obj.score is None else f',"score":{_number_text(obj.score)}'
+        objects.append(
+            f'{{"id":{obj.id},"category":{obj.category},"obb":{_box_text(obj.box)},'
+            f'"truncated":{truncated}{score}}}'
+        )
+    relations = []
+    for rel in scene.relations:
+        score = "" if rel.score is None else f',"score":{_number_text(rel.score)}'
+        relations.append(
+            f'{{"subject":{rel.subject},"predicate":{rel.predicate},'
+            f'"object":{rel.object}{score}}}'
+        )
+    return (
+        f'{{"id":{_dumps(scene.image_id)},"width":{scene.width},'
+        f'"height":{scene.height},"objects":[{",".join(objects)}],'
+        f'"relations":[{",".join(relations)}]}}'
+    )
 
 
 def serialize_dataset(dataset: Dataset) -> str:
     """Manifest or prediction-file JSON; deterministic byte-for-byte.
 
-    Scores are written wherever they are set.
+    Scores are written wherever they are set.  The text is written
+    directly, with no dict per record.  For fields of the declared types
+    (``int`` ids, categories, predicates and extents, ``bool`` truncation,
+    ``int`` or ``float`` coordinates and scores, ``str`` names) it is
+    byte-identical to ``json.dumps(doc, separators=(",", ":"))`` of the
+    nested-dict document.
     """
-    doc: dict[str, Any] = {
-        "version": MANIFEST_VERSION,
-        "split": dataset.split,
-        "object_categories": list(dataset.registry.object_names),
-        "relation_categories": list(dataset.registry.relation_names),
-    }
-    doc["images"] = [
+    names = _dumps(
         {
-            "id": scene.image_id,
-            "width": scene.width,
-            "height": scene.height,
-            "objects": [_object_json(obj) for obj in scene.objects],
-            "relations": [_relation_json(rel) for rel in scene.relations],
-        }
-        for scene in dataset.scenes
-    ]
-    return json.dumps(doc, separators=(",", ":"))
+            "object_categories": list(dataset.registry.object_names),
+            "relation_categories": list(dataset.registry.relation_names),
+        },
+        separators=(",", ":"),
+    )
+    scenes = ",".join(_scene_text(scene) for scene in dataset.scenes)
+    return (
+        f'{{"version":{_dumps(MANIFEST_VERSION)},"split":{_dumps(dataset.split)},'
+        f'{names[1:-1]},"images":[{scenes}]}}'
+    )

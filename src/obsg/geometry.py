@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 Point = tuple[float, float]
@@ -49,6 +48,29 @@ def shoelace_area(vertices: Sequence[Point]) -> float:
         x2, y2 = vertices[(i + 1) % n]
         total += x1 * y2 - x2 * y1
     return total / 2.0
+
+
+class _cached:
+    """A per-instance cache in the manner of ``functools.cached_property``,
+    without the lock Python 3.11 takes on every first access.
+
+    The first access stores the value in the instance ``__dict__``, where it
+    shadows this descriptor; two threads racing on a first access compute
+    the same value.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -115,23 +137,24 @@ class OrientedBox:
                 sides, or a quad that is not a rectangle within ``tol``.
         """
         pts = [(float(p[0]), float(p[1])) for p in vertices]
-        if len(pts) != 4 or any(len(p) != 2 for p in pts):
+        if len(pts) != 4:
             raise ValueError(f"expected 4 points, got {pts!r}")
-        if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
+        if not all(map(math.isfinite, (x0, y0, x1, y1, x2, y2, x3, y3))):
             raise ValueError(f"non-finite vertex in {pts!r}")
-        e1 = (pts[1][0] - pts[0][0], pts[1][1] - pts[0][1])
-        e2 = (pts[2][0] - pts[1][0], pts[2][1] - pts[1][1])
-        e3 = (pts[3][0] - pts[2][0], pts[3][1] - pts[2][1])
-        e4 = (pts[0][0] - pts[3][0], pts[0][1] - pts[3][1])
-        if math.hypot(*e1) <= DEGENERATE_EPS or math.hypot(*e2) <= DEGENERATE_EPS:
+        e1x, e1y = x1 - x0, y1 - y0
+        e2x, e2y = x2 - x1, y2 - y1
+        e3x, e3y = x3 - x2, y3 - y2
+        e4x, e4y = x0 - x3, y0 - y3
+        side1, side2 = math.hypot(e1x, e1y), math.hypot(e2x, e2y)
+        if side1 <= DEGENERATE_EPS or side2 <= DEGENERATE_EPS:
             raise ValueError(f"degenerate side in {pts!r}")
         if (
-            math.hypot(e1[0] + e3[0], e1[1] + e3[1]) > tol
-            or math.hypot(e2[0] + e4[0], e2[1] + e4[1]) > tol
+            math.hypot(e1x + e3x, e1y + e3y) > tol
+            or math.hypot(e2x + e4x, e2y + e4y) > tol
         ):
             raise ValueError(f"opposite sides differ beyond tol={tol}: {pts!r}")
-        scale = max(math.hypot(*e1), math.hypot(*e2))
-        if abs(e1[0] * e2[0] + e1[1] * e2[1]) > tol * scale:
+        if abs(e1x * e2x + e1y * e2y) > tol * max(side1, side2):
             raise ValueError(f"corners not perpendicular within tol={tol}: {pts!r}")
         return cls(tuple(pts))  # type: ignore[arg-type]
 
@@ -145,7 +168,7 @@ class OrientedBox:
         x0, y0, x1, y1 = float(xmin), float(ymin), float(xmax), float(ymax)
         return cls(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
 
-    @cached_property
+    @_cached
     def params(self) -> tuple[float, float, float, float, float]:
         """(cx, cy, w, h, theta) equivalent of the stored vertices."""
         v = self.vertices
@@ -156,7 +179,7 @@ class OrientedBox:
         theta = math.atan2(v[1][1] - v[0][1], v[1][0] - v[0][0]) % TWO_PI
         return (cx, cy, w, h, theta)
 
-    @cached_property
+    @_cached
     def extent(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) of the stored vertices."""
         (x0, y0), (x1, y1), (x2, y2), (x3, y3) = self.vertices

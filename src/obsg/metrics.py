@@ -210,7 +210,10 @@ def match_triplets(
     among eligible ground truths a prediction takes the one with the largest
     minimum endpoint IoU (sgdet), remaining ties, and every identity match,
     to the lowest index.  A prediction visits only the targets that share
-    its :func:`_match_key`, in ascending index.
+    its :func:`_match_key`, in ascending index.  Object ids name one box on
+    each side, as they do within a scene, so sgdet computes the IoU of a
+    (predicted object, ground-truth object) pair once per call, for subject
+    and object endpoints alike.
     """
     order = sorted(range(len(predictions)), key=lambda i: -predictions[i].score)
     if config.graph_constraint:
@@ -225,6 +228,16 @@ def match_triplets(
     else:
         ranking = order
     identity = config.subtask in IDENTITY_SUBTASKS
+    ious: dict[tuple[int, int], float] = {}
+
+    def iou(detected: ObjectInstance, truth: ObjectInstance) -> float:
+        """sgdet endpoint IoU, computed once per (predicted id, target id)."""
+        key = (detected.id, truth.id)
+        value = ious.get(key)
+        if value is None:
+            value = ious[key] = rotated_iou(detected.box, truth.box)
+        return value
+
     # Untaken targets per key, ascending; a match removes its target.
     buckets: dict[tuple, list[int]] = {}
     for g, target in enumerate(targets):
@@ -240,10 +253,10 @@ def match_triplets(
             best_quality = -1.0
             for g in candidates:
                 target = targets[g]
-                iou_s = rotated_iou(pred.subject.box, target.subject.box)
+                iou_s = iou(pred.subject, target.subject)
                 if iou_s < config.iou_threshold:
                     continue
-                iou_o = rotated_iou(pred.object.box, target.object.box)
+                iou_o = iou(pred.object, target.object)
                 if iou_o < config.iou_threshold:
                     continue
                 quality = min(iou_s, iou_o)

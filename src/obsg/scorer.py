@@ -72,8 +72,8 @@ class FrequencyPrior:
     def __post_init__(self) -> None:
         if self.counts.ndim != 3 or self.counts.shape[0] != self.counts.shape[1]:
             raise ValueError(f"bad counts shape {self.counts.shape}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0: {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0: {self.alpha}")
 
     @property
     def num_objects(self) -> int:
@@ -93,8 +93,8 @@ def fit_frequency_prior(dataset: Dataset, alpha: float = DEFAULT_ALPHA) -> Frequ
     total over scenes minus one per distinct related ordered pair.  Only
     objects and relations are visited, never the pairs themselves.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0: {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and >= 0: {alpha}")
     num_objects = dataset.registry.num_objects
     width = dataset.registry.num_relations + 1
     # Flat indices, counted by one bincount each after the scene loop.

@@ -12,11 +12,14 @@ the library's box parameters, ``rotated_iou`` and the prior row of one
 class pair (``reference_prior_row``), which define the numbers that the
 array paths must reproduce.  ``reference_evaluate_detections`` keeps the
 per-(image, class) detection evaluation that the library replaced with one
-grouping pass per image.
+grouping pass per image.  ``reference_serialize_dataset`` keeps the
+nested-dict ``json.dumps`` writer that the library's direct text writer
+must match byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -441,3 +444,43 @@ def reference_predict_triplets(scene, prior, linear=None, top_m=None, graph_cons
         for p in chosen:
             out.append(RelationTriplet(subj.id, p, obj.id, float(predicate_probs[p])))
     return out
+
+
+def reference_serialize_dataset(dataset) -> str:
+    """Manifest or prediction-file JSON built as one dict per object and
+    relation and written by ``json.dumps``; scores wherever they are set."""
+
+    def object_json(obj):
+        doc = {
+            "id": obj.id,
+            "category": obj.category,
+            "obb": [[x, y] for x, y in obj.box.vertices],
+            "truncated": obj.truncated,
+        }
+        if obj.score is not None:
+            doc["score"] = obj.score
+        return doc
+
+    def relation_json(rel):
+        doc = {"subject": rel.subject, "predicate": rel.predicate, "object": rel.object}
+        if rel.score is not None:
+            doc["score"] = rel.score
+        return doc
+
+    doc = {
+        "version": "1.0",
+        "split": dataset.split,
+        "object_categories": list(dataset.registry.object_names),
+        "relation_categories": list(dataset.registry.relation_names),
+        "images": [
+            {
+                "id": scene.image_id,
+                "width": scene.width,
+                "height": scene.height,
+                "objects": [object_json(obj) for obj in scene.objects],
+                "relations": [relation_json(rel) for rel in scene.relations],
+            }
+            for scene in dataset.scenes
+        ],
+    }
+    return json.dumps(doc, separators=(",", ":"))

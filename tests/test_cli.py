@@ -462,3 +462,30 @@ def test_eval_reports_images_it_skips(tmp_path, capsys):
             "4 of 6 prediction images are not in the ground truth"
         ]
         assert out.read_bytes() != covered[command[0]]
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "-1"])
+def test_fit_prior_rejects_non_finite_or_negative_alpha(tmp_path, capsys, alpha):
+    gt = synth_manifest(tmp_path, images=3, seed=46)
+    out = tmp_path / "prior.json"
+    capsys.readouterr()
+    argv = ["fit-prior", "--input", str(gt), f"--alpha={alpha}", "--output", str(out)]
+    assert cli.run(argv) == 2
+    assert "error: alpha must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_rejects_non_positive_prediction_extent(tmp_path, capsys):
+    gt = synth_manifest(tmp_path, images=3, seed=47)
+    prior = fitted_prior(tmp_path, gt)
+    pred = tmp_path / "pred.json"
+    argv = ["predict", "--input", str(gt), "--prior", str(prior), "--output", str(pred)]
+    assert cli.run(argv) == 0
+    doc = json.loads(pred.read_text())
+    doc["images"][1]["width"] = 0
+    pred.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for command in (["eval-sgg"], ["eval-det"]):
+        assert cli.run(command + ["--gt", str(gt), "--pred", str(pred)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: $.images[1]: non-positive extent 0x1024"), err

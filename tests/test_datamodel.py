@@ -377,3 +377,14 @@ def test_prediction_rejects_reused_object_id():
     with pytest.raises(ManifestError) as err:
         parse_predictions(json.dumps(doc))
     assert "reused" in str(err.value)
+
+
+def test_prediction_rejects_non_positive_extent():
+    for key, value, extent in (("width", 0, "0x100"), ("height", -5, "100x-5")):
+        doc = scored_manifest()
+        doc["images"][0][key] = value
+        with pytest.raises(ManifestError) as err:
+            parse_predictions(json.dumps(doc))
+        assert str(err.value) == f"$.images[0]: non-positive extent {extent} (image 'img-1')"
+        # A manifest leaves the extent to validate(), which reports IMAGE_EXTENT.
+        parse_dataset(json.dumps(doc), check=False)

@@ -212,6 +212,16 @@ def test_fit_prior_rejects_negative_alpha():
         fit_frequency_prior(two_class_dataset(), alpha=-0.1)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_prior_rejects_non_finite_alpha(alpha):
+    # save_prior would write NaN or Infinity, which load_prior rejects.
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        fit_frequency_prior(two_class_dataset(), alpha=alpha)
+    counts = np.zeros((2, 2, 3), dtype=np.int64)
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        FrequencyPrior(counts, alpha, "h")
+
+
 def test_fit_prior_on_synthetic_rules():
     registry = canonical_registry()
     dataset = generate(SynthConfig(n_images=60, seed=5))
