@@ -19,14 +19,13 @@ Parsing is strict: ``parse_dataset`` either returns a dataset that passes
 the offending path.  ``validate`` itself never raises on bad content; it
 reports coded violations so programmatically built datasets can be checked.
 
-Parsing makes one fast pass over the decoded JSON (``_parse_fast``): inline
-exact-type checks, no path strings, no error text.  At its first failed
-check, whatever it is, the located walk (``_parse_located``) re-runs from
-the start of the document and raises its :class:`ManifestError`, so every
-message is the walk's by construction.  A prediction file must also give
-every image a positive extent.  ``serialize_dataset`` writes the document
-text directly, with no dict per record, byte-identical to ``json.dumps`` of
-the nested dicts.
+Parsing is one pass over the decoded JSON with inline exact-type checks;
+it formats no path and no message for a scene, object or relation that
+passes them.  A value that fails its check goes to the located helper for
+that one value, which raises the :class:`ManifestError` naming its JSON
+path.  A prediction file must also give every image a positive extent.
+``serialize_dataset`` writes the document text directly, with no dict per
+record, byte-identical to ``json.dumps`` of the nested dicts.
 """
 
 from __future__ import annotations
@@ -264,10 +263,10 @@ def _get(mapping: Any, key: str, kind: type, path: str) -> Any:
 
 def _parse_names(raw: Any, key: str) -> tuple[str, ...]:
     items = _get(raw, key, list, "$")
-    names = []
     for i, name in enumerate(items):
-        names.append(_expect(name, str, f"$.{key}[{i}]"))
-    return tuple(names)
+        if type(name) is not str:
+            _expect(name, str, f"$.{key}[{i}]")
+    return tuple(items)
 
 
 def _parse_box(raw: Any, path: str) -> OrientedBox:
@@ -329,212 +328,116 @@ def _parse_score(raw: Any, path: str, image_id: str) -> float:
     return score
 
 
-def _parse_located(root: Any, scored: bool) -> Dataset:
-    """Dataset of a decoded manifest, or with ``scored`` of a prediction file,
-    checked field by field with the JSON path of every check at hand.
-
-    This is the diagnosis walk: :func:`_parse` runs it only after the fast
-    pass has rejected the document, and it raises the located
-    :class:`ManifestError` of the first defect.  A prediction file must
-    score every object and relation and give the image a positive extent,
-    and since it never passes through :func:`validate`, duplicate object
-    ids are rejected here.
-    """
-    split, registry = _parse_header(root)
-    scenes = []
-    for i, raw_scene in enumerate(_get(root, "images", list, "$")):
-        path = f"$.images[{i}]"
-        image_id = _get(raw_scene, "id", str, path)
-        if not image_id:
-            raise ManifestError(f"{path}.id: empty image id")
-        width = _get(raw_scene, "width", int, path)
-        height = _get(raw_scene, "height", int, path)
-        if scored and (width <= 0 or height <= 0):
-            raise ManifestError(
-                f"{path}: non-positive extent {width}x{height} (image {image_id!r})"
-            )
-        objects = []
-        ids: set[int] = set()
-        for j, raw_obj in enumerate(_get(raw_scene, "objects", list, path)):
-            opath = f"{path}.objects[{j}]"
-            obj_id = _get(raw_obj, "id", int, opath)
-            if scored and obj_id in ids:
-                raise ManifestError(
-                    f"{opath}.id: object id {obj_id} reused (image {image_id!r})"
-                )
-            category = _get(raw_obj, "category", int, opath)
-            if not 0 <= category < registry.num_objects:
-                raise ManifestError(
-                    f"{opath}.category: index {category} outside registry"
-                    f" of {registry.num_objects} (image {image_id!r})"
-                )
-            box = _parse_box(raw_obj.get("obb"), f"{opath}.obb")
-            truncated = raw_obj.get("truncated", False)
-            _expect(truncated, bool, f"{opath}.truncated")
-            score = _parse_score(raw_obj, opath, image_id) if scored else None
-            objects.append(ObjectInstance(obj_id, category, box, truncated, score=score))
-            ids.add(obj_id)
-        relations = []
-        for j, raw_rel in enumerate(_get(raw_scene, "relations", list, path)):
-            rpath = f"{path}.relations[{j}]"
-            subject = _get(raw_rel, "subject", int, rpath)
-            predicate = _get(raw_rel, "predicate", int, rpath)
-            obj_ref = _get(raw_rel, "object", int, rpath)
-            if not 0 <= predicate < registry.num_relations:
-                raise ManifestError(
-                    f"{rpath}.predicate: index {predicate} outside registry"
-                    f" of {registry.num_relations} (image {image_id!r})"
-                )
-            for endpoint in (subject, obj_ref):
-                if endpoint not in ids:
-                    raise ManifestError(
-                        f"{rpath}: dangling object id {endpoint} (image {image_id!r})"
-                    )
-            score = _parse_score(raw_rel, rpath, image_id) if scored else None
-            relations.append(RelationTriplet(subject, predicate, obj_ref, score))
-        scenes.append(
-            SceneAnnotation(image_id, width, height, tuple(objects), tuple(relations))
-        )
-    return Dataset(registry, split, tuple(scenes))
-
-
-class _Rejected(Exception):
-    """A failed check of the fast pass; :func:`_parse` never lets it out."""
-
-
-# What the fast pass raises at its first failed check: its own rejection, a
-# missing key, an operation on the wrong JSON type, a bad box or category
-# list, and an integer beyond float range.
-_FAST_FAILURES = (_Rejected, KeyError, TypeError, ValueError, OverflowError)
-
-
-def _fast_number(value: Any) -> float:
-    """``value`` as a float when JSON holds a number there, else rejected."""
-    if type(value) is float:
-        return value
-    if type(value) is int:
-        return float(value)
-    raise _Rejected
-
-
-def _parse_fast(root: Any, scored: bool) -> Dataset:
-    """The dataset :func:`_parse_located` builds, from one pass of inline
-    exact-type checks that formats no path and no message.
-
-    It makes every check of the walk, and raises one of ``_FAST_FAILURES``
-    at the first that fails.  JSON decodes to exact ``dict``, ``list``,
-    ``str``, ``int``, ``float`` and ``bool``, so ``type(v) is int`` is the
-    walk's integer check, bools excluded.  A box unpacks as four pairs; any
-    other shape fails to unpack or leaves a non-number where a coordinate
-    belongs.
-    """
-    if root["version"] != MANIFEST_VERSION or root["split"] not in SPLITS:
-        raise _Rejected
-    names = []
-    for key in ("object_categories", "relation_categories"):
-        items = root[key]
-        if type(items) is not list or any(type(name) is not str for name in items):
-            raise _Rejected
-        names.append(tuple(items))
-    registry = CategoryRegistry(*names)
-    num_objects = registry.num_objects
-    num_relations = registry.num_relations
-    raw_scenes = root["images"]
-    if type(raw_scenes) is not list:
-        raise _Rejected
-    isfinite = math.isfinite
-    from_vertices = OrientedBox.from_vertices
-    scenes = []
-    for raw_scene in raw_scenes:
-        image_id = raw_scene["id"]
-        width = raw_scene["width"]
-        height = raw_scene["height"]
-        raw_objects = raw_scene["objects"]
-        raw_relations = raw_scene["relations"]
-        if not (
-            type(image_id) is str
-            and image_id
-            and type(width) is int
-            and type(height) is int
-            and type(raw_objects) is list
-            and type(raw_relations) is list
-        ):
-            raise _Rejected
-        if scored and (width <= 0 or height <= 0):
-            raise _Rejected
-        objects = []
-        ids: set[int] = set()
-        score = None
-        for raw in raw_objects:
-            obj_id = raw["id"]
-            category = raw["category"]
-            if not (type(obj_id) is int and type(category) is int):
-                raise _Rejected
-            if not 0 <= category < num_objects or (scored and obj_id in ids):
-                raise _Rejected
-            (x1, y1), (x2, y2), (x3, y3), (x4, y4) = raw.get("obb")
-            if not (
-                type(x1) is float and type(y1) is float
-                and type(x2) is float and type(y2) is float
-                and type(x3) is float and type(y3) is float
-                and type(x4) is float and type(y4) is float
-            ):
-                x1, y1, x2, y2, x3, y3, x4, y4 = map(
-                    _fast_number, (x1, y1, x2, y2, x3, y3, x4, y4)
-                )
-            box = from_vertices(((x1, y1), (x2, y2), (x3, y3), (x4, y4)))
-            truncated = raw.get("truncated", False)
-            if type(truncated) is not bool:
-                raise _Rejected
-            if scored:
-                score = raw["score"]
-                if type(score) is not float:
-                    score = _fast_number(score)
-                if not isfinite(score):
-                    raise _Rejected
-            objects.append(ObjectInstance(obj_id, category, box, truncated, score=score))
-            ids.add(obj_id)
-        relations = []
-        for raw in raw_relations:
-            subject = raw["subject"]
-            predicate = raw["predicate"]
-            obj_ref = raw["object"]
-            if not (
-                type(subject) is int
-                and type(predicate) is int
-                and type(obj_ref) is int
-                and 0 <= predicate < num_relations
-                and subject in ids
-                and obj_ref in ids
-            ):
-                raise _Rejected
-            if scored:
-                score = raw["score"]
-                if type(score) is not float:
-                    score = _fast_number(score)
-                if not isfinite(score):
-                    raise _Rejected
-            relations.append(RelationTriplet(subject, predicate, obj_ref, score))
-        scenes.append(
-            SceneAnnotation(image_id, width, height, tuple(objects), tuple(relations))
-        )
-    return Dataset(registry, root["split"], tuple(scenes))
+def _item(i: int, key: str, j: int) -> str:
+    """JSON path of object or relation ``j`` of image ``i``."""
+    return f"$.images[{i}].{key}[{j}]"
 
 
 def _parse(data: str | bytes, scored: bool) -> Dataset:
     """Dataset of a manifest, or with ``scored`` of a prediction file.
 
-    The fast pass builds the dataset of every document the walk accepts.
-    At its first failed check the walk re-runs from the start of the
-    decoded document and raises its located :class:`ManifestError`, so
-    messages are the walk's by construction.
+    Fields are read in document order.  JSON decodes to exact ``dict``,
+    ``list``, ``str``, ``int``, ``float`` and ``bool``, so ``type(v) is
+    int`` is the integer check, bools excluded.  A value that fails its
+    check goes to the located helper for it (``_get``, ``_expect``,
+    ``_parse_box``, ``_parse_score``), which raises the located
+    :class:`ManifestError` or returns the value.  A prediction file never
+    passes through :func:`validate`, so duplicate object ids are rejected
+    here.
     """
     root = _load_root(data)
-    try:
-        return _parse_fast(root, scored)
-    except _FAST_FAILURES:
-        pass
-    return _parse_located(root, scored)
+    split, registry = _parse_header(root)
+    num_objects = registry.num_objects
+    num_relations = registry.num_relations
+    isfinite = math.isfinite
+    from_vertices = OrientedBox.from_vertices
+    scenes = []
+    for i, raw_scene in enumerate(_get(root, "images", list, "$")):
+        image_id = raw_scene.get("id") if type(raw_scene) is dict else None
+        if type(image_id) is not str:
+            image_id = _get(raw_scene, "id", str, f"$.images[{i}]")
+        if not image_id:
+            raise ManifestError(f"$.images[{i}].id: empty image id")
+        width = raw_scene.get("width")
+        if type(width) is not int:
+            width = _get(raw_scene, "width", int, f"$.images[{i}]")
+        height = raw_scene.get("height")
+        if type(height) is not int:
+            height = _get(raw_scene, "height", int, f"$.images[{i}]")
+        if scored and (width <= 0 or height <= 0):
+            raise ManifestError(
+                f"$.images[{i}]: non-positive extent {width}x{height} (image {image_id!r})"
+            )
+        raw_objects = raw_scene.get("objects")
+        if type(raw_objects) is not list:
+            raw_objects = _get(raw_scene, "objects", list, f"$.images[{i}]")
+        objects = []
+        ids: set[int] = set()
+        score = None
+        for j, raw in enumerate(raw_objects):
+            obj_id = raw.get("id") if type(raw) is dict else None
+            if type(obj_id) is not int:
+                obj_id = _get(raw, "id", int, _item(i, "objects", j))
+            if scored and obj_id in ids:
+                raise ManifestError(
+                    f"{_item(i, 'objects', j)}.id: object id {obj_id} reused"
+                    f" (image {image_id!r})"
+                )
+            category = raw.get("category")
+            if type(category) is not int:
+                category = _get(raw, "category", int, _item(i, "objects", j))
+            if not 0 <= category < num_objects:
+                raise ManifestError(
+                    f"{_item(i, 'objects', j)}.category: index {category} outside"
+                    f" registry of {num_objects} (image {image_id!r})"
+                )
+            obb = raw.get("obb")
+            try:
+                box = from_vertices(obb)
+            except (TypeError, ValueError, OverflowError):
+                box = _parse_box(obb, f"{_item(i, 'objects', j)}.obb")
+            truncated = raw.get("truncated", False)
+            if type(truncated) is not bool:
+                truncated = _expect(truncated, bool, f"{_item(i, 'objects', j)}.truncated")
+            if scored:
+                score = raw.get("score")
+                if type(score) is not float or not isfinite(score):
+                    score = _parse_score(raw, _item(i, "objects", j), image_id)
+            objects.append(ObjectInstance(obj_id, category, box, truncated, score=score))
+            ids.add(obj_id)
+        raw_relations = raw_scene.get("relations")
+        if type(raw_relations) is not list:
+            raw_relations = _get(raw_scene, "relations", list, f"$.images[{i}]")
+        relations = []
+        for j, raw in enumerate(raw_relations):
+            subject = raw.get("subject") if type(raw) is dict else None
+            if type(subject) is not int:
+                subject = _get(raw, "subject", int, _item(i, "relations", j))
+            predicate = raw.get("predicate")
+            if type(predicate) is not int:
+                predicate = _get(raw, "predicate", int, _item(i, "relations", j))
+            obj_ref = raw.get("object")
+            if type(obj_ref) is not int:
+                obj_ref = _get(raw, "object", int, _item(i, "relations", j))
+            if not 0 <= predicate < num_relations:
+                raise ManifestError(
+                    f"{_item(i, 'relations', j)}.predicate: index {predicate} outside"
+                    f" registry of {num_relations} (image {image_id!r})"
+                )
+            if subject not in ids or obj_ref not in ids:
+                raise ManifestError(
+                    f"{_item(i, 'relations', j)}: dangling object id"
+                    f" {subject if subject not in ids else obj_ref} (image {image_id!r})"
+                )
+            if scored:
+                score = raw.get("score")
+                if type(score) is not float or not isfinite(score):
+                    score = _parse_score(raw, _item(i, "relations", j), image_id)
+            relations.append(RelationTriplet(subject, predicate, obj_ref, score))
+        scenes.append(
+            SceneAnnotation(image_id, width, height, tuple(objects), tuple(relations))
+        )
+    return Dataset(registry, split, tuple(scenes))
 
 
 def parse_dataset(data: str | bytes, check: bool = True) -> Dataset:

@@ -16,6 +16,7 @@ annotation contract; the type only preserves the order it was given.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -48,6 +49,21 @@ def shoelace_area(vertices: Sequence[Point]) -> float:
         x2, y2 = vertices[(i + 1) % n]
         total += x1 * y2 - x2 * y1
     return total / 2.0
+
+
+def _point(p: Sequence[float]) -> Point:
+    """``p`` as an ``(x, y)`` pair of floats; any other shape or a
+    coordinate that is not a real number is a ``ValueError``."""
+    try:
+        x, y = p
+    except (TypeError, ValueError):
+        raise ValueError(f"expected an (x, y) point, got {p!r}") from None
+    if type(x) is float and type(y) is float:
+        return (x, y)
+    for v in (x, y):
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"non-numeric coordinate in point {p!r}")
+    return (float(x), float(y))
 
 
 class _cached:
@@ -133,10 +149,12 @@ class OrientedBox:
         validation concern, not a construction error.
 
         Raises:
-            ValueError: wrong point count, non-finite values, degenerate
+            ValueError: wrong point count, a point that is not exactly
+                ``(x, y)``, a coordinate that is a ``bool`` or not a real
+                number (such as a ``str``), non-finite values, degenerate
                 sides, or a quad that is not a rectangle within ``tol``.
         """
-        pts = [(float(p[0]), float(p[1])) for p in vertices]
+        pts = [_point(p) for p in vertices]
         if len(pts) != 4:
             raise ValueError(f"expected 4 points, got {pts!r}")
         (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts

@@ -183,6 +183,9 @@ class CategoryRegistry:
     relation_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        # Names given as lists are stored as tuples, so equal names compare equal.
+        object.__setattr__(self, "object_names", tuple(self.object_names))
+        object.__setattr__(self, "relation_names", tuple(self.relation_names))
         for names, label in (
             (self.object_names, "object"),
             (self.relation_names, "relation"),

@@ -516,10 +516,9 @@ def load_scorer(text: str | bytes, registry: CategoryRegistry) -> LinearScorer:
     """
     doc = _load_model_doc(text, "linear_scorer")
     _check_hash(doc, registry)
-    if doc.get("feature_version") != FEATURE_VERSION:
-        raise ManifestError(
-            f"unsupported feature version {doc.get('feature_version')!r}"
-        )
+    feature_version = doc.get("feature_version")
+    if type(feature_version) is not int or feature_version != FEATURE_VERSION:
+        raise ManifestError(f"unsupported feature version {feature_version!r}")
     raw_shape = _get(doc, "shape", list, "$")
     shape = tuple(_expect(v, int, f"$.shape[{i}]") for i, v in enumerate(raw_shape))
     expected = (feature_count(registry.num_objects), registry.num_relations + 1)
@@ -552,8 +551,9 @@ def _load_model_doc(text: str | bytes, kind: str) -> dict:
     doc = _load_root(text)
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise ManifestError(f"expected a {kind!r} document")
-    if doc.get("version") != 1:
-        raise ManifestError(f"unsupported model version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != 1:
+        raise ManifestError(f"unsupported model version {version!r}")
     return doc
 
 

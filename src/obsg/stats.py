@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .datamodel import Dataset, SIZE_CLASS_NAMES, size_class
+from .errors import DataError
 from .metrics import _csv_cell
 
 SPLIT_ORDER = ("train", "val", "test")
@@ -46,7 +47,12 @@ class StatsReport:
 
 
 def compute_stats(dataset: Dataset) -> StatsReport:
-    """Exhaustive recount of a dataset; an empty dataset gives zeros."""
+    """Exhaustive recount of a dataset; an empty dataset gives zeros.
+
+    Raises:
+        DataError: an object category or a predicate lies outside the
+            registry, or a relation names an object id the image lacks.
+    """
     registry = dataset.registry
     num_objects = registry.num_objects
     num_relations = registry.num_relations
@@ -59,11 +65,29 @@ def compute_stats(dataset: Dataset) -> StatsReport:
     relations_hist: Counter[int] = Counter()
     relation_cats_hist: Counter[int] = Counter()
     for scene in dataset.scenes:
-        category_of = {obj.id: obj.category for obj in scene.objects}
+        category_of: dict[int, int] = {}
         for obj in scene.objects:
+            if not 0 <= obj.category < num_objects:
+                raise DataError(
+                    f"image {scene.image_id!r}: object {obj.id} has category "
+                    f"{obj.category}, outside the registry's {num_objects} classes"
+                )
+            category_of[obj.id] = obj.category
             object_counts[obj.category] += 1
             size_counts[size_class(obj.box.area)] += 1
         for rel in scene.relations:
+            if not 0 <= rel.predicate < num_relations:
+                raise DataError(
+                    f"image {scene.image_id!r}: relation {rel.subject}->{rel.object} has "
+                    f"predicate {rel.predicate}, outside the registry's {num_relations} "
+                    "predicates"
+                )
+            if rel.subject not in category_of or rel.object not in category_of:
+                missing = rel.subject if rel.subject not in category_of else rel.object
+                raise DataError(
+                    f"image {scene.image_id!r}: relation {rel.subject}->{rel.object} "
+                    f"references missing object id {missing}"
+                )
             relation_counts[rel.predicate] += 1
             cooccurrence[category_of[rel.subject]][category_of[rel.object]] += 1
         objects_hist[len(scene.objects)] += 1

@@ -14,7 +14,9 @@ array paths must reproduce.  ``reference_evaluate_detections`` keeps the
 per-(image, class) detection evaluation that the library replaced with one
 grouping pass per image.  ``reference_serialize_dataset`` keeps the
 nested-dict ``json.dumps`` writer that the library's direct text writer
-must match byte for byte.
+must match byte for byte.  ``reference_parse`` keeps the located walk
+over a decoded document that the one-pass parser replaced; it is built on
+the parser's per-value helpers, which define every message.
 """
 
 from __future__ import annotations
@@ -26,14 +28,19 @@ import numpy as np
 
 from obsg import (
     DataError,
+    Dataset,
     EvalReport,
     FrequencyPrior,
+    ManifestError,
+    ObjectInstance,
     OrientedBox,
     RelationTriplet,
+    SceneAnnotation,
     average_precision,
     match_detections,
     rotated_iou,
 )
+from obsg.datamodel import _expect, _get, _parse_box, _parse_header, _parse_score
 from obsg.geometry import TWO_PI
 from obsg.scorer import GEOMETRY_FEATURES, feature_count
 
@@ -484,3 +491,72 @@ def reference_serialize_dataset(dataset) -> str:
         ],
     }
     return json.dumps(doc, separators=(",", ":"))
+
+
+def reference_parse(root, scored: bool) -> Dataset:
+    """Dataset of a decoded manifest, or with ``scored`` of a prediction file,
+    checked field by field with the JSON path of every check at hand.
+
+    This is the walk the library's one-pass parser replaced; it raises the
+    located :class:`ManifestError` of the first defect, and the parser must
+    give the same dataset or the same message.  A prediction file must
+    score every object and relation and give the image a positive extent,
+    and since it never passes through ``validate``, duplicate object ids
+    are rejected here.
+    """
+    split, registry = _parse_header(root)
+    scenes = []
+    for i, raw_scene in enumerate(_get(root, "images", list, "$")):
+        path = f"$.images[{i}]"
+        image_id = _get(raw_scene, "id", str, path)
+        if not image_id:
+            raise ManifestError(f"{path}.id: empty image id")
+        width = _get(raw_scene, "width", int, path)
+        height = _get(raw_scene, "height", int, path)
+        if scored and (width <= 0 or height <= 0):
+            raise ManifestError(
+                f"{path}: non-positive extent {width}x{height} (image {image_id!r})"
+            )
+        objects = []
+        ids: set[int] = set()
+        for j, raw_obj in enumerate(_get(raw_scene, "objects", list, path)):
+            opath = f"{path}.objects[{j}]"
+            obj_id = _get(raw_obj, "id", int, opath)
+            if scored and obj_id in ids:
+                raise ManifestError(
+                    f"{opath}.id: object id {obj_id} reused (image {image_id!r})"
+                )
+            category = _get(raw_obj, "category", int, opath)
+            if not 0 <= category < registry.num_objects:
+                raise ManifestError(
+                    f"{opath}.category: index {category} outside registry"
+                    f" of {registry.num_objects} (image {image_id!r})"
+                )
+            box = _parse_box(raw_obj.get("obb"), f"{opath}.obb")
+            truncated = raw_obj.get("truncated", False)
+            _expect(truncated, bool, f"{opath}.truncated")
+            score = _parse_score(raw_obj, opath, image_id) if scored else None
+            objects.append(ObjectInstance(obj_id, category, box, truncated, score=score))
+            ids.add(obj_id)
+        relations = []
+        for j, raw_rel in enumerate(_get(raw_scene, "relations", list, path)):
+            rpath = f"{path}.relations[{j}]"
+            subject = _get(raw_rel, "subject", int, rpath)
+            predicate = _get(raw_rel, "predicate", int, rpath)
+            obj_ref = _get(raw_rel, "object", int, rpath)
+            if not 0 <= predicate < registry.num_relations:
+                raise ManifestError(
+                    f"{rpath}.predicate: index {predicate} outside registry"
+                    f" of {registry.num_relations} (image {image_id!r})"
+                )
+            for endpoint in (subject, obj_ref):
+                if endpoint not in ids:
+                    raise ManifestError(
+                        f"{rpath}: dangling object id {endpoint} (image {image_id!r})"
+                    )
+            score = _parse_score(raw_rel, rpath, image_id) if scored else None
+            relations.append(RelationTriplet(subject, predicate, obj_ref, score))
+        scenes.append(
+            SceneAnnotation(image_id, width, height, tuple(objects), tuple(relations))
+        )
+    return Dataset(registry, split, tuple(scenes))

@@ -322,6 +322,15 @@ def test_registry_content_hash_tracks_names():
     assert a.content_hash() != c.content_hash()
 
 
+def test_registry_stores_list_names_as_tuples():
+    canonical = canonical_registry()
+    built = CategoryRegistry(list(canonical.object_names), list(canonical.relation_names))
+    assert type(built.object_names) is tuple and type(built.relation_names) is tuple
+    assert built == canonical
+    assert hash(built) == hash(canonical)
+    assert built.content_hash() == canonical.content_hash()
+
+
 def test_relation_kinds_key_is_ignored():
     # Kinds follow from the relation names; a stored list is not read.
     for parse, make_doc in PARSERS:

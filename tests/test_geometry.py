@@ -142,6 +142,28 @@ def test_from_vertices_rejects_non_rectangles():
         OrientedBox.from_vertices([(0, 0), (0, 0), (1, 1), (0, 1)])
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([(0, 0, 99), (10, 0, "x"), (10, 10), (0, 10)], r"\(x, y\) point, got \(0, 0, 99\)"),
+        ([("0", "0"), ("10", "0"), ("10", "10"), ("0", "10")], r"point \('0', '0'\)"),
+        ([(0, 0), (10, True), (10, 10), (0, 10)], r"point \(10, True\)"),
+        ([(0, 0), (10, 0), (10, 10), 7], r"\(x, y\) point, got 7"),
+    ],
+    ids=["three-coordinates", "strings", "bool", "not-a-point"],
+)
+def test_from_vertices_rejects_malformed_points(points, message):
+    with pytest.raises(ValueError, match=message):
+        OrientedBox.from_vertices(points)
+
+
+def test_from_vertices_accepts_numpy_points():
+    square = OrientedBox.axis_aligned(0.0, 0.0, 10.0, 10.0)
+    for dtype in (np.int64, np.float32, np.float64):
+        points = np.array(square.vertices, dtype=dtype)
+        assert OrientedBox.from_vertices(points) == square
+
+
 def test_from_vertices_accepts_both_windings():
     cw = OrientedBox.axis_aligned(0.0, 0.0, 2.0, 1.0)
     ccw = OrientedBox.from_vertices(tuple(reversed(cw.vertices)))

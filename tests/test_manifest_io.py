@@ -1,8 +1,9 @@
 """Manifest and prediction-file reading and writing against their references.
 
-The parser's fast pass is checked against the located walk it falls back
-to, on valid documents and on mutated ones; the direct text writer is
-checked against the nested-dict ``json.dumps`` writer in ``oracles``.
+The one-pass parser is checked against the located walk it replaced,
+``oracles.reference_parse``, on valid documents and on mutated ones; the
+direct text writer is checked against the nested-dict ``json.dumps`` writer
+in ``oracles``.
 """
 
 import copy
@@ -12,7 +13,6 @@ from dataclasses import replace
 from functools import partial
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +26,6 @@ from obsg import (
     RelationTriplet,
     SceneAnnotation,
     SynthConfig,
-    datamodel,
     generate,
     parse_dataset,
     parse_predictions,
@@ -203,42 +202,29 @@ def _outcome(parse, *args):
         return f"ManifestError: {exc}"
 
 
-# --- the fast pass against the walk ----------------------------------------
+# --- the parser against the reference walk --------------------------------
 
 
 @settings(max_examples=100, deadline=None)
 @given(documents(), st.randoms(use_true_random=False))
-def test_fast_pass_agrees_with_located_walk(case, rnd):
+def test_parser_agrees_with_reference_parse(case, rnd):
     doc, scored = case
-    for label, mutant in _mutants(doc, rnd):
+    for label, mutant in [("unmutated", doc), *_mutants(doc, rnd)]:
         text = json.dumps(mutant)
-        walk = _outcome(datamodel._parse_located, json.loads(text), scored)
-        assert _outcome(_public_parser(scored), text) == walk, label
-        try:
-            fast = datamodel._parse_fast(json.loads(text), scored)
-        except datamodel._FAST_FAILURES:
-            continue
-        # The fast pass accepted, so the walk must accept the same dataset.
-        assert repr(fast) == walk, label
-
-
-def _walk_must_not_run(root, scored):
-    raise AssertionError("the located walk ran")
+        reference = _outcome(oracles.reference_parse, json.loads(text), scored)
+        assert _outcome(_public_parser(scored), text) == reference, label
 
 
 @settings(max_examples=200, deadline=None)
 @given(documents())
-def test_located_walk_never_runs_on_valid_documents(case):
+def test_valid_documents_parse_as_reference(case):
     doc, scored = case
     text = json.dumps(doc)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(datamodel, "_parse_located", _walk_must_not_run)
-        dataset = _public_parser(scored)(text)
-    assert repr(dataset) == repr(datamodel._parse_located(json.loads(text), scored))
+    dataset = _public_parser(scored)(text)
+    assert repr(dataset) == repr(oracles.reference_parse(json.loads(text), scored))
 
 
-def test_located_walk_never_runs_on_pipeline_files(monkeypatch):
-    monkeypatch.setattr(datamodel, "_parse_located", _walk_must_not_run)
+def test_pipeline_files_round_trip():
     dataset = generate(SynthConfig(n_images=30, seed=5))
     scored = replace(
         dataset,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -658,3 +659,20 @@ def test_load_scorer_rejects_malformed_documents(edit):
     edit(doc)
     with pytest.raises(ManifestError, match=r"\$"):
         load_scorer(json.dumps(doc), registry)
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1", 2, None])
+@pytest.mark.parametrize(
+    "kind, key", [("prior", "version"), ("scorer", "version"), ("scorer", "feature_version")]
+)
+def test_load_requires_integer_version_one(kind, key, value):
+    registry, prior = one_relation_prior()
+    if kind == "prior":
+        doc, load = json.loads(save_prior(prior)), load_prior
+    else:
+        scorer = LinearScorer(np.zeros((feature_count(2), 2)), registry.content_hash())
+        doc, load = json.loads(save_scorer(scorer)), load_scorer
+    doc[key] = value
+    label = "feature" if key == "feature_version" else "model"
+    with pytest.raises(ManifestError, match=re.escape(f"unsupported {label} version {value!r}")):
+        load(json.dumps(doc), registry)

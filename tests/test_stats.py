@@ -9,6 +9,7 @@ import pytest
 
 from obsg import (
     CategoryRegistry,
+    DataError,
     Dataset,
     ObjectInstance,
     OrientedBox,
@@ -55,6 +56,25 @@ def test_small_dataset_counts():
     }
     assert report.cooccurrence_log[0][0] == math.log(2.0)
     assert report.cooccurrence_log[0][1] == 0.0
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda o, r: ((replace(o[0], category=-1), o[1]), r), "object 0 has category -1"),
+        (lambda o, r: ((o[0], replace(o[1], category=99)), r), "object 1 has category 99"),
+        (lambda o, r: (o, (replace(r[0], object=7),)), "0->7 references missing object id 7"),
+        (lambda o, r: (o, (replace(r[0], predicate=1),)), "0->1 has predicate 1"),
+    ],
+    ids=["category-1", "category-99", "missing-object", "predicate-1"],
+)
+def test_compute_stats_rejects_inconsistent_datasets(edit, message):
+    dataset = small_dataset()
+    scene = dataset.scenes[0]
+    objects, relations = edit(scene.objects, scene.relations)
+    broken = replace(dataset, scenes=(replace(scene, objects=objects, relations=relations),))
+    with pytest.raises(DataError, match=f"image 's0': .*{message}"):
+        compute_stats(broken)
 
 
 def test_empty_dataset_is_all_zeros():
