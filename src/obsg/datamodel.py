@@ -35,8 +35,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from .errors import ManifestError
-from .geometry import OrientedBox
+from .errors import DataError, ManifestError
+from .geometry import OrientedBox, shoelace_area
 from .registry import CategoryRegistry
 
 MANIFEST_VERSION = "1.0"
@@ -126,6 +126,42 @@ class Dataset:
     scenes: tuple[SceneAnnotation, ...]
 
 
+def relation_endpoints(scene: SceneAnnotation) -> tuple[list[int], list[int]]:
+    """Positions in ``scene.objects`` of each relation's subject and object,
+    in relation order; a missing object id is a :class:`DataError`."""
+    position = {obj.id: k for k, obj in enumerate(scene.objects)}
+    subjects, objects = [], []
+    for rel in scene.relations:
+        i = position.get(rel.subject)
+        j = position.get(rel.object)
+        if i is None or j is None:
+            raise DataError(
+                f"image {scene.image_id!r}: relation {rel.subject}->{rel.object} "
+                f"references missing object id {rel.subject if i is None else rel.object}"
+            )
+        subjects.append(i)
+        objects.append(j)
+    return subjects, objects
+
+
+def check_indices(scene: SceneAnnotation, num_objects: int, num_relations: int) -> None:
+    """Raise :class:`DataError` at the first object category or predicate
+    outside a table of ``num_objects`` classes and ``num_relations`` predicates."""
+    for obj in scene.objects:
+        if not 0 <= obj.category < num_objects:
+            raise DataError(
+                f"image {scene.image_id!r}: object {obj.id} has category "
+                f"{obj.category}, outside the registry's {num_objects} classes"
+            )
+    for rel in scene.relations:
+        if not 0 <= rel.predicate < num_relations:
+            raise DataError(
+                f"image {scene.image_id!r}: relation {rel.subject}->{rel.object} has "
+                f"predicate {rel.predicate}, outside the registry's {num_relations} "
+                "predicates"
+            )
+
+
 @dataclass(frozen=True)
 class Violation:
     """A single validation finding; ``code`` is machine-matchable."""
@@ -139,8 +175,10 @@ def validate(dataset: Dataset) -> list[Violation]:
     """Check every type invariant; an empty list means the dataset is clean.
 
     Codes: SPLIT_NAME, IMAGE_EXTENT, DUPLICATE_IMAGE_ID, NEGATIVE_OBJECT_ID,
-    DUPLICATE_OBJECT_ID, CATEGORY_RANGE, VERTEX_ORDER, BOX_BOUNDS,
-    PREDICATE_RANGE, DANGLING_REFERENCE, SELF_RELATION, DUPLICATE_TRIPLET.
+    DUPLICATE_OBJECT_ID, CATEGORY_RANGE, DEGENERATE_BOX, VERTEX_ORDER,
+    BOX_BOUNDS, PREDICATE_RANGE, DANGLING_REFERENCE, SELF_RELATION,
+    DUPLICATE_TRIPLET.  A vertex loop that encloses no area, which no
+    parsed box has, is DEGENERATE_BOX rather than VERTEX_ORDER.
     """
     violations: list[Violation] = []
     num_objects = dataset.registry.num_objects
@@ -184,7 +222,12 @@ def validate(dataset: Dataset) -> list[Violation]:
                         f"object {obj.id}: category {obj.category}",
                     )
                 )
-            if not obj.box.is_clockwise:
+            signed_area = shoelace_area(obj.box.vertices)
+            if signed_area == 0.0:
+                violations.append(
+                    Violation("DEGENERATE_BOX", img, f"object {obj.id}: no enclosed area")
+                )
+            elif not signed_area > 0.0:
                 violations.append(
                     Violation(
                         "VERTEX_ORDER",

@@ -3,9 +3,9 @@
 Large images are processed as overlapping square tiles.  Tile origins sit at
 stride multiples except the final row/column, which is shifted back so the
 far edge of the last tile coincides with the image edge.  Cropping keeps an
-object when at least ``keep_fraction`` of its box area lies inside the tile;
-kept boxes are translated into tile-local coordinates.  Reassembly is the
-inverse translation followed by per-category rotated NMS.
+object that lies inside the tile, or else when at least ``keep_fraction`` of
+its box area does; kept boxes are translated into tile-local coordinates.
+Reassembly is the inverse translation followed by per-category rotated NMS.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .datamodel import Dataset, Detection, ObjectInstance, SceneAnnotation
+from .datamodel import Dataset, Detection, ObjectInstance, SceneAnnotation, relation_endpoints
 from .geometry import OrientedBox, intersection_area, rotated_iou
 
 TILE_SIZE = 800
@@ -73,10 +73,12 @@ def crop_scene(
 ) -> SceneAnnotation:
     """Annotations of one tile, in tile-local coordinates.
 
-    An object survives when ``intersection_area(box, tile) / box.area`` is at
-    least ``keep_fraction``.  Survivors keep their ids and are translated by
-    the negative tile origin; boxes that poke past the tile edge are flagged
-    truncated.  A relation survives only if both endpoints do.
+    An object survives when its box lies inside the tile, or else when
+    ``intersection_area(box, tile) / box.area`` is at least
+    ``keep_fraction``.  Survivors keep their ids and are translated by the
+    negative tile origin; boxes that poke past the tile edge are flagged
+    truncated.  A relation survives only if both endpoints do; one that names
+    a missing object id is a :class:`DataError`.
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must be in (0, 1]: {keep_fraction}")
@@ -87,29 +89,39 @@ def crop_scene(
         raise ValueError(f"tile {tile} lies outside image {scene.image_id!r}")
     tile_box = OrientedBox.axis_aligned(x0, y0, x1, y1)
     kept: list[ObjectInstance] = []
-    kept_ids: set[int] = set()
+    keeps: list[bool] = []
     for obj in scene.objects:
-        fraction = intersection_area(obj.box, tile_box) / obj.box.area
-        if fraction < keep_fraction:
-            continue
-        inside = all(
-            x0 - _EDGE_EPS <= x <= x1 + _EDGE_EPS
-            and y0 - _EDGE_EPS <= y <= y1 + _EDGE_EPS
-            for x, y in obj.box.vertices
+        xmin, ymin, xmax, ymax = obj.box.extent
+        # Containment is decided on the extent: the clipped area of a
+        # contained box can come out an ulp below its area.  A box whose
+        # extent misses the tile has no area inside it.
+        inside = (
+            x0 - _EDGE_EPS <= xmin
+            and xmax <= x1 + _EDGE_EPS
+            and y0 - _EDGE_EPS <= ymin
+            and ymax <= y1 + _EDGE_EPS
         )
-        kept.append(
-            ObjectInstance(
-                id=obj.id,
-                category=obj.category,
-                box=obj.box.translate(-x0, -y0),
-                truncated=obj.truncated or not inside,
+        keep = inside or (
+            xmin <= x1
+            and x0 <= xmax
+            and ymin <= y1
+            and y0 <= ymax
+            and intersection_area(obj.box, tile_box) / obj.box.area >= keep_fraction
+        )
+        keeps.append(keep)
+        if keep:
+            kept.append(
+                ObjectInstance(
+                    id=obj.id,
+                    category=obj.category,
+                    box=obj.box.translate(-x0, -y0),
+                    truncated=obj.truncated or not inside,
+                )
             )
-        )
-        kept_ids.add(obj.id)
     relations = tuple(
-        r
-        for r in scene.relations
-        if r.subject in kept_ids and r.object in kept_ids
+        rel
+        for i, j, rel in zip(*relation_endpoints(scene), scene.relations)
+        if keeps[i] and keeps[j]
     )
     return SceneAnnotation(
         image_id=f"{scene.image_id}@{x0}_{y0}",

@@ -24,7 +24,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .datamodel import Dataset, Detection, ObjectInstance, SceneAnnotation
+from .datamodel import (
+    Dataset, Detection, ObjectInstance, SceneAnnotation, check_indices, relation_endpoints
+)
 from .errors import DataError, RegistryMismatchError
 from .geometry import OrientedBox, rotated_iou
 
@@ -287,10 +289,7 @@ class EvalReport:
 
 
 def _check_names(gt: Dataset, predictions: Dataset) -> None:
-    if (
-        predictions.registry.object_names != gt.registry.object_names
-        or predictions.registry.relation_names != gt.registry.relation_names
-    ):
+    if predictions.registry != gt.registry:
         raise RegistryMismatchError(
             "prediction file and ground truth use different category lists"
         )
@@ -408,16 +407,9 @@ def scene_triplets(scene: SceneAnnotation) -> list[Triplet]:
     Raises:
         DataError: a relation names an object id missing from the scene.
     """
-    by_id = {obj.id: obj for obj in scene.objects}
     triplets = []
-    for rel in scene.relations:
-        subj = by_id.get(rel.subject)
-        obj = by_id.get(rel.object)
-        if subj is None or obj is None:
-            missing = rel.subject if subj is None else rel.object
-            raise DataError(
-                f"image {scene.image_id!r}: relation references missing object id {missing}"
-            )
+    for i, j, rel in zip(*relation_endpoints(scene), scene.relations):
+        subj, obj = scene.objects[i], scene.objects[j]
         score = None if rel.score is None else subj.score * rel.score * obj.score
         triplets.append(Triplet(subj, rel.predicate, obj, score))
     return triplets
@@ -432,10 +424,16 @@ def evaluate_scene_graphs(
     K by the total ground-truth triplet count; per-predicate recalls do the
     same per predicate, and their mean (over predicates with ground truth)
     is the mean recall.
+
+    Raises:
+        DataError: an object category or a predicate of a ground-truth
+            scene, or of the prediction scene of its image, lies outside
+            the registry.
     """
     config = config or MatchConfig()
     _check_names(gt, predictions)
     pred_index = _prediction_index(predictions)
+    num_objects = gt.registry.num_objects
     rel_names = gt.registry.relation_names
     ks = config.k_values
     gt_total = 0
@@ -445,9 +443,13 @@ def evaluate_scene_graphs(
     tp_per_pred = [0] * len(rel_names)
     fp_per_pred = [0] * len(rel_names)
     for scene in gt.scenes:
+        check_indices(scene, num_objects, len(rel_names))
         targets = scene_triplets(scene)
         pred_scene = pred_index.get(scene.image_id)
-        preds = scene_triplets(pred_scene) if pred_scene is not None else []
+        preds = []
+        if pred_scene is not None:
+            check_indices(pred_scene, num_objects, len(rel_names))
+            preds = scene_triplets(pred_scene)
         result = match_triplets(preds, targets, config)
         gt_total += len(targets)
         for target in targets:

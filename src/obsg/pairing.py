@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datamodel import SceneAnnotation
+from .datamodel import SceneAnnotation, relation_endpoints
+from .errors import DataError
 
 MAX_POSITIVE_PAIRS = 64
 MAX_NEGATIVE_PAIRS = 192
@@ -39,23 +40,15 @@ def relation_pairs(scene: SceneAnnotation) -> list[int]:
     """Pair index of every relation of the scene, in relation order.
 
     Raises:
-        ValueError: a relation whose subject and object are one object, or
+        DataError: a relation whose subject and object are one object, or
             that names an object id missing from the scene.
     """
     n = len(scene.objects)
-    position = {obj.id: idx for idx, obj in enumerate(scene.objects)}
     pairs = []
-    for rel in scene.relations:
-        i = position.get(rel.subject)
-        j = position.get(rel.object)
-        if i is None or j is None:
-            raise ValueError(
-                f"relation references missing object id "
-                f"{rel.subject if i is None else rel.object} in image {scene.image_id!r}"
-            )
+    for i, j in zip(*relation_endpoints(scene)):
         if i == j:
-            raise ValueError(
-                f"self-relation on object {rel.subject} in image {scene.image_id!r}"
+            raise DataError(
+                f"image {scene.image_id!r}: object {scene.objects[i].id} relates to itself"
             )
         pairs.append(i * (n - 1) + j - (j > i))
     return pairs

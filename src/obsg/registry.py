@@ -183,6 +183,9 @@ class CategoryRegistry:
     relation_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        # A str would split into one-letter names.
+        if isinstance(self.object_names, str) or isinstance(self.relation_names, str):
+            raise ValueError("category names must be a sequence of str, not a str")
         # Names given as lists are stored as tuples, so equal names compare equal.
         object.__setattr__(self, "object_names", tuple(self.object_names))
         object.__setattr__(self, "relation_names", tuple(self.relation_names))

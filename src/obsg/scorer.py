@@ -20,7 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Dataset, RelationTriplet, SceneAnnotation, _expect, _get, _load_root
+from .datamodel import (
+    Dataset, RelationTriplet, SceneAnnotation, _expect, _get, _load_root, check_indices,
+    relation_endpoints,
+)
 from .errors import DataError, ManifestError, RegistryMismatchError, TrainingDivergenceError
 from .geometry import TWO_PI, OrientedBox, rotated_iou
 from .pairing import pair_endpoints, relation_pairs, sample_pairs
@@ -92,6 +95,10 @@ def fit_frequency_prior(dataset: Dataset, alpha: float = DEFAULT_ALPHA) -> Frequ
     classes (s, o), less h[s] when s == o; the no-relation cell is that
     total over scenes minus one per distinct related ordered pair.  Only
     objects and relations are visited, never the pairs themselves.
+
+    Raises:
+        DataError: a category or predicate outside the registry, a relation
+            to a missing object id, or a self-relation.
     """
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and >= 0: {alpha}")
@@ -102,11 +109,13 @@ def fit_frequency_prior(dataset: Dataset, alpha: float = DEFAULT_ALPHA) -> Frequ
     triplet_cells: list[int] = []
     related_cells: list[int] = []
     for row, scene in enumerate(dataset.scenes):
-        histogram_cells.extend(row * num_objects + obj.category for obj in scene.objects)
-        category = {obj.id: obj.category for obj in scene.objects}
+        check_indices(scene, num_objects, dataset.registry.num_relations)
+        category = [obj.category for obj in scene.objects]
+        histogram_cells.extend(row * num_objects + c for c in category)
         distinct: dict[int, int] = {}
-        for k, rel in zip(relation_pairs(scene), scene.relations):
-            cell = category[rel.subject] * num_objects + category[rel.object]
+        subjects, objects = relation_endpoints(scene)
+        for k, i, j, rel in zip(relation_pairs(scene), subjects, objects, scene.relations):
+            cell = category[i] * num_objects + category[j]
             triplet_cells.append(cell * width + rel.predicate)
             distinct[k] = cell
         related_cells.extend(distinct.values())
@@ -287,6 +296,10 @@ def train_linear(dataset: Dataset, config: TrainConfig) -> LinearScorer:
     start at zero and every update is deterministic, so equal seeds and
     data reproduce the scorer exactly.  The recorded loss history has one
     entry per epoch plus the final loss.
+
+    Raises:
+        DataError: a category or predicate outside the registry, a relation
+            to a missing object id, or a self-relation.
     """
     registry = dataset.registry
     num_relations = registry.num_relations
@@ -294,6 +307,7 @@ def train_linear(dataset: Dataset, config: TrainConfig) -> LinearScorer:
     rows: list[np.ndarray] = []
     labels: list[np.ndarray] = []
     for scene in dataset.scenes:
+        check_indices(scene, registry.num_objects, num_relations)
         scene_rows, scene_labels = _scene_pair_rows(
             scene,
             registry.num_objects,
@@ -347,11 +361,16 @@ def predict_triplets(
     Pairs are scored as arrays, in blocks of whole subject rows of at most
     ``PAIR_BLOCK`` pairs (one row when a row is longer), so memory stays
     bounded on scenes with many objects.
+
+    Raises:
+        DataError: a category or predicate of the scene lies outside the
+            prior's table.
     """
     if top_m is not None and top_m < 0:
         raise ValueError(f"top_m must be >= 0: {top_m}")
     num_objects = prior.num_objects
     num_relations = prior.num_relations
+    check_indices(scene, num_objects, num_relations)
     if linear is not None and linear.weights.shape != (
         feature_count(num_objects),
         num_relations + 1,

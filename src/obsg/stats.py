@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .datamodel import Dataset, SIZE_CLASS_NAMES, size_class
+from .datamodel import Dataset, SIZE_CLASS_NAMES, check_indices, relation_endpoints, size_class
 from .errors import DataError
 from .metrics import _csv_cell
 
@@ -51,7 +51,8 @@ def compute_stats(dataset: Dataset) -> StatsReport:
 
     Raises:
         DataError: an object category or a predicate lies outside the
-            registry, or a relation names an object id the image lacks.
+            registry, a relation names an object id the image lacks, or a
+            box has no area.
     """
     registry = dataset.registry
     num_objects = registry.num_objects
@@ -65,31 +66,19 @@ def compute_stats(dataset: Dataset) -> StatsReport:
     relations_hist: Counter[int] = Counter()
     relation_cats_hist: Counter[int] = Counter()
     for scene in dataset.scenes:
-        category_of: dict[int, int] = {}
+        check_indices(scene, num_objects, num_relations)
         for obj in scene.objects:
-            if not 0 <= obj.category < num_objects:
+            area = obj.box.area
+            if not area > 0:
                 raise DataError(
-                    f"image {scene.image_id!r}: object {obj.id} has category "
-                    f"{obj.category}, outside the registry's {num_objects} classes"
+                    f"image {scene.image_id!r}: object {obj.id} has a degenerate box "
+                    f"of area {area}"
                 )
-            category_of[obj.id] = obj.category
             object_counts[obj.category] += 1
-            size_counts[size_class(obj.box.area)] += 1
-        for rel in scene.relations:
-            if not 0 <= rel.predicate < num_relations:
-                raise DataError(
-                    f"image {scene.image_id!r}: relation {rel.subject}->{rel.object} has "
-                    f"predicate {rel.predicate}, outside the registry's {num_relations} "
-                    "predicates"
-                )
-            if rel.subject not in category_of or rel.object not in category_of:
-                missing = rel.subject if rel.subject not in category_of else rel.object
-                raise DataError(
-                    f"image {scene.image_id!r}: relation {rel.subject}->{rel.object} "
-                    f"references missing object id {missing}"
-                )
+            size_counts[size_class(area)] += 1
+        for i, j, rel in zip(*relation_endpoints(scene), scene.relations):
             relation_counts[rel.predicate] += 1
-            cooccurrence[category_of[rel.subject]][category_of[rel.object]] += 1
+            cooccurrence[scene.objects[i].category][scene.objects[j].category] += 1
         objects_hist[len(scene.objects)] += 1
         object_cats_hist[len({o.category for o in scene.objects})] += 1
         relations_hist[len(scene.relations)] += 1

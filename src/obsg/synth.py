@@ -24,6 +24,7 @@ from .datamodel import (
     SceneAnnotation,
 )
 from .geometry import OrientedBox, rotated_iou
+from .pairing import pair_endpoints
 from .registry import CategoryRegistry, canonical_registry
 
 
@@ -165,13 +166,11 @@ def _generate_scene(
         for i in range(n)
     )
     relations: list[RelationTriplet] = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            rule = rule_map.get((objects[i].category, objects[j].category))
-            if rule is not None and rule.condition(objects[i].box, objects[j].box):
-                relations.append(RelationTriplet(i, rule.predicate, j))
+    ii, jj = pair_endpoints(n, np.arange(n * (n - 1)))
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        rule = rule_map.get((objects[i].category, objects[j].category))
+        if rule is not None and rule.condition(objects[i].box, objects[j].box):
+            relations.append(RelationTriplet(i, rule.predicate, j))
     return SceneAnnotation(
         image_id=image_id,
         width=config.image_size,

@@ -230,6 +230,28 @@ def test_tile_and_convert_hbb(tmp_path):
     assert sha256(gt) == before
 
 
+def test_tile_keep_fraction_one_keeps_every_contained_box(tmp_path):
+    gt = synth_manifest(tmp_path, images=6, seed=19)
+    out = tmp_path / "tiled.json"
+    argv = ["tile", "--input", str(gt), "--keep-fraction", "1.0", "--output", str(out)]
+    assert cli.run(argv) == 0
+    source = {s.image_id: s for s in parse_dataset(gt.read_text()).scenes}
+    tiles = parse_dataset(out.read_text()).scenes
+    assert len(tiles) == 24
+    for tile in tiles:
+        image_id, origin = tile.image_id.split("@")
+        x0, y0 = map(int, origin.split("_"))
+        contained = [
+            obj.id
+            for obj in source[image_id].objects
+            if all(
+                x0 <= x <= x0 + tile.width and y0 <= y <= y0 + tile.height
+                for x, y in obj.box.vertices
+            )
+        ]
+        assert [obj.id for obj in tile.objects] == contained
+
+
 def test_pairs_requires_seed_only_when_caps_bind(tmp_path):
     gt = synth_manifest(tmp_path, images=5, seed=17)
     assert cli.run(["pairs", "--input", str(gt), "--max-pos", "4"]) == 2

@@ -6,6 +6,7 @@ import pytest
 
 from obsg import (
     CategoryRegistry,
+    DataError,
     Dataset,
     ManifestError,
     ObjectInstance,
@@ -13,12 +14,18 @@ from obsg import (
     RelationTriplet,
     SceneAnnotation,
     SynthConfig,
+    TrainConfig,
     canonical_registry,
+    compute_stats,
+    evaluate_scene_graphs,
+    fit_frequency_prior,
     generate,
     parse_dataset,
     parse_predictions,
+    predict_triplets,
     serialize_dataset,
     size_class,
+    train_linear,
     validate,
 )
 
@@ -238,6 +245,15 @@ def test_validate_id_and_range_codes():
     ]
 
 
+def test_validate_degenerate_box():
+    # Four equal vertices: no area, so no vertex order to check.
+    point = ObjectInstance(3, 0, OrientedBox(((1.0, 1.0),) * 4))
+    dataset = Dataset(small_registry(), "train", (make_scene([point], []),))
+    violations = validate(dataset)
+    assert [v.code for v in violations] == ["DEGENERATE_BOX"]
+    assert violations[0].detail == "object 3: no enclosed area"
+
+
 def test_validate_box_bounds_slack():
     # 100x100 image: slack allows vertices down to -50 and up to 150.
     inside = ObjectInstance(0, 0, unit_box(-50, 0))
@@ -312,6 +328,11 @@ def test_registry_rejects_bad_names():
         CategoryRegistry(("a",), ("r", ""))
     with pytest.raises(ValueError):
         CategoryRegistry((), ("r",))
+    # A str would read as one name per letter.
+    with pytest.raises(ValueError, match="not a str"):
+        CategoryRegistry("abc", ("near",))
+    with pytest.raises(ValueError, match="not a str"):
+        CategoryRegistry(("a",), "near")
 
 
 def test_registry_content_hash_tracks_names():
@@ -397,3 +418,53 @@ def test_prediction_rejects_non_positive_extent():
         assert str(err.value) == f"$.images[0]: non-positive extent {extent} (image 'img-1')"
         # A manifest leaves the extent to validate(), which reports IMAGE_EXTENT.
         parse_dataset(json.dumps(doc), check=False)
+
+
+def index_scene(category=1, predicate=0, scored=False):
+    score = 0.5 if scored else None
+    objects = (
+        ObjectInstance(0, 0, unit_box(), score=score),
+        ObjectInstance(1, category, unit_box(20, 20), score=score),
+    )
+    return make_scene(objects, [RelationTriplet(0, predicate, 1, score)], image_id="s")
+
+
+def index_callers():
+    registry = CategoryRegistry(("a", "b"), ("r", "q"))
+    clean = Dataset(registry, "train", (index_scene(),))
+    prior = fit_frequency_prior(clean)
+    predictions = Dataset(registry, "train", (index_scene(scored=True),))
+    return {
+        "compute_stats": lambda scene: compute_stats(Dataset(registry, "train", (scene,))),
+        "fit_frequency_prior": lambda scene: fit_frequency_prior(
+            Dataset(registry, "train", (scene,))
+        ),
+        "train_linear": lambda scene: train_linear(
+            Dataset(registry, "train", (scene,)), TrainConfig(seed=0, epochs=1)
+        ),
+        "predict_triplets": lambda scene: predict_triplets(scene, prior),
+        "eval_sgg_gt": lambda scene: evaluate_scene_graphs(
+            Dataset(registry, "train", (scene,)), predictions
+        ),
+        "eval_sgg_predictions": lambda scene: evaluate_scene_graphs(
+            clean, Dataset(registry, "train", (scene,))
+        ),
+    }
+
+
+@pytest.mark.parametrize("caller", sorted(index_callers()))
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"category": 2}, "object 1 has category 2, outside the registry's 2 classes"),
+        ({"category": -1}, "object 1 has category -1, outside the registry's 2 classes"),
+        ({"predicate": 2}, "relation 0->1 has predicate 2, outside the registry's 2 predicates"),
+        ({"predicate": -1}, "relation 0->1 has predicate -1, outside the registry's 2 predicates"),
+    ],
+    ids=["category-C", "category-1", "predicate-R", "predicate-1"],
+)
+def test_out_of_registry_index_is_one_data_error(caller, edit, message):
+    # Only a dataset built in Python can hold such an index; parsing rejects it.
+    scene = index_scene(**edit, scored=caller == "eval_sgg_predictions")
+    with pytest.raises(DataError, match=f"^image 's': {message}$"):
+        index_callers()[caller](scene)

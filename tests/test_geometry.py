@@ -221,7 +221,12 @@ def test_intersection_identical_boxes():
     for _ in range(100):
         box = random_box(rng)
         assert abs(intersection_area(box, box) - box.area) < 1e-9 * box.area
-        assert abs(rotated_iou(box, box) - 1.0) < 1e-9
+        # Equal vertex loops, in one object or two, are an IoU of exactly 1.
+        assert rotated_iou(box, box) == 1.0
+        assert rotated_iou(box, OrientedBox(box.vertices)) == 1.0
+    # A loop with no area overlaps nothing, not even itself.
+    point = OrientedBox(((1.0, 1.0),) * 4)
+    assert rotated_iou(point, point) == 0.0
 
 
 def test_intersection_disjoint_boxes():

@@ -160,6 +160,25 @@ def test_crop_matches_brute_force_filter():
         assert [o.id for o in cropped.objects] == expected
 
 
+def test_crop_keeps_every_contained_box_at_keep_fraction_one():
+    # A contained box's clipped area can come out an ulp below box.area;
+    # containment alone keeps it, not truncated.  Box 40 is half outside.
+    rng = np.random.default_rng(43)
+    objects = [
+        ObjectInstance(
+            i, 0, oracles.random_box(rng, center_lo=200.0, center_hi=400.0, side_hi=60.0)
+        )
+        for i in range(40)
+    ]
+    objects.append(ObjectInstance(40, 0, OrientedBox.axis_aligned(490, 200, 510, 220)))
+    relations = [RelationTriplet(i, 0, i + 1) for i in range(40)]
+    scene = scene_of(objects, relations)
+    cropped = crop_scene(scene, TileSpec(100, 100, 400, 400), keep_fraction=1.0)
+    assert [o.id for o in cropped.objects] == list(range(40))
+    assert not any(o.truncated for o in cropped.objects)
+    assert cropped.relations == scene.relations[:39]
+
+
 def test_crop_translation_round_trip():
     rng = np.random.default_rng(42)
     tile = TileSpec(200, 200, 300, 300)

@@ -8,19 +8,25 @@ import pytest
 import oracles
 from obsg import (
     CategoryRegistry,
+    DataError,
     Dataset,
     ObjectInstance,
     OrientedBox,
     RelationTriplet,
     SceneAnnotation,
+    TileSpec,
     TrainConfig,
+    compute_stats,
+    crop_scene,
     fit_frequency_prior,
     label_pairs,
     relation_pairs,
     relpn_loss,
     sample_pairs,
+    scene_triplets,
     train_linear,
 )
+from obsg.datamodel import relation_endpoints
 from obsg.pairing import pair_endpoints
 
 
@@ -52,25 +58,52 @@ def test_pair_index_agrees_with_enumeration():
         pairs = oracles.reference_pairs(n)
         scene = scene_with_relations(n, [(i, 0, j) for i, j in pairs])
         assert relation_pairs(scene) == list(range(len(pairs)))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match=r"^image 's': object 102 relates to itself$"):
         relation_pairs(scene_with_relations(4, [(0, 0, 1), (2, 0, 2)]))
 
 
-def test_dangling_relation_id_is_a_value_error():
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda scene, dataset: relation_pairs(scene),
+        lambda scene, dataset: label_pairs(scene),
+        lambda scene, dataset: fit_frequency_prior(dataset),
+        lambda scene, dataset: train_linear(dataset, TrainConfig(seed=0, epochs=1)),
+        lambda scene, dataset: compute_stats(dataset),
+        lambda scene, dataset: scene_triplets(scene),
+        lambda scene, dataset: crop_scene(scene, TileSpec(0, 0, 500, 500)),
+    ],
+    ids=[
+        "relation_pairs",
+        "label_pairs",
+        "fit_frequency_prior",
+        "train_linear",
+        "compute_stats",
+        "scene_triplets",
+        "crop_scene",
+    ],
+)
+@pytest.mark.parametrize(
+    "relation, message",
+    [
+        ((0, 0, 9), "100->109 references missing object id 109"),
+        ((9, 0, 0), "109->100 references missing object id 109"),
+    ],
+    ids=["object", "subject"],
+)
+def test_dangling_relation_id_is_one_data_error(call, relation, message):
     # A relation to, then from, id 109 on a scene of objects 100 and 101;
     # only a scene built in Python can hold it, since parsing rejects it.
-    for relation in ((0, 0, 9), (9, 0, 0)):
-        scene = scene_with_relations(2, [relation])
-        dataset = Dataset(CategoryRegistry(("a",), ("r",)), "train", (scene,))
-        calls = (
-            lambda: relation_pairs(scene),
-            lambda: label_pairs(scene),
-            lambda: fit_frequency_prior(dataset),
-            lambda: train_linear(dataset, TrainConfig(seed=0, epochs=1)),
-        )
-        for call in calls:
-            with pytest.raises(ValueError, match=r"missing object id 109 in image 's'"):
-                call()
+    scene = scene_with_relations(2, [relation])
+    dataset = Dataset(CategoryRegistry(("a",), ("r",)), "train", (scene,))
+    with pytest.raises(DataError, match=f"^image 's': relation {message}$"):
+        call(scene, dataset)
+
+
+def test_relation_endpoints_are_object_positions():
+    scene = scene_with_relations(3, [(2, 0, 0), (0, 1, 1), (2, 0, 0)])
+    assert relation_endpoints(scene) == ([2, 0, 2], [0, 1, 0])
+    assert relation_endpoints(scene_with_relations(2, [])) == ([], [])
 
 
 def test_relation_pairs_follow_relation_order():

@@ -204,7 +204,7 @@ def test_fit_prior_rejects_self_relation():
     looped = SceneAnnotation(
         "s", 100, 100, scene.objects, scene.relations + (RelationTriplet(1, 0, 1),)
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="^image 's': object 1 relates to itself$"):
         fit_frequency_prior(Dataset(dataset.registry, "train", (looped,)))
 
 
@@ -599,7 +599,7 @@ def test_training_labels_take_the_first_triplet():
     assert len(labels) == len(pairs)
     assert labels.tolist() == [expected.get(pair, 3) for pair in pairs]
     self_related = SceneAnnotation("s", 100, 100, objects, (RelationTriplet(11, 0, 11),))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="^image 's': object 11 relates to itself$"):
         _scene_pair_rows(self_related, 2, 3, 64, 192, np.random.default_rng(0))
 
 
