@@ -119,6 +119,7 @@ def _load_rules(path: str, registry: CategoryRegistry) -> tuple[Rule, ...]:
     if not isinstance(raw, list):
         raise DataError("rules file must hold a JSON list")
     rules = []
+    pairs: set[tuple[int, int]] = set()
     for i, entry in enumerate(raw):
         where = f"rules[{i}]"
         if not isinstance(entry, dict):
@@ -129,6 +130,9 @@ def _load_rules(path: str, registry: CategoryRegistry) -> tuple[Rule, ...]:
         subject = _rule_class(registry, entry.get("subject"), "object", where)
         object_ = _rule_class(registry, entry.get("object"), "object", where)
         predicate = _rule_class(registry, entry.get("predicate"), "relation", where)
+        if (subject, object_) in pairs:
+            raise DataError(f"{where}: duplicate rule for class pair {(subject, object_)}")
+        pairs.add((subject, object_))
         try:
             rules.append(
                 Rule(

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .errors import DataError, ManifestError
-from .geometry import OrientedBox, shoelace_area
+from .geometry import OrientedBox, _cached, shoelace_area
 from .registry import CategoryRegistry
 
 MANIFEST_VERSION = "1.0"
@@ -116,6 +116,25 @@ class SceneAnnotation:
     objects: tuple[ObjectInstance, ...]
     relations: tuple[RelationTriplet, ...]
 
+    @_cached
+    def relation_endpoints(self) -> tuple[list[int], list[int]]:
+        """Positions in ``objects`` of each relation's subject and object, in
+        relation order, resolved once per scene; a missing object id is a
+        :class:`DataError` on every access."""
+        position = {obj.id: k for k, obj in enumerate(self.objects)}
+        subjects, objects = [], []
+        for rel in self.relations:
+            i = position.get(rel.subject)
+            j = position.get(rel.object)
+            if i is None or j is None:
+                raise DataError(
+                    f"image {self.image_id!r}: relation {rel.subject}->{rel.object} "
+                    f"references missing object id {rel.subject if i is None else rel.object}"
+                )
+            subjects.append(i)
+            objects.append(j)
+        return subjects, objects
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -124,24 +143,6 @@ class Dataset:
     registry: CategoryRegistry
     split: str
     scenes: tuple[SceneAnnotation, ...]
-
-
-def relation_endpoints(scene: SceneAnnotation) -> tuple[list[int], list[int]]:
-    """Positions in ``scene.objects`` of each relation's subject and object,
-    in relation order; a missing object id is a :class:`DataError`."""
-    position = {obj.id: k for k, obj in enumerate(scene.objects)}
-    subjects, objects = [], []
-    for rel in scene.relations:
-        i = position.get(rel.subject)
-        j = position.get(rel.object)
-        if i is None or j is None:
-            raise DataError(
-                f"image {scene.image_id!r}: relation {rel.subject}->{rel.object} "
-                f"references missing object id {rel.subject if i is None else rel.object}"
-            )
-        subjects.append(i)
-        objects.append(j)
-    return subjects, objects
 
 
 def check_indices(scene: SceneAnnotation, num_objects: int, num_relations: int) -> None:

@@ -30,6 +30,9 @@ DEGENERATE_EPS = 1e-9
 # Collinear/duplicate vertices produced by clipping are snapped at this scale.
 SNAP_EPS = 1e-9
 
+# from_vertices accepts a quad as a rectangle within this many pixels.
+RECTANGLE_TOL = 1e-6
+
 
 def _cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> float:
     """Cross product of (a - o) x (b - o)."""
@@ -95,9 +98,9 @@ class OrientedBox:
 
     ``vertices`` keeps the corner order exactly as constructed.  Derived
     center/size/angle parameters assume the clockwise-on-screen order that
-    :meth:`from_params` produces; :meth:`is_clockwise` reports whether the
-    stored order actually satisfies that, which dataset validation checks
-    separately rather than rejecting here.
+    :meth:`from_params` produces; dataset validation checks whether the
+    stored order satisfies that (a positive :func:`shoelace_area`) rather
+    than rejecting it here.
     """
 
     vertices: tuple[Point, Point, Point, Point]
@@ -138,21 +141,19 @@ class OrientedBox:
         return cls(vertices)  # type: ignore[arg-type]
 
     @classmethod
-    def from_vertices(
-        cls, vertices: Iterable[Sequence[float]], tol: float = 1e-6
-    ) -> "OrientedBox":
+    def from_vertices(cls, vertices: Iterable[Sequence[float]]) -> "OrientedBox":
         """Build from four corner points, preserving their order.
 
         The points must form a rectangle: opposite edges equal within
-        ``tol`` pixels and adjacent edges perpendicular within the same
-        scale.  Both windings are accepted; orientation is a dataset
+        ``RECTANGLE_TOL`` pixels and adjacent edges perpendicular within the
+        same scale.  Both windings are accepted; orientation is a dataset
         validation concern, not a construction error.
 
         Raises:
             ValueError: wrong point count, a point that is not exactly
                 ``(x, y)``, a coordinate that is a ``bool`` or not a real
                 number (such as a ``str``), non-finite values, degenerate
-                sides, or a quad that is not a rectangle within ``tol``.
+                sides, or a quad that is not a rectangle within ``RECTANGLE_TOL``.
         """
         pts = [_point(p) for p in vertices]
         if len(pts) != 4:
@@ -167,10 +168,8 @@ class OrientedBox:
         side1, side2 = math.hypot(e1x, e1y), math.hypot(e2x, e2y)
         if side1 <= DEGENERATE_EPS or side2 <= DEGENERATE_EPS:
             raise ValueError(f"degenerate side in {pts!r}")
-        if (
-            math.hypot(e1x + e3x, e1y + e3y) > tol
-            or math.hypot(e2x + e4x, e2y + e4y) > tol
-        ):
+        tol = RECTANGLE_TOL
+        if math.hypot(e1x + e3x, e1y + e3y) > tol or math.hypot(e2x + e4x, e2y + e4y) > tol:
             raise ValueError(f"opposite sides differ beyond tol={tol}: {pts!r}")
         if abs(e1x * e2x + e1y * e2y) > tol * max(side1, side2):
             raise ValueError(f"corners not perpendicular within tol={tol}: {pts!r}")
@@ -214,27 +213,10 @@ class OrientedBox:
         return (p[0], p[1])
 
     @property
-    def width(self) -> float:
-        return self.params[2]
-
-    @property
-    def height(self) -> float:
-        return self.params[3]
-
-    @property
-    def theta(self) -> float:
-        return self.params[4]
-
-    @property
     def area(self) -> float:
         """Rectangle area, always positive."""
         p = self.params
         return p[2] * p[3]
-
-    @property
-    def is_clockwise(self) -> bool:
-        """True when the stored loop appears clockwise on screen."""
-        return shoelace_area(self.vertices) > 0.0
 
     def translate(self, dx: float, dy: float) -> "OrientedBox":
         return OrientedBox(tuple((x + dx, y + dy) for x, y in self.vertices))  # type: ignore[arg-type]
@@ -269,17 +251,17 @@ def _clip_half_plane(poly: list[Point], a: Point, b: Point) -> list[Point]:
     return out
 
 
-def _dedupe_loop(poly: list[Point], eps: float = SNAP_EPS) -> list[Point]:
-    """Drop consecutive points closer than ``eps`` (loop-closing pair too)."""
+def _dedupe_loop(poly: list[Point]) -> list[Point]:
+    """Drop consecutive points closer than ``SNAP_EPS`` (loop-closing pair too)."""
     if not poly:
         return poly
     out: list[Point] = [poly[0]]
     for p in poly[1:]:
-        if math.hypot(p[0] - out[-1][0], p[1] - out[-1][1]) > eps:
+        if math.hypot(p[0] - out[-1][0], p[1] - out[-1][1]) > SNAP_EPS:
             out.append(p)
     while len(out) > 1 and math.hypot(
         out[0][0] - out[-1][0], out[0][1] - out[-1][1]
-    ) <= eps:
+    ) <= SNAP_EPS:
         out.pop()
     return out
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .datamodel import Dataset, Detection, ObjectInstance, SceneAnnotation, relation_endpoints
+from .datamodel import Dataset, Detection, ObjectInstance, SceneAnnotation
 from .geometry import OrientedBox, intersection_area, rotated_iou
 
 TILE_SIZE = 800
@@ -32,11 +32,10 @@ class TileSpec:
     origin_x: int
     origin_y: int
     size: int
-    stride: int
 
     def __post_init__(self) -> None:
-        if self.size <= 0 or not 0 < self.stride <= self.size:
-            raise ValueError(f"bad tile size/stride: {self.size}/{self.stride}")
+        if self.size <= 0:
+            raise ValueError(f"bad tile size: {self.size}")
         if self.origin_x < 0 or self.origin_y < 0:
             raise ValueError(f"negative tile origin: {self}")
 
@@ -65,7 +64,7 @@ def plan_tiles(
         raise ValueError(f"bad tile size/stride: {size}/{stride}")
     xs = _grid_positions(width, size, stride)
     ys = _grid_positions(height, size, stride)
-    return [TileSpec(x, y, size, stride) for y in ys for x in xs]
+    return [TileSpec(x, y, size) for y in ys for x in xs]
 
 
 def crop_scene(
@@ -120,7 +119,7 @@ def crop_scene(
             )
     relations = tuple(
         rel
-        for i, j, rel in zip(*relation_endpoints(scene), scene.relations)
+        for i, j, rel in zip(*scene.relation_endpoints, scene.relations)
         if keeps[i] and keeps[j]
     )
     return SceneAnnotation(

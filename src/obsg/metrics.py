@@ -24,9 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .datamodel import (
-    Dataset, Detection, ObjectInstance, SceneAnnotation, check_indices, relation_endpoints
-)
+from .datamodel import Dataset, Detection, ObjectInstance, SceneAnnotation, check_indices
 from .errors import DataError, RegistryMismatchError
 from .geometry import OrientedBox, rotated_iou
 
@@ -316,21 +314,10 @@ def _prediction_index(predictions: Dataset) -> dict[str, SceneAnnotation]:
     return index
 
 
-def _objects_by_category(
-    scene: SceneAnnotation, num_classes: int, side: str
-) -> dict[int, list[ObjectInstance]]:
-    """A scene's objects grouped by category, each group in file order.
-
-    Raises:
-        DataError: an object's category lies outside the registry.
-    """
+def _objects_by_category(scene: SceneAnnotation) -> dict[int, list[ObjectInstance]]:
+    """A scene's objects grouped by category, each group in file order."""
     groups: dict[int, list[ObjectInstance]] = {}
     for obj in scene.objects:
-        if not 0 <= obj.category < num_classes:
-            raise DataError(
-                f"{side} image {scene.image_id!r}: object {obj.id} has category "
-                f"{obj.category}, outside the registry's {num_classes} classes"
-            )
         groups.setdefault(obj.category, []).append(obj)
     return groups
 
@@ -350,7 +337,8 @@ def evaluate_detections(
     ``include_empty_classes`` pins their AP to 0.
 
     Raises:
-        DataError: an object's category lies outside the registry.
+        DataError: an object category or a predicate lies outside the
+            registry.
     """
     _check_names(gt, predictions)
     pred_index = _prediction_index(predictions)
@@ -358,17 +346,20 @@ def evaluate_detections(
         raise ValueError(f"iou_threshold must be in (0, 1]: {iou_threshold}")
     names = gt.registry.object_names
     num_classes = len(names)
+    num_relations = gt.registry.num_relations
     # (score, flag) per class, in ground-truth scene order then file order
     scored_flags: list[list[tuple[float, bool]]] = [[] for _ in range(num_classes)]
     gt_totals = [0] * num_classes
     for scene in gt.scenes:
-        truths = _objects_by_category(scene, num_classes, "ground-truth")
+        check_indices(scene, num_classes, num_relations)
+        truths = _objects_by_category(scene)
         for c, objects in truths.items():
             gt_totals[c] += len(objects)
         pred_scene = pred_index.get(scene.image_id)
         if pred_scene is None:
             continue
-        by_category = _objects_by_category(pred_scene, num_classes, "prediction")
+        check_indices(pred_scene, num_classes, num_relations)
+        by_category = _objects_by_category(pred_scene)
         for c, preds in by_category.items():
             boxes = [o.box for o in truths.get(c, ())]
             flags = match_detections(preds, boxes, iou_threshold)
@@ -408,7 +399,7 @@ def scene_triplets(scene: SceneAnnotation) -> list[Triplet]:
         DataError: a relation names an object id missing from the scene.
     """
     triplets = []
-    for i, j, rel in zip(*relation_endpoints(scene), scene.relations):
+    for i, j, rel in zip(*scene.relation_endpoints, scene.relations):
         subj, obj = scene.objects[i], scene.objects[j]
         score = None if rel.score is None else subj.score * rel.score * obj.score
         triplets.append(Triplet(subj, rel.predicate, obj, score))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datamodel import SceneAnnotation, relation_endpoints
+from .datamodel import SceneAnnotation
 from .errors import DataError
 
 MAX_POSITIVE_PAIRS = 64
@@ -45,7 +45,7 @@ def relation_pairs(scene: SceneAnnotation) -> list[int]:
     """
     n = len(scene.objects)
     pairs = []
-    for i, j in zip(*relation_endpoints(scene)):
+    for i, j in zip(*scene.relation_endpoints):
         if i == j:
             raise DataError(
                 f"image {scene.image_id!r}: object {scene.objects[i].id} relates to itself"
@@ -67,26 +67,22 @@ def sample_pairs(
     labels: np.ndarray,
     max_pos: int = MAX_POSITIVE_PAIRS,
     max_neg: int = MAX_NEGATIVE_PAIRS,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Capped uniform subsample of pair indices, positives and negatives.
 
     ``labels`` holds the relatedness of every pair, 1 (or True) when
     related, as :func:`label_pairs` returns it.  Uniform without replacement
-    within each label, deterministic for a given seed.  A generator (or
-    seed) is mandatory only when a cap actually binds.  Returns ascending
-    pair indices into the enumeration.
+    within each label, deterministic for a given generator state.  A
+    generator is mandatory only when a cap actually binds.  Returns
+    ascending pair indices into the enumeration.
     """
     if max_pos < 0 or max_neg < 0:
         raise ValueError(f"caps must be >= 0: max_pos={max_pos} max_neg={max_neg}")
     pos = np.flatnonzero(labels == 1)
     neg = np.flatnonzero(labels == 0)
-    needs_rng = len(pos) > max_pos or len(neg) > max_neg
-    if needs_rng:
-        if rng is None:
-            raise ValueError("sampling caps bind but no rng/seed was given")
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
+    if rng is None and (len(pos) > max_pos or len(neg) > max_neg):
+        raise ValueError("sampling caps bind but no rng was given")
     if len(pos) > max_pos:
         pos = rng.choice(pos, size=max_pos, replace=False)
     if len(neg) > max_neg:

@@ -203,7 +203,9 @@ class CategoryRegistry:
     @property
     def relation_kinds(self) -> tuple[str, ...]:
         """Spatial/semantic tag of each predicate, by canonical name lookup."""
-        return canonical_kinds(self.relation_names)
+        return tuple(
+            SPATIAL if n in _SPATIAL_RELATION_NAMES else SEMANTIC for n in self.relation_names
+        )
 
     @property
     def num_objects(self) -> int:
@@ -232,13 +234,6 @@ class CategoryRegistry:
             separators=(",", ":"),
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def canonical_kinds(relation_names: tuple[str, ...]) -> tuple[str, ...]:
-    """Spatial/semantic tags for names that follow the canonical vocabulary."""
-    return tuple(
-        SPATIAL if n in _SPATIAL_RELATION_NAMES else SEMANTIC for n in relation_names
-    )
 
 
 def canonical_registry() -> CategoryRegistry:

@@ -22,7 +22,6 @@ import numpy as np
 
 from .datamodel import (
     Dataset, RelationTriplet, SceneAnnotation, _expect, _get, _load_root, check_indices,
-    relation_endpoints,
 )
 from .errors import DataError, ManifestError, RegistryMismatchError, TrainingDivergenceError
 from .geometry import TWO_PI, OrientedBox, rotated_iou
@@ -99,9 +98,8 @@ def fit_frequency_prior(dataset: Dataset, alpha: float = DEFAULT_ALPHA) -> Frequ
     Raises:
         DataError: a category or predicate outside the registry, a relation
             to a missing object id, or a self-relation.
+        ValueError: ``alpha`` is negative or not finite.
     """
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be finite and >= 0: {alpha}")
     num_objects = dataset.registry.num_objects
     width = dataset.registry.num_relations + 1
     # Flat indices, counted by one bincount each after the scene loop.
@@ -113,7 +111,7 @@ def fit_frequency_prior(dataset: Dataset, alpha: float = DEFAULT_ALPHA) -> Frequ
         category = [obj.category for obj in scene.objects]
         histogram_cells.extend(row * num_objects + c for c in category)
         distinct: dict[int, int] = {}
-        subjects, objects = relation_endpoints(scene)
+        subjects, objects = scene.relation_endpoints
         for k, i, j, rel in zip(relation_pairs(scene), subjects, objects, scene.relations):
             cell = category[i] * num_objects + category[j]
             triplet_cells.append(cell * width + rel.predicate)

@@ -15,11 +15,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .datamodel import Dataset, SIZE_CLASS_NAMES, check_indices, relation_endpoints, size_class
-from .errors import DataError
+from .datamodel import Dataset, SIZE_CLASS_NAMES, SPLITS, check_indices, size_class
+from .errors import DataError, RegistryMismatchError
 from .metrics import _csv_cell
-
-SPLIT_ORDER = ("train", "val", "test")
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ def compute_stats(dataset: Dataset) -> StatsReport:
                 )
             object_counts[obj.category] += 1
             size_counts[size_class(area)] += 1
-        for i, j, rel in zip(*relation_endpoints(scene), scene.relations):
+        for i, j, rel in zip(*scene.relation_endpoints, scene.relations):
             relation_counts[rel.predicate] += 1
             cooccurrence[scene.objects[i].category][scene.objects[j].category] += 1
         objects_hist[len(scene.objects)] += 1
@@ -135,16 +133,19 @@ def report_to_json(report: StatsReport) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
-def report_to_csv(reports: StatsReport | Sequence[StatsReport]) -> str:
+def report_to_csv(reports: Sequence[StatsReport]) -> str:
     """Category count tables as CSV, one count column per split.
 
     A single report emits ``category,count``; several reports (one per
     split, same registry) emit one column per present split in
     train/val/test order.  Object and relation tables are separated by a
     blank line.
+
+    Raises:
+        RegistryMismatchError: the reports use different registries.
+        DataError: two reports have the same split.
+        ValueError: there are no reports.
     """
-    if isinstance(reports, StatsReport):
-        reports = [reports]
     if not reports:
         raise ValueError("no reports to emit")
     first = reports[0]
@@ -153,11 +154,11 @@ def report_to_csv(reports: StatsReport | Sequence[StatsReport]) -> str:
             report.object_names != first.object_names
             or report.relation_names != first.relation_names
         ):
-            raise ValueError("reports use different category registries")
+            raise RegistryMismatchError("reports use different category registries")
     splits = [r.split for r in reports]
     if len(set(splits)) != len(splits):
-        raise ValueError(f"duplicate splits: {splits}")
-    ordered = sorted(reports, key=lambda r: SPLIT_ORDER.index(r.split))
+        raise DataError(f"duplicate splits: {splits}")
+    ordered = sorted(reports, key=lambda r: SPLITS.index(r.split))
     if len(ordered) == 1:
         columns = ["count"]
     else:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datamodel import (
+    SPLITS,
     Dataset,
     ObjectInstance,
     RelationTriplet,
@@ -116,7 +117,7 @@ class SynthConfig:
             )
         if self.tail_skew < 0:
             raise ValueError(f"tail_skew must be >= 0: {self.tail_skew}")
-        if self.split not in ("train", "val", "test"):
+        if self.split not in SPLITS:
             raise ValueError(f"unknown split {self.split!r}")
         rules = default_rules(self.registry) if self.rules is None else self.rules
         seen: set[tuple[int, int]] = set()

@@ -162,6 +162,25 @@ def test_synth_rejects_malformed_rules(tmp_path, capsys, rule, message):
     assert not out.exists()
 
 
+def test_synth_rejects_repeated_rule_pair(tmp_path, capsys):
+    rules = tmp_path / "rules.json"
+    rules.write_text(
+        json.dumps(
+            [
+                {"subject": "van", "object": "road", "predicate": "drive on"},
+                {"subject": "van", "object": "road", "predicate": "park at"},
+            ]
+        )
+    )
+    out = tmp_path / "gt.json"
+    argv = ["synth", "--images", "2", "--seed", "1", "--rules", str(rules)]
+    assert cli.run(argv + ["--output", str(out)]) == 1
+    registry = canonical_registry()
+    pair = (registry.object_index("van"), registry.object_index("road"))
+    assert f"error: rules[1]: duplicate rule for class pair {pair}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_accepts_numeric_rule_thresholds(tmp_path):
     code, out = synth_with_rules(tmp_path, {"max_center_distance": 100000})
     assert code == 0
@@ -207,6 +226,33 @@ def test_stats_multi_split_csv(tmp_path):
     )
     assert code == 0
     assert out.read_text().splitlines()[0] == "category,train,val"
+
+
+def test_stats_csv_rejects_mismatched_inputs(tmp_path, capsys):
+    train = synth_manifest(tmp_path, "train.json", images=3, seed=1)
+    other = tmp_path / "other.json"
+    other.write_text(
+        json.dumps(
+            {
+                "version": "1.0",
+                "split": "val",
+                "object_categories": ["a"],
+                "relation_categories": ["r"],
+                "images": [],
+            }
+        )
+    )
+    out = tmp_path / "stats.csv"
+    for inputs, message in (
+        ([train, other], "error: reports use different category registries"),
+        ([train, train], "error: duplicate splits: ['train', 'train']"),
+    ):
+        argv = ["stats", "--format", "csv", "--output", str(out)]
+        for path in inputs:
+            argv += ["--input", str(path)]
+        assert cli.run(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_tile_and_convert_hbb(tmp_path):

@@ -33,7 +33,7 @@ def scene_of(objects, relations=(), image_id="scene", width=1000, height=1000):
 def test_plan_tiles_large_grid():
     tiles = plan_tiles(6000, 6000, size=800, stride=400)
     assert len(tiles) == 196
-    assert tiles[0] == TileSpec(0, 0, 800, 400)
+    assert tiles[0] == TileSpec(0, 0, 800)
     assert tiles[1].origin_x == 400 and tiles[1].origin_y == 0
     assert tiles[-1].origin_x == 5200 and tiles[-1].origin_y == 5200
     xs = sorted({t.origin_x for t in tiles})
@@ -41,8 +41,8 @@ def test_plan_tiles_large_grid():
 
 
 def test_plan_tiles_small_image_single_tile():
-    assert plan_tiles(800, 800, size=800, stride=400) == [TileSpec(0, 0, 800, 400)]
-    assert plan_tiles(500, 300, size=800, stride=400) == [TileSpec(0, 0, 800, 400)]
+    assert plan_tiles(800, 800, size=800, stride=400) == [TileSpec(0, 0, 800)]
+    assert plan_tiles(500, 300, size=800, stride=400) == [TileSpec(0, 0, 800)]
 
 
 def test_plan_tiles_end_shift():
@@ -78,13 +78,13 @@ def test_plan_tiles_validation():
     with pytest.raises(ValueError):
         plan_tiles(100, 100, size=100, stride=101)
     with pytest.raises(ValueError):
-        TileSpec(-1, 0, 100, 50)
+        TileSpec(-1, 0, 100)
 
 
 def test_crop_keeps_inner_object_untouched():
     box = OrientedBox.from_params(500.0, 450.0, 30.0, 12.0, 0.7)
     scene = scene_of([ObjectInstance(3, 2, box)])
-    tile = TileSpec(400, 400, 400, 400)
+    tile = TileSpec(400, 400, 400)
     cropped = crop_scene(scene, tile)
     assert cropped.image_id == "scene@400_400"
     assert cropped.width == 400 and cropped.height == 400
@@ -105,7 +105,7 @@ def test_crop_drops_object_and_relations():
         [inside, outside],
         [RelationTriplet(0, 0, 1), RelationTriplet(1, 0, 0)],
     )
-    cropped = crop_scene(scene, TileSpec(0, 0, 400, 400))
+    cropped = crop_scene(scene, TileSpec(0, 0, 400))
     assert [o.id for o in cropped.objects] == [0]
     assert cropped.relations == ()
 
@@ -113,20 +113,20 @@ def test_crop_drops_object_and_relations():
 def test_crop_keeps_exact_half_overlap_truncated():
     # Intersection fraction is exactly 0.5, the keep threshold.
     half = ObjectInstance(0, 0, OrientedBox.axis_aligned(395, 0, 405, 10))
-    cropped = crop_scene(scene_of([half]), TileSpec(0, 0, 400, 400))
+    cropped = crop_scene(scene_of([half]), TileSpec(0, 0, 400))
     assert len(cropped.objects) == 1
     assert cropped.objects[0].truncated
 
 
 def test_crop_marks_poking_boxes_truncated():
     poking = ObjectInstance(0, 0, OrientedBox.axis_aligned(390, 390, 405, 399))
-    cropped = crop_scene(scene_of([poking]), TileSpec(0, 0, 400, 400))
+    cropped = crop_scene(scene_of([poking]), TileSpec(0, 0, 400))
     assert cropped.objects[0].truncated
 
 
 def test_crop_clips_tile_to_image_edge():
     scene = scene_of([], image_id="img", width=1000, height=900)
-    cropped = crop_scene(scene, TileSpec(800, 800, 400, 400))
+    cropped = crop_scene(scene, TileSpec(800, 800, 400))
     assert cropped.width == 200 and cropped.height == 100
     assert cropped.image_id == "img@800_800"
 
@@ -134,16 +134,16 @@ def test_crop_clips_tile_to_image_edge():
 def test_crop_rejects_tile_outside_image():
     scene = scene_of([], width=100, height=100)
     with pytest.raises(ValueError):
-        crop_scene(scene, TileSpec(100, 0, 50, 50))
+        crop_scene(scene, TileSpec(100, 0, 50))
     with pytest.raises(ValueError):
-        crop_scene(scene, TileSpec(0, 0, 50, 50), keep_fraction=0.0)
+        crop_scene(scene, TileSpec(0, 0, 50), keep_fraction=0.0)
     with pytest.raises(ValueError):
-        crop_scene(scene, TileSpec(0, 0, 50, 50), keep_fraction=1.5)
+        crop_scene(scene, TileSpec(0, 0, 50), keep_fraction=1.5)
 
 
 def test_crop_matches_brute_force_filter():
     rng = np.random.default_rng(41)
-    tile = TileSpec(20, 30, 60, 60)
+    tile = TileSpec(20, 30, 60)
     tile_box = OrientedBox.axis_aligned(20, 30, 80, 90)
     for _ in range(30):
         objects = [
@@ -173,7 +173,7 @@ def test_crop_keeps_every_contained_box_at_keep_fraction_one():
     objects.append(ObjectInstance(40, 0, OrientedBox.axis_aligned(490, 200, 510, 220)))
     relations = [RelationTriplet(i, 0, i + 1) for i in range(40)]
     scene = scene_of(objects, relations)
-    cropped = crop_scene(scene, TileSpec(100, 100, 400, 400), keep_fraction=1.0)
+    cropped = crop_scene(scene, TileSpec(100, 100, 400), keep_fraction=1.0)
     assert [o.id for o in cropped.objects] == list(range(40))
     assert not any(o.truncated for o in cropped.objects)
     assert cropped.relations == scene.relations[:39]
@@ -181,7 +181,7 @@ def test_crop_keeps_every_contained_box_at_keep_fraction_one():
 
 def test_crop_translation_round_trip():
     rng = np.random.default_rng(42)
-    tile = TileSpec(200, 200, 300, 300)
+    tile = TileSpec(200, 200, 300)
     for _ in range(20):
         box = oracles.random_box(
             rng, center_lo=240.0, center_hi=460.0, side_lo=1.0, side_hi=40.0
@@ -288,15 +288,15 @@ def test_nms_validation():
 
 def test_reassemble_identity_on_origin_tile():
     dets = [Detection(OrientedBox.axis_aligned(5, 5, 20, 15), 0, 0.9)]
-    out = reassemble([(TileSpec(0, 0, 100, 100), dets)])
+    out = reassemble([(TileSpec(0, 0, 100), dets)])
     assert out == dets
 
 
 def test_reassemble_merges_duplicate_across_tiles():
     # The same source-image box seen from two overlapping tiles.
     source = OrientedBox.axis_aligned(380, 100, 420, 140)
-    tile_a = TileSpec(0, 0, 400, 200)
-    tile_b = TileSpec(200, 0, 400, 200)
+    tile_a = TileSpec(0, 0, 400)
+    tile_b = TileSpec(200, 0, 400)
     det_a = Detection(source.translate(-0, -0), 2, 0.8)
     det_b = Detection(source.translate(-200, -0), 2, 0.6)
     out = reassemble([(tile_a, [det_a]), (tile_b, [det_b])])

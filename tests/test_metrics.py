@@ -483,15 +483,26 @@ def test_evaluate_detections_rejects_category_outside_registry():
             "val",
             (SceneAnnotation("i0", 100, 100, scene.objects + (stray,), ()),),
         )
-        with pytest.raises(DataError, match="prediction image 'i0': object 5"):
+        message = rf"^image 'i0': object 5 has category {category}, outside the registry"
+        with pytest.raises(DataError, match=message):
             evaluate_detections(gt, bad_preds)
         bad_gt = Dataset(
             gt.registry,
             "val",
             (SceneAnnotation("i0", 100, 100, gt.scenes[0].objects + (stray,), ()),),
         )
-        with pytest.raises(DataError, match="ground-truth image 'i0': object 5"):
+        with pytest.raises(DataError, match=message):
             evaluate_detections(bad_gt, preds)
+
+
+def test_evaluate_detections_rejects_predicate_outside_registry():
+    gt, preds = det_fixture()
+    stray = RelationTriplet(0, gt.registry.num_relations, 0)
+    bad_gt = Dataset(
+        gt.registry, "val", (SceneAnnotation("i0", 100, 100, gt.scenes[0].objects, (stray,)),)
+    )
+    with pytest.raises(DataError, match=r"^image 'i0': relation 0->0 has predicate 1"):
+        evaluate_detections(bad_gt, preds)
 
 
 def random_detection_case(rng):

@@ -24,9 +24,9 @@ from obsg import (
     relpn_loss,
     sample_pairs,
     scene_triplets,
+    tile_dataset,
     train_linear,
 )
-from obsg.datamodel import relation_endpoints
 from obsg.pairing import pair_endpoints
 
 
@@ -71,7 +71,7 @@ def test_pair_index_agrees_with_enumeration():
         lambda scene, dataset: train_linear(dataset, TrainConfig(seed=0, epochs=1)),
         lambda scene, dataset: compute_stats(dataset),
         lambda scene, dataset: scene_triplets(scene),
-        lambda scene, dataset: crop_scene(scene, TileSpec(0, 0, 500, 500)),
+        lambda scene, dataset: crop_scene(scene, TileSpec(0, 0, 500)),
     ],
     ids=[
         "relation_pairs",
@@ -96,14 +96,36 @@ def test_dangling_relation_id_is_one_data_error(call, relation, message):
     # only a scene built in Python can hold it, since parsing rejects it.
     scene = scene_with_relations(2, [relation])
     dataset = Dataset(CategoryRegistry(("a",), ("r",)), "train", (scene,))
-    with pytest.raises(DataError, match=f"^image 's': relation {message}$"):
-        call(scene, dataset)
+    # The failure is not cached: every call raises it again.
+    for _ in range(2):
+        with pytest.raises(DataError, match=f"^image 's': relation {message}$"):
+            call(scene, dataset)
 
 
 def test_relation_endpoints_are_object_positions():
     scene = scene_with_relations(3, [(2, 0, 0), (0, 1, 1), (2, 0, 0)])
-    assert relation_endpoints(scene) == ([2, 0, 2], [0, 1, 0])
-    assert relation_endpoints(scene_with_relations(2, [])) == ([], [])
+    assert scene.relation_endpoints == ([2, 0, 2], [0, 1, 0])
+    assert scene_with_relations(2, []).relation_endpoints == ([], [])
+
+
+def test_tiling_and_prior_fit_resolve_each_scene_once(monkeypatch):
+    resolver = SceneAnnotation.__dict__["relation_endpoints"]
+    original = resolver.func
+    resolved = []
+
+    def counting(scene):
+        resolved.append(scene.image_id)
+        return original(scene)
+
+    monkeypatch.setattr(resolver, "func", counting)
+    registry = CategoryRegistry(("a",), ("r",))
+    relations = [(0, 0, 1), (2, 0, 3), (1, 0, 0)]
+    # A 1000 px scene has a 2x2 grid of 800 px tiles.
+    tiled = tile_dataset(Dataset(registry, "train", (scene_with_relations(4, relations),)))
+    assert len(tiled.scenes) == 4
+    assert resolved == ["s"]
+    fit_frequency_prior(Dataset(registry, "train", (scene_with_relations(4, relations),)))
+    assert resolved == ["s", "s"]
 
 
 def test_relation_pairs_follow_relation_order():
@@ -189,14 +211,14 @@ def test_sample_pairs_counts_and_label_split():
     )
     pos_set = set(np.flatnonzero(labels == 1).tolist())
     neg_set = set(np.flatnonzero(labels == 0).tolist())
-    taken = sample_pairs(labels, max_pos=2, max_neg=5, rng=9)
+    taken = sample_pairs(labels, max_pos=2, max_neg=5, rng=np.random.default_rng(9))
     taken_list = taken.tolist()
     assert len(taken_list) == 7
     assert len(set(taken_list)) == 7
     assert sum(1 for k in taken_list if k in pos_set) == 2
     assert sum(1 for k in taken_list if k in neg_set) == 5
     assert taken_list == sorted(taken_list)
-    only_neg = sample_pairs(labels, max_pos=0, max_neg=5, rng=9)
+    only_neg = sample_pairs(labels, max_pos=0, max_neg=5, rng=np.random.default_rng(9))
     assert all(k in neg_set for k in only_neg.tolist())
 
 
@@ -205,11 +227,11 @@ def test_sample_pairs_deterministic_per_seed():
         scene_with_relations(7, [(i, 0, (i + 1) % 7) for i in range(7)])
     )
     draws = {
-        seed: sample_pairs(labels, max_pos=3, max_neg=10, rng=seed).tolist()
+        seed: sample_pairs(labels, max_pos=3, max_neg=10, rng=np.random.default_rng(seed)).tolist()
         for seed in range(100)
     }
     for seed, draw in draws.items():
-        again = sample_pairs(labels, max_pos=3, max_neg=10, rng=seed).tolist()
+        again = sample_pairs(labels, max_pos=3, max_neg=10, rng=np.random.default_rng(seed)).tolist()
         assert draw == again
     assert len({tuple(d) for d in draws.values()}) > 1
 

@@ -13,6 +13,7 @@ from obsg import (
     Dataset,
     ObjectInstance,
     OrientedBox,
+    RegistryMismatchError,
     RelationTriplet,
     SceneAnnotation,
     StatsReport,
@@ -191,7 +192,7 @@ def test_stats_json_carries_every_field():
 
 
 def test_stats_csv_single_split():
-    text = report_to_csv(compute_stats(small_dataset()))
+    text = report_to_csv([compute_stats(small_dataset())])
     lines = text.splitlines()
     assert lines[0] == "category,count"
     assert lines[1] == "A,2"
@@ -217,12 +218,12 @@ def test_stats_csv_multi_split_column_order():
 
 def test_stats_csv_validation():
     train = compute_stats(small_dataset())
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="duplicate splits"):
         report_to_csv([train, train])
     other = compute_stats(
         Dataset(CategoryRegistry(("X",), ("r",)), "val", ())
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(RegistryMismatchError):
         report_to_csv([train, other])
     with pytest.raises(ValueError):
         report_to_csv([])
