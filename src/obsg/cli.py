@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .datamodel import (
+    SPLITS,
     Dataset,
     ObjectInstance,
     SceneAnnotation,
@@ -31,8 +32,11 @@ from .datamodel import (
     validate,
 )
 from .errors import DataError
-from .ingest import convert_to_hbb, tile_dataset
+from .ingest import KEEP_FRACTION, TILE_SIZE, TILE_STRIDE, convert_to_hbb, tile_dataset
 from .metrics import (
+    DEFAULT_K_VALUES,
+    SUBTASKS,
+    EvalReport,
     MatchConfig,
     evaluate_detections,
     evaluate_scene_graphs,
@@ -42,6 +46,7 @@ from .metrics import (
 from .pairing import MAX_NEGATIVE_PAIRS, MAX_POSITIVE_PAIRS, label_pairs, sample_pairs
 from .registry import CategoryRegistry
 from .scorer import (
+    DEFAULT_ALPHA,
     TrainConfig,
     fit_frequency_prior,
     load_prior,
@@ -288,35 +293,30 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _warn_uncovered(gt: Dataset, predictions: Dataset) -> None:
-    """One stderr line when evaluation skips images on either side."""
-    gt_ids = {scene.image_id for scene in gt.scenes}
-    pred_ids = {scene.image_id for scene in predictions.scenes}
-    missing = len(gt_ids - pred_ids)
-    unknown = len(pred_ids - gt_ids)
-    if missing or unknown:
+def _write_report(args: argparse.Namespace, report: EvalReport) -> None:
+    """Warn on stderr when evaluation skipped images, then write the report."""
+    c = report.coverage
+    if c["gt_without_prediction"] or c["pred_not_in_gt"]:
         print(
-            f"warning: {missing} of {len(gt_ids)} ground-truth images have no "
-            f"prediction scene; {unknown} of {len(pred_ids)} prediction images "
-            "are not in the ground truth",
+            f"warning: {c['gt_without_prediction']} of {c['gt_images']} ground-truth "
+            f"images have no prediction scene; {c['pred_not_in_gt']} of "
+            f"{c['pred_images']} prediction images are not in the ground truth",
             file=sys.stderr,
         )
-
-
-def _cmd_eval_det(args: argparse.Namespace) -> int:
-    gt = _load_dataset(args.gt)
-    predictions = parse_predictions(_read_text(args.pred))
-    report = evaluate_detections(
-        gt,
-        predictions,
-        iou_threshold=args.iou_threshold,
-        include_empty_classes=args.include_empty,
-    )
-    _warn_uncovered(gt, predictions)
     text = (
         eval_report_to_csv(report) if args.format == "csv" else eval_report_to_json(report)
     )
     _write_output(args.output, text)
+
+
+def _cmd_eval_det(args: argparse.Namespace) -> int:
+    report = evaluate_detections(
+        _load_dataset(args.gt),
+        parse_predictions(_read_text(args.pred)),
+        iou_threshold=args.iou_threshold,
+        include_empty_classes=args.include_empty,
+    )
+    _write_report(args, report)
     return 0
 
 
@@ -329,12 +329,7 @@ def _cmd_eval_sgg(args: argparse.Namespace) -> int:
         k_values=_parse_k_values(args.k),
         graph_constraint=not args.no_graph_constraint,
     )
-    report = evaluate_scene_graphs(gt, predictions, config)
-    _warn_uncovered(gt, predictions)
-    text = (
-        eval_report_to_csv(report) if args.format == "csv" else eval_report_to_json(report)
-    )
-    _write_output(args.output, text)
+    _write_report(args, evaluate_scene_graphs(gt, predictions, config))
     return 0
 
 
@@ -378,16 +373,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-side", type=float, default=8.0)
     p.add_argument("--max-side", type=float, default=96.0)
     p.add_argument("--tail-skew", type=float, default=1.5)
-    p.add_argument("--split", choices=("train", "val", "test"), default="train")
+    p.add_argument("--split", choices=SPLITS, default="train")
     p.add_argument("--rules", help="JSON rule table (default: built-in rules)")
     _add_output(p)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("tile", help="crop every scene to a sliding tile grid")
     p.add_argument("--input", required=True)
-    p.add_argument("--size", type=int, default=800)
-    p.add_argument("--stride", type=int, default=400)
-    p.add_argument("--keep-fraction", type=float, default=0.5)
+    p.add_argument("--size", type=int, default=TILE_SIZE)
+    p.add_argument("--stride", type=int, default=TILE_STRIDE)
+    p.add_argument("--keep-fraction", type=float, default=KEEP_FRACTION)
     _add_output(p)
     p.set_defaults(func=_cmd_tile)
 
@@ -406,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-prior", help="fit the class-pair frequency prior")
     p.add_argument("--input", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     _add_output(p)
     p.set_defaults(func=_cmd_fit_prior)
 
@@ -415,8 +410,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--max-pos", type=int, default=64)
-    p.add_argument("--max-neg", type=int, default=192)
+    p.add_argument("--max-pos", type=int, default=MAX_POSITIVE_PAIRS)
+    p.add_argument("--max-neg", type=int, default=MAX_NEGATIVE_PAIRS)
     _add_output(p)
     p.set_defaults(func=_cmd_train_linear)
 
@@ -443,8 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-sgg", help="scene-graph recall report")
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--task", choices=("predcls", "sgcls", "sgdet"), default="predcls")
-    p.add_argument("--k", default="20,50,100,500",
+    p.add_argument("--task", choices=SUBTASKS, default="predcls")
+    p.add_argument("--k", default=",".join(map(str, DEFAULT_K_VALUES)),
                    help="comma-separated ascending K values")
     p.add_argument("--iou-threshold", type=float, default=0.5)
     p.add_argument("--no-graph-constraint", action="store_true")

@@ -23,7 +23,8 @@ Parsing is one pass over the decoded JSON with inline exact-type checks;
 it formats no path and no message for a scene, object or relation that
 passes them.  A value that fails its check goes to the located helper for
 that one value, which raises the :class:`ManifestError` naming its JSON
-path.  A prediction file must also give every image a positive extent.
+path.  A prediction file must also give every image an extent in
+``1..MAX_IMAGE_EXTENT``; a manifest leaves that to ``validate``.
 ``serialize_dataset`` writes the document text directly, with no dict per
 record, byte-identical to ``json.dumps`` of the nested dicts.
 """
@@ -41,6 +42,10 @@ from .registry import CategoryRegistry
 
 MANIFEST_VERSION = "1.0"
 SPLITS = ("train", "val", "test")
+# Largest image width or height in pixels.  FAIR1M images, ReCon1M's source,
+# are about 10^4 px a side at most; the bound keeps every array and tile
+# grid built from an extent small (800/400 tiles: at most 249 x 249).
+MAX_IMAGE_EXTENT = 100_000
 
 SIZE_CLASS_NAMES = ("large", "medium", "small", "tiny")
 
@@ -194,10 +199,14 @@ def validate(dataset: Dataset) -> list[Violation]:
         if img in seen_images:
             violations.append(Violation("DUPLICATE_IMAGE_ID", img, "image id reused"))
         seen_images.add(img)
-        if scene.width <= 0 or scene.height <= 0:
+        if not (
+            0 < scene.width <= MAX_IMAGE_EXTENT and 0 < scene.height <= MAX_IMAGE_EXTENT
+        ):
             violations.append(
                 Violation(
-                    "IMAGE_EXTENT", img, f"extent {scene.width}x{scene.height}"
+                    "IMAGE_EXTENT",
+                    img,
+                    f"extent {scene.width}x{scene.height} outside 1..{MAX_IMAGE_EXTENT}",
                 )
             )
             continue
@@ -412,6 +421,11 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
             raise ManifestError(
                 f"$.images[{i}]: non-positive extent {width}x{height} (image {image_id!r})"
             )
+        if scored and (width > MAX_IMAGE_EXTENT or height > MAX_IMAGE_EXTENT):
+            raise ManifestError(
+                f"$.images[{i}]: extent {width}x{height} above the maximum"
+                f" {MAX_IMAGE_EXTENT} (image {image_id!r})"
+            )
         raw_objects = raw_scene.get("objects")
         if type(raw_objects) is not list:
             raw_objects = _get(raw_scene, "objects", list, f"$.images[{i}]")
@@ -516,7 +530,7 @@ def parse_predictions(data: str | bytes) -> Dataset:
     Raises:
         ManifestError: as :func:`parse_dataset` without ``check``, and for
             a missing or non-finite score, a reused object id or an image
-            whose width or height is not positive.
+            whose width or height is not in ``1..MAX_IMAGE_EXTENT``.
     """
     return _parse(data, scored=True)
 

@@ -14,7 +14,13 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .datamodel import Dataset, Detection, ObjectInstance, SceneAnnotation
+from .datamodel import (
+    MAX_IMAGE_EXTENT,
+    Dataset,
+    Detection,
+    ObjectInstance,
+    SceneAnnotation,
+)
 from .geometry import OrientedBox, intersection_area, rotated_iou
 
 TILE_SIZE = 800
@@ -54,12 +60,12 @@ def plan_tiles(
     """Sliding-window tile grid covering the full image, row-major order.
 
     Args:
-        width, height: image extent in pixels, positive.
+        width, height: image extent in pixels, in ``1..MAX_IMAGE_EXTENT``.
         size: square tile side.
         stride: step between tile origins; must satisfy 0 < stride <= size.
     """
-    if width <= 0 or height <= 0:
-        raise ValueError(f"image extent must be positive: {width}x{height}")
+    if not (0 < width <= MAX_IMAGE_EXTENT and 0 < height <= MAX_IMAGE_EXTENT):
+        raise ValueError(f"image extent must be in 1..{MAX_IMAGE_EXTENT}: {width}x{height}")
     if size <= 0 or not 0 < stride <= size:
         raise ValueError(f"bad tile size/stride: {size}/{stride}")
     xs = _grid_positions(width, size, stride)

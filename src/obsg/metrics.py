@@ -21,8 +21,10 @@ recall averages the per-predicate recalls of predicates with ground truth.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from .datamodel import Dataset, Detection, ObjectInstance, SceneAnnotation, check_indices
 from .errors import DataError, RegistryMismatchError
@@ -102,6 +104,22 @@ class TripletMatchResult:
     matched: tuple[int, ...]
 
 
+def _take_best(
+    candidates: list[int], quality: Callable[[int], float], threshold: float
+) -> int:
+    """The greedy rule of both box matchers: remove and return the first of
+    ``candidates`` with the highest ``quality`` at or above ``threshold``, or -1."""
+    best = -1
+    best_quality = -math.inf
+    for g in candidates:
+        value = quality(g)
+        if value >= threshold and value > best_quality:
+            best, best_quality = g, value
+    if best >= 0:
+        candidates.remove(best)
+    return best
+
+
 def match_detections(
     predictions: Sequence[ObjectInstance | Detection],
     truths: Sequence[OrientedBox],
@@ -120,20 +138,11 @@ def match_detections(
         raise ValueError(f"iou_threshold must be in (0, 1]: {iou_threshold}")
     order = sorted(range(len(predictions)), key=lambda i: -predictions[i].score)
     flags = [False] * len(predictions)
-    taken = [False] * len(truths)
+    untaken = list(range(len(truths)))
     for i in order:
-        best_iou = 0.0
-        best_gt = -1
-        for g, gt_box in enumerate(truths):
-            if taken[g]:
-                continue
-            iou = rotated_iou(predictions[i].box, gt_box)
-            if iou > best_iou:
-                best_iou = iou
-                best_gt = g
-        if best_gt >= 0 and best_iou >= iou_threshold:
-            flags[i] = True
-            taken[best_gt] = True
+        box = predictions[i].box
+        g = _take_best(untaken, lambda g: rotated_iou(box, truths[g]), iou_threshold)
+        flags[i] = g >= 0
     return flags
 
 
@@ -238,6 +247,14 @@ def match_triplets(
             value = ious[key] = rotated_iou(detected.box, truth.box)
         return value
 
+    def quality(pred: Triplet, g: int) -> float:
+        """The smaller endpoint IoU; -1, without the object's, if the subject's misses."""
+        target = targets[g]
+        iou_s = iou(pred.subject, target.subject)
+        if iou_s < config.iou_threshold:
+            return -1.0
+        return min(iou_s, iou(pred.object, target.object))
+
     # Untaken targets per key, ascending; a match removes its target.
     buckets: dict[tuple, list[int]] = {}
     for g, target in enumerate(targets):
@@ -247,25 +264,10 @@ def match_triplets(
         pred = predictions[i]
         candidates = buckets.get(_match_key(pred, identity), [])
         if identity:
-            best_gt = candidates[0] if candidates else -1
+            g = candidates.pop(0) if candidates else -1
         else:
-            best_gt = -1
-            best_quality = -1.0
-            for g in candidates:
-                target = targets[g]
-                iou_s = iou(pred.subject, target.subject)
-                if iou_s < config.iou_threshold:
-                    continue
-                iou_o = iou(pred.object, target.object)
-                if iou_o < config.iou_threshold:
-                    continue
-                quality = min(iou_s, iou_o)
-                if quality > best_quality:
-                    best_quality = quality
-                    best_gt = g
-        if best_gt >= 0:
-            candidates.remove(best_gt)
-        matched.append(best_gt)
+            g = _take_best(candidates, partial(quality, pred), config.iou_threshold)
+        matched.append(g)
     return TripletMatchResult(tuple(ranking), tuple(matched))
 
 
@@ -274,7 +276,8 @@ class EvalReport:
     """Evaluation results of one run; detection or scene-graph fields are set.
 
     ``counts`` maps a category (or predicate) name to its tp/fp/fn tally.
-    Recall dictionaries are keyed by K.
+    Recall dictionaries are keyed by K.  ``coverage`` (see :func:`_paired_scenes`)
+    describes the inputs, not the result: it is neither compared nor written.
     """
 
     kind: str
@@ -284,17 +287,25 @@ class EvalReport:
     recall_at_k: dict[int, float] | None = None
     per_predicate_recall_at_k: dict[str, dict[int, float]] | None = None
     mean_recall_at_k: dict[int, float] | None = None
+    coverage: dict[str, int] = field(default_factory=dict, compare=False)
 
 
-def _check_names(gt: Dataset, predictions: Dataset) -> None:
+def _paired_scenes(
+    gt: Dataset, predictions: Dataset
+) -> tuple[list[tuple[SceneAnnotation, SceneAnnotation | None]], dict[str, int]]:
+    """Each ground-truth scene with its image's prediction scene or ``None``,
+    and the coverage counts (``gt_images``, ``gt_without_prediction``,
+    ``pred_images``, ``pred_not_in_gt``) of the two image-id sets.
+
+    Raises:
+        RegistryMismatchError: the two sides use different category lists.
+        DataError: a repeated prediction image id, an unscored prediction,
+            or a category or predicate outside the registry in a paired scene.
+    """
     if predictions.registry != gt.registry:
         raise RegistryMismatchError(
             "prediction file and ground truth use different category lists"
         )
-
-
-def _prediction_index(predictions: Dataset) -> dict[str, SceneAnnotation]:
-    """Prediction scenes by image id; every object and relation needs a score."""
     index: dict[str, SceneAnnotation] = {}
     for scene in predictions.scenes:
         if scene.image_id in index:
@@ -311,7 +322,17 @@ def _prediction_index(predictions: Dataset) -> dict[str, SceneAnnotation]:
                     f"{rel.subject}-{rel.predicate}->{rel.object} has no score"
                 )
         index[scene.image_id] = scene
-    return index
+    pairs = [(scene, index.get(scene.image_id)) for scene in gt.scenes]
+    for scene in (s for pair in pairs for s in pair if s is not None):
+        check_indices(scene, gt.registry.num_objects, gt.registry.num_relations)
+    gt_ids = {scene.image_id for scene in gt.scenes}
+    coverage = {
+        "gt_images": len(gt_ids),
+        "gt_without_prediction": len(gt_ids - index.keys()),
+        "pred_images": len(index),
+        "pred_not_in_gt": len(index.keys() - gt_ids),
+    }
+    return pairs, coverage
 
 
 def _objects_by_category(scene: SceneAnnotation) -> dict[int, list[ObjectInstance]]:
@@ -340,27 +361,21 @@ def evaluate_detections(
         DataError: an object category or a predicate lies outside the
             registry.
     """
-    _check_names(gt, predictions)
-    pred_index = _prediction_index(predictions)
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1]: {iou_threshold}")
+    pairs, coverage = _paired_scenes(gt, predictions)
     names = gt.registry.object_names
     num_classes = len(names)
-    num_relations = gt.registry.num_relations
     # (score, flag) per class, in ground-truth scene order then file order
     scored_flags: list[list[tuple[float, bool]]] = [[] for _ in range(num_classes)]
     gt_totals = [0] * num_classes
-    for scene in gt.scenes:
-        check_indices(scene, num_classes, num_relations)
+    for scene, pred_scene in pairs:
         truths = _objects_by_category(scene)
         for c, objects in truths.items():
             gt_totals[c] += len(objects)
-        pred_scene = pred_index.get(scene.image_id)
         if pred_scene is None:
             continue
-        check_indices(pred_scene, num_classes, num_relations)
-        by_category = _objects_by_category(pred_scene)
-        for c, preds in by_category.items():
+        for c, preds in _objects_by_category(pred_scene).items():
             boxes = [o.box for o in truths.get(c, ())]
             flags = match_detections(preds, boxes, iou_threshold)
             scored_flags[c].extend(zip([o.score for o in preds], flags))
@@ -386,6 +401,7 @@ def evaluate_detections(
         counts=counts,
         per_class_ap=per_class_ap,
         mean_ap=mean_ap(list(per_class_ap.values())),
+        coverage=coverage,
     )
 
 
@@ -422,27 +438,17 @@ def evaluate_scene_graphs(
             the registry.
     """
     config = config or MatchConfig()
-    _check_names(gt, predictions)
-    pred_index = _prediction_index(predictions)
-    num_objects = gt.registry.num_objects
+    pairs, coverage = _paired_scenes(gt, predictions)
     rel_names = gt.registry.relation_names
     ks = config.k_values
-    gt_total = 0
-    matched_total = {k: 0 for k in ks}
     gt_per_pred = [0] * len(rel_names)
     matched_per_pred = {k: [0] * len(rel_names) for k in ks}
     tp_per_pred = [0] * len(rel_names)
     fp_per_pred = [0] * len(rel_names)
-    for scene in gt.scenes:
-        check_indices(scene, num_objects, len(rel_names))
+    for scene, pred_scene in pairs:
         targets = scene_triplets(scene)
-        pred_scene = pred_index.get(scene.image_id)
-        preds = []
-        if pred_scene is not None:
-            check_indices(pred_scene, num_objects, len(rel_names))
-            preds = scene_triplets(pred_scene)
+        preds = [] if pred_scene is None else scene_triplets(pred_scene)
         result = match_triplets(preds, targets, config)
-        gt_total += len(targets)
         for target in targets:
             gt_per_pred[target.predicate] += 1
         for rank, (pred_idx, g) in enumerate(zip(result.ranking, result.matched)):
@@ -451,13 +457,13 @@ def evaluate_scene_graphs(
                 tp_per_pred[predicate] += 1
                 for k in ks:
                     if rank < k:
-                        matched_total[k] += 1
                         matched_per_pred[k][predicate] += 1
             else:
                 fp_per_pred[predicate] += 1
+    gt_total = sum(gt_per_pred)
     if gt_total == 0:
         raise DataError("ground truth contains no relation triplets")
-    overall = {k: matched_total[k] / gt_total for k in ks}
+    overall = {k: sum(matched_per_pred[k]) / gt_total for k in ks}
     per_predicate: dict[str, dict[int, float]] = {}
     for p, name in enumerate(rel_names):
         if gt_per_pred[p] > 0:
@@ -482,6 +488,7 @@ def evaluate_scene_graphs(
         recall_at_k=overall,
         per_predicate_recall_at_k=per_predicate,
         mean_recall_at_k=mean_recall,
+        coverage=coverage,
     )
 
 

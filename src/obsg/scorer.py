@@ -21,11 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import (
-    Dataset, RelationTriplet, SceneAnnotation, _expect, _get, _load_root, check_indices,
+    MAX_IMAGE_EXTENT, Dataset, RelationTriplet, SceneAnnotation, _expect, _get, _load_root,
+    check_indices,
 )
 from .errors import DataError, ManifestError, RegistryMismatchError, TrainingDivergenceError
 from .geometry import TWO_PI, OrientedBox, rotated_iou
-from .pairing import pair_endpoints, relation_pairs, sample_pairs
+from .pairing import (
+    MAX_NEGATIVE_PAIRS, MAX_POSITIVE_PAIRS, pair_endpoints, relation_pairs, sample_pairs,
+)
 from .registry import CategoryRegistry
 
 DEFAULT_ALPHA = 1.0
@@ -137,8 +140,8 @@ class TrainConfig:
     seed: int
     learning_rate: float = 0.5
     epochs: int = 200
-    max_pos: int = 64
-    max_neg: int = 192
+    max_pos: int = MAX_POSITIVE_PAIRS
+    max_neg: int = MAX_NEGATIVE_PAIRS
 
     def __post_init__(self) -> None:
         if self.learning_rate < 0:
@@ -206,16 +209,17 @@ class _SceneArrays:
 
     @classmethod
     def of(cls, scene: SceneAnnotation) -> "_SceneArrays":
-        if scene.width <= 0 or scene.height <= 0:
+        width, height = scene.width, scene.height
+        if not (0 < width <= MAX_IMAGE_EXTENT and 0 < height <= MAX_IMAGE_EXTENT):
             raise ValueError(
-                f"image extent must be positive: {scene.width} x {scene.height}"
+                f"image extent must be in 1..{MAX_IMAGE_EXTENT}: {width} x {height}"
             )
         boxes = tuple(obj.box for obj in scene.objects)
         return cls(
             boxes,
             np.array([box.params for box in boxes], dtype=np.float64).reshape(-1, 5),
             np.array([box.extent for box in boxes], dtype=np.float64).reshape(-1, 4),
-            np.array([scene.width, scene.height, scene.width, scene.height, TWO_PI]),
+            np.array([width, height, width, height, TWO_PI]),
         )
 
     def geometry(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:

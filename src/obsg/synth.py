@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datamodel import (
+    MAX_IMAGE_EXTENT,
     SPLITS,
     Dataset,
     ObjectInstance,
@@ -99,8 +100,10 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_images < 0:
             raise ValueError(f"n_images must be >= 0: {self.n_images}")
-        if self.image_size <= 0:
-            raise ValueError(f"image_size must be positive: {self.image_size}")
+        if not 0 < self.image_size <= MAX_IMAGE_EXTENT:
+            raise ValueError(
+                f"image_size must be in 1..{MAX_IMAGE_EXTENT}: {self.image_size}"
+            )
         if not 0 < self.min_objects <= self.max_objects:
             raise ValueError(
                 f"need 0 < min_objects <= max_objects:"

@@ -40,7 +40,14 @@ from obsg import (
     match_detections,
     rotated_iou,
 )
-from obsg.datamodel import _expect, _get, _parse_box, _parse_header, _parse_score
+from obsg.datamodel import (
+    MAX_IMAGE_EXTENT,
+    _expect,
+    _get,
+    _parse_box,
+    _parse_header,
+    _parse_score,
+)
 from obsg.geometry import TWO_PI
 from obsg.scorer import GEOMETRY_FEATURES, feature_count
 
@@ -500,9 +507,9 @@ def reference_parse(root, scored: bool) -> Dataset:
     This is the walk the library's one-pass parser replaced; it raises the
     located :class:`ManifestError` of the first defect, and the parser must
     give the same dataset or the same message.  A prediction file must
-    score every object and relation and give the image a positive extent,
-    and since it never passes through ``validate``, duplicate object ids
-    are rejected here.
+    score every object and relation and give the image an extent in
+    ``1..MAX_IMAGE_EXTENT``, and since it never passes through
+    ``validate``, duplicate object ids are rejected here.
     """
     split, registry = _parse_header(root)
     scenes = []
@@ -516,6 +523,11 @@ def reference_parse(root, scored: bool) -> Dataset:
         if scored and (width <= 0 or height <= 0):
             raise ManifestError(
                 f"{path}: non-positive extent {width}x{height} (image {image_id!r})"
+            )
+        if scored and max(width, height) > MAX_IMAGE_EXTENT:
+            raise ManifestError(
+                f"{path}: extent {width}x{height} above the maximum {MAX_IMAGE_EXTENT}"
+                f" (image {image_id!r})"
             )
         objects = []
         ids: set[int] = set()

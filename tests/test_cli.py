@@ -1,13 +1,17 @@
 """End-to-end CLI runs, in process, against temporary files."""
 
+import copy
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from obsg import cli, parse_dataset, parse_predictions, serialize_dataset
 from obsg.registry import canonical_registry
@@ -557,3 +561,109 @@ def test_eval_rejects_non_positive_prediction_extent(tmp_path, capsys):
         assert cli.run(command + ["--gt", str(gt), "--pred", str(pred)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: $.images[1]: non-positive extent 0x1024"), err
+
+
+def test_commands_reject_image_wider_than_the_maximum(tmp_path, capsys):
+    gt = synth_manifest(tmp_path, images=3, seed=48)
+    prior = fitted_prior(tmp_path, gt)
+    scorer = tmp_path / "scorer.json"
+    argv = ["train-linear", "--input", str(gt), "--seed", "1", "--epochs", "2"]
+    assert cli.run(argv + ["--output", str(scorer)]) == 0
+    pred = tmp_path / "pred.json"
+    argv = ["predict", "--input", str(gt), "--prior", str(prior), "--output", str(pred)]
+    assert cli.run(argv) == 0
+    wide_gt, wide_pred = tmp_path / "wide-gt.json", tmp_path / "wide-pred.json"
+    for path, wide in ((gt, wide_gt), (pred, wide_pred)):
+        doc = json.loads(path.read_text())
+        doc["images"][0]["width"] = 2**64
+        wide.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for argv, message in (
+        (["train-linear", "--input", str(wide_gt), "--seed", "1", "--epochs", "2"],
+         "IMAGE_EXTENT"),
+        (["predict", "--input", str(wide_gt), "--prior", str(prior), "--linear", str(scorer)],
+         "IMAGE_EXTENT"),
+        (["tile", "--input", str(wide_gt)], "IMAGE_EXTENT"),
+        (["eval-det", "--gt", str(gt), "--pred", str(wide_pred)],
+         "$.images[0]: extent 18446744073709551616x1024 above the maximum 100000"),
+    ):
+        assert cli.run(argv) == 1, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+
+
+# Every command form the fuzz test runs, with the input files each reads.
+FUZZ_COMMANDS = (
+    "validate --input {manifest}",
+    "stats --input {manifest}",
+    "fit-prior --input {manifest}",
+    "train-linear --input {manifest} --seed 1 --epochs 2",
+    "predict --input {manifest} --prior {prior}",
+    "predict --input {manifest} --prior {prior} --linear {scorer}",
+    "eval-sgg --gt {manifest} --pred {pred} --task predcls",
+    "eval-sgg --gt {manifest} --pred {pred} --task sgdet",
+    "eval-det --gt {manifest} --pred {pred}",
+    "tile --input {manifest}",
+    "convert-hbb --input {manifest}",
+    "pairs --input {manifest}",
+)
+FUZZ_VALUES = (-1, 0, 2**31, 2**63, 2**64, 2**70, 1e308, math.nan, "x", None, True, [], {})
+
+
+def json_leaves(value, path=()):
+    """Paths to every scalar, empty list and empty object of a JSON document."""
+    if isinstance(value, (dict, list)) and value:
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from json_leaves(item, path + (key,))
+    else:
+        yield path
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A small valid manifest, prediction file, prior and linear scorer."""
+    base = tmp_path_factory.mktemp("fuzz")
+    gt = synth_manifest(base, images=2, seed=49, extra=("--max-objects", "4"))
+    paths = {kind: str(base / f"{kind}.json") for kind in ("prior", "scorer", "pred")}
+    paths["manifest"] = str(gt)
+    for argv in (
+        ["fit-prior", "--input", paths["manifest"], "--output", paths["prior"]],
+        ["train-linear", "--input", paths["manifest"], "--seed", "1", "--epochs", "2",
+         "--output", paths["scorer"]],
+        ["predict", "--input", paths["manifest"], "--prior", paths["prior"],
+         "--output", paths["pred"]],
+    ):
+        assert cli.run(argv) == 0
+    docs = {kind: json.loads(Path(path).read_text()) for kind, path in paths.items()}
+    return base, paths, docs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_cli_fuzz_exits_zero_or_one(fuzz_inputs, data):
+    base, paths, docs = fuzz_inputs
+    kind = data.draw(st.sampled_from(sorted(docs)))
+    doc = copy.deepcopy(docs[kind])
+    # Leaves grouped by field, list positions aside, so that a field with
+    # many instances, such as a box coordinate, is drawn as often as one
+    # with a single instance, such as an image width.
+    fields: dict[tuple, list[tuple]] = {}
+    for path in json_leaves(doc):
+        fields.setdefault(tuple(k for k in path if isinstance(k, str)), []).append(path)
+    leaf = st.sampled_from(sorted(fields)).flatmap(lambda f: st.sampled_from(fields[f]))
+    edits = st.tuples(leaf, st.sampled_from(FUZZ_VALUES))
+    for path, value in data.draw(st.lists(edits, min_size=1, max_size=2)):
+        *head, last = path
+        container = doc
+        for key in head:
+            container = container[key]
+        container[last] = value
+    mutant = base / f"mutant-{kind}.json"
+    mutant.write_text(json.dumps(doc))
+    inputs = {**paths, kind: str(mutant)}
+    for template in FUZZ_COMMANDS:
+        if "{" + kind + "}" in template:
+            argv = template.format(**inputs).split() + ["--output", str(base / "out")]
+            assert cli.run(argv) in (0, 1), argv

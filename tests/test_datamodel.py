@@ -28,6 +28,7 @@ from obsg import (
     train_linear,
     validate,
 )
+from obsg.datamodel import MAX_IMAGE_EXTENT
 
 
 def unit_box(x=0.0, y=0.0, s=10.0):
@@ -418,6 +419,29 @@ def test_prediction_rejects_non_positive_extent():
         assert str(err.value) == f"$.images[0]: non-positive extent {extent} (image 'img-1')"
         # A manifest leaves the extent to validate(), which reports IMAGE_EXTENT.
         parse_dataset(json.dumps(doc), check=False)
+
+
+def test_image_extent_above_the_maximum():
+    for key, value, extent in (
+        ("width", MAX_IMAGE_EXTENT + 1, f"{MAX_IMAGE_EXTENT + 1}x100"),
+        ("height", 2**64, f"100x{2**64}"),
+    ):
+        doc = scored_manifest()
+        doc["images"][0][key] = value
+        with pytest.raises(ManifestError) as err:
+            parse_predictions(json.dumps(doc))
+        assert str(err.value) == (
+            f"$.images[0]: extent {extent} above the maximum 100000 (image 'img-1')"
+        )
+        # A manifest leaves the extent to validate(), which reports IMAGE_EXTENT.
+        violations = validate(parse_dataset(json.dumps(doc), check=False))
+        assert [(v.code, v.detail) for v in violations] == [
+            ("IMAGE_EXTENT", f"extent {extent} outside 1..100000")
+        ]
+        with pytest.raises(ManifestError, match="IMAGE_EXTENT"):
+            parse_dataset(json.dumps(doc))
+    scene = make_scene([], [], width=MAX_IMAGE_EXTENT, height=MAX_IMAGE_EXTENT)
+    assert validate(Dataset(small_registry(), "val", (scene,))) == []
 
 
 def index_scene(category=1, predicate=0, scored=False):

@@ -24,6 +24,7 @@ from obsg import (
     rotated_nms,
     tile_dataset,
 )
+from obsg.datamodel import MAX_IMAGE_EXTENT
 
 
 def scene_of(objects, relations=(), image_id="scene", width=1000, height=1000):
@@ -79,6 +80,9 @@ def test_plan_tiles_validation():
         plan_tiles(100, 100, size=100, stride=101)
     with pytest.raises(ValueError):
         TileSpec(-1, 0, 100)
+    # Two tiles without the bound: the check comes before any origin list.
+    with pytest.raises(ValueError, match="image extent must be in"):
+        plan_tiles(MAX_IMAGE_EXTENT + 1, 1, size=MAX_IMAGE_EXTENT, stride=MAX_IMAGE_EXTENT)
 
 
 def test_crop_keeps_inner_object_untouched():

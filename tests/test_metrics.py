@@ -74,24 +74,50 @@ def test_match_detections_threshold_validation():
 
 
 def test_match_detections_matches_reference():
+    # Every other case puts boxes on a row of 10 px cells, so that a
+    # detection moved by half a cell has the same IoU with two truths.  In
+    # every case some truths repeat an earlier truth, some detections equal
+    # a truth and scores are eighths, so IoUs and scores tie exactly.
     rng = np.random.default_rng(50)
-    for _ in range(100):
-        truths = [
-            oracles.random_box(rng, center_lo=10, center_hi=90, side_lo=4, side_hi=25)
-            for _ in range(int(rng.integers(0, 6)))
-        ]
+    exact = 0
+    for case in range(300):
+        grid = case % 2 == 1
+
+        def new_box():
+            if grid:
+                theta = float(rng.choice([0.0, 0.0, 0.0, 0.5]))
+                return OrientedBox.from_params(
+                    20.0 + 10.0 * int(rng.integers(0, 4)), 30.0, 12.0, 12.0, theta
+                )
+            return oracles.random_box(rng, center_lo=10, center_hi=90, side_lo=4, side_hi=25)
+
+        def moved(box):
+            if grid:
+                return box.translate(5.0 * float(rng.choice([-1, 1])), 0.0)
+            return box.translate(float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4)))
+
+        truths = []
+        for _ in range(int(rng.integers(0, 7))):
+            if truths and rng.uniform() < 0.3:
+                truths.append(truths[int(rng.integers(0, len(truths)))])
+            else:
+                truths.append(new_box())
         dets = []
         for _ in range(int(rng.integers(0, 9))):
-            if truths and rng.uniform() < 0.6:
-                base = truths[int(rng.integers(0, len(truths)))]
-                box = base.translate(float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4)))
+            draw = rng.uniform()
+            if truths and draw < 0.8:
+                box = truths[int(rng.integers(0, len(truths)))]
+                if draw < 0.4:
+                    box = moved(box)
             else:
-                box = oracles.random_box(
-                    rng, center_lo=10, center_hi=90, side_lo=4, side_hi=25
-                )
-            dets.append(Detection(box, 0, float(rng.uniform())))
-        expected = oracles.reference_match_detections(dets, truths, 0.5)
-        assert match_detections(dets, truths, 0.5) == expected
+                box = new_box()
+            dets.append(Detection(box, 0, int(rng.integers(0, 9)) / 8))
+        for threshold in (0.3, 0.5, 1.0):
+            expected = oracles.reference_match_detections(dets, truths, threshold)
+            assert match_detections(dets, truths, threshold) == expected
+        exact += sum(expected)
+    # Some detections match at IoU exactly 1.
+    assert exact > 0
 
 
 def test_average_precision_frozen_values():
@@ -563,7 +589,16 @@ def test_evaluate_detections_matches_per_class_reference():
                 with pytest.raises(DataError, match="no objects"):
                     evaluate_detections(gt, preds, threshold, include_empty)
                 continue
-            assert evaluate_detections(gt, preds, threshold, include_empty) == expected
+            report = evaluate_detections(gt, preds, threshold, include_empty)
+            assert report == expected
+            gt_ids = {scene.image_id for scene in gt.scenes}
+            pred_ids = {scene.image_id for scene in preds.scenes}
+            assert report.coverage == {
+                "gt_images": len(gt_ids),
+                "gt_without_prediction": len(gt_ids - pred_ids),
+                "pred_images": len(pred_ids),
+                "pred_not_in_gt": len(pred_ids - gt_ids),
+            }
             compared += 1
     assert compared > 500
 

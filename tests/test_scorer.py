@@ -39,6 +39,7 @@ from obsg import (
     train_linear,
 )
 from obsg import scorer as scorer_module
+from obsg.datamodel import MAX_IMAGE_EXTENT
 from obsg.scorer import (
     _prior_rows,
     _scene_pair_rows,
@@ -119,6 +120,9 @@ def test_pair_features_layout():
     block = _SceneArrays.of(scene).geometry(np.array([0]), np.array([1]))
     assert block.shape == (1, 15)
     assert np.array_equal(block[0], vec[:15])
+    for width in (0, MAX_IMAGE_EXTENT + 1, 2**64):
+        with pytest.raises(ValueError, match="image extent must be in"):
+            _SceneArrays.of(SceneAnnotation("s", width, 100, (a, b), ()))
 
 
 def two_class_dataset():
@@ -480,7 +484,9 @@ SCORE_TOL = 1e-12
 @st.composite
 def scoring_cases(draw):
     n = draw(st.integers(0, 12))
-    offset = draw(st.sampled_from([0.0, 1e3, 1e6]))
+    # The largest offset puts the field at the far corner of the largest
+    # image a manifest may describe.
+    offset = draw(st.sampled_from([0.0, 1e3, MAX_IMAGE_EXTENT - 100.0]))
     boxes = []
     for _ in range(n):
         # Boxes of a few pixels on a 60 px field: some overlap, many do not.

@@ -16,6 +16,7 @@ from obsg import (
     serialize_dataset,
     validate,
 )
+from obsg.datamodel import MAX_IMAGE_EXTENT
 from obsg.synth import class_weights
 
 
@@ -161,6 +162,8 @@ def test_config_validation():
         SynthConfig(n_images=1, seed=1, min_side=10.0, max_side=9.0)
     with pytest.raises(ValueError):
         SynthConfig(n_images=1, seed=1, image_size=100, max_side=96.0)
+    with pytest.raises(ValueError, match="image_size must be in"):
+        SynthConfig(n_images=1, seed=1, image_size=MAX_IMAGE_EXTENT + 1)
     with pytest.raises(ValueError):
         SynthConfig(n_images=1, seed=1, tail_skew=-0.5)
     with pytest.raises(ValueError):
