@@ -15,7 +15,8 @@ import json
 import os
 import sys
 import tempfile
-from typing import Sequence
+from dataclasses import fields
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .errors import DataError
 from .ingest import KEEP_FRACTION, TILE_SIZE, TILE_STRIDE, convert_to_hbb, tile_dataset
 from .metrics import (
     DEFAULT_K_VALUES,
+    IOU_THRESHOLD,
     SUBTASKS,
     EvalReport,
     MatchConfig,
@@ -336,6 +338,11 @@ def _cmd_eval_sgg(args: argparse.Namespace) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+def _defaults(config: type) -> dict[str, Any]:
+    """Field defaults of a config dataclass, by field name."""
+    return {f.name: f.default for f in fields(config)}
+
+
 def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="result path (default: stdout)")
 
@@ -364,15 +371,16 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.set_defaults(func=_cmd_stats)
 
+    synth = _defaults(SynthConfig)
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--images", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--size", type=int, default=1024, help="image side in pixels")
-    p.add_argument("--min-objects", type=int, default=2)
-    p.add_argument("--max-objects", type=int, default=8)
-    p.add_argument("--min-side", type=float, default=8.0)
-    p.add_argument("--max-side", type=float, default=96.0)
-    p.add_argument("--tail-skew", type=float, default=1.5)
+    p.add_argument("--size", type=int, default=synth["image_size"], help="image side in pixels")
+    p.add_argument("--min-objects", type=int, default=synth["min_objects"])
+    p.add_argument("--max-objects", type=int, default=synth["max_objects"])
+    p.add_argument("--min-side", type=float, default=synth["min_side"])
+    p.add_argument("--max-side", type=float, default=synth["max_side"])
+    p.add_argument("--tail-skew", type=float, default=synth["tail_skew"])
     p.add_argument("--split", choices=SPLITS, default="train")
     p.add_argument("--rules", help="JSON rule table (default: built-in rules)")
     _add_output(p)
@@ -405,11 +413,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.set_defaults(func=_cmd_fit_prior)
 
+    train = _defaults(TrainConfig)
     p = sub.add_parser("train-linear", help="train the linear pair scorer")
     p.add_argument("--input", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--lr", type=float, default=train["learning_rate"])
+    p.add_argument("--epochs", type=int, default=train["epochs"])
     p.add_argument("--max-pos", type=int, default=MAX_POSITIVE_PAIRS)
     p.add_argument("--max-neg", type=int, default=MAX_NEGATIVE_PAIRS)
     _add_output(p)
@@ -428,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-det", help="detection AP/mAP report")
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--iou-threshold", type=float, default=0.5)
+    p.add_argument("--iou-threshold", type=float, default=IOU_THRESHOLD)
     p.add_argument("--include-empty", action="store_true",
                    help="count zero-GT categories into the mean as AP 0")
     _add_format(p)
@@ -441,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=SUBTASKS, default="predcls")
     p.add_argument("--k", default=",".join(map(str, DEFAULT_K_VALUES)),
                    help="comma-separated ascending K values")
-    p.add_argument("--iou-threshold", type=float, default=0.5)
+    p.add_argument("--iou-threshold", type=float, default=IOU_THRESHOLD)
     p.add_argument("--no-graph-constraint", action="store_true")
     _add_format(p)
     _add_output(p)

@@ -33,8 +33,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 from .errors import DataError, ManifestError
 from .geometry import OrientedBox, _cached, shoelace_area
@@ -107,9 +109,6 @@ class Detection:
     category: int
     score: float
 
-    def translate(self, dx: float, dy: float) -> "Detection":
-        return replace(self, box=self.box.translate(dx, dy))
-
 
 @dataclass(frozen=True)
 class SceneAnnotation:
@@ -139,6 +138,16 @@ class SceneAnnotation:
             subjects.append(i)
             objects.append(j)
         return subjects, objects
+
+    @_cached
+    def box_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The objects' box ``params`` as an (n, 5) and their ``extent`` as
+        an (n, 4) float64 array, in object order, built once per scene."""
+        boxes = [obj.box for obj in self.objects]
+        return (
+            np.array([box.params for box in boxes], dtype=np.float64).reshape(-1, 5),
+            np.array([box.extent for box in boxes], dtype=np.float64).reshape(-1, 4),
+        )
 
 
 @dataclass(frozen=True)

@@ -208,11 +208,6 @@ class OrientedBox:
         )
 
     @property
-    def center(self) -> Point:
-        p = self.params
-        return (p[0], p[1])
-
-    @property
     def area(self) -> float:
         """Rectangle area, always positive."""
         p = self.params

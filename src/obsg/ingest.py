@@ -202,5 +202,6 @@ def reassemble(
     """
     pool: list[Detection] = []
     for tile, dets in tile_detections:
-        pool.extend(det.translate(tile.origin_x, tile.origin_y) for det in dets)
+        dx, dy = tile.origin_x, tile.origin_y
+        pool.extend(replace(det, box=det.box.translate(dx, dy)) for det in dets)
     return rotated_nms(pool, iou_threshold)

@@ -32,6 +32,8 @@ from .geometry import OrientedBox, rotated_iou
 
 SUBTASKS = ("predcls", "sgcls", "sgdet")
 DEFAULT_K_VALUES = (20, 50, 100, 500)
+# Rotated IoU at or above which a predicted box matches a ground-truth box.
+IOU_THRESHOLD = 0.5
 IDENTITY_SUBTASKS = ("predcls", "sgcls")
 
 
@@ -58,7 +60,7 @@ class MatchConfig:
     """Knobs of scene-graph evaluation."""
 
     subtask: str = "predcls"
-    iou_threshold: float = 0.5
+    iou_threshold: float = IOU_THRESHOLD
     k_values: tuple[int, ...] = DEFAULT_K_VALUES
     graph_constraint: bool = True
 
@@ -123,7 +125,7 @@ def _take_best(
 def match_detections(
     predictions: Sequence[ObjectInstance | Detection],
     truths: Sequence[OrientedBox],
-    iou_threshold: float = 0.5,
+    iou_threshold: float = IOU_THRESHOLD,
 ) -> list[bool]:
     """Per-prediction TP flags for one image and one category.
 
@@ -346,7 +348,7 @@ def _objects_by_category(scene: SceneAnnotation) -> dict[int, list[ObjectInstanc
 def evaluate_detections(
     gt: Dataset,
     predictions: Dataset,
-    iou_threshold: float = 0.5,
+    iou_threshold: float = IOU_THRESHOLD,
     include_empty_classes: bool = False,
 ) -> EvalReport:
     """Detection mAP report over a dataset.
@@ -412,12 +414,18 @@ def scene_triplets(scene: SceneAnnotation) -> list[Triplet]:
     score times object score; an unscored (ground-truth) one keeps ``None``.
 
     Raises:
-        DataError: a relation names an object id missing from the scene.
+        DataError: a relation names an object id missing from the scene, or
+            its composite score is not finite.
     """
     triplets = []
     for i, j, rel in zip(*scene.relation_endpoints, scene.relations):
         subj, obj = scene.objects[i], scene.objects[j]
         score = None if rel.score is None else subj.score * rel.score * obj.score
+        if score is not None and not math.isfinite(score):
+            raise DataError(
+                f"image {scene.image_id!r}: relation {rel.subject}-{rel.predicate}->"
+                f"{rel.object} has non-finite composite score {score!r}"
+            )
         triplets.append(Triplet(subj, rel.predicate, obj, score))
     return triplets
 

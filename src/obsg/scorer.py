@@ -25,7 +25,7 @@ from .datamodel import (
     check_indices,
 )
 from .errors import DataError, ManifestError, RegistryMismatchError, TrainingDivergenceError
-from .geometry import TWO_PI, OrientedBox, rotated_iou
+from .geometry import TWO_PI, rotated_iou
 from .pairing import (
     MAX_NEGATIVE_PAIRS, MAX_POSITIVE_PAIRS, pair_endpoints, relation_pairs, sample_pairs,
 )
@@ -144,8 +144,8 @@ class TrainConfig:
     max_neg: int = MAX_NEGATIVE_PAIRS
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError(f"learning rate must be >= 0: {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0: {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0: {self.epochs}")
         if self.max_pos < 0 or self.max_neg < 0:
@@ -198,68 +198,47 @@ def _categories(scene: SceneAnnotation) -> np.ndarray:
     return np.array([obj.category for obj in scene.objects], dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class _SceneArrays:
-    """Columns of one scene's objects, built once and gathered per pair."""
+def _pair_geometry(scene: SceneAnnotation, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """(k, 15) geometry block of the pairs (ii, jj) of ``scene``: the first
+    ``GEOMETRY_FEATURES`` columns of a scorer feature row.
 
-    boxes: tuple[OrientedBox, ...]
-    params: np.ndarray  # (n, 5): cx, cy, w, h, theta
-    extents: np.ndarray  # (n, 4): xmin, ymin, xmax, ymax
-    scale: np.ndarray  # (5,): image width, height, width, height, 2*pi
+    Columns: image-normalized center distance; log area ratio; log
+    aspect (w/h) of subject and of object; rotated IoU; then the five
+    parameters (cx, cy, w, h, theta) of subject and of object, divided
+    by image width, height, width, height and 2*pi.
 
-    @classmethod
-    def of(cls, scene: SceneAnnotation) -> "_SceneArrays":
-        width, height = scene.width, scene.height
-        if not (0 < width <= MAX_IMAGE_EXTENT and 0 < height <= MAX_IMAGE_EXTENT):
-            raise ValueError(
-                f"image extent must be in 1..{MAX_IMAGE_EXTENT}: {width} x {height}"
-            )
-        boxes = tuple(obj.box for obj in scene.objects)
-        return cls(
-            boxes,
-            np.array([box.params for box in boxes], dtype=np.float64).reshape(-1, 5),
-            np.array([box.extent for box in boxes], dtype=np.float64).reshape(-1, 4),
-            np.array([width, height, width, height, TWO_PI]),
-        )
-
-    def geometry(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-        """(k, 15) geometry block of the pairs (ii, jj): the first
-        ``GEOMETRY_FEATURES`` columns of a scorer feature row.
-
-        Columns: image-normalized center distance; log area ratio; log
-        aspect (w/h) of subject and of object; rotated IoU; then the five
-        parameters (cx, cy, w, h, theta) of subject and of object, divided
-        by image width, height, width, height and 2*pi.
-
-        IoU is computed only for pairs whose axis extents meet; the rest
-        overlap nowhere and keep 0.0.
-        """
-        s = self.params[ii]
-        o = self.params[jj]
-        ns = s / self.scale
-        no = o / self.scale
-        block = np.empty((len(ii), GEOMETRY_FEATURES), dtype=np.float64)
-        block[:, 0] = np.hypot(ns[:, 0] - no[:, 0], ns[:, 1] - no[:, 1])
-        block[:, 1] = np.log((s[:, 2] * s[:, 3]) / (o[:, 2] * o[:, 3]))
-        block[:, 2] = np.log(s[:, 2] / s[:, 3])
-        block[:, 3] = np.log(o[:, 2] / o[:, 3])
-        block[:, 4] = 0.0
-        block[:, 5:10] = ns
-        block[:, 10:15] = no
-        es = self.extents[ii]
-        eo = self.extents[jj]
-        meet = (
-            (es[:, 0] <= eo[:, 2])
-            & (eo[:, 0] <= es[:, 2])
-            & (es[:, 1] <= eo[:, 3])
-            & (eo[:, 1] <= es[:, 3])
-        )
-        boxes = self.boxes
-        for k, i, j in zip(
-            np.flatnonzero(meet).tolist(), ii[meet].tolist(), jj[meet].tolist()
-        ):
-            block[k, 4] = rotated_iou(boxes[i], boxes[j])
-        return block
+    IoU is computed only for pairs whose axis extents meet; the rest
+    overlap nowhere and keep 0.0.
+    """
+    width, height = scene.width, scene.height
+    if not (0 < width <= MAX_IMAGE_EXTENT and 0 < height <= MAX_IMAGE_EXTENT):
+        raise ValueError(f"image extent must be in 1..{MAX_IMAGE_EXTENT}: {width} x {height}")
+    params, extents = scene.box_columns
+    scale = np.array([width, height, width, height, TWO_PI])
+    s = params[ii]
+    o = params[jj]
+    ns = s / scale
+    no = o / scale
+    block = np.empty((len(ii), GEOMETRY_FEATURES), dtype=np.float64)
+    block[:, 0] = np.hypot(ns[:, 0] - no[:, 0], ns[:, 1] - no[:, 1])
+    block[:, 1] = np.log((s[:, 2] * s[:, 3]) / (o[:, 2] * o[:, 3]))
+    block[:, 2] = np.log(s[:, 2] / s[:, 3])
+    block[:, 3] = np.log(o[:, 2] / o[:, 3])
+    block[:, 4] = 0.0
+    block[:, 5:10] = ns
+    block[:, 10:15] = no
+    es = extents[ii]
+    eo = extents[jj]
+    meet = (
+        (es[:, 0] <= eo[:, 2])
+        & (eo[:, 0] <= es[:, 2])
+        & (es[:, 1] <= eo[:, 3])
+        & (eo[:, 1] <= es[:, 3])
+    )
+    objects = scene.objects
+    for k, i, j in zip(np.flatnonzero(meet).tolist(), ii[meet].tolist(), jj[meet].tolist()):
+        block[k, 4] = rotated_iou(objects[i].box, objects[j].box)
+    return block
 
 
 def _scene_pair_rows(
@@ -284,7 +263,7 @@ def _scene_pair_rows(
     ii, jj = pair_endpoints(n, chosen)
     categories = _categories(scene)
     rows = np.zeros((len(chosen), feature_count(num_classes)), dtype=np.float64)
-    rows[:, :GEOMETRY_FEATURES] = _SceneArrays.of(scene).geometry(ii, jj)
+    rows[:, :GEOMETRY_FEATURES] = _pair_geometry(scene, ii, jj)
     rows[np.arange(len(chosen)), GEOMETRY_FEATURES + categories[ii]] = 1.0
     rows[np.arange(len(chosen)), GEOMETRY_FEATURES + num_classes + categories[jj]] = 1.0
     rows[:, -1] = 1.0
@@ -383,7 +362,6 @@ def predict_triplets(
         )
     n = len(scene.objects)
     num_pairs = n * (n - 1)
-    arrays = _SceneArrays.of(scene) if linear is not None else None
     categories = _categories(scene)
     # Per pair: relatedness, whether any predicate mass is left, and the
     # scores of the predicates it would emit (the best one under the graph
@@ -401,10 +379,10 @@ def predict_triplets(
         cs = categories[ii]
         co = categories[jj]
         fused = _prior_rows(prior, cs, co)
-        if arrays is not None:
+        if linear is not None:
             w = linear.weights
             logits = (
-                arrays.geometry(ii, jj) @ w[:GEOMETRY_FEATURES]
+                _pair_geometry(scene, ii, jj) @ w[:GEOMETRY_FEATURES]
                 + w[GEOMETRY_FEATURES + cs]
                 + w[GEOMETRY_FEATURES + num_objects + co]
                 + w[-1]

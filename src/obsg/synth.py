@@ -59,8 +59,8 @@ class Rule:
         if self.min_iou is not None and not rotated_iou(subject, object_) > self.min_iou:
             return False
         if self.max_center_distance is not None:
-            scx, scy = subject.center
-            ocx, ocy = object_.center
+            scx, scy = subject.params[:2]
+            ocx, ocy = object_.params[:2]
             if not math.hypot(scx - ocx, scy - ocy) < self.max_center_distance:
                 return False
         return True
@@ -118,7 +118,7 @@ class SynthConfig:
                 f"max_side {self.max_side} cannot fit rotated inside"
                 f" a {self.image_size} px image"
             )
-        if self.tail_skew < 0:
+        if not self.tail_skew >= 0:
             raise ValueError(f"tail_skew must be >= 0: {self.tail_skew}")
         if self.split not in SPLITS:
             raise ValueError(f"unknown split {self.split!r}")

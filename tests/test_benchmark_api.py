@@ -7,9 +7,21 @@ benchmark runs.  The scripts are parsed, never imported or run.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Traced names that no longer name a function ``spans.py`` wraps, so their
+# metrics read 0 until the benchmark renames them.  A name may leave this set
+# but never join it: deleting a traced function fails the guard below.
+DEAD_TRACED_NAMES = {
+    "datamodel.serialize_predictions",
+    "geometry.pair_geometry",
+    "metrics.triplets_from_prediction_scene",
+    "pairing.enumerate_pairs",
+    "scorer.pair_features",
+}
 
 
 def obsg_references(tree: ast.AST) -> set[tuple[str, str | None]]:
@@ -84,3 +96,46 @@ def test_unresolved_names_are_reported():
         ("obsg", "no_such_name"),
         ("obsg.geometry", "AxisBox"),
     ]
+
+
+def module_literals(script: str, names: set[str]) -> dict[str, object]:
+    """Module-level assignments of ``names`` in a perfbench script; a dict is
+    read as the tuple of its keys, since spans.py's values are functions."""
+    tree = ast.parse((PERFBENCH / script).read_text(encoding="utf-8"), filename=script)
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id in names:
+                    value = node.value
+                    if isinstance(value, ast.Dict):
+                        value = ast.Tuple(elts=value.keys, ctx=ast.Load())
+                    found[target.id] = ast.literal_eval(value)
+    return found
+
+
+def wrapped_by_spans(dotted: str, layers: tuple[str, ...]) -> bool:
+    """spans.py's rule: a public function defined in one of its layer modules."""
+    layer, _, attr = dotted.partition(".")
+    if layer not in layers or attr.startswith("_"):
+        return False
+    module = importlib.import_module(f"obsg.{layer}")
+    obj = getattr(module, attr, None)
+    return inspect.isfunction(obj) and obj.__module__ == module.__name__
+
+
+def test_traced_names_name_functions_spans_wraps():
+    run = module_literals("run.py", {"_CALLS", "_SELF"})
+    spans = module_literals("spans.py", {"OBSERVERS", "LAYERS"})
+    assert set(run) == {"_CALLS", "_SELF"} and set(spans) == {"OBSERVERS", "LAYERS"}
+    layers = spans["LAYERS"]
+    names = {*run["_CALLS"], *run["_SELF"], *spans["OBSERVERS"]}
+    assert "geometry.rotated_iou" in names and "ingest.rotated_nms" in names
+    dead = {name for name in names if not wrapped_by_spans(name, layers)}
+    assert dead <= DEAD_TRACED_NAMES, sorted(dead - DEAD_TRACED_NAMES)
+    # The rule itself: private names, classes, imported names and modules
+    # outside the layers are not wrapped.
+    assert wrapped_by_spans("scorer.predict_triplets", layers)
+    for name in ("scorer._pair_geometry", "geometry.OrientedBox", "scorer.rotated_iou",
+                 "cli.run", "geometry.no_such_name"):
+        assert not wrapped_by_spans(name, layers), name

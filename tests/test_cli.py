@@ -592,6 +592,54 @@ def test_commands_reject_image_wider_than_the_maximum(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
 
 
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("train-linear", "--lr=nan", "error: learning_rate must be finite and >= 0: nan"),
+        ("train-linear", "--lr=inf", "error: learning_rate must be finite and >= 0: inf"),
+        ("synth", "--tail-skew=nan", "error: tail_skew must be >= 0: nan"),
+    ],
+)
+def test_config_rejects_non_finite_setting(tmp_path, capsys, command, setting, message):
+    gt = synth_manifest(tmp_path, images=3, seed=49)
+    out = tmp_path / "out.json"
+    argv = {
+        "train-linear": ["train-linear", "--input", str(gt), "--seed", "1"],
+        "synth": ["synth", "--images", "3", "--seed", "1"],
+    }[command]
+    capsys.readouterr()
+    assert cli.run(argv + [setting, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
+
+
+def test_eval_sgg_rejects_non_finite_composite_score(tmp_path, capsys):
+    gt = synth_manifest(tmp_path, images=3, seed=50)
+    prior = fitted_prior(tmp_path, gt)
+    pred = tmp_path / "pred.json"
+    argv = ["predict", "--input", str(gt), "--prior", str(prior), "--output", str(pred)]
+    assert cli.run(argv) == 0
+    # Every score is finite, but subject x relation x object overflows to inf,
+    # and to NaN where the object scores 0.0.
+    doc = json.loads(pred.read_text())
+    image = doc["images"][0]
+    first, second = image["objects"][:2]
+    first["score"], second["score"] = 1e300, 0.0
+    for rel in image["relations"]:
+        if rel["subject"] == first["id"]:
+            rel["score"] = 1e300
+    pred.write_text(json.dumps(doc))
+    rel = next(r for r in image["relations"] if r["subject"] == first["id"])
+    located = f"error: image {image['id']!r}: relation {first['id']}-{rel['predicate']}->"
+    capsys.readouterr()
+    for task in ("predcls", "sgdet"):
+        argv = ["eval-sgg", "--gt", str(gt), "--pred", str(pred), "--task", task]
+        assert cli.run(argv) == 1, task
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(located), err
+        assert "has non-finite composite score" in err[0]
+
+
 # Every command form the fuzz test runs, with the input files each reads.
 FUZZ_COMMANDS = (
     "validate --input {manifest}",

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from obsg import (
@@ -81,6 +82,19 @@ def scored_manifest():
 
 # Each parser with a document it accepts.
 PARSERS = ((parse_dataset, minimal_manifest), (parse_predictions, scored_manifest))
+
+
+def test_box_columns_are_params_and_extents_in_object_order():
+    boxes = (OrientedBox.from_params(30.0, 20.0, 12.0, 5.0, 0.4), unit_box(50.0, 60.0))
+    objects = tuple(ObjectInstance(9 - k, 0, box) for k, box in enumerate(boxes))
+    scene = SceneAnnotation("s", 100, 100, objects, ())
+    params, extents = scene.box_columns
+    assert params.dtype == extents.dtype == np.float64
+    assert params.tolist() == [list(box.params) for box in boxes]
+    assert extents.tolist() == [list(box.extent) for box in boxes]
+    assert scene.box_columns is scene.box_columns
+    empty = SceneAnnotation("e", 100, 100, (), ())
+    assert [column.shape for column in empty.box_columns] == [(0, 5), (0, 4)]
 
 
 def test_parse_minimal_manifest():

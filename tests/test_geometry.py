@@ -16,7 +16,7 @@ from obsg import (
     rotated_iou,
     shoelace_area,
 )
-from obsg.scorer import _SceneArrays
+from obsg.scorer import _pair_geometry
 
 from oracles import (
     mc_intersection_area,
@@ -341,7 +341,7 @@ def pair_block(a, b, width=100.0, height=100.0):
     """Geometry rows of the pairs (a, b) and (b, a) of a two-box scene."""
     objects = (ObjectInstance(0, 0, a), ObjectInstance(1, 0, b))
     scene = SceneAnnotation("s", width, height, objects, ())
-    return _SceneArrays.of(scene).geometry(np.array([0, 1]), np.array([1, 0]))
+    return _pair_geometry(scene, np.array([0, 1]), np.array([1, 0]))
 
 
 def test_pair_geometry_identity_case():

@@ -361,6 +361,20 @@ def test_scene_triplets_resolve_objects_and_scores():
             scene_triplets(dangling)
 
 
+def test_scene_triplets_reject_non_finite_composite_score():
+    box = OrientedBox.axis_aligned(0, 0, 10, 10)
+    a = ObjectInstance(4, 0, box, score=1e300)
+    b = ObjectInstance(7, 1, box.translate(20, 0), score=0.0)
+    c = ObjectInstance(9, 1, box.translate(40, 0), score=1e300)
+    # 1e300 ** 3 overflows to inf, and inf times a 0.0 object score is NaN.
+    for obj, score in ((9, "inf"), (7, "nan")):
+        relations = (RelationTriplet(9, 0, 7, 0.5), RelationTriplet(4, 2, obj, 1e300))
+        scene = SceneAnnotation("i0", 50, 50, (a, b, c), relations)
+        message = f"'i0': relation 4-2->{obj} has non-finite composite score {score}$"
+        with pytest.raises(DataError, match=message):
+            scene_triplets(scene)
+
+
 def test_recall_at_k_basics():
     flags = [True, False, True, True]
     assert recall_at_k(flags, 4, 1) == 0.25

@@ -41,9 +41,9 @@ from obsg import (
 from obsg import scorer as scorer_module
 from obsg.datamodel import MAX_IMAGE_EXTENT
 from obsg.scorer import (
+    _pair_geometry,
     _prior_rows,
     _scene_pair_rows,
-    _SceneArrays,
     feature_count,
     linear_loss_and_grad,
 )
@@ -117,12 +117,13 @@ def test_pair_features_layout():
     one_hots = vec[15:23]
     assert one_hots.tolist() == [0, 1, 0, 0, 0, 0, 1, 0]
     assert vec[-1] == 1.0
-    block = _SceneArrays.of(scene).geometry(np.array([0]), np.array([1]))
+    block = _pair_geometry(scene, np.array([0]), np.array([1]))
     assert block.shape == (1, 15)
     assert np.array_equal(block[0], vec[:15])
     for width in (0, MAX_IMAGE_EXTENT + 1, 2**64):
         with pytest.raises(ValueError, match="image extent must be in"):
-            _SceneArrays.of(SceneAnnotation("s", width, 100, (a, b), ()))
+            bad = SceneAnnotation("s", width, 100, (a, b), ())
+            _pair_geometry(bad, np.array([0]), np.array([1]))
 
 
 def two_class_dataset():
@@ -274,7 +275,7 @@ def test_train_linear_separates_by_geometry():
     total = 0
     for scene in dataset.scenes:
         # Pairs (0, 1) and (1, 0), with the one-hots of class 0 and a bias.
-        block = _SceneArrays.of(scene).geometry(np.array([0, 1]), np.array([1, 0]))
+        block = _pair_geometry(scene, np.array([0, 1]), np.array([1, 0]))
         features = np.hstack([block, np.ones((2, 3))])
         predicted = np.argmax(features @ scorer.weights, axis=1)
         for k, rel in enumerate((0, 1)):
@@ -335,6 +336,10 @@ def test_train_linear_divergence_is_detected():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(seed=1, learning_rate=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            TrainConfig(seed=1, learning_rate=bad)
+    assert TrainConfig(seed=1, learning_rate=1e307).learning_rate == 1e307
     with pytest.raises(ValueError):
         TrainConfig(seed=1, epochs=-1)
     with pytest.raises(ValueError):

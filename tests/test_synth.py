@@ -166,6 +166,11 @@ def test_config_validation():
         SynthConfig(n_images=1, seed=1, image_size=MAX_IMAGE_EXTENT + 1)
     with pytest.raises(ValueError):
         SynthConfig(n_images=1, seed=1, tail_skew=-0.5)
+    with pytest.raises(ValueError, match="tail_skew"):
+        SynthConfig(n_images=1, seed=1, tail_skew=math.nan)
+    # An infinite skew puts every object in the head class.
+    head_only = generate(SynthConfig(n_images=3, seed=1, tail_skew=math.inf))
+    assert {obj.category for scene in head_only.scenes for obj in scene.objects} == {0}
     with pytest.raises(ValueError):
         SynthConfig(n_images=1, seed=1, split="holdout")
 
