@@ -32,12 +32,15 @@ EXPECTED = {
     "hbb.json": "f5f20a3ff1047b5ccfe0121a9b46d50a223bfdd989edd9330c4ac370ab90a212",
     "pairs.json": "35f0c65303b7d67428201397621bbf4029988a5cf58ea9958a864c21b93ec128",
     "pred.json": "c71ba28a7dea850d02d84bb9b36589639de43983bb5463c37df636133e4806c3",
+    "pred_all.json": "d04cb5c3cd19b5405bf75149edfd7f488963b8787078344d74cceda5ec31461f",
     "predcls.json": "df80a93eee354672e63ef6db8100f597a424fbb3b7df56810d69f82117d80cd8",
+    "predcls_all.json": "5feedb00cdf3e8e81409affbc7d130a2c3a6b4cd9046e278df91458c9a30946f",
     "prior.json": "fa34c1c82bf42c522aa21fb00cf22c15a05644abcf86cd0fb92f2d71470c1c51",
     "report.txt": "d73a32f5b1908bee3ba56eae67062ff05a40e097409235e0ed89c3d296700e73",
     "sampled.json": "dd67ec98899f097235fcce638651460b70b752fde23c84adab04224600792307",
     "sgcls.csv": "6266c5926a68fb8c432faf19cab1f1fdfcbb62a4cc14dafe68b3ac0b82061dc5",
     "sgdet.json": "31988c78ae8c0b43a1036fd7ea2034db4a18d533f7ac48ef9fb28321ce433b5d",
+    "sgdet_all.json": "901b36f7e74c367bf504df3e80251200ca7b24d1935d928e187f8b849450f916",
     "stats.csv": "ac3198d7f90871616cfd09fef005b0c8b86138b873906be5290ac1a4217bcd0d",
     "stats.json": "08b782dbd00f05f62db2b7b7d6045f77533ec9ca5a1b3fe19b515f4f23cebee7",
     "tiled.json": "0e2f621cb75e8f6483918bf2192b12571693f8b7081b70bdd266e6da8b9b5d7c",
@@ -67,7 +70,7 @@ def golden_outputs(work: Path) -> dict[str, str]:
         "gt.json", "report.txt", "stats.json", "stats.csv", "prior.json",
         "pred.json", "jitter.json", "predcls.json", "sgcls.csv", "sgdet.json",
         "det.json", "det.csv", "tiled.json", "hbb.json", "pairs.json",
-        "sampled.json",
+        "sampled.json", "pred_all.json", "predcls_all.json", "sgdet_all.json",
     )}
     gt = p["gt.json"]
     rules = work / "rules.json"
@@ -99,6 +102,13 @@ def golden_outputs(work: Path) -> dict[str, str]:
         ["pairs", "--input", gt, "--output", p["pairs.json"]],
         ["pairs", "--input", gt, "--max-pos", "2", "--max-neg", "3", "--seed", "5",
          "--output", p["sampled.json"]],
+        # Every predicate of the 30 most related pairs: many equal scores.
+        ["predict", "--input", gt, "--prior", p["prior.json"], "--top-m", "30",
+         "--no-graph-constraint", "--output", p["pred_all.json"]],
+        ["eval-sgg", "--gt", gt, "--pred", p["pred_all.json"], "--task", "predcls",
+         "--no-graph-constraint", "--k", "5,20,100", "--output", p["predcls_all.json"]],
+        ["eval-sgg", "--gt", gt, "--pred", p["jitter.json"], "--task", "sgdet",
+         "--no-graph-constraint", "--output", p["sgdet_all.json"]],
     ]
     for argv in runs:
         if argv is None:
