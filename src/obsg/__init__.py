@@ -13,6 +13,7 @@ from .datamodel import (
     Dataset,
     Detection,
     ObjectInstance,
+    RelationColumns,
     RelationTriplet,
     SceneAnnotation,
     Violation,
@@ -47,6 +48,7 @@ from .metrics import (
     EvalReport,
     MatchConfig,
     Triplet,
+    TripletColumns,
     TripletMatchResult,
     average_precision,
     evaluate_detections,

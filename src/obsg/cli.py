@@ -95,7 +95,10 @@ def _write_output(path: str | None, text: str) -> None:
 
 def _parse_k_values(text: str) -> tuple[int, ...]:
     """Comma-separated integers; ``MatchConfig`` checks their values."""
-    return tuple(int(p) for p in text.split(","))
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"--k: expected comma-separated integers, got {text!r}") from None
 
 
 def _load_dataset(path: str) -> Dataset:
@@ -215,6 +218,8 @@ def _cmd_convert_hbb(args: argparse.Namespace) -> int:
 
 
 def _cmd_pairs(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"seed must be >= 0: {args.seed}")
     sampling = args.max_pos is not None or args.max_neg is not None
     if sampling and args.seed is None:
         raise ValueError("--seed is required when sampling caps are given")
@@ -286,9 +291,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             for o in scene.objects
         )
         scenes.append(
-            SceneAnnotation(
-                scene.image_id, scene.width, scene.height, objects, tuple(relations)
-            )
+            SceneAnnotation(scene.image_id, scene.width, scene.height, objects, relations)
         )
     predictions = Dataset(dataset.registry, dataset.split, tuple(scenes))
     _write_output(args.output, serialize_dataset(predictions))

@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, overload
 
 import numpy as np
 
@@ -101,6 +102,74 @@ class RelationTriplet:
     score: float | None = None
 
 
+@dataclass(frozen=True, init=False)
+class RelationColumns(Sequence):
+    """A scene's relations as four aligned tuples: subject and object ids,
+    predicates, and scores (``None`` on ground truth).
+
+    It is the one stored form of a scene's relations.  As a sequence it
+    reads as :class:`RelationTriplet` rows: ``len``, iteration and an index
+    give rows, and a slice gives the columns of those rows.  Any iterable
+    is stored as a tuple, so equal columns compare and hash equal.
+    """
+
+    subjects: tuple[int, ...]
+    predicates: tuple[int, ...]
+    objects: tuple[int, ...]
+    scores: tuple[float | None, ...]
+
+    def __init__(
+        self,
+        subjects: Iterable[int] = (),
+        predicates: Iterable[int] = (),
+        objects: Iterable[int] = (),
+        scores: Iterable[float | None] = (),
+    ) -> None:
+        columns = (tuple(subjects), tuple(predicates), tuple(objects), tuple(scores))
+        if not len(columns[0]) == len(columns[1]) == len(columns[2]) == len(columns[3]):
+            raise ValueError(
+                f"relation columns differ in length: {', '.join(str(len(c)) for c in columns)}"
+            )
+        set_field = object.__setattr__
+        set_field(self, "subjects", columns[0])
+        set_field(self, "predicates", columns[1])
+        set_field(self, "objects", columns[2])
+        set_field(self, "scores", columns[3])
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[RelationTriplet]) -> RelationColumns:
+        rows = list(rows)
+        return cls(
+            [r.subject for r in rows],
+            [r.predicate for r in rows],
+            [r.object for r in rows],
+            [r.score for r in rows],
+        )
+
+    def __len__(self) -> int:
+        return len(self.predicates)
+
+    def __iter__(self) -> Iterator[RelationTriplet]:
+        return map(RelationTriplet, self.subjects, self.predicates, self.objects, self.scores)
+
+    @overload
+    def __getitem__(self, index: int) -> RelationTriplet: ...
+    @overload
+    def __getitem__(self, index: slice) -> RelationColumns: ...
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RelationColumns(
+                self.subjects[index],
+                self.predicates[index],
+                self.objects[index],
+                self.scores[index],
+            )
+        return RelationTriplet(
+            self.subjects[index], self.predicates[index], self.objects[index], self.scores[index]
+        )
+
+
 @dataclass(frozen=True)
 class Detection:
     """A scored box hypothesis of one category."""
@@ -112,31 +181,38 @@ class Detection:
 
 @dataclass(frozen=True)
 class SceneAnnotation:
-    """All annotations, or all predictions, of a single image."""
+    """All annotations, or all predictions, of a single image.
+
+    ``relations`` may be given as :class:`RelationTriplet` rows; they are
+    stored as :class:`RelationColumns`.
+    """
 
     image_id: str
     width: int
     height: int
     objects: tuple[ObjectInstance, ...]
-    relations: tuple[RelationTriplet, ...]
+    relations: RelationColumns
+
+    def __post_init__(self) -> None:
+        if type(self.relations) is not RelationColumns:
+            object.__setattr__(self, "relations", RelationColumns.from_rows(self.relations))
 
     @_cached
     def relation_endpoints(self) -> tuple[list[int], list[int]]:
         """Positions in ``objects`` of each relation's subject and object, in
         relation order, resolved once per scene; a missing object id is a
         :class:`DataError` on every access."""
-        position = {obj.id: k for k, obj in enumerate(self.objects)}
-        subjects, objects = [], []
-        for rel in self.relations:
-            i = position.get(rel.subject)
-            j = position.get(rel.object)
-            if i is None or j is None:
-                raise DataError(
-                    f"image {self.image_id!r}: relation {rel.subject}->{rel.object} "
-                    f"references missing object id {rel.subject if i is None else rel.object}"
-                )
-            subjects.append(i)
-            objects.append(j)
+        position = {obj.id: k for k, obj in enumerate(self.objects)}.get
+        rel = self.relations
+        subjects = list(map(position, rel.subjects))
+        objects = list(map(position, rel.objects))
+        if None in subjects or None in objects:
+            for s, o, i, j in zip(rel.subjects, rel.objects, subjects, objects):
+                if i is None or j is None:
+                    raise DataError(
+                        f"image {self.image_id!r}: relation {s}->{o} "
+                        f"references missing object id {s if i is None else o}"
+                    )
         return subjects, objects
 
     @_cached
@@ -168,13 +244,16 @@ def check_indices(scene: SceneAnnotation, num_objects: int, num_relations: int) 
                 f"image {scene.image_id!r}: object {obj.id} has category "
                 f"{obj.category}, outside the registry's {num_objects} classes"
             )
-    for rel in scene.relations:
-        if not 0 <= rel.predicate < num_relations:
-            raise DataError(
-                f"image {scene.image_id!r}: relation {rel.subject}->{rel.object} has "
-                f"predicate {rel.predicate}, outside the registry's {num_relations} "
-                "predicates"
-            )
+    rel = scene.relations
+    if rel.predicates and not (
+        0 <= min(rel.predicates) and max(rel.predicates) < num_relations
+    ):
+        for s, p, o in zip(rel.subjects, rel.predicates, rel.objects):
+            if not 0 <= p < num_relations:
+                raise DataError(
+                    f"image {scene.image_id!r}: relation {s}->{o} has predicate {p}, "
+                    f"outside the registry's {num_relations} predicates"
+                )
 
 
 @dataclass(frozen=True)
@@ -265,12 +344,14 @@ def validate(dataset: Dataset) -> list[Violation]:
                     )
                     break
         seen_triplets: set[tuple[int, int, int]] = set()
-        for rel in scene.relations:
-            if not 0 <= rel.predicate < num_relations:
+        rel = scene.relations
+        for key in zip(rel.subjects, rel.predicates, rel.objects):
+            subject, predicate, object_ = key
+            if not 0 <= predicate < num_relations:
                 violations.append(
-                    Violation("PREDICATE_RANGE", img, f"predicate {rel.predicate}")
+                    Violation("PREDICATE_RANGE", img, f"predicate {predicate}")
                 )
-            for endpoint in (rel.subject, rel.object):
+            for endpoint in (subject, object_):
                 if endpoint not in ids:
                     violations.append(
                         Violation(
@@ -279,13 +360,12 @@ def validate(dataset: Dataset) -> list[Violation]:
                             f"relation references missing object id {endpoint}",
                         )
                     )
-            if rel.subject == rel.object:
+            if subject == object_:
                 violations.append(
                     Violation(
-                        "SELF_RELATION", img, f"object id {rel.subject} relates to itself"
+                        "SELF_RELATION", img, f"object id {subject} relates to itself"
                     )
                 )
-            key = (rel.subject, rel.predicate, rel.object)
             if key in seen_triplets:
                 violations.append(
                     Violation("DUPLICATE_TRIPLET", img, f"triplet {key} repeated")
@@ -475,7 +555,7 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
         raw_relations = raw_scene.get("relations")
         if type(raw_relations) is not list:
             raw_relations = _get(raw_scene, "relations", list, f"$.images[{i}]")
-        relations = []
+        subjects, predicates, obj_refs, scores = [], [], [], []
         for j, raw in enumerate(raw_relations):
             subject = raw.get("subject") if type(raw) is dict else None
             if type(subject) is not int:
@@ -500,10 +580,14 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
                 score = raw.get("score")
                 if type(score) is not float or not isfinite(score):
                     score = _parse_score(raw, _item(i, "relations", j), image_id)
-            relations.append(RelationTriplet(subject, predicate, obj_ref, score))
-        scenes.append(
-            SceneAnnotation(image_id, width, height, tuple(objects), tuple(relations))
-        )
+                scores.append(score)
+            subjects.append(subject)
+            predicates.append(predicate)
+            obj_refs.append(obj_ref)
+        if not scored:
+            scores = (None,) * len(subjects)
+        relations = RelationColumns(subjects, predicates, obj_refs, scores)
+        scenes.append(SceneAnnotation(image_id, width, height, tuple(objects), relations))
     return Dataset(registry, split, tuple(scenes))
 
 
@@ -551,6 +635,7 @@ def parse_predictions(data: str | bytes) -> Dataset:
 # "-inf" each have one and are written NaN, Infinity and -Infinity.
 _float_repr = float.__repr__
 _dumps = json.dumps
+_SCORE_FIELD = ',"score":'
 
 
 def _number_text(value: Any) -> str:
@@ -589,13 +674,12 @@ def _scene_text(scene: SceneAnnotation) -> str:
             f'{{"id":{obj.id},"category":{obj.category},"obb":{_box_text(obj.box)},'
             f'"truncated":{truncated}{score}}}'
         )
-    relations = []
-    for rel in scene.relations:
-        score = "" if rel.score is None else f',"score":{_number_text(rel.score)}'
-        relations.append(
-            f'{{"subject":{rel.subject},"predicate":{rel.predicate},'
-            f'"object":{rel.object}{score}}}'
-        )
+    rel = scene.relations
+    relations = [
+        f'{{"subject":{s},"predicate":{p},"object":{o}'
+        f'{"" if score is None else _SCORE_FIELD + _number_text(score)}}}'
+        for s, p, o, score in zip(rel.subjects, rel.predicates, rel.objects, rel.scores)
+    ]
     return (
         f'{{"id":{_dumps(scene.image_id)},"width":{scene.width},'
         f'"height":{scene.height},"objects":[{",".join(objects)}],'

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import count
 from typing import Sequence
 
 from .datamodel import (
@@ -19,6 +20,7 @@ from .datamodel import (
     Dataset,
     Detection,
     ObjectInstance,
+    RelationColumns,
     SceneAnnotation,
 )
 from .geometry import OrientedBox, intersection_area, rotated_iou
@@ -123,17 +125,26 @@ def crop_scene(
                     truncated=obj.truncated or not inside,
                 )
             )
-    relations = tuple(
-        rel
-        for i, j, rel in zip(*scene.relation_endpoints, scene.relations)
-        if keeps[i] and keeps[j]
-    )
+    rel = scene.relations
+    survivors = [
+        k for k, i, j in zip(count(), *scene.relation_endpoints) if keeps[i] and keeps[j]
+    ]
+    if len(survivors) < len(rel):
+        subjects, predicates, objects, scores = (
+            rel.subjects, rel.predicates, rel.objects, rel.scores
+        )
+        rel = RelationColumns(
+            [subjects[k] for k in survivors],
+            [predicates[k] for k in survivors],
+            [objects[k] for k in survivors],
+            [scores[k] for k in survivors],
+        )
     return SceneAnnotation(
         image_id=f"{scene.image_id}@{x0}_{y0}",
         width=x1 - x0,
         height=y1 - y0,
         objects=tuple(kept),
-        relations=relations,
+        relations=rel,
     )
 
 

@@ -4,8 +4,8 @@ Detection side: greedy score-ordered matching against ground truth at a
 rotated-IoU threshold, all-point interpolated average precision per
 category, and mAP over categories that have at least one ground-truth box.
 
-Scene-graph side: a relation resolved to its two objects is a
-:class:`Triplet`, for predictions and ground truth alike, and triplet
+Scene-graph side: a scene's relations resolved to their objects are
+:class:`TripletColumns`, for predictions and ground truth alike, and triplet
 matching covers the three standard subtasks.  A predicted triplet matches a
 ground-truth triplet when the predicate and both endpoint class labels agree
 and the endpoints correspond: by object id for ``predcls`` and ``sgcls``, by
@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .datamodel import Dataset, Detection, ObjectInstance, SceneAnnotation, check_indices
 from .errors import DataError, RegistryMismatchError
@@ -91,6 +91,56 @@ class Triplet:
     predicate: int
     object: ObjectInstance
     score: float | None = None
+
+
+@dataclass(frozen=True)
+class TripletColumns:
+    """A scene's relations resolved to its objects, as aligned columns.
+
+    ``subjects`` and ``objects`` hold positions in ``instances``;
+    ``scores`` holds each triplet's ranking score, ``None`` on ground
+    truth.  As a sequence it reads as :class:`Triplet` rows: ``len``,
+    iteration and an index.
+    """
+
+    instances: tuple[ObjectInstance, ...]
+    subjects: Sequence[int]
+    predicates: Sequence[int]
+    objects: Sequence[int]
+    scores: Sequence[float | None]
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Triplet]) -> TripletColumns:
+        """Columns of :class:`Triplet` rows; each row's two objects become
+        two instances."""
+        rows = list(rows)
+        return cls(
+            tuple(obj for row in rows for obj in (row.subject, row.object)),
+            range(0, 2 * len(rows), 2),
+            [row.predicate for row in rows],
+            range(1, 2 * len(rows), 2),
+            [row.score for row in rows],
+        )
+
+    def __len__(self) -> int:
+        return len(self.predicates)
+
+    def __getitem__(self, k: int) -> Triplet:
+        instances = self.instances
+        return Triplet(
+            instances[self.subjects[k]],
+            self.predicates[k],
+            instances[self.objects[k]],
+            self.scores[k],
+        )
+
+    def __iter__(self) -> Iterator[Triplet]:
+        instances = self.instances
+        for i, p, j, score in zip(self.subjects, self.predicates, self.objects, self.scores):
+            yield Triplet(instances[i], p, instances[j], score)
+
+
+_NO_TRIPLETS = TripletColumns((), (), (), (), ())
 
 
 @dataclass(frozen=True)
@@ -199,77 +249,107 @@ def mean_recall_at_k(per_predicate_recall: Sequence[float]) -> float:
     return sum(per_predicate_recall) / len(per_predicate_recall)
 
 
-def _match_key(triplet: Triplet, identity: bool) -> tuple:
-    """What a prediction and a target must share to match: the predicate and
-    both classes, and with ``identity`` both object ids."""
-    key = (triplet.predicate, triplet.subject.category, triplet.object.category)
+def _match_keys(triplets: TripletColumns, identity: bool) -> Callable[[int], tuple]:
+    """What a prediction and a target must share to match, as a function of
+    the triplet index: the predicate and both classes, and with ``identity``
+    both object ids."""
+    subjects, predicates, objects = triplets.subjects, triplets.predicates, triplets.objects
+    category = [obj.category for obj in triplets.instances]
     if identity:
-        key += (triplet.subject.id, triplet.object.id)
-    return key
+        ids = [obj.id for obj in triplets.instances]
+
+        def key(k: int) -> tuple:
+            i, j = subjects[k], objects[k]
+            return (predicates[k], category[i], category[j], ids[i], ids[j])
+
+        return key
+
+    def class_key(k: int) -> tuple:
+        i, j = subjects[k], objects[k]
+        return (predicates[k], category[i], category[j])
+
+    return class_key
 
 
 def match_triplets(
-    predictions: Sequence[Triplet],
-    targets: Sequence[Triplet],
+    predictions: TripletColumns | Sequence[Triplet],
+    targets: TripletColumns | Sequence[Triplet],
     config: MatchConfig,
 ) -> TripletMatchResult:
     """Greedy ranked matching of predicted against ground-truth triplets.
 
+    Either side is the column form :func:`scene_triplets` returns or a
+    sequence of :class:`Triplet` rows, which is turned into columns first.
     Predictions are ranked by descending score, ties by input order.  Under
     the graph constraint only the first-ranked predicate per ordered pair of
     object ids survives.  Matching consumes each ground truth at most once;
     among eligible ground truths a prediction takes the one with the largest
     minimum endpoint IoU (sgdet), remaining ties, and every identity match,
     to the lowest index.  A prediction visits only the targets that share
-    its :func:`_match_key`, in ascending index.  Object ids name one box on
-    each side, as they do within a scene, so sgdet computes the IoU of a
-    (predicted object, ground-truth object) pair once per call, for subject
-    and object endpoints alike.
+    its match key (predicate, both classes and, for predcls and sgcls, both
+    object ids), in ascending index.  Object ids name one box on each side,
+    as they do within a scene, so sgdet computes the IoU of a (predicted
+    object, ground-truth object) pair once per call, for subject and object
+    endpoints alike.
     """
-    order = sorted(range(len(predictions)), key=lambda i: -predictions[i].score)
+    if not isinstance(predictions, TripletColumns):
+        predictions = TripletColumns.from_rows(predictions)
+    if not isinstance(targets, TripletColumns):
+        targets = TripletColumns.from_rows(targets)
+    scores = predictions.scores
+    # Descending and stable: equal scores keep input order.
+    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+    if not order:
+        return TripletMatchResult((), ())
+    pred_ids = [obj.id for obj in predictions.instances]
     if config.graph_constraint:
+        subjects, objects = predictions.subjects, predictions.objects
         seen: set[tuple[int, int]] = set()
         ranking = []
         for i in order:
-            key = (predictions[i].subject.id, predictions[i].object.id)
-            if key in seen:
-                continue
-            seen.add(key)
-            ranking.append(i)
+            key = (pred_ids[subjects[i]], pred_ids[objects[i]])
+            if key not in seen:
+                seen.add(key)
+                ranking.append(i)
     else:
         ranking = order
     identity = config.subtask in IDENTITY_SUBTASKS
-    ious: dict[tuple[int, int], float] = {}
-
-    def iou(detected: ObjectInstance, truth: ObjectInstance) -> float:
-        """sgdet endpoint IoU, computed once per (predicted id, target id)."""
-        key = (detected.id, truth.id)
-        value = ious.get(key)
-        if value is None:
-            value = ious[key] = rotated_iou(detected.box, truth.box)
-        return value
-
-    def quality(pred: Triplet, g: int) -> float:
-        """The smaller endpoint IoU; -1, without the object's, if the subject's misses."""
-        target = targets[g]
-        iou_s = iou(pred.subject, target.subject)
-        if iou_s < config.iou_threshold:
-            return -1.0
-        return min(iou_s, iou(pred.object, target.object))
-
     # Untaken targets per key, ascending; a match removes its target.
     buckets: dict[tuple, list[int]] = {}
-    for g, target in enumerate(targets):
-        buckets.setdefault(_match_key(target, identity), []).append(g)
+    target_key = _match_keys(targets, identity)
+    for g in range(len(targets)):
+        buckets.setdefault(target_key(g), []).append(g)
+    pred_key = _match_keys(predictions, identity)
     matched: list[int] = []
+    if identity:
+        for i in ranking:
+            candidates = buckets.get(pred_key(i))
+            matched.append(candidates.pop(0) if candidates else -1)
+        return TripletMatchResult(tuple(ranking), tuple(matched))
+
+    detected, truths = predictions.instances, targets.instances
+    truth_ids = [obj.id for obj in truths]
+    ious: dict[tuple[int, int], float] = {}
+
+    def iou(a: int, b: int) -> float:
+        """sgdet IoU of predicted instance ``a`` and target instance ``b``,
+        computed once per (predicted id, target id)."""
+        key = (pred_ids[a], truth_ids[b])
+        value = ious.get(key)
+        if value is None:
+            value = ious[key] = rotated_iou(detected[a].box, truths[b].box)
+        return value
+
+    def quality(i: int, g: int) -> float:
+        """The smaller endpoint IoU; -1, without the object's, if the subject's misses."""
+        iou_s = iou(predictions.subjects[i], targets.subjects[g])
+        if iou_s < config.iou_threshold:
+            return -1.0
+        return min(iou_s, iou(predictions.objects[i], targets.objects[g]))
+
     for i in ranking:
-        pred = predictions[i]
-        candidates = buckets.get(_match_key(pred, identity), [])
-        if identity:
-            g = candidates.pop(0) if candidates else -1
-        else:
-            g = _take_best(candidates, partial(quality, pred), config.iou_threshold)
-        matched.append(g)
+        candidates = buckets.get(pred_key(i), [])
+        matched.append(_take_best(candidates, partial(quality, i), config.iou_threshold))
     return TripletMatchResult(tuple(ranking), tuple(matched))
 
 
@@ -317,12 +397,12 @@ def _paired_scenes(
                 raise DataError(
                     f"prediction image {scene.image_id!r}: object {obj.id} has no score"
                 )
-        for rel in scene.relations:
-            if rel.score is None:
-                raise DataError(
-                    f"prediction image {scene.image_id!r}: relation "
-                    f"{rel.subject}-{rel.predicate}->{rel.object} has no score"
-                )
+        if None in scene.relations.scores:
+            rel = scene.relations[scene.relations.scores.index(None)]
+            raise DataError(
+                f"prediction image {scene.image_id!r}: relation "
+                f"{rel.subject}-{rel.predicate}->{rel.object} has no score"
+            )
         index[scene.image_id] = scene
     pairs = [(scene, index.get(scene.image_id)) for scene in gt.scenes]
     for scene in (s for pair in pairs for s in pair if s is not None):
@@ -407,8 +487,9 @@ def evaluate_detections(
     )
 
 
-def scene_triplets(scene: SceneAnnotation) -> list[Triplet]:
-    """Resolve a scene's relations to their objects, in relation order.
+def scene_triplets(scene: SceneAnnotation) -> TripletColumns:
+    """A scene's relations resolved to its objects, in relation order: the
+    endpoint positions, predicates and scores, with the scene's objects.
 
     A scored relation gets the composite score subject score times relation
     score times object score; an unscored (ground-truth) one keeps ``None``.
@@ -417,17 +498,24 @@ def scene_triplets(scene: SceneAnnotation) -> list[Triplet]:
         DataError: a relation names an object id missing from the scene, or
             its composite score is not finite.
     """
-    triplets = []
-    for i, j, rel in zip(*scene.relation_endpoints, scene.relations):
-        subj, obj = scene.objects[i], scene.objects[j]
-        score = None if rel.score is None else subj.score * rel.score * obj.score
-        if score is not None and not math.isfinite(score):
-            raise DataError(
-                f"image {scene.image_id!r}: relation {rel.subject}-{rel.predicate}->"
-                f"{rel.object} has non-finite composite score {score!r}"
-            )
-        triplets.append(Triplet(subj, rel.predicate, obj, score))
-    return triplets
+    subjects, objects = scene.relation_endpoints
+    rel = scene.relations
+    instances = scene.objects
+    scores = [
+        None if score is None else instances[i].score * score * instances[j].score
+        for i, j, score in zip(subjects, objects, rel.scores)
+    ]
+    scored = [score for score in scores if score is not None] if None in scores else scores
+    if not all(map(math.isfinite, scored)):
+        k = next(
+            k for k, score in enumerate(scores)
+            if score is not None and not math.isfinite(score)
+        )
+        raise DataError(
+            f"image {scene.image_id!r}: relation {rel.subjects[k]}-{rel.predicates[k]}->"
+            f"{rel.objects[k]} has non-finite composite score {scores[k]!r}"
+        )
+    return TripletColumns(instances, subjects, rel.predicates, objects, scores)
 
 
 def evaluate_scene_graphs(
@@ -455,12 +543,13 @@ def evaluate_scene_graphs(
     fp_per_pred = [0] * len(rel_names)
     for scene, pred_scene in pairs:
         targets = scene_triplets(scene)
-        preds = [] if pred_scene is None else scene_triplets(pred_scene)
+        preds = _NO_TRIPLETS if pred_scene is None else scene_triplets(pred_scene)
         result = match_triplets(preds, targets, config)
-        for target in targets:
-            gt_per_pred[target.predicate] += 1
+        for predicate in targets.predicates:
+            gt_per_pred[predicate] += 1
+        predicates = preds.predicates
         for rank, (pred_idx, g) in enumerate(zip(result.ranking, result.matched)):
-            predicate = preds[pred_idx].predicate
+            predicate = predicates[pred_idx]
             if g >= 0:
                 tp_per_pred[predicate] += 1
                 for k in ks:

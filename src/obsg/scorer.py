@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import (
-    MAX_IMAGE_EXTENT, Dataset, RelationTriplet, SceneAnnotation, _expect, _get, _load_root,
+    MAX_IMAGE_EXTENT, Dataset, RelationColumns, SceneAnnotation, _expect, _get, _load_root,
     check_indices,
 )
 from .errors import DataError, ManifestError, RegistryMismatchError, TrainingDivergenceError
@@ -115,9 +115,10 @@ def fit_frequency_prior(dataset: Dataset, alpha: float = DEFAULT_ALPHA) -> Frequ
         histogram_cells.extend(row * num_objects + c for c in category)
         distinct: dict[int, int] = {}
         subjects, objects = scene.relation_endpoints
-        for k, i, j, rel in zip(relation_pairs(scene), subjects, objects, scene.relations):
+        predicates = scene.relations.predicates
+        for k, i, j, p in zip(relation_pairs(scene), subjects, objects, predicates):
             cell = category[i] * num_objects + category[j]
-            triplet_cells.append(cell * width + rel.predicate)
+            triplet_cells.append(cell * width + p)
             distinct[k] = cell
         related_cells.extend(distinct.values())
     histograms = _bincount(histogram_cells, (len(dataset.scenes), num_objects))
@@ -144,6 +145,8 @@ class TrainConfig:
     max_neg: int = MAX_NEGATIVE_PAIRS
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0: {self.seed}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and >= 0: {self.learning_rate}")
         if self.epochs < 0:
@@ -253,8 +256,8 @@ def _scene_pair_rows(
     n = len(scene.objects)
     # The first triplet of a pair sets its label.
     first: dict[int, int] = {}
-    for k, rel in zip(relation_pairs(scene), scene.relations):
-        first.setdefault(k, rel.predicate)
+    for k, p in zip(relation_pairs(scene), scene.relations.predicates):
+        first.setdefault(k, p)
     if n < 2:
         return np.zeros((0, feature_count(num_classes))), np.zeros(0, dtype=np.int64)
     labels = np.full(n * (n - 1), num_relations, dtype=np.int64)
@@ -328,7 +331,7 @@ def predict_triplets(
     linear: LinearScorer | None = None,
     top_m: int | None = None,
     graph_constraint: bool = True,
-) -> list[RelationTriplet]:
+) -> RelationColumns:
     """Score relation candidates over a scene's annotated objects.
 
     Every ordered object pair receives a fused predicate distribution (the
@@ -337,7 +340,9 @@ def predict_triplets(
     relatedness, defined as one minus the fused no-relation mass, ties by
     enumeration order.  With ``graph_constraint`` each surviving pair emits
     only its best predicate, otherwise every predicate.  Each emitted
-    relation is scored with its predicate probability.
+    relation is scored with its predicate probability.  The relations come
+    back as :class:`RelationColumns` of object ids, pairs in enumeration
+    order and each pair's predicates ascending.
 
     Pairs are scored as arrays, in blocks of whole subject rows of at most
     ``PAIR_BLOCK`` pairs (one row when a row is longer), so memory stays
@@ -415,16 +420,13 @@ def predict_triplets(
         chosen = np.broadcast_to(np.arange(num_relations), (len(surviving), num_relations))
     ii, jj = pair_endpoints(n, surviving)
     per_pair = chosen.shape[1]
-    ids = [obj.id for obj in scene.objects]
-    return [
-        RelationTriplet(ids[i], p, ids[j], prob)
-        for i, j, p, prob in zip(
-            np.repeat(ii, per_pair).tolist(),
-            np.repeat(jj, per_pair).tolist(),
-            chosen.ravel().tolist(),
-            scores[surviving].ravel().tolist(),
-        )
-    ]
+    ids = [obj.id for obj in scene.objects].__getitem__
+    return RelationColumns(
+        list(map(ids, np.repeat(ii, per_pair).tolist())),
+        chosen.ravel().tolist(),
+        list(map(ids, np.repeat(jj, per_pair).tolist())),
+        scores[surviving].ravel().tolist(),
+    )
 
 
 def _prior_rows(prior: FrequencyPrior, cs: np.ndarray, co: np.ndarray) -> np.ndarray:

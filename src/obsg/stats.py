@@ -74,13 +74,14 @@ def compute_stats(dataset: Dataset) -> StatsReport:
                 )
             object_counts[obj.category] += 1
             size_counts[size_class(area)] += 1
-        for i, j, rel in zip(*scene.relation_endpoints, scene.relations):
-            relation_counts[rel.predicate] += 1
+        predicates = scene.relations.predicates
+        for i, j, p in zip(*scene.relation_endpoints, predicates):
+            relation_counts[p] += 1
             cooccurrence[scene.objects[i].category][scene.objects[j].category] += 1
         objects_hist[len(scene.objects)] += 1
         object_cats_hist[len({o.category for o in scene.objects})] += 1
-        relations_hist[len(scene.relations)] += 1
-        relation_cats_hist[len({r.predicate for r in scene.relations})] += 1
+        relations_hist[len(predicates)] += 1
+        relation_cats_hist[len(set(predicates))] += 1
     total_objects = sum(object_counts)
     if total_objects > 0:
         fractions = {

@@ -22,7 +22,7 @@ from .datamodel import (
     SPLITS,
     Dataset,
     ObjectInstance,
-    RelationTriplet,
+    RelationColumns,
     SceneAnnotation,
 )
 from .geometry import OrientedBox, rotated_iou
@@ -100,6 +100,8 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_images < 0:
             raise ValueError(f"n_images must be >= 0: {self.n_images}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0: {self.seed}")
         if not 0 < self.image_size <= MAX_IMAGE_EXTENT:
             raise ValueError(
                 f"image_size must be in 1..{MAX_IMAGE_EXTENT}: {self.image_size}"
@@ -169,18 +171,22 @@ def _generate_scene(
         ObjectInstance(id=i, category=int(classes[i]), box=_sample_box(rng, config))
         for i in range(n)
     )
-    relations: list[RelationTriplet] = []
+    subject_ids, predicates, object_ids = [], [], []
     ii, jj = pair_endpoints(n, np.arange(n * (n - 1)))
     for i, j in zip(ii.tolist(), jj.tolist()):
         rule = rule_map.get((objects[i].category, objects[j].category))
         if rule is not None and rule.condition(objects[i].box, objects[j].box):
-            relations.append(RelationTriplet(i, rule.predicate, j))
+            subject_ids.append(i)
+            predicates.append(rule.predicate)
+            object_ids.append(j)
     return SceneAnnotation(
         image_id=image_id,
         width=config.image_size,
         height=config.image_size,
         objects=objects,
-        relations=tuple(relations),
+        relations=RelationColumns(
+            subject_ids, predicates, object_ids, (None,) * len(predicates)
+        ),
     )
 
 

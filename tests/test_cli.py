@@ -454,6 +454,19 @@ def test_eval_sgg_rejects_bad_k_lists(tmp_path):
         assert code == 2, bad
 
 
+@pytest.mark.parametrize("bad", ["5,x", ",,"])
+def test_eval_sgg_k_error_names_the_flag(tmp_path, capsys, bad):
+    gt = synth_manifest(tmp_path, images=3, seed=29)
+    prior = fitted_prior(tmp_path, gt)
+    pred = tmp_path / "pred.json"
+    cli.run(["predict", "--input", str(gt), "--prior", str(prior), "--output", str(pred)])
+    capsys.readouterr()
+    assert cli.run(["eval-sgg", "--gt", str(gt), "--pred", str(pred), "--k", bad]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --k: expected comma-separated integers, got {bad!r}"
+    ]
+
+
 def test_output_dash_writes_stdout(tmp_path, capsys):
     gt = synth_manifest(tmp_path, images=3, seed=31)
     capsys.readouterr()
@@ -611,6 +624,23 @@ def test_config_rejects_non_finite_setting(tmp_path, capsys, command, setting, m
     assert cli.run(argv + [setting, "--output", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [message]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "pairs", "train-linear"])
+def test_negative_seed_names_the_flag(tmp_path, capsys, command):
+    gt = synth_manifest(tmp_path, images=3, seed=49)
+    out = tmp_path / "out.json"
+    argv = {
+        "synth": ["synth", "--images", "3"],
+        "pairs": ["pairs", "--input", str(gt), "--max-pos", "1"],
+        "train-linear": ["train-linear", "--input", str(gt), "--epochs", "1"],
+    }[command]
+    capsys.readouterr()
+    assert cli.run(argv + ["--seed", "-1", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0: -1"]
+    assert not out.exists()
+    # Seeds beyond 64 bits stay valid.
+    assert cli.run(argv + ["--seed", str(10**29), "--output", str(out)]) == 0
 
 
 def test_eval_sgg_rejects_non_finite_composite_score(tmp_path, capsys):

@@ -111,7 +111,7 @@ def test_crop_drops_object_and_relations():
     )
     cropped = crop_scene(scene, TileSpec(0, 0, 400))
     assert [o.id for o in cropped.objects] == [0]
-    assert cropped.relations == ()
+    assert len(cropped.relations) == 0
 
 
 def test_crop_keeps_exact_half_overlap_truncated():

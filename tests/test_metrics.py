@@ -351,9 +351,9 @@ def test_scene_triplets_resolve_objects_and_scores():
     a = ObjectInstance(4, 0, box, score=0.5)
     b = ObjectInstance(7, 1, box.translate(20, 0), score=0.25)
     scored = SceneAnnotation("i0", 50, 50, (a, b), (RelationTriplet(7, 2, 4, 0.5),))
-    assert scene_triplets(scored) == [Triplet(b, 2, a, 0.0625)]
+    assert list(scene_triplets(scored)) == [Triplet(b, 2, a, 0.0625)]
     truth = SceneAnnotation("i0", 50, 50, (a, b), (RelationTriplet(4, 0, 7),))
-    assert scene_triplets(truth) == [Triplet(a, 0, b)]
+    assert list(scene_triplets(truth)) == [Triplet(a, 0, b)]
     # Only a scene built in Python can name a missing id; parsing rejects it.
     for rel in (RelationTriplet(4, 0, 9), RelationTriplet(9, 0, 4)):
         dangling = SceneAnnotation("i0", 50, 50, (a, b), (rel,))

@@ -1,0 +1,165 @@
+"""Compare the CLI outputs of two obsg source trees, byte for byte.
+
+    python3 tools/compare_outputs.py BASE_TREE NEW_TREE --workload large-sgdet --seed 1
+
+Each tree is a checkout with ``src/obsg`` and ``perfbench/inputs.py``.  The
+workload's inputs (``gt.json`` and ``pred_jitter.json``) are built once per
+tree with ``python3 perfbench/inputs.py``; a difference between the two
+trees' inputs is reported, and both trees then run on BASE_TREE's inputs.
+Every invocation in ``INVOCATIONS`` runs in its own interpreter against
+each tree, and a later step reads the earlier outputs of the same tree (for
+example ``predict`` reads that tree's ``fit-prior`` output).
+
+Every difference in output sha256, exit code or standard error is printed.
+The exit code is 1 if there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# A distance rule and an IoU rule, so synth exercises both conditions.
+RULES = [
+    {"subject": "van", "object": "van", "predicate": "park at", "max_center_distance": 150},
+    {"subject": "small car", "object": "van", "predicate": "close to", "min_iou": 0.0},
+]
+
+# (output name, argv); ``{gt}``, ``{jitter}``, ``{rules}``, ``{seed}`` and
+# ``{<name>}`` of an earlier output are substituted, and ``--output`` is added.
+INVOCATIONS = (
+    ("validate.txt", ["validate", "--input", "{gt}"]),
+    ("stats.json", ["stats", "--input", "{gt}"]),
+    ("stats.csv", ["stats", "--input", "{gt}", "--format", "csv"]),
+    ("prior.json", ["fit-prior", "--input", "{gt}"]),
+    ("linear.json", ["train-linear", "--input", "{gt}", "--seed", "{seed}", "--epochs", "50"]),
+    ("pred_prior.json", ["predict", "--input", "{gt}", "--prior", "{prior.json}"]),
+    ("pred_fused.json", [
+        "predict", "--input", "{gt}", "--prior", "{prior.json}", "--linear", "{linear.json}",
+    ]),
+    ("pred_fused_all.json", [
+        "predict", "--input", "{gt}", "--prior", "{prior.json}", "--linear", "{linear.json}",
+        "--top-m", "30", "--no-graph-constraint",
+    ]),
+    ("predcls.json", [
+        "eval-sgg", "--gt", "{gt}", "--pred", "{pred_prior.json}", "--task", "predcls",
+    ]),
+    ("sgcls.json", ["eval-sgg", "--gt", "{gt}", "--pred", "{jitter}", "--task", "sgcls"]),
+    ("sgdet.json", ["eval-sgg", "--gt", "{gt}", "--pred", "{jitter}", "--task", "sgdet"]),
+    ("det.json", ["eval-det", "--gt", "{gt}", "--pred", "{jitter}"]),
+    ("det.csv", ["eval-det", "--gt", "{gt}", "--pred", "{jitter}", "--format", "csv"]),
+    ("tiled.json", ["tile", "--input", "{gt}"]),
+    ("hbb.json", ["convert-hbb", "--input", "{gt}"]),
+    ("pairs.json", [
+        "pairs", "--input", "{gt}", "--max-pos", "4", "--max-neg", "8", "--seed", "{seed}",
+    ]),
+    ("synth.json", [
+        "synth", "--images", "20", "--seed", "{seed}", "--rules", "{rules}",
+        "--min-objects", "4", "--max-objects", "12",
+    ]),
+)
+
+
+def _environment(tree: Path) -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(tree / "src")
+    # One BLAS thread: both trees sum in the same order, and memory stays small.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def build_inputs(tree: Path, workload: str, seed: int, out: Path) -> dict[str, str]:
+    """Write the workload's inputs with ``tree``'s ``perfbench/inputs.py``;
+    returns the sha256 of each file it reports."""
+    out.mkdir(parents=True)
+    proc = subprocess.run(
+        [sys.executable, str(tree / "perfbench" / "inputs.py"), "--workload", workload,
+         "--seed", str(seed), "--out", str(out)],
+        capture_output=True, text=True, cwd=tree, env=_environment(tree), check=False,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"inputs.py failed in {tree}:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])["sha256"]
+
+
+def _substitute(arg: str, names: dict[str, str]) -> str:
+    for key, value in names.items():
+        arg = arg.replace("{" + key + "}", value)
+    return arg
+
+
+def run_invocations(tree: Path, inputs: Path, seed: int, work: Path) -> dict[str, tuple]:
+    """Output name -> (exit code, stderr, sha256 of the output or None)."""
+    work.mkdir(parents=True)
+    names = {
+        "gt": str(inputs / "gt.json"),
+        "jitter": str(inputs / "pred_jitter.json"),
+        "rules": str(work / "rules.json"),
+        "seed": str(seed),
+    }
+    (work / "rules.json").write_text(json.dumps(RULES), encoding="utf-8")
+    results = {}
+    for output, argv in INVOCATIONS:
+        path = work / output
+        args = [_substitute(arg, names) for arg in argv] + ["--output", str(path)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "obsg.cli", *args],
+            capture_output=True, text=True, cwd=work, env=_environment(tree), check=False,
+        )
+        # Paths differ between the two work directories; stderr may name them.
+        stderr = proc.stderr.replace(str(work), "<work>").replace(str(inputs), "<inputs>")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+        results[output] = (proc.returncode, stderr, digest)
+        names[output] = str(path)
+    return results
+
+
+def compare(base: Path, new: Path, workload: str, seed: int, scratch: Path) -> list[str]:
+    """Every difference between the two trees, one line each."""
+    differences = []
+    inputs = scratch / "inputs-base"
+    base_inputs = build_inputs(base, workload, seed, inputs)
+    new_inputs = build_inputs(new, workload, seed, scratch / "inputs-new")
+    for name in sorted(base_inputs.keys() | new_inputs.keys()):
+        if base_inputs.get(name) != new_inputs.get(name):
+            differences.append(
+                f"inputs {name}: sha256 {base_inputs.get(name)} != {new_inputs.get(name)}"
+            )
+    before = run_invocations(base, inputs, seed, scratch / "base")
+    after = run_invocations(new, inputs, seed, scratch / "new")
+    for output, _ in INVOCATIONS:
+        for field, a, b in zip(("exit code", "stderr", "sha256"), before[output], after[output]):
+            if a != b:
+                differences.append(f"{output}: {field} {a!r} != {b!r}")
+    return differences
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path, help="source tree of the reference outputs")
+    parser.add_argument("new", type=Path, help="source tree to compare with it")
+    parser.add_argument("--workload", required=True, help="a workload of perfbench/inputs.py")
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        differences = compare(
+            args.base.resolve(), args.new.resolve(), args.workload, args.seed, Path(tmp)
+        )
+    for line in differences:
+        print(line)
+    print(
+        f"{args.workload} seed {args.seed}: {len(INVOCATIONS)} invocations, "
+        f"{len(differences)} difference(s)"
+    )
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
