@@ -35,7 +35,7 @@ import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Any, overload
+from typing import Any
 
 import numpy as np
 
@@ -152,12 +152,8 @@ class RelationColumns(Sequence):
     def __iter__(self) -> Iterator[RelationTriplet]:
         return map(RelationTriplet, self.subjects, self.predicates, self.objects, self.scores)
 
-    @overload
-    def __getitem__(self, index: int) -> RelationTriplet: ...
-    @overload
-    def __getitem__(self, index: slice) -> RelationColumns: ...
-
-    def __getitem__(self, index):
+    def __getitem__(self, index: int | slice) -> RelationTriplet | RelationColumns:
+        """The row at an index, or the columns of a slice of rows."""
         if isinstance(index, slice):
             return RelationColumns(
                 self.subjects[index],

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import count
 from typing import Sequence
 
 from .datamodel import (
@@ -127,7 +126,7 @@ def crop_scene(
             )
     rel = scene.relations
     survivors = [
-        k for k, i, j in zip(count(), *scene.relation_endpoints) if keeps[i] and keeps[j]
+        k for k, (i, j) in enumerate(zip(*scene.relation_endpoints)) if keeps[i] and keeps[j]
     ]
     if len(survivors) < len(rel):
         subjects, predicates, objects, scores = (
