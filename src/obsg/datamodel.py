@@ -166,6 +166,10 @@ class RelationColumns(Sequence):
         )
 
 
+# The columns of a scene without relations, shared: they never change.
+NO_RELATIONS = RelationColumns()
+
+
 @dataclass(frozen=True)
 class Detection:
     """A scored box hypothesis of one category."""
@@ -580,9 +584,12 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
             subjects.append(subject)
             predicates.append(predicate)
             obj_refs.append(obj_ref)
-        if not scored:
-            scores = (None,) * len(subjects)
-        relations = RelationColumns(subjects, predicates, obj_refs, scores)
+        if not subjects:
+            relations = NO_RELATIONS
+        else:
+            if not scored:
+                scores = (None,) * len(subjects)
+            relations = RelationColumns(subjects, predicates, obj_refs, scores)
         scenes.append(SceneAnnotation(image_id, width, height, tuple(objects), relations))
     return Dataset(registry, split, tuple(scenes))
 

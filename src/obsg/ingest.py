@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .datamodel import (
     MAX_IMAGE_EXTENT,
+    NO_RELATIONS,
     Dataset,
     Detection,
     ObjectInstance,
@@ -125,18 +126,18 @@ def crop_scene(
                 )
             )
     rel = scene.relations
+    n = len(rel.predicates)
     survivors = [
-        k for k, (i, j) in enumerate(zip(*scene.relation_endpoints)) if keeps[i] and keeps[j]
+        k for k, i, j in zip(range(n), *scene.relation_endpoints) if keeps[i] and keeps[j]
     ]
-    if len(survivors) < len(rel):
-        subjects, predicates, objects, scores = (
-            rel.subjects, rel.predicates, rel.objects, rel.scores
-        )
+    if not survivors:
+        rel = NO_RELATIONS
+    elif len(survivors) < n:
         rel = RelationColumns(
-            [subjects[k] for k in survivors],
-            [predicates[k] for k in survivors],
-            [objects[k] for k in survivors],
-            [scores[k] for k in survivors],
+            [rel.subjects[k] for k in survivors],
+            [rel.predicates[k] for k in survivors],
+            [rel.objects[k] for k in survivors],
+            [rel.scores[k] for k in survivors],
         )
     return SceneAnnotation(
         image_id=f"{scene.image_id}@{x0}_{y0}",

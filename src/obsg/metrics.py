@@ -99,8 +99,8 @@ class TripletColumns:
 
     ``subjects`` and ``objects`` hold positions in ``instances``;
     ``scores`` holds each triplet's ranking score, ``None`` on ground
-    truth.  As a sequence it reads as :class:`Triplet` rows: ``len``,
-    iteration and an index.
+    truth.  ``len`` counts the triplets, and iteration gives them as
+    :class:`Triplet` rows.
     """
 
     instances: tuple[ObjectInstance, ...]
@@ -124,15 +124,6 @@ class TripletColumns:
 
     def __len__(self) -> int:
         return len(self.predicates)
-
-    def __getitem__(self, k: int) -> Triplet:
-        instances = self.instances
-        return Triplet(
-            instances[self.subjects[k]],
-            self.predicates[k],
-            instances[self.objects[k]],
-            self.scores[k],
-        )
 
     def __iter__(self) -> Iterator[Triplet]:
         instances = self.instances

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -336,6 +337,17 @@ def matching_cases(draw):
     return predictions, targets, config
 
 
+def as_scene(triplets, scored):
+    """The scene whose relations are these triplets; with ``scored`` its
+    objects score 1.0, so each composite score is the relation's score."""
+    objects = {}
+    for t in triplets:
+        for obj in (t.subject, t.object):
+            objects.setdefault(obj.id, replace(obj, score=1.0 if scored else None))
+    relations = [RelationTriplet(t.subject.id, t.predicate, t.object.id, t.score) for t in triplets]
+    return SceneAnnotation("s", 100, 100, tuple(objects.values()), tuple(relations))
+
+
 @settings(max_examples=200, deadline=None)
 @given(matching_cases())
 def test_keyed_match_triplets_matches_reference(case):
@@ -344,6 +356,9 @@ def test_keyed_match_triplets_matches_reference(case):
     ref_ranking, ref_matched = oracles.reference_match_triplets(predictions, targets, config)
     assert list(result.ranking) == list(ref_ranking)
     assert list(result.matched) == list(ref_matched)
+    # The column form scene_triplets returns matches as its rows do.
+    columns = (scene_triplets(as_scene(predictions, True)), scene_triplets(as_scene(targets, False)))
+    assert match_triplets(*columns, config) == result
 
 
 def test_scene_triplets_resolve_objects_and_scores():
