@@ -138,6 +138,7 @@ class RelationColumns(Sequence):
 
     @classmethod
     def from_rows(cls, rows: Iterable[RelationTriplet]) -> RelationColumns:
+        """The columns of :class:`RelationTriplet` rows, in row order."""
         rows = list(rows)
         return cls(
             [r.subject for r in rows],

@@ -480,7 +480,8 @@ def evaluate_detections(
 
 def scene_triplets(scene: SceneAnnotation) -> TripletColumns:
     """A scene's relations resolved to its objects, in relation order: the
-    endpoint positions, predicates and scores, with the scene's objects.
+    endpoint positions, predicates and scores, with the scene's objects
+    (one shared empty value for a scene without relations).
 
     A scored relation gets the composite score subject score times relation
     score times object score; an unscored (ground-truth) one keeps ``None``.
@@ -489,8 +490,10 @@ def scene_triplets(scene: SceneAnnotation) -> TripletColumns:
         DataError: a relation names an object id missing from the scene, or
             its composite score is not finite.
     """
-    subjects, objects = scene.relation_endpoints
     rel = scene.relations
+    if not rel.predicates:
+        return _NO_TRIPLETS
+    subjects, objects = scene.relation_endpoints
     instances = scene.objects
     scores = [
         None if score is None else instances[i].score * score * instances[j].score
