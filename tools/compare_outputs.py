@@ -52,6 +52,14 @@ INVOCATIONS = (
     ]),
     ("sgcls.json", ["eval-sgg", "--gt", "{gt}", "--pred", "{jitter}", "--task", "sgcls"]),
     ("sgdet.json", ["eval-sgg", "--gt", "{gt}", "--pred", "{jitter}", "--task", "sgdet"]),
+    ("predcls_all.json", [
+        "eval-sgg", "--gt", "{gt}", "--pred", "{pred_fused_all.json}", "--task", "predcls",
+        "--no-graph-constraint",
+    ]),
+    ("sgdet_all.json", [
+        "eval-sgg", "--gt", "{gt}", "--pred", "{jitter}", "--task", "sgdet",
+        "--no-graph-constraint",
+    ]),
     ("det.json", ["eval-det", "--gt", "{gt}", "--pred", "{jitter}"]),
     ("det.csv", ["eval-det", "--gt", "{gt}", "--pred", "{jitter}", "--format", "csv"]),
     ("tiled.json", ["tile", "--input", "{gt}"]),
