@@ -255,7 +255,6 @@ def _cmd_fit_prior(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_linear(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args.input)
     config = TrainConfig(
         seed=args.seed,
         learning_rate=args.lr,
@@ -263,6 +262,7 @@ def _cmd_train_linear(args: argparse.Namespace) -> int:
         max_pos=args.max_pos,
         max_neg=args.max_neg,
     )
+    dataset = _load_dataset(args.input)
     scorer = train_linear(dataset, config)
     _write_output(args.output, save_scorer(scorer))
     return 0
@@ -326,14 +326,14 @@ def _cmd_eval_det(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_sgg(args: argparse.Namespace) -> int:
-    gt = _load_dataset(args.gt)
-    predictions = parse_predictions(_read_text(args.pred))
     config = MatchConfig(
         subtask=args.task,
         iou_threshold=args.iou_threshold,
         k_values=_parse_k_values(args.k),
         graph_constraint=not args.no_graph_constraint,
     )
+    gt = _load_dataset(args.gt)
+    predictions = parse_predictions(_read_text(args.pred))
     _write_report(args, evaluate_scene_graphs(gt, predictions, config))
     return 0
 

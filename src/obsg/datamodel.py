@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -103,14 +103,13 @@ class RelationTriplet:
 
 
 @dataclass(frozen=True, init=False)
-class RelationColumns(Sequence):
+class RelationColumns:
     """A scene's relations as four aligned tuples: subject and object ids,
     predicates, and scores (``None`` on ground truth).
 
-    It is the one stored form of a scene's relations.  As a sequence it
-    reads as :class:`RelationTriplet` rows: ``len``, iteration and an index
-    give rows, and a slice gives the columns of those rows.  Any iterable
-    is stored as a tuple, so equal columns compare and hash equal.
+    It is the one stored form of a scene's relations; iteration gives
+    :class:`RelationTriplet` rows.  Any iterable is stored as a tuple, so
+    equal columns compare and hash equal.
     """
 
     subjects: tuple[int, ...]
@@ -136,35 +135,11 @@ class RelationColumns(Sequence):
         set_field(self, "objects", columns[2])
         set_field(self, "scores", columns[3])
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[RelationTriplet]) -> RelationColumns:
-        """The columns of :class:`RelationTriplet` rows, in row order."""
-        rows = list(rows)
-        return cls(
-            [r.subject for r in rows],
-            [r.predicate for r in rows],
-            [r.object for r in rows],
-            [r.score for r in rows],
-        )
-
     def __len__(self) -> int:
         return len(self.predicates)
 
     def __iter__(self) -> Iterator[RelationTriplet]:
         return map(RelationTriplet, self.subjects, self.predicates, self.objects, self.scores)
-
-    def __getitem__(self, index: int | slice) -> RelationTriplet | RelationColumns:
-        """The row at an index, or the columns of a slice of rows."""
-        if isinstance(index, slice):
-            return RelationColumns(
-                self.subjects[index],
-                self.predicates[index],
-                self.objects[index],
-                self.scores[index],
-            )
-        return RelationTriplet(
-            self.subjects[index], self.predicates[index], self.objects[index], self.scores[index]
-        )
 
 
 # The columns of a scene without relations, shared: they never change.
@@ -196,7 +171,13 @@ class SceneAnnotation:
 
     def __post_init__(self) -> None:
         if type(self.relations) is not RelationColumns:
-            object.__setattr__(self, "relations", RelationColumns.from_rows(self.relations))
+            rows = list(self.relations)
+            object.__setattr__(self, "relations", RelationColumns(
+                [r.subject for r in rows],
+                [r.predicate for r in rows],
+                [r.object for r in rows],
+                [r.score for r in rows],
+            ))
 
     @_cached
     def relation_endpoints(self) -> tuple[list[int], list[int]]:

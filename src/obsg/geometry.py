@@ -248,8 +248,6 @@ def _clip_half_plane(poly: list[Point], a: Point, b: Point) -> list[Point]:
 
 def _dedupe_loop(poly: list[Point]) -> list[Point]:
     """Drop consecutive points closer than ``SNAP_EPS`` (loop-closing pair too)."""
-    if not poly:
-        return poly
     out: list[Point] = [poly[0]]
     for p in poly[1:]:
         if math.hypot(p[0] - out[-1][0], p[1] - out[-1][1]) > SNAP_EPS:
@@ -280,10 +278,8 @@ def intersection_area(a: OrientedBox, b: OrientedBox) -> float:
         poly = _clip_half_plane(poly, clip[i], clip[(i + 1) % 4])
         if len(poly) < 3:
             return 0.0
-    poly = _dedupe_loop(poly)
-    if len(poly) < 3:
-        return 0.0
-    return abs(shoelace_area(poly))
+    # Two or fewer points left: the shoelace terms cancel to exactly 0.0.
+    return abs(shoelace_area(_dedupe_loop(poly)))
 
 
 def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:

@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .datamodel import Dataset, Detection, ObjectInstance, SceneAnnotation, check_indices
 from .errors import DataError, RegistryMismatchError
@@ -99,8 +99,7 @@ class TripletColumns:
 
     ``subjects`` and ``objects`` hold positions in ``instances``;
     ``scores`` holds each triplet's ranking score, ``None`` on ground
-    truth.  ``len`` counts the triplets, and iteration gives them as
-    :class:`Triplet` rows.
+    truth.
     """
 
     instances: tuple[ObjectInstance, ...]
@@ -124,11 +123,6 @@ class TripletColumns:
 
     def __len__(self) -> int:
         return len(self.predicates)
-
-    def __iter__(self) -> Iterator[Triplet]:
-        instances = self.instances
-        for i, p, j, score in zip(self.subjects, self.predicates, self.objects, self.scores):
-            yield Triplet(instances[i], p, instances[j], score)
 
 
 _NO_TRIPLETS = TripletColumns((), (), (), (), ())
@@ -373,7 +367,8 @@ def _paired_scenes(
     Raises:
         RegistryMismatchError: the two sides use different category lists.
         DataError: a repeated prediction image id, an unscored prediction,
-            or a category or predicate outside the registry in a paired scene.
+            a non-finite object score, or a category or predicate outside
+            the registry in a paired scene.
     """
     if predictions.registry != gt.registry:
         raise RegistryMismatchError(
@@ -384,15 +379,17 @@ def _paired_scenes(
         if scene.image_id in index:
             raise DataError(f"duplicate prediction image id {scene.image_id!r}")
         for obj in scene.objects:
-            if obj.score is None:
+            score = obj.score
+            if score is None or not math.isfinite(score):
+                problem = "no score" if score is None else f"non-finite score {score!r}"
                 raise DataError(
-                    f"prediction image {scene.image_id!r}: object {obj.id} has no score"
+                    f"prediction image {scene.image_id!r}: object {obj.id} has {problem}"
                 )
         if None in scene.relations.scores:
-            rel = scene.relations[scene.relations.scores.index(None)]
+            rel, k = scene.relations, scene.relations.scores.index(None)
             raise DataError(
                 f"prediction image {scene.image_id!r}: relation "
-                f"{rel.subject}-{rel.predicate}->{rel.object} has no score"
+                f"{rel.subjects[k]}-{rel.predicates[k]}->{rel.objects[k]} has no score"
             )
         index[scene.image_id] = scene
     pairs = [(scene, index.get(scene.image_id)) for scene in gt.scenes]

@@ -745,3 +745,106 @@ def test_cli_fuzz_exits_zero_or_one(fuzz_inputs, data):
         if "{" + kind + "}" in template:
             argv = template.format(**inputs).split() + ["--output", str(base / "out")]
             assert cli.run(argv) in (0, 1), argv
+
+
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("eval-sgg", ["--k", "5,x"], "error: --k: expected comma-separated integers, got '5,x'"),
+        ("eval-sgg", ["--iou-threshold", "2"], "error: iou_threshold must be in (0, 1]: 2.0"),
+        ("train-linear", ["--lr", "nan"], "error: learning_rate must be finite and >= 0: nan"),
+    ],
+    ids=["k", "iou-threshold", "lr"],
+)
+def test_flag_errors_come_before_input_errors(tmp_path, capsys, command, setting, message):
+    gt = synth_manifest(tmp_path, images=3, seed=49)
+    # A manifest lacks prediction scores, and without "split" it fails to parse.
+    doc = json.loads(gt.read_text())
+    del doc["split"]
+    no_split = tmp_path / "no_split.json"
+    no_split.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    argv = {
+        "eval-sgg": ["eval-sgg", "--gt", str(gt), "--pred", str(gt)],
+        "train-linear": ["train-linear", "--input", str(no_split), "--seed", "1"],
+    }[command]
+    capsys.readouterr()
+    assert cli.run(argv + setting + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
+
+
+def quoted_manifest(path, split="train", score=None, relations=2):
+    """One image of two boxes and ``relations`` relations, in a registry
+    whose names need CSV quoting; ``score`` scores every entry."""
+    objects = [
+        {"id": k, "category": k + 1, "obb": [[x, 10], [x + 20, 10], [x + 20, 30], [x, 30]]}
+        for k, x in ((0, 10), (1, 50))
+    ]
+    rels = [
+        {"subject": 0, "predicate": 0, "object": 1},
+        {"subject": 1, "predicate": 1, "object": 0},
+    ][:relations]
+    if score is not None:
+        for entry in objects + rels:
+            entry["score"] = score
+    doc = {
+        "version": "1.0",
+        "split": split,
+        "object_categories": ["plain", "a,b", 'say "hi"'],
+        "relation_categories": ["near, by", 'q"x'],
+        "images": [
+            {"id": "i0", "width": 100, "height": 100, "objects": objects, "relations": rels}
+        ],
+    }
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_csv_reports_quote_names(tmp_path):
+    gt = quoted_manifest(tmp_path / "gt.json")
+    val = quoted_manifest(tmp_path / "val.json", split="val", relations=1)
+    pred = quoted_manifest(tmp_path / "pred.json", score=0.9)
+    out = tmp_path / "out.csv"
+    for argv, expected in (
+        (
+            ["eval-det", "--gt", str(gt), "--pred", str(pred)],
+            'category,ap\n"a,b",1\n"say ""hi""",1\nmean,1\n',
+        ),
+        (
+            ["eval-sgg", "--gt", str(gt), "--pred", str(pred)],
+            'predicate,r@20,r@50,r@100,r@500\n"near, by",1,1,1,1\n"q""x",1,1,1,1\n'
+            "mean,1,1,1,1\n",
+        ),
+        (
+            ["stats", "--input", str(gt), "--input", str(val)],
+            'category,train,val\nplain,0,0\n"a,b",1,1\n"say ""hi""",1,1\n\n'
+            'category,train,val\n"near, by",1,1\n"q""x",1,0\n',
+        ),
+    ):
+        assert cli.run(argv + ["--format", "csv", "--output", str(out)]) == 0
+        assert out.read_text() == expected
+
+
+def test_stats_json_of_two_inputs_lists_reports_in_input_order(tmp_path):
+    val = quoted_manifest(tmp_path / "val.json", split="val", relations=1)
+    train = quoted_manifest(tmp_path / "train.json")
+    out = tmp_path / "stats.json"
+    argv = ["stats", "--input", str(val), "--input", str(train), "--output", str(out)]
+    assert cli.run(argv) == 0
+    head = (
+        '"object_categories":["plain","a,b","say \\"hi\\""],'
+        '"relation_categories":["near, by","q\\"x"],"num_images":1,"object_counts":[0,1,1],'
+    )
+    sizes = '"size_class_fractions":{"large":0.0,"medium":1.0,"small":0.0,"tiny":0.0},'
+    log2 = repr(math.log(2.0))
+    assert out.read_text() == (
+        '[{"kind":"stats","split":"val",' + head + '"relation_counts":[1,0],'
+        '"per_image_histograms":{"objects":[[2,1]],"object_categories":[[2,1]],'
+        '"relations":[[1,1]],"relation_categories":[[1,1]]},' + sizes
+        + f'"cooccurrence_log":[[0.0,0.0,0.0],[0.0,0.0,{log2}],[0.0,0.0,0.0]]}},'
+        '{"kind":"stats","split":"train",' + head + '"relation_counts":[1,1],'
+        '"per_image_histograms":{"objects":[[2,1]],"object_categories":[[2,1]],'
+        '"relations":[[2,1]],"relation_categories":[[2,1]]},' + sizes
+        + f'"cooccurrence_log":[[0.0,0.0,0.0],[0.0,0.0,{log2}],[0.0,{log2},0.0]]}}]\n'
+    )

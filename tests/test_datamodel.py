@@ -105,7 +105,7 @@ def test_parse_minimal_manifest():
     assert scene.image_id == "img-1"
     assert len(scene.objects) == 2
     assert len(scene.relations) == 1
-    assert scene.relations[0] == RelationTriplet(0, 1, 1)
+    assert list(scene.relations) == [RelationTriplet(0, 1, 1)]
     assert scene.objects[0].box.vertices[0] == (0.0, 0.0)
 
 

@@ -278,6 +278,40 @@ def test_intersection_early_out_agrees_with_plain_clipper():
     assert disjoint > 100
 
 
+def test_touching_boxes_overlap_in_exactly_zero_area():
+    """A box moved across one of its edges, and slid along it, shares that
+    edge in part, in full or only at a vertex.  Rounding leaves a sliver of
+    points along the edge, which the clipper collapses to exactly 0.0 (some
+    of these pairs reach the loop-closing step of ``_dedupe_loop``)."""
+    for theta in (0.0, 0.3, math.pi / 4, 1.2, 2.5, 4.0):
+        a = OrientedBox.from_params(20.0, -7.0, 12.0, 5.0, theta)
+        v = a.vertices
+        across = (v[0][0] - v[3][0], v[0][1] - v[3][1])
+        along = (v[1][0] - v[0][0], v[1][1] - v[0][1])
+        for t in (-1.0, -0.4, 0.0, 0.25, 1.0):
+            b = a.translate(across[0] + t * along[0], across[1] + t * along[1])
+            for first, second in ((a, b), (b, a)):
+                assert intersection_area(first, second) == 0.0, (theta, t)
+                assert reference_intersection_area(first, second) <= 1e-9 * a.area
+                assert rotated_iou(first, second) == 0.0
+
+
+def test_iou_ignores_the_winding_of_either_box():
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        a = random_box(rng, center_hi=40.0)
+        b = random_box(rng, center_hi=40.0)
+        ra = OrientedBox(tuple(reversed(a.vertices)))
+        rb = OrientedBox(tuple(reversed(b.vertices)))
+        assert shoelace_area(ra.vertices) < 0.0 < shoelace_area(a.vertices)
+        iou = rotated_iou(a, b)
+        for first, second in ((ra, b), (a, rb), (ra, rb)):
+            # The clipper sees the same loops; only the areas may round apart.
+            assert intersection_area(first, second) == intersection_area(a, b)
+            assert abs(rotated_iou(first, second) - iou) <= 1e-12
+        assert abs(rotated_iou(a, ra) - 1.0) <= 1e-12
+
+
 def test_extent_is_the_vertex_bounding_box():
     rng = np.random.default_rng(13)
     for _ in range(100):

@@ -180,7 +180,7 @@ def test_crop_keeps_every_contained_box_at_keep_fraction_one():
     cropped = crop_scene(scene, TileSpec(100, 100, 400), keep_fraction=1.0)
     assert [o.id for o in cropped.objects] == list(range(40))
     assert not any(o.truncated for o in cropped.objects)
-    assert cropped.relations == scene.relations[:39]
+    assert list(cropped.relations) == list(scene.relations)[:39]
 
 
 def test_crop_translation_round_trip():

@@ -365,10 +365,18 @@ def test_scene_triplets_resolve_objects_and_scores():
     box = OrientedBox.axis_aligned(0, 0, 10, 10)
     a = ObjectInstance(4, 0, box, score=0.5)
     b = ObjectInstance(7, 1, box.translate(20, 0), score=0.25)
+
+    def rows(scene):
+        t = scene_triplets(scene)
+        return [
+            Triplet(t.instances[i], p, t.instances[j], score)
+            for i, p, j, score in zip(t.subjects, t.predicates, t.objects, t.scores)
+        ]
+
     scored = SceneAnnotation("i0", 50, 50, (a, b), (RelationTriplet(7, 2, 4, 0.5),))
-    assert list(scene_triplets(scored)) == [Triplet(b, 2, a, 0.0625)]
+    assert rows(scored) == [Triplet(b, 2, a, 0.0625)]
     truth = SceneAnnotation("i0", 50, 50, (a, b), (RelationTriplet(4, 0, 7),))
-    assert list(scene_triplets(truth)) == [Triplet(a, 0, b)]
+    assert rows(truth) == [Triplet(a, 0, b)]
     # Only a scene built in Python can name a missing id; parsing rejects it.
     for rel in (RelationTriplet(4, 0, 9), RelationTriplet(9, 0, 4)):
         dangling = SceneAnnotation("i0", 50, 50, (a, b), (rel,))
@@ -692,6 +700,18 @@ def test_evaluation_rejects_unscored_predictions():
     )
     with pytest.raises(DataError, match=repr(scene.image_id)):
         evaluate_scene_graphs(gt, Dataset(gt.registry, gt.split, scenes))
+
+
+@pytest.mark.parametrize("score", [math.nan, math.inf])
+def test_evaluation_rejects_non_finite_object_scores(score):
+    gt, preds = det_fixture()
+    scene = preds.scenes[0]
+    objects = (replace(scene.objects[0], score=score), scene.objects[1])
+    broken = replace(preds, scenes=(replace(scene, objects=objects),))
+    message = f"^prediction image 'i0': object 0 has non-finite score {score!r}$"
+    for evaluate in (evaluate_detections, evaluate_scene_graphs):
+        with pytest.raises(DataError, match=message):
+            evaluate(gt, broken)
 
 
 def test_evaluate_scene_graphs_requires_triplets():

@@ -279,7 +279,7 @@ def test_train_linear_separates_by_geometry():
         features = np.hstack([block, np.ones((2, 3))])
         predicted = np.argmax(features @ scorer.weights, axis=1)
         for k, rel in enumerate((0, 1)):
-            correct += predicted[k] == scene.relations[rel].predicate
+            correct += predicted[k] == scene.relations.predicates[rel]
             total += 1
     assert correct / total >= 0.95
     assert scorer.loss_history[-1] <= scorer.loss_history[0]

@@ -64,8 +64,8 @@ def test_small_dataset_counts():
     [
         (lambda o, r: ((replace(o[0], category=-1), o[1]), r), "object 0 has category -1"),
         (lambda o, r: ((o[0], replace(o[1], category=99)), r), "object 1 has category 99"),
-        (lambda o, r: (o, (replace(r[0], object=7),)), "0->7 references missing object id 7"),
-        (lambda o, r: (o, (replace(r[0], predicate=1),)), "0->1 has predicate 1"),
+        (lambda o, r: (o, (replace(list(r)[0], object=7),)), "0->7 references missing object id 7"),
+        (lambda o, r: (o, (replace(list(r)[0], predicate=1),)), "0->1 has predicate 1"),
         (
             lambda o, r: ((replace(o[0], box=OrientedBox(((1.0, 1.0),) * 4)), o[1]), r),
             "object 0 has a degenerate box of area 0.0",
