@@ -56,6 +56,10 @@ INVOCATIONS = (
         "eval-sgg", "--gt", "{gt}", "--pred", "{pred_fused_all.json}", "--task", "predcls",
         "--no-graph-constraint",
     ]),
+    ("sgcls_all.json", [
+        "eval-sgg", "--gt", "{gt}", "--pred", "{jitter}", "--task", "sgcls",
+        "--no-graph-constraint",
+    ]),
     ("sgdet_all.json", [
         "eval-sgg", "--gt", "{gt}", "--pred", "{jitter}", "--task", "sgdet",
         "--no-graph-constraint",
