@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -33,7 +33,11 @@ from .datamodel import (
     validate,
 )
 from .errors import DataError
-from .ingest import KEEP_FRACTION, TILE_SIZE, TILE_STRIDE, convert_to_hbb, tile_dataset
+from .geometry import _check_iou_threshold
+from .ingest import (
+    KEEP_FRACTION, TILE_SIZE, TILE_STRIDE, _check_keep_fraction, _check_tile_grid,
+    convert_to_hbb, tile_dataset,
+)
 from .metrics import (
     DEFAULT_K_VALUES,
     IOU_THRESHOLD,
@@ -45,11 +49,13 @@ from .metrics import (
     report_to_csv as eval_report_to_csv,
     report_to_json as eval_report_to_json,
 )
-from .pairing import MAX_NEGATIVE_PAIRS, MAX_POSITIVE_PAIRS, label_pairs, sample_pairs
+from .pairing import MAX_NEGATIVE_PAIRS, MAX_POSITIVE_PAIRS, _check_caps, label_pairs, sample_pairs
 from .registry import CategoryRegistry
 from .scorer import (
     DEFAULT_ALPHA,
     TrainConfig,
+    _check_alpha,
+    _check_top_m,
     fit_frequency_prior,
     load_prior,
     load_scorer,
@@ -107,9 +113,7 @@ def _load_dataset(path: str) -> Dataset:
 
 def _rule_class(registry: CategoryRegistry, value, kind: str, where: str) -> int:
     names = registry.object_names if kind == "object" else registry.relation_names
-    if isinstance(value, bool) or value is None:
-        raise DataError(f"{where}: expected a {kind} name or index, got {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         if not 0 <= value < len(names):
             raise DataError(f"{where}: {kind} index {value} out of range")
         return value
@@ -118,7 +122,8 @@ def _rule_class(registry: CategoryRegistry, value, kind: str, where: str) -> int
             return names.index(value)
         except ValueError:
             raise DataError(f"{where}: unknown {kind} name {value!r}") from None
-    raise DataError(f"{where}: expected a {kind} name or index, got {value!r}")
+    article = "an" if kind == "object" else "a"
+    raise DataError(f"{where}: expected {article} {kind} name or index, got {value!r}")
 
 
 _RULE_KEYS = ("subject", "object", "predicate", "min_iou", "max_center_distance")
@@ -178,21 +183,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     elif len(reports) == 1:
         _write_output(args.output, report_to_json(reports[0]))
     else:
-        docs = [json.loads(report_to_json(r)) for r in reports]
-        _write_output(args.output, json.dumps(docs, separators=(",", ":")))
+        _write_output(args.output, "[" + ",".join(report_to_json(r) for r in reports) + "]")
     return 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    from .registry import canonical_registry
-
-    registry = canonical_registry()
-    rules = _load_rules(args.rules, registry) if args.rules else None
     config = SynthConfig(
         n_images=args.images,
         seed=args.seed,
-        registry=registry,
-        rules=rules,
         image_size=args.size,
         min_objects=args.min_objects,
         max_objects=args.max_objects,
@@ -201,11 +199,15 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         tail_skew=args.tail_skew,
         split=args.split,
     )
+    if args.rules:
+        config = replace(config, rules=_load_rules(args.rules, config.registry))
     _write_output(args.output, serialize_dataset(generate(config)))
     return 0
 
 
 def _cmd_tile(args: argparse.Namespace) -> int:
+    _check_tile_grid(args.size, args.stride)
+    _check_keep_fraction(args.keep_fraction)
     dataset = _load_dataset(args.input)
     tiled = tile_dataset(dataset, args.size, args.stride, args.keep_fraction)
     _write_output(args.output, serialize_dataset(tiled))
@@ -223,6 +225,9 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
     sampling = args.max_pos is not None or args.max_neg is not None
     if sampling and args.seed is None:
         raise ValueError("--seed is required when sampling caps are given")
+    max_pos = MAX_POSITIVE_PAIRS if args.max_pos is None else args.max_pos
+    max_neg = MAX_NEGATIVE_PAIRS if args.max_neg is None else args.max_neg
+    _check_caps(max_pos, max_neg)
     dataset = _load_dataset(args.input)
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     images = []
@@ -235,19 +240,14 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
             "labels": labels.tolist(),
         }
         if sampling:
-            chosen = sample_pairs(
-                labels,
-                args.max_pos if args.max_pos is not None else MAX_POSITIVE_PAIRS,
-                args.max_neg if args.max_neg is not None else MAX_NEGATIVE_PAIRS,
-                rng,
-            )
-            entry["sampled_indices"] = chosen.tolist()
+            entry["sampled_indices"] = sample_pairs(labels, max_pos, max_neg, rng).tolist()
         images.append(entry)
     _write_output(args.output, json.dumps({"images": images}, separators=(",", ":")))
     return 0
 
 
 def _cmd_fit_prior(args: argparse.Namespace) -> int:
+    _check_alpha(args.alpha)
     dataset = _load_dataset(args.input)
     prior = fit_frequency_prior(dataset, alpha=args.alpha)
     _write_output(args.output, save_prior(prior))
@@ -269,6 +269,7 @@ def _cmd_train_linear(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    _check_top_m(args.top_m)
     dataset = _load_dataset(args.input)
     prior = load_prior(_read_text(args.prior), dataset.registry)
     linear = (
@@ -315,6 +316,7 @@ def _write_report(args: argparse.Namespace, report: EvalReport) -> None:
 
 
 def _cmd_eval_det(args: argparse.Namespace) -> int:
+    _check_iou_threshold(args.iou_threshold)
     report = evaluate_detections(
         _load_dataset(args.gt),
         parse_predictions(_read_text(args.pred)),
@@ -474,10 +476,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -293,3 +293,8 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     if union <= 0.0:
         return 0.0
     return min(max(inter / union, 0.0), 1.0)
+
+
+def _check_iou_threshold(iou_threshold: float) -> None:
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1]: {iou_threshold}")

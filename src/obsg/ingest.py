@@ -23,7 +23,7 @@ from .datamodel import (
     RelationColumns,
     SceneAnnotation,
 )
-from .geometry import OrientedBox, intersection_area, rotated_iou
+from .geometry import OrientedBox, _check_iou_threshold, intersection_area, rotated_iou
 
 TILE_SIZE = 800
 TILE_STRIDE = 400
@@ -56,6 +56,16 @@ def _grid_positions(extent: int, size: int, stride: int) -> list[int]:
     return [min(i * stride, extent - size) for i in range(count)]
 
 
+def _check_tile_grid(size: int, stride: int) -> None:
+    if size <= 0 or not 0 < stride <= size:
+        raise ValueError(f"bad tile size/stride: {size}/{stride}")
+
+
+def _check_keep_fraction(keep_fraction: float) -> None:
+    if not 0.0 < keep_fraction <= 1.0:
+        raise ValueError(f"keep_fraction must be in (0, 1]: {keep_fraction}")
+
+
 def plan_tiles(
     width: int, height: int, size: int = TILE_SIZE, stride: int = TILE_STRIDE
 ) -> list[TileSpec]:
@@ -68,8 +78,7 @@ def plan_tiles(
     """
     if not (0 < width <= MAX_IMAGE_EXTENT and 0 < height <= MAX_IMAGE_EXTENT):
         raise ValueError(f"image extent must be in 1..{MAX_IMAGE_EXTENT}: {width}x{height}")
-    if size <= 0 or not 0 < stride <= size:
-        raise ValueError(f"bad tile size/stride: {size}/{stride}")
+    _check_tile_grid(size, stride)
     xs = _grid_positions(width, size, stride)
     ys = _grid_positions(height, size, stride)
     return [TileSpec(x, y, size) for y in ys for x in xs]
@@ -87,8 +96,7 @@ def crop_scene(
     truncated.  A relation survives only if both endpoints do; one that names
     a missing object id is a :class:`DataError`.
     """
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError(f"keep_fraction must be in (0, 1]: {keep_fraction}")
+    _check_keep_fraction(keep_fraction)
     x0, y0 = tile.origin_x, tile.origin_y
     x1 = min(x0 + tile.size, scene.width)
     y1 = min(y0 + tile.size, scene.height)
@@ -183,8 +191,7 @@ def rotated_nms(
     category with rotated IoU >= ``iou_threshold``.  Returns survivors in
     visiting order.
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1]: {iou_threshold}")
+    _check_iou_threshold(iou_threshold)
     for det in detections:
         if not math.isfinite(det.score):
             raise ValueError(f"non-finite detection score: {det.score!r}")

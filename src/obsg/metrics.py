@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 from .datamodel import Dataset, Detection, ObjectInstance, SceneAnnotation, check_indices
 from .errors import DataError, RegistryMismatchError
-from .geometry import OrientedBox, rotated_iou
+from .geometry import OrientedBox, _check_iou_threshold, rotated_iou
 
 SUBTASKS = ("predcls", "sgcls", "sgdet")
 DEFAULT_K_VALUES = (20, 50, 100, 500)
@@ -67,8 +67,7 @@ class MatchConfig:
     def __post_init__(self) -> None:
         if self.subtask not in SUBTASKS:
             raise ValueError(f"subtask must be one of {SUBTASKS}: {self.subtask!r}")
-        if not 0.0 < self.iou_threshold <= 1.0:
-            raise ValueError(f"iou_threshold must be in (0, 1]: {self.iou_threshold}")
+        _check_iou_threshold(self.iou_threshold)
         if not self.k_values:
             raise ValueError("k_values must not be empty")
         if any(k <= 0 for k in self.k_values):
@@ -171,8 +170,7 @@ def match_detections(
     resolve to the lowest ground-truth index); that ground truth is then
     consumed.  Flags are returned in input order.
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1]: {iou_threshold}")
+    _check_iou_threshold(iou_threshold)
     order = sorted(range(len(predictions)), key=lambda i: -predictions[i].score)
     flags = [False] * len(predictions)
     untaken = list(range(len(truths)))
@@ -234,26 +232,14 @@ def mean_recall_at_k(per_predicate_recall: Sequence[float]) -> float:
     return sum(per_predicate_recall) / len(per_predicate_recall)
 
 
-def _match_keys(triplets: TripletColumns, identity: bool) -> Callable[[int], tuple]:
-    """What a prediction and a target must share to match, as a function of
-    the triplet index: the predicate and both classes, and with ``identity``
-    both object ids."""
-    subjects, predicates, objects = triplets.subjects, triplets.predicates, triplets.objects
-    category = [obj.category for obj in triplets.instances]
-    if identity:
-        ids = [obj.id for obj in triplets.instances]
-
-        def key(k: int) -> tuple:
-            i, j = subjects[k], objects[k]
-            return (predicates[k], category[i], category[j], ids[i], ids[j])
-
-        return key
-
-    def class_key(k: int) -> tuple:
-        i, j = subjects[k], objects[k]
-        return (predicates[k], category[i], category[j])
-
-    return class_key
+def _match_keys(triplets: TripletColumns, identity: bool) -> list[tuple]:
+    """What a prediction and a target must share to match, per triplet: the
+    predicate and both classes, and with ``identity`` both object ids."""
+    ends = [(obj.category, obj.id) if identity else obj.category for obj in triplets.instances]
+    return [
+        (p, ends[i], ends[j])
+        for i, p, j in zip(triplets.subjects, triplets.predicates, triplets.objects)
+    ]
 
 
 def match_triplets(
@@ -272,9 +258,8 @@ def match_triplets(
     minimum endpoint IoU (sgdet), remaining ties, and every identity match,
     to the lowest index.  A prediction visits only the targets that share
     its match key (predicate, both classes and, for predcls and sgcls, both
-    object ids), in ascending index.  Object ids name one box on each side,
-    as they do within a scene, so sgdet computes the IoU of a (predicted
-    object, ground-truth object) pair once per call, for subject and object
+    object ids), in ascending index.  sgdet computes the IoU of a (predicted
+    instance, target instance) pair once per call, for subject and object
     endpoints alike.
     """
     if not isinstance(predictions, TripletColumns):
@@ -286,43 +271,35 @@ def match_triplets(
     order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
     if not order:
         return TripletMatchResult((), ())
-    pred_ids = [obj.id for obj in predictions.instances]
+    ranking = order
     if config.graph_constraint:
+        ids = [obj.id for obj in predictions.instances]
         subjects, objects = predictions.subjects, predictions.objects
-        seen: set[tuple[int, int]] = set()
-        ranking = []
+        first: dict[tuple[int, int], int] = {}
         for i in order:
-            key = (pred_ids[subjects[i]], pred_ids[objects[i]])
-            if key not in seen:
-                seen.add(key)
-                ranking.append(i)
-    else:
-        ranking = order
+            first.setdefault((ids[subjects[i]], ids[objects[i]]), i)
+        ranking = list(first.values())
     identity = config.subtask in IDENTITY_SUBTASKS
     # Untaken targets per key, ascending; a match removes its target.
     buckets: dict[tuple, list[int]] = {}
-    target_key = _match_keys(targets, identity)
-    for g in range(len(targets)):
-        buckets.setdefault(target_key(g), []).append(g)
-    pred_key = _match_keys(predictions, identity)
+    for g, key in enumerate(_match_keys(targets, identity)):
+        buckets.setdefault(key, []).append(g)
+    keys = _match_keys(predictions, identity)
     matched: list[int] = []
     if identity:
         for i in ranking:
-            candidates = buckets.get(pred_key(i))
+            candidates = buckets.get(keys[i])
             matched.append(candidates.pop(0) if candidates else -1)
         return TripletMatchResult(tuple(ranking), tuple(matched))
 
     detected, truths = predictions.instances, targets.instances
-    truth_ids = [obj.id for obj in truths]
     ious: dict[tuple[int, int], float] = {}
 
     def iou(a: int, b: int) -> float:
-        """sgdet IoU of predicted instance ``a`` and target instance ``b``,
-        computed once per (predicted id, target id)."""
-        key = (pred_ids[a], truth_ids[b])
-        value = ious.get(key)
+        """IoU of predicted instance ``a`` and target instance ``b``, computed once."""
+        value = ious.get((a, b))
         if value is None:
-            value = ious[key] = rotated_iou(detected[a].box, truths[b].box)
+            value = ious[a, b] = rotated_iou(detected[a].box, truths[b].box)
         return value
 
     def quality(i: int, g: int) -> float:
@@ -333,7 +310,7 @@ def match_triplets(
         return min(iou_s, iou(predictions.objects[i], targets.objects[g]))
 
     for i in ranking:
-        candidates = buckets.get(pred_key(i), [])
+        candidates = buckets.get(keys[i], [])
         matched.append(_take_best(candidates, partial(quality, i), config.iou_threshold))
     return TripletMatchResult(tuple(ranking), tuple(matched))
 
@@ -431,8 +408,7 @@ def evaluate_detections(
         DataError: an object category or a predicate lies outside the
             registry.
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1]: {iou_threshold}")
+    _check_iou_threshold(iou_threshold)
     pairs, coverage = _paired_scenes(gt, predictions)
     names = gt.registry.object_names
     num_classes = len(names)

@@ -63,6 +63,11 @@ def label_pairs(scene: SceneAnnotation) -> np.ndarray:
     return labels
 
 
+def _check_caps(max_pos: int, max_neg: int) -> None:
+    if max_pos < 0 or max_neg < 0:
+        raise ValueError(f"caps must be >= 0: max_pos={max_pos} max_neg={max_neg}")
+
+
 def sample_pairs(
     labels: np.ndarray,
     max_pos: int = MAX_POSITIVE_PAIRS,
@@ -77,8 +82,7 @@ def sample_pairs(
     generator is mandatory only when a cap actually binds.  Returns
     ascending pair indices into the enumeration.
     """
-    if max_pos < 0 or max_neg < 0:
-        raise ValueError(f"caps must be >= 0: max_pos={max_pos} max_neg={max_neg}")
+    _check_caps(max_pos, max_neg)
     pos = np.flatnonzero(labels == 1)
     neg = np.flatnonzero(labels == 0)
     if rng is None and (len(pos) > max_pos or len(neg) > max_neg):

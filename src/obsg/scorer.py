@@ -27,7 +27,8 @@ from .datamodel import (
 from .errors import DataError, ManifestError, RegistryMismatchError, TrainingDivergenceError
 from .geometry import TWO_PI, rotated_iou
 from .pairing import (
-    MAX_NEGATIVE_PAIRS, MAX_POSITIVE_PAIRS, pair_endpoints, relation_pairs, sample_pairs,
+    MAX_NEGATIVE_PAIRS, MAX_POSITIVE_PAIRS, _check_caps, pair_endpoints, relation_pairs,
+    sample_pairs,
 )
 from .registry import CategoryRegistry
 
@@ -62,6 +63,11 @@ def ce_loss(logits: np.ndarray, true_index: int) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and >= 0: {alpha}")
+
+
 @dataclass(frozen=True)
 class FrequencyPrior:
     """Smoothed (subject, object, predicate-or-none) frequency table.
@@ -77,8 +83,7 @@ class FrequencyPrior:
     def __post_init__(self) -> None:
         if self.counts.ndim != 3 or self.counts.shape[0] != self.counts.shape[1]:
             raise ValueError(f"bad counts shape {self.counts.shape}")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"alpha must be finite and >= 0: {self.alpha}")
+        _check_alpha(self.alpha)
 
     @property
     def num_objects(self) -> int:
@@ -151,8 +156,7 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and >= 0: {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0: {self.epochs}")
-        if self.max_pos < 0 or self.max_neg < 0:
-            raise ValueError("pair caps must be >= 0")
+        _check_caps(self.max_pos, self.max_neg)
 
 
 @dataclass(frozen=True)
@@ -325,6 +329,11 @@ def train_linear(dataset: Dataset, config: TrainConfig) -> LinearScorer:
     return LinearScorer(weights, registry.content_hash(), tuple(history))
 
 
+def _check_top_m(top_m: int | None) -> None:
+    if top_m is not None and top_m < 0:
+        raise ValueError(f"top_m must be >= 0: {top_m}")
+
+
 def predict_triplets(
     scene: SceneAnnotation,
     prior: FrequencyPrior,
@@ -352,8 +361,7 @@ def predict_triplets(
         DataError: a category or predicate of the scene lies outside the
             prior's table.
     """
-    if top_m is not None and top_m < 0:
-        raise ValueError(f"top_m must be >= 0: {top_m}")
+    _check_top_m(top_m)
     num_objects = prior.num_objects
     num_relations = prior.num_relations
     check_indices(scene, num_objects, num_relations)

@@ -156,14 +156,58 @@ def synth_with_rules(tmp_path, rule):
         ({"max_center_distance": float("nan")}, "rules[0].max_center_distance: "),
         ({"min_iou": True}, "rules[0].min_iou: expected a finite number, got True"),
         ({"min_IoU": 0.5}, "rules[0]: unknown key 'min_IoU'"),
+        ({"subject": 999}, "rules[0]: object index 999 out of range"),
+        ({"subject": None}, "rules[0]: expected an object name or index, got None"),
+        ({"object": True}, "rules[0]: expected an object name or index, got True"),
+        ({"predicate": 1.5}, "rules[0]: expected a relation name or index, got 1.5"),
+        ({"predicate": "hover"}, "rules[0]: unknown relation name 'hover'"),
     ],
-    ids=["string", "nan", "bool", "unknown-key"],
+    ids=[
+        "string", "nan", "bool", "unknown-key", "index-out-of-range", "null-class",
+        "bool-class", "float-predicate", "unknown-name",
+    ],
 )
 def test_synth_rejects_malformed_rules(tmp_path, capsys, rule, message):
     code, out = synth_with_rules(tmp_path, rule)
     assert code == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ({"subject": "van", "object": "road", "predicate": "drive on"},
+         "rules file must hold a JSON list"),
+        (["van"], "rules[0]: expected an object"),
+    ],
+    ids=["not-a-list", "entry-not-an-object"],
+)
+def test_synth_rejects_malformed_rules_file(tmp_path, capsys, content, message):
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps(content))
+    out = tmp_path / "gt.json"
+    argv = ["synth", "--images", "2", "--seed", "1", "--rules", str(rules)]
+    assert cli.run(argv + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_synth_accepts_class_indices_in_rules(tmp_path):
+    registry = canonical_registry()
+    indices = {
+        "subject": registry.object_index("van"),
+        "object": registry.object_index("parking lot"),
+        "predicate": registry.relation_index("park at"),
+    }
+    outputs = []
+    for name, rule in (("names", {}), ("indices", indices)):
+        (tmp_path / name).mkdir()
+        code, out = synth_with_rules(tmp_path / name, rule)
+        assert code == 0
+        outputs.append(out.read_bytes())
+    # A class index names the same class as its name.
+    assert outputs[0] == outputs[1]
 
 
 def test_synth_rejects_repeated_rule_pair(tmp_path, capsys):
@@ -753,25 +797,49 @@ def test_cli_fuzz_exits_zero_or_one(fuzz_inputs, data):
         ("eval-sgg", ["--k", "5,x"], "error: --k: expected comma-separated integers, got '5,x'"),
         ("eval-sgg", ["--iou-threshold", "2"], "error: iou_threshold must be in (0, 1]: 2.0"),
         ("train-linear", ["--lr", "nan"], "error: learning_rate must be finite and >= 0: nan"),
+        ("eval-det", ["--iou-threshold", "2"], "error: iou_threshold must be in (0, 1]: 2.0"),
+        ("fit-prior", ["--alpha", "nan"], "error: alpha must be finite and >= 0: nan"),
+        ("predict", ["--top-m", "-1"], "error: top_m must be >= 0: -1"),
+        ("tile", ["--size", "0"], "error: bad tile size/stride: 0/400"),
+        ("tile", ["--stride", "0"], "error: bad tile size/stride: 800/0"),
+        ("tile", ["--keep-fraction", "2"], "error: keep_fraction must be in (0, 1]: 2.0"),
+        ("pairs", ["--max-pos", "-1"], "error: caps must be >= 0: max_pos=-1 max_neg=192"),
+        ("pairs", ["--max-neg", "-1"], "error: caps must be >= 0: max_pos=64 max_neg=-1"),
+        ("synth", ["--tail-skew", "-1"], "error: tail_skew must be >= 0: -1.0"),
     ],
-    ids=["k", "iou-threshold", "lr"],
+    ids=[
+        "k", "iou-threshold", "lr", "eval-det-iou-threshold", "alpha", "top-m", "tile-size",
+        "tile-stride", "keep-fraction", "max-pos", "max-neg", "tail-skew",
+    ],
 )
 def test_flag_errors_come_before_input_errors(tmp_path, capsys, command, setting, message):
     gt = synth_manifest(tmp_path, images=3, seed=49)
+    prior = fitted_prior(tmp_path, gt)
     # A manifest lacks prediction scores, and without "split" it fails to parse.
     doc = json.loads(gt.read_text())
     del doc["split"]
     no_split = tmp_path / "no_split.json"
     no_split.write_text(json.dumps(doc))
+    # Without images, no check inside a loop over scenes or tiles runs.
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({**doc, "split": "train", "images": []}))
     out = tmp_path / "out.json"
-    argv = {
-        "eval-sgg": ["eval-sgg", "--gt", str(gt), "--pred", str(gt)],
-        "train-linear": ["train-linear", "--input", str(no_split), "--seed", "1"],
-    }[command]
-    capsys.readouterr()
-    assert cli.run(argv + setting + ["--output", str(out)]) == 2
-    assert capsys.readouterr().err.splitlines() == [message]
-    assert not out.exists()
+    # Each input fails: as predictions, as a manifest, or as a rules list.
+    for pred, manifest in ((gt, no_split), (empty, empty)):
+        argv = {
+            "eval-sgg": ["eval-sgg", "--gt", str(pred), "--pred", str(pred)],
+            "eval-det": ["eval-det", "--gt", str(pred), "--pred", str(pred)],
+            "train-linear": ["train-linear", "--input", str(manifest), "--seed", "1"],
+            "fit-prior": ["fit-prior", "--input", str(manifest)],
+            "predict": ["predict", "--input", str(manifest), "--prior", str(prior)],
+            "tile": ["tile", "--input", str(manifest)],
+            "pairs": ["pairs", "--input", str(manifest), "--seed", "1"],
+            "synth": ["synth", "--images", "3", "--seed", "1", "--rules", str(manifest)],
+        }[command]
+        capsys.readouterr()
+        assert cli.run(argv + setting + ["--output", str(out)]) == 2, argv
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
 
 
 def quoted_manifest(path, split="train", score=None, relations=2):

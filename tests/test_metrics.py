@@ -34,6 +34,7 @@ from obsg import (
     precision,
     recall,
     recall_at_k,
+    rotated_iou,
     scene_triplets,
 )
 from obsg.metrics import SUBTASKS, report_to_csv, report_to_json
@@ -359,6 +360,52 @@ def test_keyed_match_triplets_matches_reference(case):
     # The column form scene_triplets returns matches as its rows do.
     columns = (scene_triplets(as_scene(predictions, True)), scene_triplets(as_scene(targets, False)))
     assert match_triplets(*columns, config) == result
+
+
+def test_sgdet_rows_match_by_their_own_boxes_when_an_id_names_two():
+    near = OrientedBox.axis_aligned(0, 0, 10, 10)
+    far = OrientedBox.axis_aligned(200, 200, 210, 210)
+    b = OrientedBox.axis_aligned(20, 0, 30, 10)
+    # Subject id 7 names a far box in the first row and `near` in the second.
+    targets = [triplet(far, b, 0, ids=(7, 8)), triplet(near, b, 0, ids=(7, 8))]
+    predictions = [triplet(near, b, 0, 0.9, ids=(1, 2))]
+    config = MatchConfig("sgdet")
+    result = match_triplets(predictions, targets, config)
+    assert result.matched == (1,)
+    ranking, matched = oracles.reference_match_triplets(predictions, targets, config)
+    assert (list(result.ranking), list(result.matched)) == (list(ranking), list(matched))
+
+
+def test_sgdet_computes_each_object_pair_iou_at_most_once(monkeypatch):
+    import obsg.metrics
+
+    boxes = [OrientedBox.axis_aligned(20 * k, 0, 20 * k + 10, 10) for k in range(4)]
+    truth = tuple(ObjectInstance(k, 0, box) for k, box in enumerate(boxes))
+    detected = tuple(
+        ObjectInstance(10 + k, 0, box.translate(1, 0), score=1.0) for k, box in enumerate(boxes)
+    )
+    pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+    gt = SceneAnnotation("s", 100, 100, truth, [RelationTriplet(i, 0, j) for i, j in pairs])
+    # Every prediction shares each endpoint with five others, under two predicates.
+    relations = [
+        RelationTriplet(10 + i, p, 10 + j, 1.0 - 0.01 * k)
+        for k, (i, j) in enumerate(pairs)
+        for p in (0, 1)
+    ]
+    pred = SceneAnnotation("s", 100, 100, detected, relations)
+    owner = {id(obj.box): obj.id for obj in truth + detected}
+    calls = []
+
+    def counting_iou(a, b):
+        calls.append((owner[id(a)], owner[id(b)]))
+        return rotated_iou(a, b)
+
+    monkeypatch.setattr(obsg.metrics, "rotated_iou", counting_iou)
+    config = MatchConfig("sgdet", graph_constraint=False)
+    result = match_triplets(scene_triplets(pred), scene_triplets(gt), config)
+    assert sorted(g for g in result.matched if g >= 0) == list(range(len(pairs)))
+    assert calls and len(calls) == len(set(calls))
+    assert {a for a, _ in calls} <= {obj.id for obj in detected}
 
 
 def test_scene_triplets_resolve_objects_and_scores():
