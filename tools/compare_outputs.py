@@ -25,14 +25,24 @@ import sys
 import tempfile
 from pathlib import Path
 
-# A distance rule and an IoU rule, so synth exercises both conditions.
-RULES = [
-    {"subject": "van", "object": "van", "predicate": "park at", "max_center_distance": 150},
-    {"subject": "small car", "object": "van", "predicate": "close to", "min_iou": 0.0},
-]
+# Rules files by name.  "rules" holds a distance rule and an IoU rule, so synth
+# exercises both conditions; the other two are rejected, one for a class index
+# out of range and one for a repeated class pair.
+RULES = {
+    "rules": [
+        {"subject": "van", "object": "van", "predicate": "park at", "max_center_distance": 150},
+        {"subject": "small car", "object": "van", "predicate": "close to", "min_iou": 0.0},
+    ],
+    "rules_range": [{"subject": 999, "object": "van", "predicate": "park at"}],
+    "rules_pair": [
+        {"subject": "van", "object": "road", "predicate": "drive on"},
+        {"subject": "van", "object": "road", "predicate": "park at"},
+    ],
+}
 
-# (output name, argv); ``{gt}``, ``{jitter}``, ``{rules}``, ``{seed}`` and
-# ``{<name>}`` of an earlier output are substituted, and ``--output`` is added.
+# (output name, argv); ``{gt}``, ``{jitter}``, ``{seed}``, ``{<rules name>}``
+# and ``{<name>}`` of an earlier output are substituted, and ``--output`` is
+# added.
 INVOCATIONS = (
     ("validate.txt", ["validate", "--input", "{gt}"]),
     ("stats.json", ["stats", "--input", "{gt}"]),
@@ -75,6 +85,12 @@ INVOCATIONS = (
         "synth", "--images", "20", "--seed", "{seed}", "--rules", "{rules}",
         "--min-objects", "4", "--max-objects", "12",
     ]),
+    ("synth_rule_range.json", [
+        "synth", "--images", "2", "--seed", "{seed}", "--rules", "{rules_range}",
+    ]),
+    ("synth_rule_pair.json", [
+        "synth", "--images", "2", "--seed", "{seed}", "--rules", "{rules_pair}",
+    ]),
 )
 
 
@@ -113,10 +129,11 @@ def run_invocations(tree: Path, inputs: Path, seed: int, work: Path) -> dict[str
     names = {
         "gt": str(inputs / "gt.json"),
         "jitter": str(inputs / "pred_jitter.json"),
-        "rules": str(work / "rules.json"),
         "seed": str(seed),
     }
-    (work / "rules.json").write_text(json.dumps(RULES), encoding="utf-8")
+    for name, rules in RULES.items():
+        names[name] = str(work / f"{name}.json")
+        (work / f"{name}.json").write_text(json.dumps(rules), encoding="utf-8")
     results = {}
     for output, argv in INVOCATIONS:
         path = work / output
