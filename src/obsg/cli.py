@@ -114,8 +114,6 @@ def _load_dataset(path: str) -> Dataset:
 def _rule_class(registry: CategoryRegistry, value, kind: str, where: str) -> int:
     names = registry.object_names if kind == "object" else registry.relation_names
     if isinstance(value, int) and not isinstance(value, bool):
-        if not 0 <= value < len(names):
-            raise DataError(f"{where}: {kind} index {value} out of range")
         return value
     if isinstance(value, str):
         try:
@@ -134,7 +132,6 @@ def _load_rules(path: str, registry: CategoryRegistry) -> tuple[Rule, ...]:
     if not isinstance(raw, list):
         raise DataError("rules file must hold a JSON list")
     rules = []
-    pairs: set[tuple[int, int]] = set()
     for i, entry in enumerate(raw):
         where = f"rules[{i}]"
         if not isinstance(entry, dict):
@@ -145,9 +142,6 @@ def _load_rules(path: str, registry: CategoryRegistry) -> tuple[Rule, ...]:
         subject = _rule_class(registry, entry.get("subject"), "object", where)
         object_ = _rule_class(registry, entry.get("object"), "object", where)
         predicate = _rule_class(registry, entry.get("predicate"), "relation", where)
-        if (subject, object_) in pairs:
-            raise DataError(f"{where}: duplicate rule for class pair {(subject, object_)}")
-        pairs.add((subject, object_))
         try:
             rules.append(
                 Rule(
@@ -200,7 +194,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         split=args.split,
     )
     if args.rules:
-        config = replace(config, rules=_load_rules(args.rules, config.registry))
+        try:
+            config = replace(config, rules=_load_rules(args.rules, config.registry))
+        except ValueError as exc:
+            # A rule's class range or repeated class pair is a data error.
+            raise DataError(str(exc)) from None
     _write_output(args.output, serialize_dataset(generate(config)))
     return 0
 

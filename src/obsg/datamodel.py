@@ -23,8 +23,9 @@ Parsing is one pass over the decoded JSON with inline exact-type checks;
 it formats no path and no message for a scene, object or relation that
 passes them.  A value that fails its check goes to the located helper for
 that one value, which raises the :class:`ManifestError` naming its JSON
-path.  A prediction file must also give every image an extent in
-``1..MAX_IMAGE_EXTENT``; a manifest leaves that to ``validate``.
+path.  An image extent outside ``1..MAX_IMAGE_EXTENT`` has one text,
+``extent WxH outside 1..100000``: a located parse error in a prediction
+file, an ``IMAGE_EXTENT`` violation that ``validate`` reports in a manifest.
 ``serialize_dataset`` writes the document text directly, with no dict per
 record, byte-identical to ``json.dumps`` of the nested dicts.
 """
@@ -55,6 +56,13 @@ SIZE_CLASS_NAMES = ("large", "medium", "small", "tiny")
 # Vertices may exceed the image extent by half its larger side in every
 # direction; this tolerates truncation at tile edges.
 BOUNDS_SLACK = 0.5
+
+
+def _check_extent(width: int, height: int) -> None:
+    """Raise ``ValueError`` unless width and height are both in
+    ``1..MAX_IMAGE_EXTENT``."""
+    if not (0 < width <= MAX_IMAGE_EXTENT and 0 < height <= MAX_IMAGE_EXTENT):
+        raise ValueError(f"extent {width}x{height} outside 1..{MAX_IMAGE_EXTENT}")
 
 
 def size_class(area: float) -> str:
@@ -269,16 +277,10 @@ def validate(dataset: Dataset) -> list[Violation]:
         if img in seen_images:
             violations.append(Violation("DUPLICATE_IMAGE_ID", img, "image id reused"))
         seen_images.add(img)
-        if not (
-            0 < scene.width <= MAX_IMAGE_EXTENT and 0 < scene.height <= MAX_IMAGE_EXTENT
-        ):
-            violations.append(
-                Violation(
-                    "IMAGE_EXTENT",
-                    img,
-                    f"extent {scene.width}x{scene.height} outside 1..{MAX_IMAGE_EXTENT}",
-                )
-            )
+        try:
+            _check_extent(scene.width, scene.height)
+        except ValueError as exc:
+            violations.append(Violation("IMAGE_EXTENT", img, str(exc)))
             continue
         slack = BOUNDS_SLACK * max(scene.width, scene.height)
         lo_x, hi_x = -slack, scene.width + slack
@@ -488,15 +490,11 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
         height = raw_scene.get("height")
         if type(height) is not int:
             height = _get(raw_scene, "height", int, f"$.images[{i}]")
-        if scored and (width <= 0 or height <= 0):
-            raise ManifestError(
-                f"$.images[{i}]: non-positive extent {width}x{height} (image {image_id!r})"
-            )
-        if scored and (width > MAX_IMAGE_EXTENT or height > MAX_IMAGE_EXTENT):
-            raise ManifestError(
-                f"$.images[{i}]: extent {width}x{height} above the maximum"
-                f" {MAX_IMAGE_EXTENT} (image {image_id!r})"
-            )
+        if scored:
+            try:
+                _check_extent(width, height)
+            except ValueError as exc:
+                raise ManifestError(f"$.images[{i}]: {exc} (image {image_id!r})") from None
         raw_objects = raw_scene.get("objects")
         if type(raw_objects) is not list:
             raw_objects = _get(raw_scene, "objects", list, f"$.images[{i}]")

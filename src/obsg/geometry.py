@@ -119,8 +119,8 @@ class OrientedBox:
                 value is accepted and normalized to [0, 2*pi).
 
         Raises:
-            ValueError: if a side is degenerate (<= 1e-9) or a value is
-                not finite.
+            ValueError: if a side is degenerate (<= 1e-9), or a value or a
+                vertex is not finite.
         """
         for name, value in (("cx", cx), ("cy", cy), ("theta", theta)):
             if not math.isfinite(value):
@@ -138,6 +138,8 @@ class OrientedBox:
         vertices = tuple(
             (cx + dx * ux + dy * nx, cy + dx * uy + dy * ny) for dx, dy in corners
         )
+        if not all(math.isfinite(x) and math.isfinite(y) for x, y in vertices):
+            raise ValueError(f"non-finite vertex in {vertices!r}")
         return cls(vertices)  # type: ignore[arg-type]
 
     @classmethod
@@ -152,8 +154,8 @@ class OrientedBox:
         Raises:
             ValueError: wrong point count, a point that is not exactly
                 ``(x, y)``, a coordinate that is a ``bool`` or not a real
-                number (such as a ``str``), non-finite values, degenerate
-                sides, or a quad that is not a rectangle within ``RECTANGLE_TOL``.
+                number (such as a ``str``), non-finite values or sides,
+                degenerate sides, or a quad that is not a rectangle within ``RECTANGLE_TOL``.
         """
         pts = [_point(p) for p in vertices]
         if len(pts) != 4:
@@ -166,12 +168,15 @@ class OrientedBox:
         e3x, e3y = x3 - x2, y3 - y2
         e4x, e4y = x0 - x3, y0 - y3
         side1, side2 = math.hypot(e1x, e1y), math.hypot(e2x, e2y)
+        # Overflow makes NaN, which passes a `>` test; the corner test uses `<=`.
+        if not (math.isfinite(side1) and math.isfinite(side2)):
+            raise ValueError(f"non-finite side in {pts!r}")
         if side1 <= DEGENERATE_EPS or side2 <= DEGENERATE_EPS:
             raise ValueError(f"degenerate side in {pts!r}")
         tol = RECTANGLE_TOL
         if math.hypot(e1x + e3x, e1y + e3y) > tol or math.hypot(e2x + e4x, e2y + e4y) > tol:
             raise ValueError(f"opposite sides differ beyond tol={tol}: {pts!r}")
-        if abs(e1x * e2x + e1y * e2y) > tol * max(side1, side2):
+        if not abs(e1x * e2x + e1y * e2y) <= tol * max(side1, side2):
             raise ValueError(f"corners not perpendicular within tol={tol}: {pts!r}")
         return cls(tuple(pts))  # type: ignore[arg-type]
 

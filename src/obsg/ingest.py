@@ -15,13 +15,13 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .datamodel import (
-    MAX_IMAGE_EXTENT,
     NO_RELATIONS,
     Dataset,
     Detection,
     ObjectInstance,
     RelationColumns,
     SceneAnnotation,
+    _check_extent,
 )
 from .geometry import OrientedBox, _check_iou_threshold, intersection_area, rotated_iou
 
@@ -76,8 +76,7 @@ def plan_tiles(
         size: square tile side.
         stride: step between tile origins; must satisfy 0 < stride <= size.
     """
-    if not (0 < width <= MAX_IMAGE_EXTENT and 0 < height <= MAX_IMAGE_EXTENT):
-        raise ValueError(f"image extent must be in 1..{MAX_IMAGE_EXTENT}: {width}x{height}")
+    _check_extent(width, height)
     _check_tile_grid(size, stride)
     xs = _grid_positions(width, size, stride)
     ys = _grid_positions(height, size, stride)
@@ -125,14 +124,10 @@ def crop_scene(
         )
         keeps.append(keep)
         if keep:
-            kept.append(
-                ObjectInstance(
-                    id=obj.id,
-                    category=obj.category,
-                    box=obj.box.translate(-x0, -y0),
-                    truncated=obj.truncated or not inside,
-                )
-            )
+            kept.append(ObjectInstance(
+                obj.id, obj.category, obj.box.translate(-x0, -y0), obj.truncated or not inside,
+                score=obj.score,
+            ))
     rel = scene.relations
     n = len(rel.predicates)
     survivors = [

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import (
-    MAX_IMAGE_EXTENT, Dataset, RelationColumns, SceneAnnotation, _expect, _get, _load_root,
+    Dataset, RelationColumns, SceneAnnotation, _check_extent, _expect, _get, _load_root,
     check_indices,
 )
 from .errors import DataError, ManifestError, RegistryMismatchError, TrainingDivergenceError
@@ -218,8 +218,7 @@ def _pair_geometry(scene: SceneAnnotation, ii: np.ndarray, jj: np.ndarray) -> np
     overlap nowhere and keep 0.0.
     """
     width, height = scene.width, scene.height
-    if not (0 < width <= MAX_IMAGE_EXTENT and 0 < height <= MAX_IMAGE_EXTENT):
-        raise ValueError(f"image extent must be in 1..{MAX_IMAGE_EXTENT}: {width} x {height}")
+    _check_extent(width, height)
     params, extents = scene.box_columns
     scale = np.array([width, height, width, height, TWO_PI])
     s = params[ii]

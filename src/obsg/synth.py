@@ -126,16 +126,17 @@ class SynthConfig:
             raise ValueError(f"unknown split {self.split!r}")
         rules = default_rules(self.registry) if self.rules is None else self.rules
         seen: set[tuple[int, int]] = set()
-        for rule in rules:
-            if not 0 <= rule.subject < self.registry.num_objects:
-                raise ValueError(f"rule subject class out of range: {rule}")
-            if not 0 <= rule.object < self.registry.num_objects:
-                raise ValueError(f"rule object class out of range: {rule}")
-            if not 0 <= rule.predicate < self.registry.num_relations:
-                raise ValueError(f"rule predicate out of range: {rule}")
+        for i, rule in enumerate(rules):
+            for kind, index, size in (
+                ("object", rule.subject, self.registry.num_objects),
+                ("object", rule.object, self.registry.num_objects),
+                ("relation", rule.predicate, self.registry.num_relations),
+            ):
+                if not 0 <= index < size:
+                    raise ValueError(f"rules[{i}]: {kind} index {index} out of range")
             key = (rule.subject, rule.object)
             if key in seen:
-                raise ValueError(f"duplicate rule for class pair {key}")
+                raise ValueError(f"rules[{i}]: duplicate rule for class pair {key}")
             seen.add(key)
         object.__setattr__(self, "rules", rules)
 

@@ -12,7 +12,9 @@ the library's box parameters, ``rotated_iou`` and the prior row of one
 class pair (``reference_prior_row``), which define the numbers that the
 array paths must reproduce.  ``reference_evaluate_detections`` keeps the
 per-(image, class) detection evaluation that the library replaced with one
-grouping pass per image.  ``reference_serialize_dataset`` keeps the
+grouping pass per image; ``reference_evaluate_scene_graphs`` gates the
+whole scene-graph report the same way, from ``reference_match_triplets``
+per image.  ``reference_serialize_dataset`` keeps the
 nested-dict ``json.dumps`` writer that the library's direct text writer
 must match byte for byte.  ``reference_parse`` keeps the located walk
 over a decoded document that the one-pass parser replaced; it is built on
@@ -36,6 +38,7 @@ from obsg import (
     OrientedBox,
     RelationTriplet,
     SceneAnnotation,
+    Triplet,
     average_precision,
     match_detections,
     rotated_iou,
@@ -279,6 +282,70 @@ def reference_match_triplets(predictions, targets, config):
     return ranking, matched
 
 
+def reference_evaluate_scene_graphs(gt, predictions, config):
+    """Scene-graph report from a plain loop over ground-truth images: each
+    image's relations are resolved to :class:`Triplet` rows here (a scored
+    row's score is subject score times relation score times object score),
+    matched by ``reference_match_triplets`` and tallied per predicate.  A
+    ground-truth image without predictions has no ranked triplets; a
+    prediction image not in the ground truth is ignored.  Assumes valid
+    inputs."""
+
+    def rows(scene):
+        by_id = {obj.id: obj for obj in scene.objects}
+        out = []
+        for rel in scene.relations:
+            s, o = by_id[rel.subject], by_id[rel.object]
+            score = None if rel.score is None else s.score * rel.score * o.score
+            out.append(Triplet(s, rel.predicate, o, score))
+        return out
+
+    pred_index = {scene.image_id: scene for scene in predictions.scenes}
+    names = gt.registry.relation_names
+    ks = config.k_values
+    n_gt = [0] * len(names)
+    tp = [0] * len(names)
+    fp = [0] * len(names)
+    hits = {k: [0] * len(names) for k in ks}
+    for scene in gt.scenes:
+        targets = rows(scene)
+        pred_scene = pred_index.get(scene.image_id)
+        preds = rows(pred_scene) if pred_scene is not None else []
+        ranking, matched = reference_match_triplets(preds, targets, config)
+        for t in targets:
+            n_gt[t.predicate] += 1
+        for rank, (i, g) in enumerate(zip(ranking, matched)):
+            p = preds[i].predicate
+            if g < 0:
+                fp[p] += 1
+                continue
+            tp[p] += 1
+            for k in ks:
+                if rank < k:
+                    hits[k][p] += 1
+    total = sum(n_gt)
+    if total == 0:
+        raise DataError("ground truth contains no relation triplets")
+    per_predicate = {
+        names[p]: {k: hits[k][p] / n_gt[p] for k in ks}
+        for p in range(len(names))
+        if n_gt[p] > 0
+    }
+    return EvalReport(
+        kind="scene_graph",
+        counts={
+            names[p]: {"tp": tp[p], "fp": fp[p], "fn": n_gt[p] - tp[p]}
+            for p in range(len(names))
+            if n_gt[p] > 0 or tp[p] + fp[p] > 0
+        },
+        recall_at_k={k: sum(hits[k]) / total for k in ks},
+        per_predicate_recall_at_k=per_predicate,
+        mean_recall_at_k={
+            k: sum(r[k] for r in per_predicate.values()) / len(per_predicate) for k in ks
+        },
+    )
+
+
 def reference_nms(detections, iou_threshold):
     """Brute-force per-category greedy suppression."""
     order = sorted(range(len(detections)), key=lambda i: -detections[i].score)
@@ -520,13 +587,11 @@ def reference_parse(root, scored: bool) -> Dataset:
             raise ManifestError(f"{path}.id: empty image id")
         width = _get(raw_scene, "width", int, path)
         height = _get(raw_scene, "height", int, path)
-        if scored and (width <= 0 or height <= 0):
+        if scored and not (
+            min(width, height) >= 1 and max(width, height) <= MAX_IMAGE_EXTENT
+        ):
             raise ManifestError(
-                f"{path}: non-positive extent {width}x{height} (image {image_id!r})"
-            )
-        if scored and max(width, height) > MAX_IMAGE_EXTENT:
-            raise ManifestError(
-                f"{path}: extent {width}x{height} above the maximum {MAX_IMAGE_EXTENT}"
+                f"{path}: extent {width}x{height} outside 1..{MAX_IMAGE_EXTENT}"
                 f" (image {image_id!r})"
             )
         objects = []

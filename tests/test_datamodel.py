@@ -430,7 +430,7 @@ def test_prediction_rejects_non_positive_extent():
         doc["images"][0][key] = value
         with pytest.raises(ManifestError) as err:
             parse_predictions(json.dumps(doc))
-        assert str(err.value) == f"$.images[0]: non-positive extent {extent} (image 'img-1')"
+        assert str(err.value) == f"$.images[0]: extent {extent} outside 1..100000 (image 'img-1')"
         # A manifest leaves the extent to validate(), which reports IMAGE_EXTENT.
         parse_dataset(json.dumps(doc), check=False)
 
@@ -444,9 +444,7 @@ def test_image_extent_above_the_maximum():
         doc["images"][0][key] = value
         with pytest.raises(ManifestError) as err:
             parse_predictions(json.dumps(doc))
-        assert str(err.value) == (
-            f"$.images[0]: extent {extent} above the maximum 100000 (image 'img-1')"
-        )
+        assert str(err.value) == f"$.images[0]: extent {extent} outside 1..100000 (image 'img-1')"
         # A manifest leaves the extent to validate(), which reports IMAGE_EXTENT.
         violations = validate(parse_dataset(json.dumps(doc), check=False))
         assert [(v.code, v.detail) for v in violations] == [

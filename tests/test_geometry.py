@@ -142,6 +142,20 @@ def test_from_vertices_rejects_non_rectangles():
         OrientedBox.from_vertices([(0, 0), (0, 0), (1, 1), (0, 1)])
 
 
+def test_from_vertices_rejects_overflow():
+    # Overflowing differences make NaN, which must fail the tolerance tests.
+    with pytest.raises(ValueError, match="non-finite side"):
+        OrientedBox.from_vertices([(-1e308, 0), (1e308, 0), (1e308, 10), (-1e308, 10)])
+    # A parallelogram whose corner dot product is inf - inf.
+    with pytest.raises(ValueError, match="not perpendicular"):
+        OrientedBox.from_vertices([(0, 0), (1e200, 1e200), (1.5e200, 0), (5e199, -1e200)])
+
+
+def test_from_params_rejects_non_finite_vertex():
+    with pytest.raises(ValueError, match="non-finite vertex"):
+        OrientedBox.from_params(1.7e308, 0.0, 1e308, 1.0, 0.0)
+
+
 @pytest.mark.parametrize(
     "points, message",
     [

@@ -81,7 +81,7 @@ def test_plan_tiles_validation():
     with pytest.raises(ValueError):
         TileSpec(-1, 0, 100)
     # Two tiles without the bound: the check comes before any origin list.
-    with pytest.raises(ValueError, match="image extent must be in"):
+    with pytest.raises(ValueError, match=r"^extent 100001x1 outside 1\.\.100000$"):
         plan_tiles(MAX_IMAGE_EXTENT + 1, 1, size=MAX_IMAGE_EXTENT, stride=MAX_IMAGE_EXTENT)
 
 
@@ -99,6 +99,14 @@ def test_crop_keeps_inner_object_untouched():
     for (vx, vy), (ox, oy) in zip(kept.box.vertices, box.vertices):
         assert abs(vx - (ox - 400)) < 1e-9
         assert abs(vy - (oy - 400)) < 1e-9
+
+
+def test_crop_keeps_object_and_relation_scores():
+    a = ObjectInstance(0, 0, OrientedBox.axis_aligned(10, 10, 50, 50), score=0.9)
+    b = ObjectInstance(1, 1, OrientedBox.axis_aligned(60, 10, 90, 50), score=0.25)
+    cropped = crop_scene(scene_of([a, b], [RelationTriplet(0, 0, 1, 0.5)]), TileSpec(0, 0, 400))
+    assert [o.score for o in cropped.objects] == [0.9, 0.25]
+    assert cropped.relations.scores == (0.5,)
 
 
 def test_crop_drops_object_and_relations():

@@ -155,6 +155,7 @@ MUTATIONS = {
                             [lambda v: v + 3, lambda v: v + 1e-3, lambda v: v + 1e-9]),
     "non-finite coordinate": (("object.obb[][]",), [math.nan, math.inf, -math.inf]),
     "sheared box": (("object.obb",), [[[0, 0], [10, 0], [15, 10], [5, 10]]]),
+    "overflowing side": (("object.obb",), [[[-1e308, 0], [1e308, 0], [1e308, 10], [-1e308, 10]]]),
     "integer beyond float range": (_NUMBER_FIELDS, [10**400, -(10**400)]),
     "non-positive extent": (("image.width", "image.height"), [0, -5]),
     "extent above the maximum": (("image.width", "image.height"), [100_001, 2**64]),

@@ -770,6 +770,110 @@ def test_evaluate_scene_graphs_requires_triplets():
         evaluate_scene_graphs(gt, predictions_from_gt(gt))
 
 
+def predicted_scene(rng, image_id, objects, relations, subtask):
+    """A scored prediction scene over ground-truth ``objects`` (ids are
+    positions): predcls keeps them, sgcls relabels about 30%, sgdet detects
+    each under a new id with whole-pixel jitter and adds stray detections.
+    About half of the relations restate a ground-truth one."""
+    detected = []
+    for k, obj in enumerate(objects):
+        category = obj.category
+        if subtask != "predcls" and rng.uniform() < 0.3:
+            category = 1 - category
+        obj_id, box = k, obj.box
+        if subtask == "sgdet":
+            obj_id = 100 + k
+            box = box.translate(float(rng.integers(-3, 4)), float(rng.integers(-3, 4)))
+        detected.append(ObjectInstance(obj_id, category, box, score=float(rng.choice([0.5, 1.0]))))
+    if subtask == "sgdet":
+        for m in range(int(rng.integers(0, 4))):
+            source = objects[int(rng.integers(0, len(objects)))]
+            box = source.box.translate(float(rng.integers(-3, 4)), 0.0)
+            detected.append(ObjectInstance(200 + m, source.category, box, score=0.5))
+    predicted = []
+    for _ in range(int(rng.integers(0, 16))):
+        predicate = int(rng.integers(0, 4))
+        if relations and rng.uniform() < 0.5:
+            rel = relations[int(rng.integers(0, len(relations)))]
+            a, b = rel.subject, rel.object
+            if rng.uniform() < 0.7:
+                predicate = rel.predicate
+        else:
+            a, b = rng.choice(len(detected), size=2, replace=False).tolist()
+        score = float(rng.choice([0.25, 0.5, 1.0]))
+        predicted.append(RelationTriplet(detected[a].id, predicate, detected[b].id, score))
+    return SceneAnnotation(image_id, 100, 100, tuple(detected), tuple(predicted))
+
+
+@st.composite
+def scene_graph_cases(draw):
+    """Ground truth, predictions and a config of any subtask, with or
+    without the graph constraint.
+
+    Boxes sit on a 4 x 4 grid of 10 px cells, so sgdet IoU qualities tie;
+    object and relation scores come from small sets, so composite scores
+    tie within and across images.  About one ground-truth image in five has
+    no prediction scene, up to two prediction scenes name no ground-truth
+    image, and predicate 3 occurs only in predictions.
+    """
+    config = MatchConfig(
+        draw(st.sampled_from(SUBTASKS)),
+        k_values=draw(st.sampled_from([(1, 3), (2, 5, 50)])),
+        graph_constraint=draw(st.booleans()),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    registry = CategoryRegistry(("a", "b"), ("r0", "r1", "r2", "r3"))
+    gt_scenes, pred_scenes = [], []
+    n_images = int(rng.integers(1, 5))
+    for index in range(n_images + 2):
+        n = int(rng.integers(2, 9))
+        objects = tuple(
+            ObjectInstance(
+                k,
+                int(rng.integers(0, 2)),
+                OrientedBox.from_params(
+                    20.0 + 10.0 * int(rng.integers(0, 4)),
+                    20.0 + 10.0 * int(rng.integers(0, 4)),
+                    float(rng.choice([12.0, 16.0])),
+                    12.0,
+                    float(rng.choice([0.0, 0.5])),
+                ),
+            )
+            for k in range(n)
+        )
+        relations = []
+        for _ in range(int(rng.integers(0, 8))):
+            i, j = rng.choice(n, size=2, replace=False).tolist()
+            relations.append(RelationTriplet(i, int(rng.integers(0, 3)), j))
+        image_id = f"img{index}"
+        if index < n_images:
+            gt_scenes.append(SceneAnnotation(image_id, 100, 100, objects, tuple(relations)))
+            if rng.uniform() < 0.2:
+                continue
+        elif rng.uniform() < 0.5:
+            continue
+        pred_scenes.append(predicted_scene(rng, image_id, objects, relations, config.subtask))
+    order = rng.permutation(len(pred_scenes)).tolist()
+    return (
+        Dataset(registry, "val", tuple(gt_scenes)),
+        Dataset(registry, "val", tuple(pred_scenes[i] for i in order)),
+        config,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(scene_graph_cases())
+def test_evaluate_scene_graphs_matches_reference(case):
+    gt, predictions, config = case
+    try:
+        expected = oracles.reference_evaluate_scene_graphs(gt, predictions, config)
+    except DataError:
+        with pytest.raises(DataError, match="no relation triplets"):
+            evaluate_scene_graphs(gt, predictions, config)
+        return
+    assert evaluate_scene_graphs(gt, predictions, config) == expected
+
+
 def test_report_json_layout():
     gt, preds = long_tail_fixture()
     doc = json.loads(report_to_json(evaluate_scene_graphs(gt, preds)))

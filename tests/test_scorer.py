@@ -121,7 +121,7 @@ def test_pair_features_layout():
     assert block.shape == (1, 15)
     assert np.array_equal(block[0], vec[:15])
     for width in (0, MAX_IMAGE_EXTENT + 1, 2**64):
-        with pytest.raises(ValueError, match="image extent must be in"):
+        with pytest.raises(ValueError, match=rf"^extent {width}x100 outside 1\.\.100000$"):
             bad = SceneAnnotation("s", width, 100, (a, b), ())
             _pair_geometry(bad, np.array([0]), np.array([1]))
 

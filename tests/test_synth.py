@@ -177,17 +177,15 @@ def test_config_validation():
 
 def test_rule_table_validation():
     registry = tiny_registry()
-    with pytest.raises(ValueError):
-        SynthConfig(
-            n_images=1,
-            seed=1,
-            registry=registry,
-            rules=(Rule(0, 1, 0), Rule(0, 1, 0)),
-        )
-    with pytest.raises(ValueError):
-        SynthConfig(n_images=1, seed=1, registry=registry, rules=(Rule(0, 2, 0),))
-    with pytest.raises(ValueError):
-        SynthConfig(n_images=1, seed=1, registry=registry, rules=(Rule(0, 1, 7),))
+    for rules, message in (
+        ((Rule(0, 1, 0), Rule(0, 1, 0)), "rules[1]: duplicate rule for class pair (0, 1)"),
+        ((Rule(0, 2, 0),), "rules[0]: object index 2 out of range"),
+        ((Rule(1, 0, 0), Rule(-1, 0, 0)), "rules[1]: object index -1 out of range"),
+        ((Rule(0, 1, 7),), "rules[0]: relation index 7 out of range"),
+    ):
+        with pytest.raises(ValueError) as err:
+            SynthConfig(n_images=1, seed=1, registry=registry, rules=rules)
+        assert str(err.value) == message
 
 
 def test_rule_thresholds_must_be_finite_numbers():
