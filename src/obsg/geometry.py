@@ -119,8 +119,8 @@ class OrientedBox:
                 value is accepted and normalized to [0, 2*pi).
 
         Raises:
-            ValueError: if a side is degenerate (<= 1e-9), or a value or a
-                vertex is not finite.
+            ValueError: if a side is degenerate (<= 1e-9), a value, a vertex
+                or the area ``w * h`` is not finite.
         """
         for name, value in (("cx", cx), ("cy", cy), ("theta", theta)):
             if not math.isfinite(value):
@@ -129,6 +129,8 @@ class OrientedBox:
             raise ValueError(f"non-finite box size: w={w!r} h={h!r}")
         if w <= DEGENERATE_EPS or h <= DEGENERATE_EPS:
             raise ValueError(f"degenerate box size: w={w!r} h={h!r}")
+        if not math.isfinite(w * h):
+            raise ValueError(f"box area overflows: w={w!r} h={h!r}")
         theta = theta % TWO_PI
         ux, uy = math.cos(theta), math.sin(theta)
         # Perpendicular pointing from edge 1-2 toward edge 3-4 (down at theta=0).
@@ -154,8 +156,8 @@ class OrientedBox:
         Raises:
             ValueError: wrong point count, a point that is not exactly
                 ``(x, y)``, a coordinate that is a ``bool`` or not a real
-                number (such as a ``str``), non-finite values or sides,
-                degenerate sides, or a quad that is not a rectangle within ``RECTANGLE_TOL``.
+                number (such as a ``str``), non-finite values, sides or
+                area, degenerate sides, or a quad that is not a rectangle within ``RECTANGLE_TOL``.
         """
         pts = [_point(p) for p in vertices]
         if len(pts) != 4:
@@ -178,6 +180,9 @@ class OrientedBox:
             raise ValueError(f"opposite sides differ beyond tol={tol}: {pts!r}")
         if not abs(e1x * e2x + e1y * e2y) <= tol * max(side1, side2):
             raise ValueError(f"corners not perpendicular within tol={tol}: {pts!r}")
+        # An infinite area makes the IoU of the box with itself inf - inf.
+        if not math.isfinite(side1 * side2):
+            raise ValueError(f"box area overflows in {pts!r}")
         return cls(tuple(pts))  # type: ignore[arg-type]
 
     @classmethod

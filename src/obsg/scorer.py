@@ -178,27 +178,88 @@ def feature_count(num_classes: int) -> int:
 
 
 def linear_loss_and_grad(
-    weights: np.ndarray, features: np.ndarray, labels: np.ndarray
+    weights: np.ndarray,
+    features: np.ndarray,
+    labels: np.ndarray,
+    hot: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of a batch under a weight matrix, with gradient.
 
     ``features`` is (batch, F), ``labels`` (batch,) class indices, and the
-    gradient has the shape of ``weights``.
+    gradient has the shape of ``weights``.  Without ``hot`` the rows are
+    dense, F equal to the weight rows.  With ``hot``, a (batch, H) integer
+    array, ``features`` fills the first F weight rows and each row's ``hot``
+    entries name the weight rows whose feature is 1.0; every other feature
+    is 0.0.  Training passes its pairs this way: a 15-column geometry block
+    and three indices (subject class, object class, bias), 144 B a row
+    against the 1,088 B of a dense row over 60 classes.
+
+    Raises:
+        ValueError: shapes that do not fit each other, an empty batch, or a
+            ``hot`` index outside F..(weight rows - 1).
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
         raise ValueError(f"bad batch shapes: features {x.shape}, labels {y.shape}")
+    if hot is None:
+        if x.shape[1] != weights.shape[0]:
+            raise ValueError(f"features {x.shape} do not fit weights {weights.shape}")
+    else:
+        hot = np.asarray(hot)
+        if hot.ndim != 2 or hot.shape[0] != x.shape[0] or hot.dtype.kind not in "iu":
+            raise ValueError(f"bad hot indices: shape {hot.shape}, features {x.shape}")
+        if hot.size and (hot.min() < x.shape[1] or hot.max() >= weights.shape[0]):
+            raise ValueError(
+                f"hot indices must lie in {x.shape[1]}..{weights.shape[0] - 1}"
+            )
+    columns = () if hot is None else hot.T
     # Overflow surfaces as a non-finite loss, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = x @ weights
-        m = logits.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.sum(np.exp(logits - m), axis=1))
-        loss = float(np.mean(lse - logits[np.arange(len(y)), y]))
-        soft = np.exp(logits - lse[:, None])
-        soft[np.arange(len(y)), y] -= 1.0
-        grad = x.T @ soft / len(y)
+        soft = _logits(weights, x, columns)
+        rows = np.arange(len(y))
+        picked = soft[rows, y]
+        peak, total = _softmax(soft)
+        loss = float(np.mean(peak + np.log(total) - picked))
+        soft[rows, y] -= 1.0
+        grad = np.zeros_like(weights, dtype=np.float64)
+        grad[: x.shape[1]] = x.T @ soft
+        for column in columns:
+            # A weight row named by this column gets the sum of the rows of
+            # its pairs: a stable sort groups equal indices, reduceat adds
+            # each group (np.add.at is several times slower).
+            order = np.argsort(column, kind="stable")
+            keys = column[order]
+            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            grad[keys[starts]] += np.add.reduceat(soft[order], starts, axis=0)
+        grad /= len(y)
     return loss, grad
+
+
+def _logits(weights: np.ndarray, features: np.ndarray, hot_columns) -> np.ndarray:
+    """(k, R+1) logits of k pairs: ``features`` times the first weight rows,
+    then the weight rows named by each of ``hot_columns`` added in turn
+    (subject class, object class, bias).  A hot column is an index array
+    with one entry per pair, or one index shared by every pair."""
+    logits = features @ weights[: features.shape[1]]
+    for rows in hot_columns:
+        logits += weights[rows]
+    return logits
+
+
+def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Turn each row of ``logits`` into its softmax, in place: one ``exp``
+    pass after subtracting the row maximum, then a division by the row sum.
+
+    Returns the row maxima and row sums, so a row's log-sum-exp is
+    ``max + log(sum)``.
+    """
+    peak = logits.max(axis=1, keepdims=True)
+    logits -= peak
+    np.exp(logits, out=logits)
+    total = logits.sum(axis=1, keepdims=True)
+    logits /= total
+    return peak[:, 0], total[:, 0]
 
 
 def _categories(scene: SceneAnnotation) -> np.ndarray:
@@ -254,26 +315,32 @@ def _scene_pair_rows(
     max_pos: int,
     max_neg: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled feature rows of one scene and their labels; R means unrelated."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sampled pairs of one scene as training rows: their (k, 15) geometry
+    block, their (k, 3) ``hot`` weight rows (those of the subject class,
+    the object class and the bias, whose feature is 1.0) and their labels;
+    label R means unrelated."""
     n = len(scene.objects)
     # The first triplet of a pair sets its label.
     first: dict[int, int] = {}
     for k, p in zip(relation_pairs(scene), scene.relations.predicates):
         first.setdefault(k, p)
     if n < 2:
-        return np.zeros((0, feature_count(num_classes))), np.zeros(0, dtype=np.int64)
+        return (
+            np.zeros((0, GEOMETRY_FEATURES)),
+            np.zeros((0, 3), dtype=np.intp),
+            np.zeros(0, dtype=np.int64),
+        )
     labels = np.full(n * (n - 1), num_relations, dtype=np.int64)
     labels[list(first)] = list(first.values())
     chosen = sample_pairs(labels != num_relations, max_pos, max_neg, rng)
     ii, jj = pair_endpoints(n, chosen)
     categories = _categories(scene)
-    rows = np.zeros((len(chosen), feature_count(num_classes)), dtype=np.float64)
-    rows[:, :GEOMETRY_FEATURES] = _pair_geometry(scene, ii, jj)
-    rows[np.arange(len(chosen)), GEOMETRY_FEATURES + categories[ii]] = 1.0
-    rows[np.arange(len(chosen)), GEOMETRY_FEATURES + num_classes + categories[jj]] = 1.0
-    rows[:, -1] = 1.0
-    return rows, labels[chosen]
+    hot = np.empty((len(chosen), 3), dtype=np.intp)
+    hot[:, 0] = GEOMETRY_FEATURES + categories[ii]
+    hot[:, 1] = GEOMETRY_FEATURES + num_classes + categories[jj]
+    hot[:, 2] = feature_count(num_classes) - 1
+    return _pair_geometry(scene, ii, jj), hot, labels[chosen]
 
 
 def train_linear(dataset: Dataset, config: TrainConfig) -> LinearScorer:
@@ -291,11 +358,12 @@ def train_linear(dataset: Dataset, config: TrainConfig) -> LinearScorer:
     registry = dataset.registry
     num_relations = registry.num_relations
     rng = np.random.default_rng(config.seed)
-    rows: list[np.ndarray] = []
+    geometry: list[np.ndarray] = []
+    hot: list[np.ndarray] = []
     labels: list[np.ndarray] = []
     for scene in dataset.scenes:
         check_indices(scene, registry.num_objects, num_relations)
-        scene_rows, scene_labels = _scene_pair_rows(
+        scene_geometry, scene_hot, scene_labels = _scene_pair_rows(
             scene,
             registry.num_objects,
             num_relations,
@@ -303,25 +371,27 @@ def train_linear(dataset: Dataset, config: TrainConfig) -> LinearScorer:
             config.max_neg,
             rng,
         )
-        rows.append(scene_rows)
+        geometry.append(scene_geometry)
+        hot.append(scene_hot)
         labels.append(scene_labels)
-    if sum(len(r) for r in rows) == 0:
+    if sum(len(g) for g in geometry) == 0:
         raise DataError("dataset yields no object pairs to train on")
-    features = np.concatenate(rows)
+    features = np.concatenate(geometry)
+    hot_rows = np.concatenate(hot)
     targets = np.concatenate(labels)
     weights = np.zeros(
         (feature_count(registry.num_objects), num_relations + 1), dtype=np.float64
     )
     history: list[float] = []
     for _ in range(config.epochs):
-        loss, grad = linear_loss_and_grad(weights, features, targets)
+        loss, grad = linear_loss_and_grad(weights, features, targets, hot_rows)
         if not math.isfinite(loss):
             raise TrainingDivergenceError(
                 f"loss became non-finite after {len(history)} epochs"
             )
         history.append(loss)
         weights = weights - config.learning_rate * grad
-    final_loss, _ = linear_loss_and_grad(weights, features, targets)
+    final_loss, _ = linear_loss_and_grad(weights, features, targets, hot_rows)
     if not math.isfinite(final_loss):
         raise TrainingDivergenceError("final loss is non-finite")
     history.append(final_loss)
@@ -392,15 +462,10 @@ def predict_triplets(
         co = categories[jj]
         fused = _prior_rows(prior, cs, co)
         if linear is not None:
-            w = linear.weights
-            logits = (
-                _pair_geometry(scene, ii, jj) @ w[:GEOMETRY_FEATURES]
-                + w[GEOMETRY_FEATURES + cs]
-                + w[GEOMETRY_FEATURES + num_objects + co]
-                + w[-1]
-            )
-            soft = np.exp(logits - logits.max(axis=1, keepdims=True))
-            fused *= soft / soft.sum(axis=1, keepdims=True)
+            hot_columns = (GEOMETRY_FEATURES + cs, GEOMETRY_FEATURES + num_objects + co, -1)
+            soft = _logits(linear.weights, _pair_geometry(scene, ii, jj), hot_columns)
+            _softmax(soft)
+            fused *= soft
             total = fused.sum(axis=1, keepdims=True)
             if np.any(total <= 0):
                 raise DataError("fused distribution collapsed to zero")

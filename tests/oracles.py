@@ -6,8 +6,9 @@ not tautology.  Only matching *semantics* shared by contract (greedy order,
 tie rules) reuse the library's IoU values, since exact flag equality
 requires identical overlap numbers.  The pair layer keeps the scalar forms
 that the library replaced with index arrays: the list enumeration of
-ordered pairs, per-pair geometry and feature vectors, the per-pair
-prediction loop and the pair-walking frequency prior.  They are built on
+ordered pairs, per-pair geometry and feature vectors, dense-row training
+of the linear scorer, the per-pair prediction loop and the pair-walking
+frequency prior.  They are built on
 the library's box parameters, ``rotated_iou`` and the prior row of one
 class pair (``reference_prior_row``), which define the numbers that the
 array paths must reproduce.  ``reference_evaluate_detections`` keeps the
@@ -33,6 +34,7 @@ from obsg import (
     Dataset,
     EvalReport,
     FrequencyPrior,
+    LinearScorer,
     ManifestError,
     ObjectInstance,
     OrientedBox,
@@ -42,6 +44,7 @@ from obsg import (
     average_precision,
     match_detections,
     rotated_iou,
+    sample_pairs,
 )
 from obsg.datamodel import (
     MAX_IMAGE_EXTENT,
@@ -52,7 +55,7 @@ from obsg.datamodel import (
     _parse_score,
 )
 from obsg.geometry import TWO_PI
-from obsg.scorer import GEOMETRY_FEATURES, feature_count
+from obsg.scorer import GEOMETRY_FEATURES, feature_count, linear_loss_and_grad
 
 
 def reference_shoelace(points) -> float:
@@ -445,6 +448,49 @@ def reference_pair_features(subject, object_, scene, num_classes) -> np.ndarray:
     vec[GEOMETRY_FEATURES + num_classes + object_.category] = 1.0
     vec[-1] = 1.0
     return vec
+
+
+def reference_train_linear(dataset, config) -> LinearScorer:
+    """Linear scorer trained on dense feature rows.
+
+    Each sampled pair becomes its ``reference_pair_features`` row, labeled
+    by the first triplet of the pair (R when it has none), and the weights
+    start at zero and take ``config.epochs`` full-batch steps through the
+    dense ``linear_loss_and_grad``; the history holds the loss before each
+    step and the final loss.  Pairs are drawn by the library's
+    ``sample_pairs`` from one generator seeded with ``config.seed``, scene
+    by scene, skipping scenes of fewer than two objects: the sampling
+    contract shared with ``train_linear``.
+    """
+    num_classes = dataset.registry.num_objects
+    num_relations = dataset.registry.num_relations
+    rng = np.random.default_rng(config.seed)
+    rows, labels = [], []
+    for scene in dataset.scenes:
+        if len(scene.objects) < 2:
+            continue
+        position = {obj.id: idx for idx, obj in enumerate(scene.objects)}
+        first = {}
+        for rel in scene.relations:
+            first.setdefault((position[rel.subject], position[rel.object]), rel.predicate)
+        pairs = reference_pairs(len(scene.objects))
+        related = np.array([pair in first for pair in pairs])
+        for k in sample_pairs(related, config.max_pos, config.max_neg, rng):
+            i, j = pairs[k]
+            rows.append(
+                reference_pair_features(scene.objects[i], scene.objects[j], scene, num_classes)
+            )
+            labels.append(first.get((i, j), num_relations))
+    features = np.array(rows)
+    targets = np.array(labels)
+    weights = np.zeros((feature_count(num_classes), num_relations + 1))
+    history = []
+    for _ in range(config.epochs):
+        loss, grad = linear_loss_and_grad(weights, features, targets)
+        history.append(loss)
+        weights = weights - config.learning_rate * grad
+    history.append(linear_loss_and_grad(weights, features, targets)[0])
+    return LinearScorer(weights, dataset.registry.content_hash(), tuple(history))
 
 
 def reference_fit_frequency_prior(dataset, alpha) -> FrequencyPrior:

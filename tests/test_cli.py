@@ -620,6 +620,26 @@ def test_eval_rejects_non_positive_prediction_extent(tmp_path, capsys):
         assert err.startswith("error: $.images[1]: extent 0x1024 outside 1..100000"), err
 
 
+def test_eval_rejects_prediction_box_whose_area_overflows(tmp_path, capsys):
+    # Each side is finite, but the area is inf and the box's IoU with a
+    # match would be NaN, which counted as a miss.
+    gt = synth_manifest(tmp_path, images=3, seed=49)
+    prior = fitted_prior(tmp_path, gt)
+    pred = tmp_path / "pred.json"
+    argv = ["predict", "--input", str(gt), "--prior", str(prior), "--output", str(pred)]
+    assert cli.run(argv) == 0
+    doc = json.loads(pred.read_text())
+    doc["images"][1]["objects"][0]["obb"] = [
+        [-5e199, -5e199], [5e199, -5e199], [5e199, 5e199], [-5e199, 5e199]
+    ]
+    pred.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for command in (["eval-sgg", "--task", "sgdet"], ["eval-det"]):
+        assert cli.run(command + ["--gt", str(gt), "--pred", str(pred)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: $.images[1].objects[0].obb: box area overflows"), err
+
+
 def test_commands_reject_image_wider_than_the_maximum(tmp_path, capsys):
     gt = synth_manifest(tmp_path, images=3, seed=48)
     prior = fitted_prior(tmp_path, gt)

@@ -151,6 +151,23 @@ def test_from_vertices_rejects_overflow():
         OrientedBox.from_vertices([(0, 0), (1e200, 1e200), (1.5e200, 0), (5e199, -1e200)])
 
 
+def test_from_vertices_rejects_overflowing_area():
+    # Finite sides of 1e200 px: the area w * h is inf, and the IoU of the
+    # box with itself would be inf - inf.
+    square = [(-5e199, -5e199), (5e199, -5e199), (5e199, 5e199), (-5e199, 5e199)]
+    with pytest.raises(ValueError, match="box area overflows"):
+        OrientedBox.from_vertices(square)
+    box = OrientedBox.from_vertices([(x / 1e50, y / 1e50) for x, y in square])
+    assert math.isfinite(box.area) and rotated_iou(box, box) == 1.0
+
+
+def test_from_params_rejects_overflowing_area():
+    with pytest.raises(ValueError, match="box area overflows"):
+        OrientedBox.from_params(0.0, 0.0, 1e200, 1e200, 0.0)
+    box = OrientedBox.from_params(0.0, 0.0, 1e150, 1e150, 0.0)
+    assert math.isfinite(box.area) and rotated_iou(box, box) == 1.0
+
+
 def test_from_params_rejects_non_finite_vertex():
     with pytest.raises(ValueError, match="non-finite vertex"):
         OrientedBox.from_params(1.7e308, 0.0, 1e308, 1.0, 0.0)

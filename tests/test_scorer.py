@@ -103,6 +103,72 @@ def test_linear_loss_validation():
         linear_loss_and_grad(np.zeros((4, 2)), np.zeros((2, 4)), np.zeros(3, dtype=int))
 
 
+def densify(features, hot, num_rows):
+    """Dense rows equal to ``features`` followed by the one-hot ``hot`` entries."""
+    rows = np.zeros((len(features), num_rows))
+    rows[:, : features.shape[1]] = features
+    for column in hot.T:
+        np.add.at(rows, (np.arange(len(features)), column), 1.0)
+    return rows
+
+
+def random_hot_batch(rng, batch, n_feat, n_rows, n_cls):
+    w = rng.normal(size=(n_rows, n_cls))
+    x = rng.normal(size=(batch, n_feat))
+    y = rng.integers(0, n_cls, size=batch)
+    hot = rng.integers(n_feat, n_rows, size=(batch, 3))
+    return w, x, y, hot
+
+
+def test_linear_loss_with_hot_rows_matches_dense_rows():
+    rng = np.random.default_rng(72)
+    num_classes = 3
+    n_rows = feature_count(num_classes)
+    # Every pair of class 1 with itself: class 1 is both subject and object,
+    # and each hot column repeats its index on every row.
+    hot = np.array([[15 + 1, 15 + num_classes + 1, n_rows - 1]] * 4)
+    cases = [(rng.normal(size=(n_rows, 5)), rng.normal(size=(4, 15)), rng.integers(0, 5, 4), hot)]
+    # Random indices, where two columns may name one row of one pair.
+    for _ in range(30):
+        batch = int(rng.integers(1, 40))
+        cases.append(random_hot_batch(rng, batch, 4, 9, 3))
+    for w, x, y, hot in cases:
+        loss, grad = linear_loss_and_grad(w, x, y, hot)
+        dense_loss, dense_grad = linear_loss_and_grad(w, densify(x, hot, len(w)), y)
+        assert abs(loss - dense_loss) <= 1e-12
+        assert np.max(np.abs(grad - dense_grad)) <= 1e-12
+
+
+def test_linear_loss_with_hot_rows_matches_finite_differences():
+    rng = np.random.default_rng(73)
+    for _ in range(20):
+        w, x, y, hot = random_hot_batch(rng, int(rng.integers(1, 8)), 4, 8, 3)
+        _, grad = linear_loss_and_grad(w, x, y, hot)
+        fd = oracles.central_difference_gradient(
+            lambda flat: linear_loss_and_grad(flat.reshape(w.shape), x, y, hot)[0],
+            w.flatten(),
+        )
+        # Central differences carry about 1e-9 of rounding, which is large
+        # next to the near-zero entries: bound them absolutely.
+        assert np.allclose(grad.flatten(), fd, rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "hot",
+    [
+        np.full((3, 3), 5),  # one row fewer than the batch
+        np.full((4,), 5),  # not 2-D
+        np.full((4, 3), 5.0),  # not integers
+        np.array([[5, 6, 3]] * 4),  # below F = 4, a geometry row
+        np.array([[5, 6, 8]] * 4),  # at the number of weight rows
+        np.array([[5, 6, -1]] * 4),  # negative
+    ],
+)
+def test_linear_loss_rejects_malformed_hot(hot):
+    with pytest.raises(ValueError, match="hot"):
+        linear_loss_and_grad(np.zeros((8, 2)), np.zeros((4, 4)), np.zeros(4, dtype=int), hot)
+
+
 def test_pair_features_layout():
     a = ObjectInstance(0, 1, OrientedBox.axis_aligned(0, 0, 10, 10))
     b = ObjectInstance(1, 2, OrientedBox.axis_aligned(30, 40, 40, 50))
@@ -576,13 +642,15 @@ def test_training_rows_match_pair_features():
     dataset = generate(SynthConfig(n_images=6, seed=31, max_objects=12))
     num_classes = dataset.registry.num_objects
     for scene in dataset.scenes:
-        rows, labels = _scene_pair_rows(
+        geometry, hot, labels = _scene_pair_rows(
             scene, num_classes, dataset.registry.num_relations, 64, 192,
             np.random.default_rng(0),
         )
         pairs = oracles.reference_pairs(len(scene.objects))
         chosen = sample_pairs(label_pairs(scene), 64, 192, np.random.default_rng(0))
-        assert len(rows) == len(labels) == len(chosen)
+        assert geometry.shape == (len(chosen), 15) and hot.shape == (len(chosen), 3)
+        assert len(labels) == len(chosen)
+        rows = densify(geometry, hot, feature_count(num_classes))
         for row, k in zip(rows, chosen):
             i, j = pairs[k]
             expected = oracles.reference_pair_features(
@@ -590,6 +658,25 @@ def test_training_rows_match_pair_features():
             )
             assert np.allclose(row, expected, rtol=0.0, atol=1e-12)
             assert np.array_equal(row[15:], expected[15:])
+
+
+@pytest.mark.parametrize(
+    "synth, train",
+    [
+        (dict(n_images=12, seed=41), dict(seed=1, epochs=40)),
+        (dict(n_images=6, seed=31, max_objects=12), dict(seed=7, epochs=40)),
+        (dict(n_images=5, seed=43, max_objects=12), dict(seed=2, epochs=25, max_pos=3, max_neg=5)),
+    ],
+)
+def test_train_linear_matches_dense_reference_trainer(synth, train):
+    dataset = generate(SynthConfig(**synth))
+    config = TrainConfig(**train)
+    fast = train_linear(dataset, config)
+    slow = oracles.reference_train_linear(dataset, config)
+    assert fast.weights.shape == slow.weights.shape
+    assert np.max(np.abs(fast.weights - slow.weights)) <= 1e-12
+    assert len(fast.loss_history) == len(slow.loss_history) == config.epochs + 1
+    assert np.max(np.abs(np.subtract(fast.loss_history, slow.loss_history))) <= 1e-12
 
 
 def test_training_labels_take_the_first_triplet():
@@ -604,7 +691,7 @@ def test_training_labels_take_the_first_triplet():
         for s, p, o in ((0, 2, 1), (2, 1, 0), (0, 0, 1), (1, 0, 0))
     )
     scene = SceneAnnotation("s", 100, 100, objects, relations)
-    rows, labels = _scene_pair_rows(scene, 2, 3, 64, 192, np.random.default_rng(0))
+    _, _, labels = _scene_pair_rows(scene, 2, 3, 64, 192, np.random.default_rng(0))
     expected = {(0, 1): 2, (2, 0): 1, (1, 0): 0}
     pairs = oracles.reference_pairs(4)
     assert len(labels) == len(pairs)

@@ -11,7 +11,10 @@ each tree, and a later step reads the earlier outputs of the same tree (for
 example ``predict`` reads that tree's ``fit-prior`` output).
 
 Every difference in output sha256, exit code or standard error is printed.
-The exit code is 1 if there is any, else 0.
+When an output's sha256 differs and both files parse as JSON, an indented
+line under it gives the largest absolute and relative difference of their
+numbers, and whether everything else (keys, strings, list lengths and order)
+is identical.  The exit code is 1 if there is any difference, else 0.
 """
 
 from __future__ import annotations
@@ -150,6 +153,46 @@ def run_invocations(tree: Path, inputs: Path, seed: int, work: Path) -> dict[str
     return results
 
 
+def _split_numbers(value, numbers: list[float]):
+    """``value`` with every number replaced by ``None`` and appended to
+    ``numbers`` in document order; ``bool`` is not a number here."""
+    if isinstance(value, dict):
+        return [[key, _split_numbers(item, numbers)] for key, item in value.items()]
+    if isinstance(value, list):
+        return [_split_numbers(item, numbers) for item in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        numbers.append(value)
+        return None
+    return value
+
+
+def json_difference(a: Path, b: Path) -> str | None:
+    """The numeric and structural comparison of two JSON files, or None
+    when either does not parse as JSON."""
+    numbers_a: list[float] = []
+    numbers_b: list[float] = []
+    try:
+        shape_a = _split_numbers(json.loads(a.read_bytes()), numbers_a)
+        shape_b = _split_numbers(json.loads(b.read_bytes()), numbers_b)
+    except (OSError, ValueError):
+        return None
+    same = shape_a == shape_b
+    structure = "identical" if same else "different"
+    if not same or len(numbers_a) != len(numbers_b):
+        return f"json: non-numeric structure and order {structure}"
+    largest_abs = largest_rel = 0.0
+    for x, y in zip(numbers_a, numbers_b):
+        if x == y:
+            continue
+        gap = abs(x - y)
+        largest_abs = max(largest_abs, gap)
+        largest_rel = max(largest_rel, gap / max(abs(x), abs(y)))
+    return (
+        f"json: {len(numbers_a)} numbers, largest difference {largest_abs:.3g} absolute, "
+        f"{largest_rel:.3g} relative; non-numeric structure and order {structure}"
+    )
+
+
 def compare(base: Path, new: Path, workload: str, seed: int, scratch: Path) -> list[str]:
     """Every difference between the two trees, one line each."""
     differences = []
@@ -166,7 +209,11 @@ def compare(base: Path, new: Path, workload: str, seed: int, scratch: Path) -> l
     for output, _ in INVOCATIONS:
         for field, a, b in zip(("exit code", "stderr", "sha256"), before[output], after[output]):
             if a != b:
-                differences.append(f"{output}: {field} {a!r} != {b!r}")
+                line = f"{output}: {field} {a!r} != {b!r}"
+                detail = None
+                if field == "sha256" and a is not None and b is not None:
+                    detail = json_difference(scratch / "base" / output, scratch / "new" / output)
+                differences.append(line if detail is None else f"{line}\n  {detail}")
     return differences
 
 
