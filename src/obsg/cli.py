@@ -49,7 +49,9 @@ from .metrics import (
     report_to_csv as eval_report_to_csv,
     report_to_json as eval_report_to_json,
 )
-from .pairing import MAX_NEGATIVE_PAIRS, MAX_POSITIVE_PAIRS, _check_caps, label_pairs, sample_pairs
+from .pairing import (
+    MAX_NEGATIVE_PAIRS, MAX_POSITIVE_PAIRS, _check_caps, _check_seed, label_pairs, sample_pairs,
+)
 from .registry import CategoryRegistry
 from .scorer import (
     DEFAULT_ALPHA,
@@ -218,8 +220,8 @@ def _cmd_convert_hbb(args: argparse.Namespace) -> int:
 
 
 def _cmd_pairs(args: argparse.Namespace) -> int:
-    if args.seed is not None and args.seed < 0:
-        raise ValueError(f"seed must be >= 0: {args.seed}")
+    if args.seed is not None:
+        _check_seed(args.seed)
     sampling = args.max_pos is not None or args.max_neg is not None
     if sampling and args.seed is None:
         raise ValueError("--seed is required when sampling caps are given")

@@ -163,6 +163,13 @@ class Detection:
     score: float
 
 
+def _check_scores(detections: Iterable[Detection | ObjectInstance]) -> None:
+    """Reject a detection or scored object whose score is missing or not finite."""
+    for det in detections:
+        if det.score is None or not math.isfinite(det.score):
+            raise ValueError(f"non-finite detection score: {det.score!r}")
+
+
 @dataclass(frozen=True)
 class SceneAnnotation:
     """All annotations, or all predictions, of a single image.

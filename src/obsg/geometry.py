@@ -119,30 +119,20 @@ class OrientedBox:
                 value is accepted and normalized to [0, 2*pi).
 
         Raises:
-            ValueError: if a side is degenerate (<= 1e-9), a value, a vertex
-                or the area ``w * h`` is not finite.
+            ValueError: if a size is not above 1e-9 (NaN included), or the
+                vertices fail :meth:`from_vertices`.
         """
-        for name, value in (("cx", cx), ("cy", cy), ("theta", theta)):
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite {name}: {value!r}")
-        if not (math.isfinite(w) and math.isfinite(h)):
-            raise ValueError(f"non-finite box size: w={w!r} h={h!r}")
-        if w <= DEGENERATE_EPS or h <= DEGENERATE_EPS:
+        if not (w > DEGENERATE_EPS and h > DEGENERATE_EPS):
             raise ValueError(f"degenerate box size: w={w!r} h={h!r}")
-        if not math.isfinite(w * h):
-            raise ValueError(f"box area overflows: w={w!r} h={h!r}")
         theta = theta % TWO_PI
         ux, uy = math.cos(theta), math.sin(theta)
         # Perpendicular pointing from edge 1-2 toward edge 3-4 (down at theta=0).
         nx, ny = -uy, ux
         hw, hh = w / 2.0, h / 2.0
         corners = ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh))
-        vertices = tuple(
+        return cls.from_vertices(
             (cx + dx * ux + dy * nx, cy + dx * uy + dy * ny) for dx, dy in corners
         )
-        if not all(math.isfinite(x) and math.isfinite(y) for x, y in vertices):
-            raise ValueError(f"non-finite vertex in {vertices!r}")
-        return cls(vertices)  # type: ignore[arg-type]
 
     @classmethod
     def from_vertices(cls, vertices: Iterable[Sequence[float]]) -> "OrientedBox":
@@ -189,11 +179,11 @@ class OrientedBox:
     def axis_aligned(
         cls, xmin: float, ymin: float, xmax: float, ymax: float
     ) -> "OrientedBox":
-        """Axis-aligned rectangle in canonical clockwise order."""
+        """Axis-aligned rectangle in canonical clockwise order, checked by :meth:`from_vertices`."""
         if not (xmin < xmax and ymin < ymax):
             raise ValueError(f"inverted or empty extent: {(xmin, ymin, xmax, ymax)}")
         x0, y0, x1, y1 = float(xmin), float(ymin), float(xmax), float(ymax)
-        return cls(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+        return cls.from_vertices(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
 
     @_cached
     def params(self) -> tuple[float, float, float, float, float]:

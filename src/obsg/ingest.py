@@ -22,6 +22,7 @@ from .datamodel import (
     RelationColumns,
     SceneAnnotation,
     _check_extent,
+    _check_scores,
 )
 from .geometry import OrientedBox, _check_iou_threshold, intersection_area, rotated_iou
 
@@ -187,9 +188,7 @@ def rotated_nms(
     visiting order.
     """
     _check_iou_threshold(iou_threshold)
-    for det in detections:
-        if not math.isfinite(det.score):
-            raise ValueError(f"non-finite detection score: {det.score!r}")
+    _check_scores(detections)
     order = sorted(range(len(detections)), key=lambda i: -detections[i].score)
     kept: list[Detection] = []
     for i in order:

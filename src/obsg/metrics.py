@@ -23,10 +23,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .datamodel import Dataset, Detection, ObjectInstance, SceneAnnotation, check_indices
+from .datamodel import (
+    Dataset, Detection, ObjectInstance, SceneAnnotation, _check_scores, check_indices,
+)
 from .errors import DataError, RegistryMismatchError
 from .geometry import OrientedBox, _check_iou_threshold, rotated_iou
 
@@ -140,20 +141,15 @@ class TripletMatchResult:
     matched: tuple[int, ...]
 
 
-def _take_best(
-    candidates: list[int], quality: Callable[[int], float], threshold: float
-) -> int:
+def _take_best(candidates: list[int], values: Sequence[float], threshold: float) -> int:
     """The greedy rule of both box matchers: remove and return the first of
-    ``candidates`` with the highest ``quality`` at or above ``threshold``, or -1."""
-    best = -1
-    best_quality = -math.inf
-    for g in candidates:
-        value = quality(g)
-        if value >= threshold and value > best_quality:
-            best, best_quality = g, value
-    if best >= 0:
-        candidates.remove(best)
-    return best
+    ``candidates`` with the highest of the aligned ``values`` at or above
+    ``threshold``, or -1."""
+    best, best_value = -1, -math.inf
+    for k, value in enumerate(values):
+        if value >= threshold and value > best_value:
+            best, best_value = k, value
+    return candidates.pop(best) if best >= 0 else -1
 
 
 def match_detections(
@@ -168,16 +164,18 @@ def match_detections(
     score, ties by input order.  A prediction is a TP iff its best-IoU
     still-unmatched ground truth reaches ``iou_threshold`` (equal IoUs
     resolve to the lowest ground-truth index); that ground truth is then
-    consumed.  Flags are returned in input order.
+    consumed.  Flags are returned in input order.  A missing or non-finite
+    score is a ``ValueError``.
     """
     _check_iou_threshold(iou_threshold)
+    _check_scores(predictions)
     order = sorted(range(len(predictions)), key=lambda i: -predictions[i].score)
     flags = [False] * len(predictions)
     untaken = list(range(len(truths)))
     for i in order:
         box = predictions[i].box
-        g = _take_best(untaken, lambda g: rotated_iou(box, truths[g]), iou_threshold)
-        flags[i] = g >= 0
+        values = [rotated_iou(box, truths[g]) for g in untaken]
+        flags[i] = _take_best(untaken, values, iou_threshold) >= 0
     return flags
 
 
@@ -285,13 +283,6 @@ def match_triplets(
     for g, key in enumerate(_match_keys(targets, identity)):
         buckets.setdefault(key, []).append(g)
     keys = _match_keys(predictions, identity)
-    matched: list[int] = []
-    if identity:
-        for i in ranking:
-            candidates = buckets.get(keys[i])
-            matched.append(candidates.pop(0) if candidates else -1)
-        return TripletMatchResult(tuple(ranking), tuple(matched))
-
     detected, truths = predictions.instances, targets.instances
     ious: dict[tuple[int, int], float] = {}
 
@@ -302,16 +293,23 @@ def match_triplets(
             value = ious[a, b] = rotated_iou(detected[a].box, truths[b].box)
         return value
 
-    def quality(i: int, g: int) -> float:
-        """The smaller endpoint IoU; -1, without the object's, if the subject's misses."""
-        iou_s = iou(predictions.subjects[i], targets.subjects[g])
-        if iou_s < config.iou_threshold:
-            return -1.0
-        return min(iou_s, iou(predictions.objects[i], targets.objects[g]))
-
+    threshold = config.iou_threshold
+    matched: list[int] = []
     for i in ranking:
-        candidates = buckets.get(keys[i], [])
-        matched.append(_take_best(candidates, partial(quality, i), config.iou_threshold))
+        candidates = buckets.get(keys[i])
+        if not candidates:
+            matched.append(-1)
+        elif identity:
+            matched.append(candidates.pop(0))
+        else:
+            # The smaller endpoint IoU; -1, without the object's, if the subject's misses.
+            s, o = predictions.subjects[i], predictions.objects[i]
+            values = [
+                min(iou_s, iou(o, targets.objects[g]))
+                if (iou_s := iou(s, targets.subjects[g])) >= threshold else -1.0
+                for g in candidates
+            ]
+            matched.append(_take_best(candidates, values, threshold))
     return TripletMatchResult(tuple(ranking), tuple(matched))
 
 

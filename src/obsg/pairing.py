@@ -68,6 +68,11 @@ def _check_caps(max_pos: int, max_neg: int) -> None:
         raise ValueError(f"caps must be >= 0: max_pos={max_pos} max_neg={max_neg}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0: {seed}")
+
+
 def sample_pairs(
     labels: np.ndarray,
     max_pos: int = MAX_POSITIVE_PAIRS,

@@ -27,8 +27,8 @@ from .datamodel import (
 from .errors import DataError, ManifestError, RegistryMismatchError, TrainingDivergenceError
 from .geometry import TWO_PI, rotated_iou
 from .pairing import (
-    MAX_NEGATIVE_PAIRS, MAX_POSITIVE_PAIRS, _check_caps, pair_endpoints, relation_pairs,
-    sample_pairs,
+    MAX_NEGATIVE_PAIRS, MAX_POSITIVE_PAIRS, _check_caps, _check_seed, pair_endpoints,
+    relation_pairs, sample_pairs,
 )
 from .registry import CategoryRegistry
 
@@ -55,10 +55,10 @@ def ce_loss(logits: np.ndarray, true_index: int) -> tuple[float, np.ndarray]:
         raise ValueError("logits must be finite")
     if not 0 <= true_index < x.size:
         raise ValueError(f"true_index {true_index} outside {x.size} classes")
-    m = float(np.max(x))
-    lse = m + math.log(float(np.sum(np.exp(x - m))))
-    loss = lse - float(x[true_index])
-    grad = np.exp(x - lse)
+    soft = x[None, :].copy()
+    peak, total = _softmax(soft)
+    loss = float(peak[0] + np.log(total[0]) - x[true_index])
+    grad = soft[0]
     grad[true_index] -= 1.0
     return loss, grad
 
@@ -150,8 +150,7 @@ class TrainConfig:
     max_neg: int = MAX_NEGATIVE_PAIRS
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0: {self.seed}")
+        _check_seed(self.seed)
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and >= 0: {self.learning_rate}")
         if self.epochs < 0:

@@ -26,7 +26,7 @@ from .datamodel import (
     SceneAnnotation,
 )
 from .geometry import OrientedBox, rotated_iou
-from .pairing import pair_endpoints
+from .pairing import _check_seed, pair_endpoints
 from .registry import CategoryRegistry, canonical_registry
 
 
@@ -100,8 +100,7 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_images < 0:
             raise ValueError(f"n_images must be >= 0: {self.n_images}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0: {self.seed}")
+        _check_seed(self.seed)
         if not 0 < self.image_size <= MAX_IMAGE_EXTENT:
             raise ValueError(
                 f"image_size must be in 1..{MAX_IMAGE_EXTENT}: {self.image_size}"

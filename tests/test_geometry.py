@@ -168,6 +168,24 @@ def test_from_params_rejects_overflowing_area():
     assert math.isfinite(box.area) and rotated_iou(box, box) == 1.0
 
 
+def test_from_params_rejects_a_short_side_lost_to_cancellation():
+    # The sizes pass the degenerate-size test, but at 1e200 px the 1e-8 px
+    # side vanishes from the rotated vertices.
+    with pytest.raises(ValueError, match="degenerate side"):
+        OrientedBox.from_params(0.0, 0.0, 1e200, 1e-8, math.pi / 4)
+
+
+def test_axis_aligned_applies_the_vertex_checks():
+    # A valid rotated square whose axis-aligned hull has twice its area,
+    # beyond float range.
+    box = OrientedBox.from_params(0.0, 0.0, 1e154, 1e154, math.pi / 4)
+    assert math.isfinite(box.area)
+    with pytest.raises(ValueError, match="box area overflows"):
+        OrientedBox.axis_aligned(*box.extent)
+    with pytest.raises(ValueError, match="degenerate side"):
+        OrientedBox.axis_aligned(0.0, 0.0, 1e-12, 1.0)
+
+
 def test_from_params_rejects_non_finite_vertex():
     with pytest.raises(ValueError, match="non-finite vertex"):
         OrientedBox.from_params(1.7e308, 0.0, 1e308, 1.0, 0.0)

@@ -14,7 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from obsg import cli
+from obsg import cli, rotated_iou
 
 # Dense enough that every report has misses, ties and several predicates.
 RULES = [
@@ -124,6 +124,32 @@ def golden_outputs(work: Path) -> dict[str, str]:
 
 def test_cli_outputs_are_byte_identical(tmp_path):
     assert golden_outputs(tmp_path) == EXPECTED
+
+
+def test_box_matchers_compute_a_pinned_number_of_ious(tmp_path, monkeypatch):
+    """The IoU work of sgdet triplet matching and of detection matching on
+    the golden fixture: a change to either matcher that computes more (or
+    fewer) IoUs shows here before it shows in a timing."""
+    import obsg.metrics
+
+    golden_outputs(tmp_path)
+    calls = []
+
+    def counting_iou(a, b):
+        calls.append(1)
+        return rotated_iou(a, b)
+
+    monkeypatch.setattr(obsg.metrics, "rotated_iou", counting_iou)
+    files = ["--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "jitter.json"),
+             "--output", str(tmp_path / "count.json")]
+    for argv, expected in [
+        (["eval-sgg", "--task", "sgdet"], 179),
+        (["eval-sgg", "--task", "sgdet", "--no-graph-constraint"], 179),
+        (["eval-det"], 146),
+    ]:
+        calls.clear()
+        assert cli.run(argv + files) == 0
+        assert len(calls) == expected, argv
 
 
 if __name__ == "__main__":

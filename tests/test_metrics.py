@@ -37,7 +37,7 @@ from obsg import (
     rotated_iou,
     scene_triplets,
 )
-from obsg.metrics import SUBTASKS, report_to_csv, report_to_json
+from obsg.metrics import SUBTASKS, _take_best, report_to_csv, report_to_json
 
 
 def test_precision_recall_examples():
@@ -66,6 +66,26 @@ def test_match_detections_score_order_consumes_gt():
     assert match_detections([good, also_good], [gt]) == [False, True]
     assert match_detections([good], [gt]) == [True]
     assert match_detections([Detection(gt, 0, 1.0)], []) == [False]
+
+
+@pytest.mark.parametrize("score", [math.nan, math.inf, None])
+def test_match_detections_rejects_non_finite_scores(score):
+    t = OrientedBox.axis_aligned(0, 0, 10, 10)
+    preds = [Detection(t, 0, score), Detection(t.translate(1, 0), 0, 0.9)]
+    with pytest.raises(ValueError, match="non-finite detection score"):
+        match_detections(preds, [t])
+
+
+def test_take_best_picks_the_first_highest_value_at_the_threshold():
+    candidates = [3, 5, 8, 9]
+    assert _take_best(candidates, [0.5, 0.7, 0.7, 0.2], 0.5) == 5
+    assert candidates == [3, 8, 9]
+    # A value exactly at the threshold qualifies.
+    assert _take_best(candidates, [0.5, 0.4, 0.1], 0.5) == 3
+    assert candidates == [8, 9]
+    assert _take_best(candidates, [0.49, -1.0], 0.5) == -1
+    assert candidates == [8, 9]
+    assert _take_best([], [], 0.5) == -1
 
 
 def test_match_detections_threshold_validation():
