@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Any
@@ -197,19 +199,30 @@ class SceneAnnotation:
     @_cached
     def relation_endpoints(self) -> tuple[list[int], list[int]]:
         """Positions in ``objects`` of each relation's subject and object, in
-        relation order, resolved once per scene; a missing object id is a
-        :class:`DataError` on every access."""
-        position = {obj.id: k for k, obj in enumerate(self.objects)}.get
+        relation order, resolved once per scene.  A relation that names an
+        object id missing from the scene or named by two objects, or whose
+        subject is its object, is a :class:`DataError` on every access."""
+        position = {obj.id: k for k, obj in enumerate(self.objects)}
         rel = self.relations
-        subjects = list(map(position, rel.subjects))
-        objects = list(map(position, rel.objects))
-        if None in subjects or None in objects:
-            for s, o, i, j in zip(rel.subjects, rel.objects, subjects, objects):
-                if i is None or j is None:
-                    raise DataError(
-                        f"image {self.image_id!r}: relation {s}->{o} "
-                        f"references missing object id {s if i is None else o}"
-                    )
+        subjects = list(map(position.get, rel.subjects))
+        objects = list(map(position.get, rel.objects))
+        if None in subjects or None in objects or len(position) < len(self.objects) or any(
+            map(operator.eq, subjects, objects)
+        ):
+            named = Counter(obj.id for obj in self.objects)
+            for s, o in zip(rel.subjects, rel.objects):
+                for x in (s, o):
+                    if x not in named:
+                        raise DataError(
+                            f"image {self.image_id!r}: relation {s}->{o} "
+                            f"references missing object id {x}"
+                        )
+                    if named[x] > 1:
+                        raise DataError(
+                            f"image {self.image_id!r}: object id {x} names two objects"
+                        )
+                if s == o:
+                    raise DataError(f"image {self.image_id!r}: object {s} relates to itself")
         return subjects, objects
 
     @_cached
@@ -403,7 +416,9 @@ def _parse_names(raw: Any, key: str) -> tuple[str, ...]:
 
 
 def _parse_box(raw: Any, path: str) -> OrientedBox:
-    pts = _expect(raw, list, path)
+    """The box of the ``obb`` field of object ``raw`` at ``path``."""
+    pts = _get(raw, "obb", list, path)
+    path = f"{path}.obb"
     if len(pts) != 4:
         raise ManifestError(f"{path}: expected 4 vertices, got {len(pts)}")
     coords = []
@@ -529,7 +544,7 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
             try:
                 box = from_vertices(obb)
             except (TypeError, ValueError, OverflowError):
-                box = _parse_box(obb, f"{_item(i, 'objects', j)}.obb")
+                box = _parse_box(raw, _item(i, "objects", j))
             truncated = raw.get("truncated", False)
             if type(truncated) is not bool:
                 truncated = _expect(truncated, bool, f"{_item(i, 'objects', j)}.truncated")

@@ -187,8 +187,6 @@ def average_precision(flags: Sequence[bool], n_gt: int) -> float:
     """
     if n_gt <= 0:
         raise ValueError("average precision undefined without ground truth")
-    if not flags:
-        return 0.0
     precisions: list[float] = []
     recalls: list[float] = []
     tp = 0
@@ -458,8 +456,8 @@ def scene_triplets(scene: SceneAnnotation) -> TripletColumns:
     score times object score; an unscored (ground-truth) one keeps ``None``.
 
     Raises:
-        DataError: a relation names an object id missing from the scene, or
-            its composite score is not finite.
+        DataError: a relation that ``relation_endpoints`` rejects, or one
+            whose composite score is not finite.
     """
     rel = scene.relations
     if not rel.predicates:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .datamodel import SceneAnnotation
-from .errors import DataError
 
 MAX_POSITIVE_PAIRS = 64
 MAX_NEGATIVE_PAIRS = 192
@@ -40,18 +39,10 @@ def relation_pairs(scene: SceneAnnotation) -> list[int]:
     """Pair index of every relation of the scene, in relation order.
 
     Raises:
-        DataError: a relation whose subject and object are one object, or
-            that names an object id missing from the scene.
+        DataError: as :attr:`SceneAnnotation.relation_endpoints` does.
     """
     n = len(scene.objects)
-    pairs = []
-    for i, j in zip(*scene.relation_endpoints):
-        if i == j:
-            raise DataError(
-                f"image {scene.image_id!r}: object {scene.objects[i].id} relates to itself"
-            )
-        pairs.append(i * (n - 1) + j - (j > i))
-    return pairs
+    return [i * (n - 1) + j - (j > i) for i, j in zip(*scene.relation_endpoints)]
 
 
 def label_pairs(scene: SceneAnnotation) -> np.ndarray:

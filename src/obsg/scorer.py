@@ -104,8 +104,8 @@ def fit_frequency_prior(dataset: Dataset, alpha: float = DEFAULT_ALPHA) -> Frequ
     objects and relations are visited, never the pairs themselves.
 
     Raises:
-        DataError: a category or predicate outside the registry, a relation
-            to a missing object id, or a self-relation.
+        DataError: a category or predicate outside the registry, or a
+            relation that ``SceneAnnotation.relation_endpoints`` rejects.
         ValueError: ``alpha`` is negative or not finite.
     """
     num_objects = dataset.registry.num_objects
@@ -324,12 +324,6 @@ def _scene_pair_rows(
     first: dict[int, int] = {}
     for k, p in zip(relation_pairs(scene), scene.relations.predicates):
         first.setdefault(k, p)
-    if n < 2:
-        return (
-            np.zeros((0, GEOMETRY_FEATURES)),
-            np.zeros((0, 3), dtype=np.intp),
-            np.zeros(0, dtype=np.int64),
-        )
     labels = np.full(n * (n - 1), num_relations, dtype=np.int64)
     labels[list(first)] = list(first.values())
     chosen = sample_pairs(labels != num_relations, max_pos, max_neg, rng)
@@ -351,8 +345,8 @@ def train_linear(dataset: Dataset, config: TrainConfig) -> LinearScorer:
     entry per epoch plus the final loss.
 
     Raises:
-        DataError: a category or predicate outside the registry, a relation
-            to a missing object id, or a self-relation.
+        DataError: a category or predicate outside the registry, or a
+            relation that ``SceneAnnotation.relation_endpoints`` rejects.
     """
     registry = dataset.registry
     num_relations = registry.num_relations

@@ -49,8 +49,8 @@ def compute_stats(dataset: Dataset) -> StatsReport:
 
     Raises:
         DataError: an object category or a predicate lies outside the
-            registry, a relation names an object id the image lacks, or a
-            box has no area.
+            registry, ``relation_endpoints`` rejects a relation, or a box
+            has no area.
     """
     registry = dataset.registry
     num_objects = registry.num_objects

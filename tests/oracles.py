@@ -655,7 +655,7 @@ def reference_parse(root, scored: bool) -> Dataset:
                     f"{opath}.category: index {category} outside registry"
                     f" of {registry.num_objects} (image {image_id!r})"
                 )
-            box = _parse_box(raw_obj.get("obb"), f"{opath}.obb")
+            box = _parse_box(raw_obj, opath)
             truncated = raw_obj.get("truncated", False)
             _expect(truncated, bool, f"{opath}.truncated")
             score = _parse_score(raw_obj, opath, image_id) if scored else None

@@ -734,6 +734,28 @@ def test_eval_sgg_rejects_non_finite_composite_score(tmp_path, capsys):
         assert "has non-finite composite score" in err[0]
 
 
+def test_eval_sgg_rejects_self_relation(tmp_path, capsys):
+    gt = synth_manifest(tmp_path, images=3, seed=50)
+    prior = fitted_prior(tmp_path, gt)
+    pred = tmp_path / "pred.json"
+    argv = ["predict", "--input", str(gt), "--prior", str(prior), "--output", str(pred)]
+    assert cli.run(argv) == 0
+    # Prediction files are not validated, so only the relation resolver
+    # stands between this triplet and the matcher.
+    doc = json.loads(pred.read_text())
+    image = doc["images"][0]
+    looped = image["objects"][0]["id"]
+    image["relations"].append({"subject": looped, "predicate": 0, "object": looped, "score": 0.5})
+    pred.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for task in ("predcls", "sgdet"):
+        argv = ["eval-sgg", "--gt", str(gt), "--pred", str(pred), "--task", task]
+        assert cli.run(argv) == 1, task
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: image {image['id']!r}: object {looped} relates to itself"
+        ]
+
+
 # Every command form the fuzz test runs, with the input files each reads.
 FUZZ_COMMANDS = (
     "validate --input {manifest}",

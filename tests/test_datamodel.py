@@ -141,6 +141,16 @@ def test_parse_rejects_bad_box_with_path():
     assert "$.images[0].objects[1].obb[1][0]" in str(err.value)
 
 
+def test_parse_rejects_dropped_box_as_a_missing_field():
+    for parse, make_doc in PARSERS:
+        doc = make_doc()
+        del doc["images"][0]["objects"][1]["obb"]
+        with pytest.raises(
+            ManifestError, match=r"^\$\.images\[0\]\.objects\[1\]: missing required field 'obb'$"
+        ):
+            parse(json.dumps(doc))
+
+
 def test_parse_rejects_unknown_version_and_split():
     doc = minimal_manifest()
     doc["version"] = "2.0"

@@ -14,7 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from obsg import cli, rotated_iou
+from obsg import OrientedBox, cli, rotated_iou
 
 # Dense enough that every report has misses, ties and several predicates.
 RULES = [
@@ -150,6 +150,25 @@ def test_box_matchers_compute_a_pinned_number_of_ious(tmp_path, monkeypatch):
         calls.clear()
         assert cli.run(argv + files) == 0
         assert len(calls) == expected, argv
+
+
+def test_tiling_builds_a_pinned_number_of_tile_boxes(tmp_path, monkeypatch):
+    """`crop_scene` builds one box per tile: the golden fixture gives 32 tiles
+    of 200 px at stride 120, 128 of 100 px and 8 whole-image tiles."""
+    golden_outputs(tmp_path)
+    built = []
+    axis_aligned = OrientedBox.axis_aligned
+
+    def counting(cls, *extent):
+        built.append(extent)
+        return axis_aligned(*extent)
+
+    monkeypatch.setattr(OrientedBox, "axis_aligned", classmethod(counting))
+    files = ["--input", str(tmp_path / "gt.json"), "--output", str(tmp_path / "count.json")]
+    for grid, expected in [(["200", "120"], 32), (["100", "100"], 128), (["320", "320"], 8)]:
+        built.clear()
+        assert cli.run(["tile", "--size", grid[0], "--stride", grid[1]] + files) == 0
+        assert len(built) == expected, grid
 
 
 if __name__ == "__main__":

@@ -85,6 +85,13 @@ def test_plan_tiles_validation():
         plan_tiles(MAX_IMAGE_EXTENT + 1, 1, size=MAX_IMAGE_EXTENT, stride=MAX_IMAGE_EXTENT)
 
 
+def test_crop_rejects_a_nan_tile():
+    scene = scene_of([ObjectInstance(0, 0, OrientedBox.axis_aligned(10, 10, 20, 20))])
+    for tile in (TileSpec(float("nan"), 0, 100), TileSpec(0, 0, float("nan"))):
+        with pytest.raises(ValueError):
+            crop_scene(scene, tile)
+
+
 def test_crop_keeps_inner_object_untouched():
     box = OrientedBox.from_params(500.0, 450.0, 30.0, 12.0, 0.7)
     scene = scene_of([ObjectInstance(3, 2, box)])

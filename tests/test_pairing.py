@@ -1,6 +1,7 @@
 """Ordered pair enumeration, labeling, sampling and the pair loss."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,21 +85,28 @@ def test_pair_index_agrees_with_enumeration():
     ],
 )
 @pytest.mark.parametrize(
-    "relation, message",
+    "relations, repeated, message",
     [
-        ((0, 0, 9), "100->109 references missing object id 109"),
-        ((9, 0, 0), "109->100 references missing object id 109"),
+        ([(0, 0, 9)], False, "relation 100->109 references missing object id 109"),
+        ([(9, 0, 0)], False, "relation 109->100 references missing object id 109"),
+        ([(0, 0, 1), (1, 0, 1)], False, "object 101 relates to itself"),
+        ([(0, 0, 1)], True, "object id 101 names two objects"),
     ],
-    ids=["object", "subject"],
+    ids=["object", "subject", "self", "repeated-id"],
 )
-def test_dangling_relation_id_is_one_data_error(call, relation, message):
-    # A relation to, then from, id 109 on a scene of objects 100 and 101;
-    # only a scene built in Python can hold it, since parsing rejects it.
-    scene = scene_with_relations(2, [relation])
+def test_dangling_relation_id_is_one_data_error(call, relations, repeated, message):
+    # Every consumer rejects a malformed relation through one resolver: a
+    # relation to, then from, id 109 on a scene of objects 100 and 101; a
+    # self relation; or a relation to id 101 when a third object reuses it.
+    # Of these only the self relation can come from a parsed file: from a
+    # prediction file, which is never validated.
+    scene = scene_with_relations(3 if repeated else 2, relations)
+    if repeated:
+        scene = replace(scene, objects=scene.objects[:2] + (replace(scene.objects[2], id=101),))
     dataset = Dataset(CategoryRegistry(("a",), ("r",)), "train", (scene,))
     # The failure is not cached: every call raises it again.
     for _ in range(2):
-        with pytest.raises(DataError, match=f"^image 's': relation {message}$"):
+        with pytest.raises(DataError, match=f"^image 's': {message}$"):
             call(scene, dataset)
 
 

@@ -660,6 +660,21 @@ def test_training_rows_match_pair_features():
             assert np.array_equal(row[15:], expected[15:])
 
 
+def test_training_rows_of_a_scene_without_pairs():
+    for n in (0, 1):
+        box = OrientedBox.axis_aligned(0, 0, 9, 9)
+        objects = tuple(ObjectInstance(k, 0, box) for k in range(n))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        geometry, hot, labels = _scene_pair_rows(
+            SceneAnnotation("s", 100, 100, objects, ()), 2, 3, 64, 192, rng
+        )
+        assert (geometry.shape, geometry.dtype) == ((0, 15), np.float64)
+        assert (hot.shape, hot.dtype) == ((0, 3), np.intp)
+        assert (labels.shape, labels.dtype) == ((0,), np.int64)
+        assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize(
     "synth, train",
     [
