@@ -36,7 +36,7 @@ import json
 import math
 import operator
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -165,11 +165,13 @@ class Detection:
     score: float
 
 
-def _check_scores(detections: Iterable[Detection | ObjectInstance]) -> None:
-    """Reject a detection or scored object whose score is missing or not finite."""
-    for det in detections:
-        if det.score is None or not math.isfinite(det.score):
-            raise ValueError(f"non-finite detection score: {det.score!r}")
+def _rank(scores: Sequence[float | None]) -> list[int]:
+    """Positions of ``scores`` by descending score, ties in input order; a
+    missing or non-finite score is a ``ValueError``."""
+    for score in scores:
+        if score is None or not math.isfinite(score):
+            raise ValueError(f"non-finite detection score: {score!r}")
+    return sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
 
 
 @dataclass(frozen=True)
@@ -238,11 +240,20 @@ class SceneAnnotation:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A split worth of scenes sharing one category registry."""
+    """A split worth of scenes sharing one category registry.
+
+    ``scenes`` is stored as a tuple.  A scene with a category or predicate
+    outside ``registry`` fails :func:`check_indices` as the dataset is built.
+    """
 
     registry: CategoryRegistry
     split: str
     scenes: tuple[SceneAnnotation, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "scenes", tuple(self.scenes))
+        for scene in self.scenes:
+            check_indices(scene, self.registry.num_objects, self.registry.num_relations)
 
 
 def check_indices(scene: SceneAnnotation, num_objects: int, num_relations: int) -> None:
@@ -279,14 +290,12 @@ def validate(dataset: Dataset) -> list[Violation]:
     """Check every type invariant; an empty list means the dataset is clean.
 
     Codes: SPLIT_NAME, IMAGE_EXTENT, DUPLICATE_IMAGE_ID, NEGATIVE_OBJECT_ID,
-    DUPLICATE_OBJECT_ID, CATEGORY_RANGE, DEGENERATE_BOX, VERTEX_ORDER,
-    BOX_BOUNDS, PREDICATE_RANGE, DANGLING_REFERENCE, SELF_RELATION,
-    DUPLICATE_TRIPLET.  A vertex loop that encloses no area, which no
-    parsed box has, is DEGENERATE_BOX rather than VERTEX_ORDER.
+    DUPLICATE_OBJECT_ID, DEGENERATE_BOX, VERTEX_ORDER, BOX_BOUNDS,
+    DANGLING_REFERENCE, SELF_RELATION, DUPLICATE_TRIPLET.  A vertex loop
+    that encloses no area, which no parsed box has, is DEGENERATE_BOX rather
+    than VERTEX_ORDER.  :class:`Dataset` checks categories and predicates.
     """
     violations: list[Violation] = []
-    num_objects = dataset.registry.num_objects
-    num_relations = dataset.registry.num_relations
     if dataset.split not in SPLITS:
         violations.append(
             Violation("SPLIT_NAME", None, f"unknown split {dataset.split!r}")
@@ -316,14 +325,6 @@ def validate(dataset: Dataset) -> list[Violation]:
                     Violation("DUPLICATE_OBJECT_ID", img, f"object id {obj.id} reused")
                 )
             ids.add(obj.id)
-            if not 0 <= obj.category < num_objects:
-                violations.append(
-                    Violation(
-                        "CATEGORY_RANGE",
-                        img,
-                        f"object {obj.id}: category {obj.category}",
-                    )
-                )
             signed_area = shoelace_area(obj.box.vertices)
             if signed_area == 0.0:
                 violations.append(
@@ -350,11 +351,7 @@ def validate(dataset: Dataset) -> list[Violation]:
         seen_triplets: set[tuple[int, int, int]] = set()
         rel = scene.relations
         for key in zip(rel.subjects, rel.predicates, rel.objects):
-            subject, predicate, object_ = key
-            if not 0 <= predicate < num_relations:
-                violations.append(
-                    Violation("PREDICATE_RANGE", img, f"predicate {predicate}")
-                )
+            subject, _, object_ = key
             for endpoint in (subject, object_):
                 if endpoint not in ids:
                     violations.append(

@@ -22,7 +22,7 @@ from .datamodel import (
     RelationColumns,
     SceneAnnotation,
     _check_extent,
-    _check_scores,
+    _rank,
 )
 from .geometry import OrientedBox, _check_iou_threshold, intersection_area, rotated_iou
 
@@ -43,9 +43,9 @@ class TileSpec:
     size: int
 
     def __post_init__(self) -> None:
-        if self.size <= 0:
+        if not self.size > 0:
             raise ValueError(f"bad tile size: {self.size}")
-        if self.origin_x < 0 or self.origin_y < 0:
+        if not (self.origin_x >= 0 and self.origin_y >= 0):
             raise ValueError(f"negative tile origin: {self}")
 
 
@@ -188,10 +188,8 @@ def rotated_nms(
     visiting order.
     """
     _check_iou_threshold(iou_threshold)
-    _check_scores(detections)
-    order = sorted(range(len(detections)), key=lambda i: -detections[i].score)
     kept: list[Detection] = []
-    for i in order:
+    for i in _rank([d.score for d in detections]):
         candidate = detections[i]
         suppressed = any(
             kept_det.category == candidate.category

@@ -25,9 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .datamodel import (
-    Dataset, Detection, ObjectInstance, SceneAnnotation, _check_scores, check_indices,
-)
+from .datamodel import Dataset, Detection, ObjectInstance, SceneAnnotation, _rank
 from .errors import DataError, RegistryMismatchError
 from .geometry import OrientedBox, _check_iou_threshold, rotated_iou
 
@@ -168,11 +166,9 @@ def match_detections(
     score is a ``ValueError``.
     """
     _check_iou_threshold(iou_threshold)
-    _check_scores(predictions)
-    order = sorted(range(len(predictions)), key=lambda i: -predictions[i].score)
     flags = [False] * len(predictions)
     untaken = list(range(len(truths)))
-    for i in order:
+    for i in _rank([p.score for p in predictions]):
         box = predictions[i].box
         values = [rotated_iou(box, truths[g]) for g in untaken]
         flags[i] = _take_best(untaken, values, iou_threshold) >= 0
@@ -247,8 +243,9 @@ def match_triplets(
 
     Either side is the column form :func:`scene_triplets` returns or a
     sequence of :class:`Triplet` rows, which is turned into columns first.
-    Predictions are ranked by descending score, ties by input order.  Under
-    the graph constraint only the first-ranked predicate per ordered pair of
+    Predictions are ranked by descending score, ties by input order; a
+    missing or non-finite score is a ``ValueError``.  Under the graph
+    constraint only the first-ranked predicate per ordered pair of
     object ids survives.  Matching consumes each ground truth at most once;
     among eligible ground truths a prediction takes the one with the largest
     minimum endpoint IoU (sgdet), remaining ties, and every identity match,
@@ -262,9 +259,7 @@ def match_triplets(
         predictions = TripletColumns.from_rows(predictions)
     if not isinstance(targets, TripletColumns):
         targets = TripletColumns.from_rows(targets)
-    scores = predictions.scores
-    # Descending and stable: equal scores keep input order.
-    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+    order = _rank(predictions.scores)
     if not order:
         return TripletMatchResult((), ())
     ranking = order
@@ -339,9 +334,8 @@ def _paired_scenes(
 
     Raises:
         RegistryMismatchError: the two sides use different category lists.
-        DataError: a repeated prediction image id, an unscored prediction,
-            a non-finite object score, or a category or predicate outside
-            the registry in a paired scene.
+        DataError: a repeated prediction image id, an unscored prediction
+            or a non-finite object score.
     """
     if predictions.registry != gt.registry:
         raise RegistryMismatchError(
@@ -366,8 +360,6 @@ def _paired_scenes(
             )
         index[scene.image_id] = scene
     pairs = [(scene, index.get(scene.image_id)) for scene in gt.scenes]
-    for scene in (s for pair in pairs for s in pair if s is not None):
-        check_indices(scene, gt.registry.num_objects, gt.registry.num_relations)
     gt_ids = {scene.image_id for scene in gt.scenes}
     coverage = {
         "gt_images": len(gt_ids),
@@ -401,15 +393,16 @@ def evaluate_detections(
     ``include_empty_classes`` pins their AP to 0.
 
     Raises:
-        DataError: an object category or a predicate lies outside the
-            registry.
+        DataError: a prediction scene that :func:`_paired_scenes` rejects,
+            or ground truth without objects.
     """
     _check_iou_threshold(iou_threshold)
     pairs, coverage = _paired_scenes(gt, predictions)
     names = gt.registry.object_names
     num_classes = len(names)
-    # (score, flag) per class, in ground-truth scene order then file order
-    scored_flags: list[list[tuple[float, bool]]] = [[] for _ in range(num_classes)]
+    # Scores and flags per class, in ground-truth scene order then file order.
+    class_scores: list[list[float]] = [[] for _ in range(num_classes)]
+    class_flags: list[list[bool]] = [[] for _ in range(num_classes)]
     gt_totals = [0] * num_classes
     for scene, pred_scene in pairs:
         truths = _objects_by_category(scene)
@@ -419,15 +412,14 @@ def evaluate_detections(
             continue
         for c, preds in _objects_by_category(pred_scene).items():
             boxes = [o.box for o in truths.get(c, ())]
-            flags = match_detections(preds, boxes, iou_threshold)
-            scored_flags[c].extend(zip([o.score for o in preds], flags))
+            class_scores[c].extend(o.score for o in preds)
+            class_flags[c].extend(match_detections(preds, boxes, iou_threshold))
     if sum(gt_totals) == 0:
         raise DataError("ground truth contains no objects")
     per_class_ap: dict[str, float] = {}
     counts: dict[str, dict[str, int]] = {}
     for c in range(num_classes):
-        # A stable sort: equal scores keep scene and file order.
-        flags = [flag for _, flag in sorted(scored_flags[c], key=lambda r: -r[0])]
+        flags = [class_flags[c][i] for i in _rank(class_scores[c])]
         tp = sum(flags)
         counts[names[c]] = {
             "tp": tp,
@@ -492,9 +484,9 @@ def evaluate_scene_graphs(
     is the mean recall.
 
     Raises:
-        DataError: an object category or a predicate of a ground-truth
-            scene, or of the prediction scene of its image, lies outside
-            the registry.
+        DataError: a prediction scene that :func:`_paired_scenes` rejects,
+            a relation that :func:`scene_triplets` rejects, or ground truth
+            without relation triplets.
     """
     config = config or MatchConfig()
     pairs, coverage = _paired_scenes(gt, predictions)

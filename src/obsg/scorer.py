@@ -104,8 +104,8 @@ def fit_frequency_prior(dataset: Dataset, alpha: float = DEFAULT_ALPHA) -> Frequ
     objects and relations are visited, never the pairs themselves.
 
     Raises:
-        DataError: a category or predicate outside the registry, or a
-            relation that ``SceneAnnotation.relation_endpoints`` rejects.
+        DataError: a relation that ``SceneAnnotation.relation_endpoints``
+            rejects.
         ValueError: ``alpha`` is negative or not finite.
     """
     num_objects = dataset.registry.num_objects
@@ -115,7 +115,6 @@ def fit_frequency_prior(dataset: Dataset, alpha: float = DEFAULT_ALPHA) -> Frequ
     triplet_cells: list[int] = []
     related_cells: list[int] = []
     for row, scene in enumerate(dataset.scenes):
-        check_indices(scene, num_objects, dataset.registry.num_relations)
         category = [obj.category for obj in scene.objects]
         histogram_cells.extend(row * num_objects + c for c in category)
         distinct: dict[int, int] = {}
@@ -345,8 +344,8 @@ def train_linear(dataset: Dataset, config: TrainConfig) -> LinearScorer:
     entry per epoch plus the final loss.
 
     Raises:
-        DataError: a category or predicate outside the registry, or a
-            relation that ``SceneAnnotation.relation_endpoints`` rejects.
+        DataError: a relation that ``SceneAnnotation.relation_endpoints``
+            rejects.
     """
     registry = dataset.registry
     num_relations = registry.num_relations
@@ -355,7 +354,6 @@ def train_linear(dataset: Dataset, config: TrainConfig) -> LinearScorer:
     hot: list[np.ndarray] = []
     labels: list[np.ndarray] = []
     for scene in dataset.scenes:
-        check_indices(scene, registry.num_objects, num_relations)
         scene_geometry, scene_hot, scene_labels = _scene_pair_rows(
             scene,
             registry.num_objects,
@@ -421,7 +419,8 @@ def predict_triplets(
 
     Raises:
         DataError: a category or predicate of the scene lies outside the
-            prior's table.
+            prior's table, or a prior or fused row total is not finite and
+            positive, as when a huge ``alpha`` or scorer weight overflows.
     """
     _check_top_m(top_m)
     num_objects = prior.num_objects
@@ -453,22 +452,25 @@ def predict_triplets(
         ii, jj = pair_endpoints(n, block)
         cs = categories[ii]
         co = categories[jj]
-        fused = _prior_rows(prior, cs, co)
-        if linear is not None:
-            hot_columns = (GEOMETRY_FEATURES + cs, GEOMETRY_FEATURES + num_objects + co, -1)
-            soft = _logits(linear.weights, _pair_geometry(scene, ii, jj), hot_columns)
-            _softmax(soft)
-            fused *= soft
-            total = fused.sum(axis=1, keepdims=True)
-            if np.any(total <= 0):
-                raise DataError("fused distribution collapsed to zero")
-            fused /= total
-        relatedness[block] = 1.0 - fused[:, num_relations]
-        mass = fused[:, :num_relations].sum(axis=1, keepdims=True)
-        emitting[block] = mass[:, 0] > 0
-        # Rows without predicate mass divide 0 by 0; they are never emitted.
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # Warnings off: a row total that overflows or is not positive gives a
+        # NaN row, a DataError below; a 0/0 row has no mass and is not emitted.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            fused = _prior_rows(prior, cs, co)
+            if linear is not None:
+                hot_columns = (GEOMETRY_FEATURES + cs, GEOMETRY_FEATURES + num_objects + co, -1)
+                soft = _logits(linear.weights, _pair_geometry(scene, ii, jj), hot_columns)
+                _softmax(soft)
+                fused *= soft
+                total = fused.sum(axis=1, keepdims=True)
+                fused /= np.where(total > 0, total, np.nan)
+            mass = fused[:, :num_relations].sum(axis=1, keepdims=True)
             probs = fused[:, :num_relations] / mass
+        if np.isnan(fused[:, num_relations]).any():
+            raise DataError(
+                f"image {scene.image_id!r}: a prior or fused row total is not finite and positive"
+            )
+        relatedness[block] = 1.0 - fused[:, num_relations]
+        emitting[block] = mass[:, 0] > 0
         if graph_constraint:
             best[block] = probs.argmax(axis=1)
             scores[block, 0] = probs[np.arange(len(block)), best[block]]
@@ -498,7 +500,7 @@ def predict_triplets(
 
 def _prior_rows(prior: FrequencyPrior, cs: np.ndarray, co: np.ndarray) -> np.ndarray:
     """Prior probabilities over predicates plus no-relation, one row per class
-    pair (cs, co); each row sums to 1.
+    pair (cs, co); each row sums to 1, or is NaN if its total overflows.
 
     With alpha == 0 a class pair never seen in training has no counts at
     all; its row falls back to uniform rather than dividing by zero.
@@ -508,7 +510,7 @@ def _prior_rows(prior: FrequencyPrior, cs: np.ndarray, co: np.ndarray) -> np.nda
     unseen = total[:, 0] <= 0
     rows[unseen] = 1.0
     total[unseen] = rows.shape[1]
-    return rows / total
+    return rows / np.where(total < np.inf, total, np.nan)
 
 
 # --- persistence ----------------------------------------------------------

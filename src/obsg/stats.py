@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .datamodel import Dataset, SIZE_CLASS_NAMES, SPLITS, check_indices, size_class
+from .datamodel import Dataset, SIZE_CLASS_NAMES, SPLITS, size_class
 from .errors import DataError, RegistryMismatchError
 from .metrics import _csv_cell
 
@@ -48,9 +48,8 @@ def compute_stats(dataset: Dataset) -> StatsReport:
     """Exhaustive recount of a dataset; an empty dataset gives zeros.
 
     Raises:
-        DataError: an object category or a predicate lies outside the
-            registry, ``relation_endpoints`` rejects a relation, or a box
-            has no area.
+        DataError: ``relation_endpoints`` rejects a relation, or a box has
+            no area.
     """
     registry = dataset.registry
     num_objects = registry.num_objects
@@ -64,7 +63,6 @@ def compute_stats(dataset: Dataset) -> StatsReport:
     relations_hist: Counter[int] = Counter()
     relation_cats_hist: Counter[int] = Counter()
     for scene in dataset.scenes:
-        check_indices(scene, num_objects, num_relations)
         for obj in scene.objects:
             area = obj.box.area
             if not area > 0:

@@ -560,6 +560,28 @@ def test_predict_rejects_non_finite_scorer_weights(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_predict_rejects_row_totals_that_overflow(tmp_path, capsys):
+    gt = synth_manifest(tmp_path, images=3, seed=43)
+    huge = tmp_path / "huge-prior.json"
+    argv = ["fit-prior", "--input", str(gt), "--alpha", "1e308", "--output", str(huge)]
+    assert cli.run(argv) == 0
+    scorer = tmp_path / "scorer.json"
+    argv = ["train-linear", "--input", str(gt), "--seed", "1", "--epochs", "2"]
+    assert cli.run(argv + ["--output", str(scorer)]) == 0
+    doc = json.loads(scorer.read_text())
+    doc["weights"] = [1e308] * len(doc["weights"])
+    scorer.write_text(json.dumps(doc))
+    prior = fitted_prior(tmp_path, gt)
+    for extra in (["--prior", str(huge)], ["--prior", str(prior), "--linear", str(scorer)]):
+        out = tmp_path / "pred.json"
+        capsys.readouterr()
+        assert cli.run(["predict", "--input", str(gt), *extra, "--output", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: image 'synth-000000': a prior or fused row total is not finite and positive"
+        ]
+        assert not out.exists()
+
+
 def test_eval_reports_images_it_skips(tmp_path, capsys):
     gt = synth_manifest(tmp_path, images=6, seed=45)
     prior = fitted_prior(tmp_path, gt)

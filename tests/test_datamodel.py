@@ -1,9 +1,12 @@
 """Manifest parsing, validation codes, size classes and registries."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from obsg import (
     CategoryRegistry,
@@ -29,7 +32,7 @@ from obsg import (
     train_linear,
     validate,
 )
-from obsg.datamodel import MAX_IMAGE_EXTENT
+from obsg.datamodel import MAX_IMAGE_EXTENT, _rank
 
 
 def unit_box(x=0.0, y=0.0, s=10.0):
@@ -254,20 +257,16 @@ def test_validate_id_and_range_codes():
     scene = make_scene(
         [
             ObjectInstance(-1, 0, unit_box()),
-            ObjectInstance(2, 7, unit_box(20, 20)),
+            ObjectInstance(2, 2, unit_box(20, 20)),
             ObjectInstance(2, 0, unit_box(40, 40)),
         ],
-        [RelationTriplet(2, 9, 2)],
+        [RelationTriplet(2, 1, 2)],
     )
     dataset = Dataset(small_registry(), "train", (scene,))
     codes = sorted(v.code for v in validate(dataset))
-    assert codes == [
-        "CATEGORY_RANGE",
-        "DUPLICATE_OBJECT_ID",
-        "NEGATIVE_OBJECT_ID",
-        "PREDICATE_RANGE",
-        "SELF_RELATION",
-    ]
+    # Categories and predicates outside the registry never reach validate:
+    # building the Dataset rejects them (test_out_of_registry_index_is_one_data_error).
+    assert codes == ["DUPLICATE_OBJECT_ID", "NEGATIVE_OBJECT_ID", "SELF_RELATION"]
 
 
 def test_validate_degenerate_box():
@@ -481,6 +480,8 @@ def index_callers():
     prior = fit_frequency_prior(clean)
     predictions = Dataset(registry, "train", (index_scene(scored=True),))
     return {
+        "dataset": lambda scene: Dataset(registry, "train", (scene,)),
+        "replace_scenes": lambda scene: replace(clean, scenes=(index_scene(), scene)),
         "compute_stats": lambda scene: compute_stats(Dataset(registry, "train", (scene,))),
         "fit_frequency_prior": lambda scene: fit_frequency_prior(
             Dataset(registry, "train", (scene,))
@@ -514,3 +515,22 @@ def test_out_of_registry_index_is_one_data_error(caller, edit, message):
     scene = index_scene(**edit, scored=caller == "eval_sgg_predictions")
     with pytest.raises(DataError, match=f"^image 's': {message}$"):
         index_callers()[caller](scene)
+
+
+def test_dataset_stores_scenes_as_a_tuple():
+    scenes = [index_scene(), replace(index_scene(), image_id="t")]
+    dataset = Dataset(CategoryRegistry(("a", "b"), ("r",)), "train", (s for s in scenes))
+    assert dataset.scenes == tuple(scenes)
+    assert dataset == Dataset(dataset.registry, "train", tuple(scenes))
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+)
+def test_rank_orders_by_descending_score_ties_in_input_order(scores):
+    assert _rank(scores) == sorted(range(len(scores)), key=lambda i: -scores[i])

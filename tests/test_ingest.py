@@ -86,10 +86,15 @@ def test_plan_tiles_validation():
 
 
 def test_crop_rejects_a_nan_tile():
-    scene = scene_of([ObjectInstance(0, 0, OrientedBox.axis_aligned(10, 10, 20, 20))])
-    for tile in (TileSpec(float("nan"), 0, 100), TileSpec(0, 0, float("nan"))):
-        with pytest.raises(ValueError):
-            crop_scene(scene, tile)
+    # No tile with a NaN origin or size can be made, so none reaches crop_scene.
+    nan = float("nan")
+    for args, message in (
+        ((nan, 0, 100), "negative tile origin"),
+        ((0, nan, 100), "negative tile origin"),
+        ((0, 0, nan), "bad tile size: nan"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            TileSpec(*args)
 
 
 def test_crop_keeps_inner_object_untouched():

@@ -225,6 +225,16 @@ def test_match_triplets_sgdet_needs_both_endpoints_over_threshold():
     assert match_triplets([hit], [target], config).matched == (0,)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, None])
+def test_match_triplets_rejects_a_missing_or_non_finite_score(bad):
+    a = OrientedBox.axis_aligned(0, 0, 10, 10)
+    b = OrientedBox.axis_aligned(20, 0, 30, 10)
+    # Listed first, an unchecked NaN would take the match from the 0.9 duplicate.
+    preds = [triplet(a, b, 0, bad), triplet(a, b, 0, 0.9)]
+    with pytest.raises(ValueError, match=rf"^non-finite detection score: {bad!r}$"):
+        match_triplets(preds, [triplet(a, b, 0)], MatchConfig("predcls"))
+
+
 def test_match_triplets_graph_constraint_keeps_top_predicate():
     a = OrientedBox.axis_aligned(0, 0, 10, 10)
     b = OrientedBox.axis_aligned(20, 0, 30, 10)
@@ -608,31 +618,30 @@ def test_evaluate_detections_rejects_category_outside_registry():
     for category in (2, -1):
         stray = ObjectInstance(5, category, box, score=0.5)
         scene = preds.scenes[0]
-        bad_preds = Dataset(
-            preds.registry,
-            "val",
-            (SceneAnnotation("i0", 100, 100, scene.objects + (stray,), ()),),
-        )
         message = rf"^image 'i0': object 5 has category {category}, outside the registry"
+        # Neither side can be built: the Dataset checks its scenes.
         with pytest.raises(DataError, match=message):
-            evaluate_detections(gt, bad_preds)
-        bad_gt = Dataset(
-            gt.registry,
-            "val",
-            (SceneAnnotation("i0", 100, 100, gt.scenes[0].objects + (stray,), ()),),
-        )
+            Dataset(
+                preds.registry,
+                "val",
+                (SceneAnnotation("i0", 100, 100, scene.objects + (stray,), ()),),
+            )
         with pytest.raises(DataError, match=message):
-            evaluate_detections(bad_gt, preds)
+            Dataset(
+                gt.registry,
+                "val",
+                (SceneAnnotation("i0", 100, 100, gt.scenes[0].objects + (stray,), ()),),
+            )
 
 
 def test_evaluate_detections_rejects_predicate_outside_registry():
     gt, preds = det_fixture()
     stray = RelationTriplet(0, gt.registry.num_relations, 0)
-    bad_gt = Dataset(
-        gt.registry, "val", (SceneAnnotation("i0", 100, 100, gt.scenes[0].objects, (stray,)),)
-    )
+    # The ground truth cannot be built: the Dataset checks its scenes.
     with pytest.raises(DataError, match=r"^image 'i0': relation 0->0 has predicate 1"):
-        evaluate_detections(bad_gt, preds)
+        Dataset(
+            gt.registry, "val", (SceneAnnotation("i0", 100, 100, gt.scenes[0].objects, (stray,)),)
+        )
 
 
 def random_detection_case(rng):
