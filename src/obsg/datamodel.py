@@ -43,7 +43,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DataError, ManifestError
-from .geometry import OrientedBox, _cached, shoelace_area
+from .geometry import OrientedBox, _cached, _winding
 from .registry import CategoryRegistry
 
 MANIFEST_VERSION = "1.0"
@@ -291,9 +291,11 @@ def validate(dataset: Dataset) -> list[Violation]:
 
     Codes: SPLIT_NAME, IMAGE_EXTENT, DUPLICATE_IMAGE_ID, NEGATIVE_OBJECT_ID,
     DUPLICATE_OBJECT_ID, DEGENERATE_BOX, VERTEX_ORDER, BOX_BOUNDS,
-    DANGLING_REFERENCE, SELF_RELATION, DUPLICATE_TRIPLET.  A vertex loop
-    that encloses no area, which no parsed box has, is DEGENERATE_BOX rather
-    than VERTEX_ORDER.  :class:`Dataset` checks categories and predicates.
+    DANGLING_REFERENCE, SELF_RELATION, DUPLICATE_TRIPLET.  A vertex loop's
+    winding is taken relative to its first vertex, so where a box sits does
+    not change its code; a loop that encloses no area, which no parsed box
+    has, is DEGENERATE_BOX rather than VERTEX_ORDER.  :class:`Dataset`
+    checks categories and predicates.
     """
     violations: list[Violation] = []
     if dataset.split not in SPLITS:
@@ -325,12 +327,12 @@ def validate(dataset: Dataset) -> list[Violation]:
                     Violation("DUPLICATE_OBJECT_ID", img, f"object id {obj.id} reused")
                 )
             ids.add(obj.id)
-            signed_area = shoelace_area(obj.box.vertices)
-            if signed_area == 0.0:
+            winding = _winding(obj.box.vertices)
+            if winding == 0.0:
                 violations.append(
                     Violation("DEGENERATE_BOX", img, f"object {obj.id}: no enclosed area")
                 )
-            elif not signed_area > 0.0:
+            elif not winding > 0.0:
                 violations.append(
                     Violation(
                         "VERTEX_ORDER",

@@ -54,6 +54,19 @@ def shoelace_area(vertices: Sequence[Point]) -> float:
     return total / 2.0
 
 
+def _winding(vertices: Sequence[Point]) -> float:
+    """Twice the signed area of a four-vertex loop, positive for a loop that
+    appears clockwise on screen, as a fan of cross products from its first
+    vertex.
+
+    Taken relative to that vertex, its sign does not depend on where the
+    loop sits: :func:`shoelace_area` in absolute coordinates loses a
+    sub-pixel box far from the origin to cancellation.
+    """
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = vertices
+    return _cross(x0, y0, x1, y1, x2, y2) + _cross(x0, y0, x2, y2, x3, y3)
+
+
 def _point(p: Sequence[float]) -> Point:
     """``p`` as an ``(x, y)`` pair of floats; any other shape or a
     coordinate that is not a real number is a ``ValueError``."""
@@ -99,8 +112,8 @@ class OrientedBox:
     ``vertices`` keeps the corner order exactly as constructed.  Derived
     center/size/angle parameters assume the clockwise-on-screen order that
     :meth:`from_params` produces; dataset validation checks whether the
-    stored order satisfies that (a positive :func:`shoelace_area`) rather
-    than rejecting it here.
+    stored order satisfies that (a positive :func:`_winding`) rather than
+    rejecting it here.
     """
 
     vertices: tuple[Point, Point, Point, Point]
@@ -218,9 +231,9 @@ class OrientedBox:
 
 
 def _positive_loop(vertices: Sequence[Point]) -> list[Point]:
-    """Vertex loop with positive shoelace sum (clockwise on screen)."""
+    """Vertex loop with positive winding (clockwise on screen)."""
     pts = list(vertices)
-    if shoelace_area(pts) < 0.0:
+    if _winding(pts) < 0.0:
         pts.reverse()
     return pts
 

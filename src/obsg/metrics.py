@@ -140,7 +140,7 @@ class TripletMatchResult:
 
 
 def _take_best(candidates: list[int], values: Sequence[float], threshold: float) -> int:
-    """The greedy rule of both box matchers: remove and return the first of
+    """The greedy rule of every box matcher: remove and return the first of
     ``candidates`` with the highest of the aligned ``values`` at or above
     ``threshold``, or -1."""
     best, best_value = -1, -math.inf
@@ -370,14 +370,6 @@ def _paired_scenes(
     return pairs, coverage
 
 
-def _objects_by_category(scene: SceneAnnotation) -> dict[int, list[ObjectInstance]]:
-    """A scene's objects grouped by category, each group in file order."""
-    groups: dict[int, list[ObjectInstance]] = {}
-    for obj in scene.objects:
-        groups.setdefault(obj.category, []).append(obj)
-    return groups
-
-
 def evaluate_detections(
     gt: Dataset,
     predictions: Dataset,
@@ -386,9 +378,10 @@ def evaluate_detections(
 ) -> EvalReport:
     """Detection mAP report over a dataset.
 
-    Per category, detections from all images are ranked globally by score
-    (ties follow ground-truth scene order, then file order) with matching
-    done per image, once for each category that has a prediction there.
+    Per category, detections from all images are ranked once by score
+    (ties follow ground-truth scene order, then file order) and visited in
+    that order; each takes the best-IoU untaken ground truth of its own
+    image and category, by the rule of :func:`match_detections`.
     Categories without ground truth are excluded from the mean unless
     ``include_empty_classes`` pins their AP to 0.
 
@@ -399,33 +392,32 @@ def evaluate_detections(
     _check_iou_threshold(iou_threshold)
     pairs, coverage = _paired_scenes(gt, predictions)
     names = gt.registry.object_names
-    num_classes = len(names)
-    # Scores and flags per class, in ground-truth scene order then file order.
-    class_scores: list[list[float]] = [[] for _ in range(num_classes)]
-    class_flags: list[list[bool]] = [[] for _ in range(num_classes)]
-    gt_totals = [0] * num_classes
-    for scene, pred_scene in pairs:
-        truths = _objects_by_category(scene)
-        for c, objects in truths.items():
-            gt_totals[c] += len(objects)
-        if pred_scene is None:
-            continue
-        for c, preds in _objects_by_category(pred_scene).items():
-            boxes = [o.box for o in truths.get(c, ())]
-            class_scores[c].extend(o.score for o in preds)
-            class_flags[c].extend(match_detections(preds, boxes, iou_threshold))
+    gt_totals = [0] * len(names)
+    # Positions in ``boxes`` of the untaken truths per (scene, class), and each
+    # class's (scene, prediction) pairs, in ground-truth scene order then file order.
+    boxes: list[OrientedBox] = []
+    untaken: dict[tuple[int, int], list[int]] = {}
+    class_preds: list[list[tuple[int, ObjectInstance]]] = [[] for _ in names]
+    for s, (scene, pred_scene) in enumerate(pairs):
+        for obj in scene.objects:
+            gt_totals[obj.category] += 1
+            untaken.setdefault((s, obj.category), []).append(len(boxes))
+            boxes.append(obj.box)
+        for obj in pred_scene.objects if pred_scene is not None else ():
+            class_preds[obj.category].append((s, obj))
     if sum(gt_totals) == 0:
         raise DataError("ground truth contains no objects")
     per_class_ap: dict[str, float] = {}
     counts: dict[str, dict[str, int]] = {}
-    for c in range(num_classes):
-        flags = [class_flags[c][i] for i in _rank(class_scores[c])]
+    for c, preds in enumerate(class_preds):
+        flags = []
+        for i in _rank([obj.score for _, obj in preds]):
+            s, obj = preds[i]
+            truths = untaken.get((s, c), [])
+            values = [rotated_iou(obj.box, boxes[g]) for g in truths]
+            flags.append(_take_best(truths, values, iou_threshold) >= 0)
         tp = sum(flags)
-        counts[names[c]] = {
-            "tp": tp,
-            "fp": len(flags) - tp,
-            "fn": gt_totals[c] - tp,
-        }
+        counts[names[c]] = {"tp": tp, "fp": len(flags) - tp, "fn": gt_totals[c] - tp}
         if gt_totals[c] > 0:
             per_class_ap[names[c]] = average_precision(flags, gt_totals[c])
         elif include_empty_classes:

@@ -74,6 +74,8 @@ class FrequencyPrior:
 
     ``counts[s, o, p]`` tallies triplets of that class pair; the final cell
     ``counts[s, o, R]`` tallies enumerated pairs that carry no relation.
+    Every row total of ``counts + alpha``, summed in float64 as
+    :func:`_prior_rows` sums it, must be finite.
     """
 
     counts: np.ndarray
@@ -84,6 +86,13 @@ class FrequencyPrior:
         if self.counts.ndim != 3 or self.counts.shape[0] != self.counts.shape[1]:
             raise ValueError(f"bad counts shape {self.counts.shape}")
         _check_alpha(self.alpha)
+        # A row total is at most width * (_MAX_COUNT + alpha), far from float64's
+        # limit unless alpha is huge; only then is the table summed.
+        if (_MAX_COUNT + self.alpha) * self.counts.shape[2] > 1e300:
+            with np.errstate(over="ignore"):
+                totals = (self.counts + float(self.alpha)).sum(axis=2)
+            if not np.isfinite(totals).all():
+                raise ValueError(f"a prior row total overflows with alpha {self.alpha}")
 
     @property
     def num_objects(self) -> int:
@@ -106,7 +115,8 @@ def fit_frequency_prior(dataset: Dataset, alpha: float = DEFAULT_ALPHA) -> Frequ
     Raises:
         DataError: a relation that ``SceneAnnotation.relation_endpoints``
             rejects.
-        ValueError: ``alpha`` is negative or not finite.
+        ValueError: ``alpha`` is negative, not finite, or so large that a
+            row total of the table overflows.
     """
     num_objects = dataset.registry.num_objects
     width = dataset.registry.num_relations + 1
@@ -539,7 +549,8 @@ def load_prior(text: str | bytes, registry: CategoryRegistry) -> FrequencyPrior:
 
     Every count entry must be four integers, ``[subject, object, predicate,
     count]``, with indices inside the table and a non-negative count;
-    ``alpha`` must be finite and non-negative.
+    ``alpha`` must be finite and non-negative, and keep every row total of
+    the table finite.
     """
     doc = _load_model_doc(text, "frequency_prior")
     _check_hash(doc, registry)
@@ -563,7 +574,10 @@ def load_prior(text: str | bytes, registry: CategoryRegistry) -> FrequencyPrior:
         if not 0 <= c <= _MAX_COUNT:
             raise ManifestError(f"{path}[3]: count {c} outside 0..{_MAX_COUNT}")
         counts[s, o, p] = c
-    return FrequencyPrior(counts, alpha, doc["registry_hash"])
+    try:
+        return FrequencyPrior(counts, alpha, doc["registry_hash"])
+    except ValueError as exc:
+        raise ManifestError(f"$.alpha: {exc}") from None
 
 
 def save_scorer(scorer: LinearScorer) -> str:

@@ -561,10 +561,9 @@ def test_predict_rejects_non_finite_scorer_weights(tmp_path, capsys):
 
 
 def test_predict_rejects_row_totals_that_overflow(tmp_path, capsys):
+    # A prior alone cannot overflow a row (fit-prior and load_prior reject
+    # such an alpha); fused rows under huge scorer weights still can.
     gt = synth_manifest(tmp_path, images=3, seed=43)
-    huge = tmp_path / "huge-prior.json"
-    argv = ["fit-prior", "--input", str(gt), "--alpha", "1e308", "--output", str(huge)]
-    assert cli.run(argv) == 0
     scorer = tmp_path / "scorer.json"
     argv = ["train-linear", "--input", str(gt), "--seed", "1", "--epochs", "2"]
     assert cli.run(argv + ["--output", str(scorer)]) == 0
@@ -572,14 +571,48 @@ def test_predict_rejects_row_totals_that_overflow(tmp_path, capsys):
     doc["weights"] = [1e308] * len(doc["weights"])
     scorer.write_text(json.dumps(doc))
     prior = fitted_prior(tmp_path, gt)
-    for extra in (["--prior", str(huge)], ["--prior", str(prior), "--linear", str(scorer)]):
-        out = tmp_path / "pred.json"
-        capsys.readouterr()
-        assert cli.run(["predict", "--input", str(gt), *extra, "--output", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "error: image 'synth-000000': a prior or fused row total is not finite and positive"
-        ]
-        assert not out.exists()
+    out = tmp_path / "pred.json"
+    capsys.readouterr()
+    argv = ["predict", "--input", str(gt), "--prior", str(prior), "--linear", str(scorer)]
+    assert cli.run(argv + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: image 'synth-000000': a prior or fused row total is not finite and positive"
+    ]
+    assert not out.exists()
+
+
+def test_fit_prior_rejects_alpha_that_overflows_a_row(tmp_path, capsys):
+    gt = synth_manifest(tmp_path, images=3, seed=43)
+    out = tmp_path / "prior.json"
+    capsys.readouterr()
+    argv = ["fit-prior", "--input", str(gt), "--alpha", "1e308", "--output", str(out)]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: a prior row total overflows with alpha 1e+308"
+    ]
+    assert not out.exists()
+    # An alpha whose row totals stay finite still fits and predicts.
+    argv = ["fit-prior", "--input", str(gt), "--alpha", "1e306", "--output", str(out)]
+    assert cli.run(argv) == 0
+    pred = tmp_path / "pred.json"
+    argv = ["predict", "--input", str(gt), "--prior", str(out), "--output", str(pred)]
+    assert cli.run(argv) == 0
+
+
+def test_predict_rejects_saved_alpha_that_overflows_a_row(tmp_path, capsys):
+    gt = synth_manifest(tmp_path, images=3, seed=43)
+    prior = fitted_prior(tmp_path, gt)
+    doc = json.loads(prior.read_text())
+    doc["alpha"] = 1e308
+    prior.write_text(json.dumps(doc))
+    out = tmp_path / "pred.json"
+    capsys.readouterr()
+    argv = ["predict", "--input", str(gt), "--prior", str(prior), "--output", str(out)]
+    assert cli.run(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: $.alpha: a prior row total overflows with alpha 1e+308"
+    ]
+    assert not out.exists()
 
 
 def test_eval_reports_images_it_skips(tmp_path, capsys):

@@ -278,6 +278,23 @@ def test_validate_degenerate_box():
     assert violations[0].detail == "object 3: no enclosed area"
 
 
+@pytest.mark.parametrize(
+    "x, side",
+    [(99_999.0, 1e-3), (99_999.0, 1e-4), (140_000.0, 1e-4), (140_000.0, 1e-3), (50_000.0, 1e-4)],
+)
+def test_validate_winding_does_not_depend_on_position(x, side):
+    # Sub-pixel boxes far from the origin: a shoelace sum in absolute
+    # coordinates cancels to the wrong sign or to zero there.
+    box = OrientedBox.axis_aligned(x, x, x + side, x + side)
+    reversed_box = OrientedBox(tuple(reversed(box.vertices)))
+    extent = MAX_IMAGE_EXTENT
+    codes = {}
+    for name, b in (("clockwise", box), ("reversed", reversed_box)):
+        scene = make_scene([ObjectInstance(0, 0, b)], [], width=extent, height=extent)
+        codes[name] = [v.code for v in validate(Dataset(small_registry(), "train", (scene,)))]
+    assert codes == {"clockwise": [], "reversed": ["VERTEX_ORDER"]}
+
+
 def test_validate_box_bounds_slack():
     # 100x100 image: slack allows vertices down to -50 and up to 150.
     inside = ObjectInstance(0, 0, unit_box(-50, 0))

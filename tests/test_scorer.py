@@ -294,6 +294,16 @@ def test_prior_rejects_non_finite_alpha(alpha):
         FrequencyPrior(counts, alpha, "h")
 
 
+def test_prior_rejects_alpha_that_overflows_a_row():
+    # Summed in float64: an int64 sum of counts near its maximum would wrap.
+    counts = np.full((2, 2, 3), np.iinfo(np.int64).max, dtype=np.int64)
+    assert FrequencyPrior(counts, 1e306, "h").alpha == 1e306
+    with pytest.raises(ValueError, match="a prior row total overflows with alpha 1e[+]308"):
+        FrequencyPrior(counts, 1e308, "h")
+    with pytest.raises(ValueError, match="overflows"):
+        fit_frequency_prior(two_class_dataset(), alpha=1e308)
+
+
 def test_fit_prior_on_synthetic_rules():
     registry = canonical_registry()
     dataset = generate(SynthConfig(n_images=60, seed=5))

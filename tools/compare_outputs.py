@@ -79,6 +79,13 @@ INVOCATIONS = (
     ]),
     ("det.json", ["eval-det", "--gt", "{gt}", "--pred", "{jitter}"]),
     ("det.csv", ["eval-det", "--gt", "{gt}", "--pred", "{jitter}", "--format", "csv"]),
+    # Every object score of a prior-only prediction file is 1.0, so each class
+    # ranks on ties alone.
+    ("det_prior.json", ["eval-det", "--gt", "{gt}", "--pred", "{pred_prior.json}"]),
+    ("det_strict.csv", [
+        "eval-det", "--gt", "{gt}", "--pred", "{jitter}", "--iou-threshold", "0.7",
+        "--include-empty", "--format", "csv",
+    ]),
     ("tiled.json", ["tile", "--input", "{gt}"]),
     ("hbb.json", ["convert-hbb", "--input", "{gt}"]),
     ("pairs.json", [
