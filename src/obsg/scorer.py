@@ -200,58 +200,81 @@ def linear_loss_and_grad(
     entries name the weight rows whose feature is 1.0; every other feature
     is 0.0.  Training passes its pairs this way: a 15-column geometry block
     and three indices (subject class, object class, bias), 144 B a row
-    against the 1,088 B of a dense row over 60 classes.
+    against the 1,088 B of a dense row over 60 classes.  This is one step
+    on a batch; ``train_linear`` checks and groups its batch once per run.
 
     Raises:
-        ValueError: shapes that do not fit each other, an empty batch, or a
-            ``hot`` index outside F..(weight rows - 1).
+        ValueError: shapes that do not fit each other, an empty batch, a
+            label outside 0..(weight columns - 1), or a ``hot`` index
+            outside F..(weight rows - 1).
     """
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
-        raise ValueError(f"bad batch shapes: features {x.shape}, labels {y.shape}")
-    if hot is None:
-        if x.shape[1] != weights.shape[0]:
-            raise ValueError(f"features {x.shape} do not fit weights {weights.shape}")
-    else:
-        hot = np.asarray(hot)
-        if hot.ndim != 2 or hot.shape[0] != x.shape[0] or hot.dtype.kind not in "iu":
-            raise ValueError(f"bad hot indices: shape {hot.shape}, features {x.shape}")
-        if hot.size and (hot.min() < x.shape[1] or hot.max() >= weights.shape[0]):
-            raise ValueError(
-                f"hot indices must lie in {x.shape[1]}..{weights.shape[0] - 1}"
-            )
-    columns = () if hot is None else hot.T
-    # Overflow surfaces as a non-finite loss, not as numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        soft = _logits(weights, x, columns)
-        rows = np.arange(len(y))
-        picked = soft[rows, y]
-        peak, total = _softmax(soft)
-        loss = float(np.mean(peak + np.log(total) - picked))
-        soft[rows, y] -= 1.0
-        grad = np.zeros_like(weights, dtype=np.float64)
-        grad[: x.shape[1]] = x.T @ soft
-        for column in columns:
-            # A weight row named by this column gets the sum of the rows of
-            # its pairs: a stable sort groups equal indices, reduceat adds
-            # each group (np.add.at is several times slower).
+    weights = np.asarray(weights, dtype=np.float64)
+    return _Batch(weights, features, labels, hot).step(weights)
+
+
+class _Batch:
+    """A training batch, checked and grouped once for any number of steps,
+    which reuse two (batch, R+1) arrays instead of allocating their own."""
+
+    def __init__(self, weights: np.ndarray, features, labels, hot) -> None:
+        x = np.asarray(features, dtype=np.float64)
+        y = np.asarray(labels, dtype=np.int64)
+        if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
+            raise ValueError(f"bad batch shapes: features {x.shape}, labels {y.shape}")
+        if y.min() < 0 or y.max() >= weights.shape[1]:
+            raise ValueError(f"labels must lie in 0..{weights.shape[1] - 1}")
+        if hot is None:
+            if x.shape[1] != weights.shape[0]:
+                raise ValueError(f"features {x.shape} do not fit weights {weights.shape}")
+        else:
+            hot = np.asarray(hot)
+            if hot.ndim != 2 or hot.shape[0] != x.shape[0] or hot.dtype.kind not in "iu":
+                raise ValueError(f"bad hot indices: shape {hot.shape}, features {x.shape}")
+            if hot.size and (hot.min() < x.shape[1] or hot.max() >= weights.shape[0]):
+                raise ValueError(f"hot indices must lie in {x.shape[1]}..{weights.shape[0] - 1}")
+        self.x, self.y, self.rows = x, y, np.arange(len(y))
+        self.logits, self.work = np.empty((2, len(y), weights.shape[1]))
+        # A weight row named by a hot column gets the sum of the rows of its
+        # pairs: a stable sort groups equal indices, reduceat adds each group
+        # (np.add.at is several times slower).  One group (the bias) is in order.
+        self.hot_rows, self.groups = [], []
+        for column in () if hot is None else hot.T:
             order = np.argsort(column, kind="stable")
             keys = column[order]
             starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-            grad[keys[starts]] += np.add.reduceat(soft[order], starts, axis=0)
-        grad /= len(y)
-    return loss, grad
+            self.hot_rows.append(column if len(starts) > 1 else int(keys[0]))
+            self.groups.append((order if len(starts) > 1 else None, keys[starts], starts))
+
+    def step(self, weights: np.ndarray) -> tuple[float, np.ndarray]:
+        """Loss and a newly allocated gradient under ``weights``."""
+        # Overflow surfaces as a non-finite loss, not as numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            soft = _logits(weights, self.x, self.hot_rows, self.logits, self.work)
+            picked = soft[self.rows, self.y]
+            peak, total = _softmax(soft)
+            loss = float(np.mean(peak + np.log(total) - picked))
+            soft[self.rows, self.y] -= 1.0
+            grad = np.zeros_like(weights, dtype=np.float64)
+            grad[: self.x.shape[1]] = self.x.T @ soft
+            for order, keys, starts in self.groups:
+                grouped = soft if order is None else np.take(soft, order, 0, self.work, "clip")
+                grad[keys] += np.add.reduceat(grouped, starts, axis=0)
+            grad /= len(self.y)
+        return loss, grad
 
 
-def _logits(weights: np.ndarray, features: np.ndarray, hot_columns) -> np.ndarray:
-    """(k, R+1) logits of k pairs: ``features`` times the first weight rows,
-    then the weight rows named by each of ``hot_columns`` added in turn
-    (subject class, object class, bias).  A hot column is an index array
-    with one entry per pair, or one index shared by every pair."""
-    logits = features @ weights[: features.shape[1]]
+def _logits(
+    weights: np.ndarray, features: np.ndarray, hot_columns, out=None, work=None
+) -> np.ndarray:
+    """(k, R+1) logits of k pairs, into ``out`` if given: ``features`` times
+    the first weight rows, then the weight rows named by each of
+    ``hot_columns`` added in turn (subject class, object class, bias).  A hot
+    column is an index array with one entry per pair, or one index shared by
+    every pair.  Index arrays are gathered in clip mode, into ``work`` if
+    given (``take`` buffers the default mode), so they must be in range."""
+    logits = np.matmul(features, weights[: features.shape[1]], out=out)
     for rows in hot_columns:
-        logits += weights[rows]
+        logits += weights[rows] if np.ndim(rows) == 0 else np.take(weights, rows, 0, work, "clip")
     return logits
 
 
@@ -351,7 +374,8 @@ def train_linear(dataset: Dataset, config: TrainConfig) -> LinearScorer:
     Pair subsampling uses a generator seeded from ``config.seed``, weights
     start at zero and every update is deterministic, so equal seeds and
     data reproduce the scorer exactly.  The recorded loss history has one
-    entry per epoch plus the final loss.
+    entry per epoch plus the final loss.  The batch is checked and grouped
+    once per run, and every epoch takes one step on it.
 
     Raises:
         DataError: a relation that ``SceneAnnotation.relation_endpoints``
@@ -383,16 +407,17 @@ def train_linear(dataset: Dataset, config: TrainConfig) -> LinearScorer:
     weights = np.zeros(
         (feature_count(registry.num_objects), num_relations + 1), dtype=np.float64
     )
+    batch = _Batch(weights, features, targets, hot_rows)
     history: list[float] = []
     for _ in range(config.epochs):
-        loss, grad = linear_loss_and_grad(weights, features, targets, hot_rows)
+        loss, grad = batch.step(weights)
         if not math.isfinite(loss):
             raise TrainingDivergenceError(
                 f"loss became non-finite after {len(history)} epochs"
             )
         history.append(loss)
         weights = weights - config.learning_rate * grad
-    final_loss, _ = linear_loss_and_grad(weights, features, targets, hot_rows)
+    final_loss, _ = batch.step(weights)
     if not math.isfinite(final_loss):
         raise TrainingDivergenceError("final loss is non-finite")
     history.append(final_loss)
@@ -515,7 +540,7 @@ def _prior_rows(prior: FrequencyPrior, cs: np.ndarray, co: np.ndarray) -> np.nda
     With alpha == 0 a class pair never seen in training has no counts at
     all; its row falls back to uniform rather than dividing by zero.
     """
-    rows = prior.counts[cs, co] + prior.alpha
+    rows = prior.counts[cs, co] + float(prior.alpha)
     total = rows.sum(axis=1, keepdims=True)
     unseen = total[:, 0] <= 0
     rows[unseen] = 1.0

@@ -11,7 +11,10 @@ of the linear scorer, the per-pair prediction loop and the pair-walking
 frequency prior.  They are built on
 the library's box parameters, ``rotated_iou`` and the prior row of one
 class pair (``reference_prior_row``), which define the numbers that the
-array paths must reproduce.  ``reference_evaluate_detections`` keeps the
+array paths must reproduce.  ``reference_linear_loss_and_grad`` keeps the
+hot-row loss that checked, sorted and allocated its whole batch on every
+call, which the library's once-per-run training batch must reproduce bit
+for bit.  ``reference_evaluate_detections`` keeps the
 per-(image, class) detection evaluation that the library replaced with one
 grouping pass per image; ``reference_evaluate_scene_graphs`` gates the
 whole scene-graph report the same way, from ``reference_match_triplets``
@@ -491,6 +494,39 @@ def reference_train_linear(dataset, config) -> LinearScorer:
         weights = weights - config.learning_rate * grad
     history.append(linear_loss_and_grad(weights, features, targets)[0])
     return LinearScorer(weights, dataset.registry.content_hash(), tuple(history))
+
+
+def reference_linear_loss_and_grad(weights, features, labels, hot):
+    """Mean cross-entropy and gradient of a hot-row batch, as
+    ``linear_loss_and_grad`` defines them, built from scratch on each call:
+    logits are ``features`` times the first weight rows plus the weight row
+    each ``hot`` column names, and each column's gradient rows are summed by
+    a stable sort of the column and ``reduceat`` over its groups."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    columns = np.asarray(hot).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        soft = x @ weights[: x.shape[1]]
+        for column in columns:
+            soft += weights[column]
+        rows = np.arange(len(y))
+        picked = soft[rows, y]
+        peak = soft.max(axis=1, keepdims=True)
+        soft -= peak
+        np.exp(soft, out=soft)
+        total = soft.sum(axis=1, keepdims=True)
+        soft /= total
+        loss = float(np.mean(peak[:, 0] + np.log(total[:, 0]) - picked))
+        soft[rows, y] -= 1.0
+        grad = np.zeros_like(weights, dtype=np.float64)
+        grad[: x.shape[1]] = x.T @ soft
+        for column in columns:
+            order = np.argsort(column, kind="stable")
+            keys = column[order]
+            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            grad[keys[starts]] += np.add.reduceat(soft[order], starts, axis=0)
+        grad /= len(y)
+    return loss, grad
 
 
 def reference_fit_frequency_prior(dataset, alpha) -> FrequencyPrior:

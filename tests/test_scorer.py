@@ -101,6 +101,11 @@ def test_linear_loss_validation():
         linear_loss_and_grad(np.zeros((4, 2)), np.zeros((0, 4)), np.zeros(0, dtype=int))
     with pytest.raises(ValueError):
         linear_loss_and_grad(np.zeros((4, 2)), np.zeros((2, 4)), np.zeros(3, dtype=int))
+    # Labels index the weight columns: -1 is not the last class, and the
+    # class count is past the end.
+    for label in (-1, 2):
+        with pytest.raises(ValueError, match=r"^labels must lie in 0\.\.1$"):
+            linear_loss_and_grad(np.zeros((4, 2)), np.zeros((2, 4)), [0, label])
 
 
 def densify(features, hot, num_rows):
@@ -151,6 +156,26 @@ def test_linear_loss_with_hot_rows_matches_finite_differences():
         # Central differences carry about 1e-9 of rounding, which is large
         # next to the near-zero entries: bound them absolutely.
         assert np.allclose(grad.flatten(), fd, rtol=1e-5, atol=1e-8)
+
+
+def test_training_batch_steps_are_independent_and_exact():
+    # Weights W1, W2, W1 on one batch: both W1 steps give the bits of the
+    # per-call reference, and a returned gradient is not reused by a later
+    # step.  The bias column is one group, taken without a gather.
+    rng = np.random.default_rng(74)
+    w1, x, y, hot = random_hot_batch(rng, 40, 4, 9, 3)
+    hot[:, 2] = 8
+    w2 = rng.normal(size=w1.shape)
+    batch = scorer_module._Batch(w1, x, y, hot)
+    first = batch.step(w1)
+    kept = first[1].copy()
+    steps = [first, batch.step(w2), batch.step(w1)]
+    assert first[1].tobytes() == kept.tobytes()
+    assert steps[2][0] == first[0] and steps[2][1].tobytes() == kept.tobytes()
+    for (loss, grad), w in zip(steps, (w1, w2, w1)):
+        expected_loss, expected_grad = oracles.reference_linear_loss_and_grad(w, x, y, hot)
+        assert loss == expected_loss
+        assert grad.tobytes() == expected_grad.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -231,6 +256,17 @@ def test_prior_rows_equal_distribution():
             oracles.reference_prior_row(prior, s, o) for s, o in zip(cs.ravel(), co.ravel())
         ]
         assert np.array_equal(rows, np.stack(expected))
+
+
+def test_prior_rows_add_an_integer_alpha_in_float():
+    # A count of int64 max plus an int alpha must not wrap to a negative
+    # total and take the unseen-pair uniform row.
+    counts = np.zeros((1, 1, 3), dtype=np.int64)
+    counts[0, 0, 0] = np.iinfo(np.int64).max
+    cs = co = np.zeros(1, dtype=np.intp)
+    as_int, as_float = (_prior_rows(FrequencyPrior(counts, a, "h"), cs, co) for a in (1, 1.0))
+    assert np.array_equal(as_int, as_float)
+    assert as_float[0, 0] == 1.0
 
 
 @st.composite
@@ -702,6 +738,44 @@ def test_train_linear_matches_dense_reference_trainer(synth, train):
     assert np.max(np.abs(fast.weights - slow.weights)) <= 1e-12
     assert len(fast.loss_history) == len(slow.loss_history) == config.epochs + 1
     assert np.max(np.abs(np.subtract(fast.loss_history, slow.loss_history))) <= 1e-12
+
+
+def reference_descent(dataset, config):
+    """Weights and loss history of ``train_linear``'s rows stepped through
+    the per-call reference loss, which checks and sorts on every call."""
+    num_classes, num_relations = dataset.registry.num_objects, dataset.registry.num_relations
+    rng = np.random.default_rng(config.seed)
+    rows = [
+        _scene_pair_rows(scene, num_classes, num_relations, config.max_pos, config.max_neg, rng)
+        for scene in dataset.scenes
+    ]
+    geometry, hot, labels = (np.concatenate(part) for part in zip(*rows))
+    weights = np.zeros((feature_count(num_classes), num_relations + 1))
+    history = []
+    for _ in range(config.epochs):
+        loss, grad = oracles.reference_linear_loss_and_grad(weights, geometry, labels, hot)
+        history.append(loss)
+        weights = weights - config.learning_rate * grad
+    history.append(oracles.reference_linear_loss_and_grad(weights, geometry, labels, hot)[0])
+    return weights, tuple(history)
+
+
+@pytest.mark.parametrize(
+    "dataset, config",
+    [
+        (lambda: generate(SynthConfig(n_images=12, seed=41)), TrainConfig(seed=1, epochs=40)),
+        # One class: the subject and the object column each name one weight
+        # row for every pair, as the bias does.
+        (separable_dataset, TrainConfig(seed=3, epochs=40)),
+    ],
+    ids=["synth", "one-class"],
+)
+def test_train_linear_is_bit_identical_to_per_call_descent(dataset, config):
+    dataset = dataset()
+    fast = train_linear(dataset, config)
+    weights, history = reference_descent(dataset, config)
+    assert fast.weights.tobytes() == weights.tobytes()
+    assert fast.loss_history == history
 
 
 def test_training_labels_take_the_first_triplet():

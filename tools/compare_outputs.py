@@ -52,6 +52,11 @@ INVOCATIONS = (
     ("stats.csv", ["stats", "--input", "{gt}", "--format", "csv"]),
     ("prior.json", ["fit-prior", "--input", "{gt}"]),
     ("linear.json", ["train-linear", "--input", "{gt}", "--seed", "{seed}", "--epochs", "50"]),
+    # A step rate that saturates the softmax after one step: the weights and
+    # losses reach about 1e298 without overflowing.
+    ("linear_saturated.json", [
+        "train-linear", "--input", "{gt}", "--seed", "{seed}", "--epochs", "5", "--lr", "1e300",
+    ]),
     ("pred_prior.json", ["predict", "--input", "{gt}", "--prior", "{prior.json}"]),
     ("pred_fused.json", [
         "predict", "--input", "{gt}", "--prior", "{prior.json}", "--linear", "{linear.json}",
