@@ -16,8 +16,10 @@ finite ``score`` on every object (after ``truncated``) and relation (after
 
 Parsing is strict: ``parse_dataset`` either returns a dataset that passes
 ``validate`` with zero violations or raises :class:`ManifestError` naming
-the offending path.  ``validate`` itself never raises on bad content; it
-reports coded violations so programmatically built datasets can be checked.
+the offending path, or :func:`check_indices`' :class:`DataError` for a
+category or predicate outside the registry.  ``validate`` itself never
+raises on bad content; it reports coded violations so programmatically
+built datasets can be checked.
 
 Parsing is one pass over the decoded JSON with inline exact-type checks;
 it formats no path and no message for a scene, object or relation that
@@ -293,9 +295,10 @@ def validate(dataset: Dataset) -> list[Violation]:
     DUPLICATE_OBJECT_ID, DEGENERATE_BOX, VERTEX_ORDER, BOX_BOUNDS,
     DANGLING_REFERENCE, SELF_RELATION, DUPLICATE_TRIPLET.  A vertex loop's
     winding is taken relative to its first vertex, so where a box sits does
-    not change its code; a loop that encloses no area, which no parsed box
-    has, is DEGENERATE_BOX rather than VERTEX_ORDER.  :class:`Dataset`
-    checks categories and predicates.
+    not change its code; a loop that encloses no area is DEGENERATE_BOX
+    rather than VERTEX_ORDER.  A parsed box can be one: the rectangle check's
+    tolerances are absolute, so a quad with sides below about 1e-6 px passes
+    it whatever its shape.  :class:`Dataset` checks categories and predicates.
     """
     violations: list[Violation] = []
     if dataset.split not in SPLITS:
@@ -490,12 +493,12 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
     ``_parse_box``, ``_parse_score``), which raises the located
     :class:`ManifestError` or returns the value.  A prediction file never
     passes through :func:`validate`, so duplicate object ids are rejected
-    here.
+    here.  Indices are not checked against the registry (the returned
+    :class:`Dataset` runs :func:`check_indices`) nor relation ids against
+    the objects (:func:`validate` and ``relation_endpoints`` do).
     """
     root = _load_root(data)
     split, registry = _parse_header(root)
-    num_objects = registry.num_objects
-    num_relations = registry.num_relations
     isfinite = math.isfinite
     from_vertices = OrientedBox.from_vertices
     scenes = []
@@ -526,19 +529,16 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
             obj_id = raw.get("id") if type(raw) is dict else None
             if type(obj_id) is not int:
                 obj_id = _get(raw, "id", int, _item(i, "objects", j))
-            if scored and obj_id in ids:
-                raise ManifestError(
-                    f"{_item(i, 'objects', j)}.id: object id {obj_id} reused"
-                    f" (image {image_id!r})"
-                )
+            if scored:
+                if obj_id in ids:
+                    raise ManifestError(
+                        f"{_item(i, 'objects', j)}.id: object id {obj_id} reused"
+                        f" (image {image_id!r})"
+                    )
+                ids.add(obj_id)
             category = raw.get("category")
             if type(category) is not int:
                 category = _get(raw, "category", int, _item(i, "objects", j))
-            if not 0 <= category < num_objects:
-                raise ManifestError(
-                    f"{_item(i, 'objects', j)}.category: index {category} outside"
-                    f" registry of {num_objects} (image {image_id!r})"
-                )
             obb = raw.get("obb")
             try:
                 box = from_vertices(obb)
@@ -552,7 +552,6 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
                 if type(score) is not float or not isfinite(score):
                     score = _parse_score(raw, _item(i, "objects", j), image_id)
             objects.append(ObjectInstance(obj_id, category, box, truncated, score=score))
-            ids.add(obj_id)
         raw_relations = raw_scene.get("relations")
         if type(raw_relations) is not list:
             raw_relations = _get(raw_scene, "relations", list, f"$.images[{i}]")
@@ -567,16 +566,6 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
             obj_ref = raw.get("object")
             if type(obj_ref) is not int:
                 obj_ref = _get(raw, "object", int, _item(i, "relations", j))
-            if not 0 <= predicate < num_relations:
-                raise ManifestError(
-                    f"{_item(i, 'relations', j)}.predicate: index {predicate} outside"
-                    f" registry of {num_relations} (image {image_id!r})"
-                )
-            if subject not in ids or obj_ref not in ids:
-                raise ManifestError(
-                    f"{_item(i, 'relations', j)}: dangling object id"
-                    f" {subject if subject not in ids else obj_ref} (image {image_id!r})"
-                )
             if scored:
                 score = raw.get("score")
                 if type(score) is not float or not isfinite(score):
@@ -603,9 +592,11 @@ def parse_dataset(data: str | bytes, check: bool = True) -> Dataset:
         check: run :func:`validate` on the result and reject violations.
 
     Raises:
-        ManifestError: malformed syntax, a structural defect (unknown
-            category index, dangling object reference, non-rectangular
-            box) or, with ``check``, any validation violation.
+        ManifestError: malformed syntax, a non-rectangular box or, with
+            ``check``, any validation violation, a dangling relation id
+            included.
+        DataError: a category or predicate outside the registry, from
+            :func:`check_indices` as the :class:`Dataset` is built.
     """
     dataset = _parse(data, scored=False)
     if check:
@@ -628,6 +619,7 @@ def parse_predictions(data: str | bytes) -> Dataset:
         ManifestError: as :func:`parse_dataset` without ``check``, and for
             a missing or non-finite score, a reused object id or an image
             whose width or height is not in ``1..MAX_IMAGE_EXTENT``.
+        DataError: as :func:`parse_dataset`.
     """
     return _parse(data, scored=True)
 

@@ -102,27 +102,25 @@ def crop_scene(
     y1 = min(y0 + tile.size, scene.height)
     if x1 <= x0 or y1 <= y0:
         raise ValueError(f"tile {tile} lies outside image {scene.image_id!r}")
-    tile_box = OrientedBox.axis_aligned(x0, y0, x1, y1)
+    tile_box = None
     kept: list[ObjectInstance] = []
     keeps: list[bool] = []
     for obj in scene.objects:
         xmin, ymin, xmax, ymax = obj.box.extent
         # Containment is decided on the extent: the clipped area of a
         # contained box can come out an ulp below its area.  A box whose
-        # extent misses the tile has no area inside it.
+        # extent misses the tile has no area inside it; the tile's own box
+        # is built for the first one that straddles its edge.
         inside = (
             x0 - _EDGE_EPS <= xmin
             and xmax <= x1 + _EDGE_EPS
             and y0 - _EDGE_EPS <= ymin
             and ymax <= y1 + _EDGE_EPS
         )
-        keep = inside or (
-            xmin <= x1
-            and x0 <= xmax
-            and ymin <= y1
-            and y0 <= ymax
-            and intersection_area(obj.box, tile_box) / obj.box.area >= keep_fraction
-        )
+        keep = inside
+        if not inside and xmin <= x1 and x0 <= xmax and ymin <= y1 and y0 <= ymax:
+            tile_box = tile_box or OrientedBox.axis_aligned(x0, y0, x1, y1)
+            keep = intersection_area(obj.box, tile_box) / obj.box.area >= keep_fraction
         keeps.append(keep)
         if keep:
             kept.append(ObjectInstance(
@@ -213,5 +211,5 @@ def reassemble(
     pool: list[Detection] = []
     for tile, dets in tile_detections:
         dx, dy = tile.origin_x, tile.origin_y
-        pool.extend(replace(det, box=det.box.translate(dx, dy)) for det in dets)
+        pool.extend(Detection(det.box.translate(dx, dy), det.category, det.score) for det in dets)
     return rotated_nms(pool, iou_threshold)

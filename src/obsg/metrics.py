@@ -334,8 +334,9 @@ def _paired_scenes(
 
     Raises:
         RegistryMismatchError: the two sides use different category lists.
-        DataError: a repeated prediction image id, an unscored prediction
-            or a non-finite object score.
+        DataError: a repeated prediction image id, an unscored prediction,
+            a non-finite object score or a relation that
+            ``relation_endpoints`` rejects.
     """
     if predictions.registry != gt.registry:
         raise RegistryMismatchError(
@@ -358,6 +359,7 @@ def _paired_scenes(
                 f"prediction image {scene.image_id!r}: relation "
                 f"{rel.subjects[k]}-{rel.predicates[k]}->{rel.objects[k]} has no score"
             )
+        scene.relation_endpoints  # raises for a relation it rejects
         index[scene.image_id] = scene
     pairs = [(scene, index.get(scene.image_id)) for scene in gt.scenes]
     gt_ids = {scene.image_id for scene in gt.scenes}

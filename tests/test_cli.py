@@ -80,6 +80,63 @@ def test_validate_reports_violations(tmp_path):
     assert lines[-1] == "1 violations"
 
 
+def test_validate_lists_dangling_reference(tmp_path):
+    gt = synth_manifest(tmp_path, images=2, seed=44)
+    doc = json.loads(gt.read_text())
+    image = doc["images"][1]
+    image["relations"].append({"subject": image["objects"][0]["id"], "predicate": 0,
+                               "object": 999})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "report.txt"
+    assert cli.run(["validate", "--input", str(bad), "--output", str(out)]) == 1
+    assert out.read_text().splitlines() == [
+        f"DANGLING_REFERENCE {image['id']}: relation references missing object id 999",
+        "1 violations",
+    ]
+
+
+def test_commands_reject_dangling_relation(tmp_path, capsys):
+    gt = synth_manifest(tmp_path, images=3, seed=45)
+    prior = fitted_prior(tmp_path, gt)
+    pred = tmp_path / "pred.json"
+    assert cli.run(["predict", "--input", str(gt), "--prior", str(prior),
+                    "--output", str(pred)]) == 0
+    bad_gt, bad_pred = tmp_path / "bad-gt.json", tmp_path / "bad-pred.json"
+    for path, bad in ((gt, bad_gt), (pred, bad_pred)):
+        doc = json.loads(path.read_text())
+        image = doc["images"][0]
+        extra = {"subject": 999, "predicate": 0, "object": image["objects"][0]["id"]}
+        if path is pred:
+            extra["score"] = 0.5
+        image["relations"].append(extra)
+        bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    # A manifest stops at validate; a prediction file where its relations
+    # are resolved, in eval-det too, which reads no relation.
+    manifest_error = f"DANGLING_REFERENCE[{image['id']}]: relation references missing object id 999"
+    for argv, message in (
+        (["stats", "--input", str(bad_gt)], manifest_error),
+        (["tile", "--input", str(bad_gt)], manifest_error),
+        (["convert-hbb", "--input", str(bad_gt)], manifest_error),
+        (["pairs", "--input", str(bad_gt), "--max-pos", "1", "--seed", "1"], manifest_error),
+        (["fit-prior", "--input", str(bad_gt)], manifest_error),
+        (["train-linear", "--input", str(bad_gt), "--seed", "1", "--epochs", "1"],
+         manifest_error),
+        (["predict", "--input", str(bad_gt), "--prior", str(prior)], manifest_error),
+        (["eval-det", "--gt", str(bad_gt), "--pred", str(pred)], manifest_error),
+        (["eval-sgg", "--gt", str(bad_gt), "--pred", str(pred)], manifest_error),
+        (["eval-det", "--gt", str(gt), "--pred", str(bad_pred)], "references missing object id 999"),
+        (["eval-sgg", "--gt", str(gt), "--pred", str(bad_pred)], "references missing object id 999"),
+        (["eval-sgg", "--gt", str(gt), "--pred", str(bad_pred), "--task", "sgdet"],
+         "references missing object id 999"),
+    ):
+        assert cli.run(argv + ["--output", str(tmp_path / "out")]) == 1, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0], (argv, err)
+    assert not (tmp_path / "out").exists()
+
+
 DEEP_JSON = "[" * 200_000 + "]" * 200_000
 
 

@@ -113,13 +113,22 @@ def test_parse_minimal_manifest():
 
 
 def test_parse_rejects_dangling_reference():
-    for parse, make_doc in PARSERS:
-        doc = make_doc()
-        doc["images"][0]["relations"][0]["object"] = 99
-        with pytest.raises(ManifestError) as err:
-            parse(json.dumps(doc))
-        assert "99" in str(err.value)
-        assert "img-1" in str(err.value)
+    # The parser leaves relation ids to their owners: validate lists a
+    # dangling one in a manifest, and relation_endpoints rejects it in a
+    # prediction file where a consumer reads it.
+    doc = minimal_manifest()
+    doc["images"][0]["relations"][0]["object"] = 99
+    with pytest.raises(ManifestError, match="DANGLING_REFERENCE.img-1.*missing object id 99"):
+        parse_dataset(json.dumps(doc))
+    unchecked = parse_dataset(json.dumps(doc), check=False)
+    assert [(v.code, v.image_id) for v in validate(unchecked)] == [
+        ("DANGLING_REFERENCE", "img-1")
+    ]
+    doc = scored_manifest()
+    doc["images"][0]["relations"][0]["object"] = 99
+    scene = parse_predictions(json.dumps(doc)).scenes[0]
+    with pytest.raises(DataError, match="^image 'img-1': relation 0->99 references missing"):
+        scene.relation_endpoints
 
 
 def test_parse_rejects_empty_image_id():
@@ -166,19 +175,20 @@ def test_parse_rejects_unknown_version_and_split():
 
 
 def test_parse_rejects_category_out_of_range():
+    # The Dataset the parser builds runs check_indices, the one range check.
     for parse, make_doc in PARSERS:
         doc = make_doc()
         doc["images"][0]["objects"][0]["category"] = 3
-        with pytest.raises(ManifestError) as err:
+        with pytest.raises(
+            DataError, match="^image 'img-1': object 0 has category 3, outside the registry's 3"
+        ):
             parse(json.dumps(doc))
-        assert "category" in str(err.value)
-        assert "img-1" in str(err.value)
         doc = make_doc()
         doc["images"][0]["relations"][0]["predicate"] = 2
-        with pytest.raises(ManifestError) as err:
+        with pytest.raises(
+            DataError, match="^image 'img-1': relation 0->1 has predicate 2, outside the registry's 2"
+        ):
             parse(json.dumps(doc))
-        assert "predicate" in str(err.value)
-        assert "img-1" in str(err.value)
 
 
 def test_parse_rejects_malformed_json():
@@ -276,6 +286,14 @@ def test_validate_degenerate_box():
     violations = validate(dataset)
     assert [v.code for v in violations] == ["DEGENERATE_BOX"]
     assert violations[0].detail == "object 3: no enclosed area"
+    # A collinear quad far below the rectangle check's absolute tolerances
+    # parses, and only validate names it.
+    doc = minimal_manifest()
+    doc["images"][0]["objects"][1]["obb"] = [[0, 0], [1e-8, 0], [2e-8, 0], [1e-8, 0]]
+    violations = validate(parse_dataset(json.dumps(doc), check=False))
+    assert [(v.code, v.detail) for v in violations] == [
+        ("DEGENERATE_BOX", "object 1: no enclosed area")
+    ]
 
 
 @pytest.mark.parametrize(
@@ -528,7 +546,7 @@ def index_callers():
     ids=["category-C", "category-1", "predicate-R", "predicate-1"],
 )
 def test_out_of_registry_index_is_one_data_error(caller, edit, message):
-    # Only a dataset built in Python can hold such an index; parsing rejects it.
+    # Parsing builds a Dataset, so a file's index fails with this same error.
     scene = index_scene(**edit, scored=caller == "eval_sgg_predictions")
     with pytest.raises(DataError, match=f"^image 's': {message}$"):
         index_callers()[caller](scene)

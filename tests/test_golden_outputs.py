@@ -153,8 +153,10 @@ def test_box_matchers_compute_a_pinned_number_of_ious(tmp_path, monkeypatch):
 
 
 def test_tiling_builds_a_pinned_number_of_tile_boxes(tmp_path, monkeypatch):
-    """`crop_scene` builds one box per tile: the golden fixture gives 32 tiles
-    of 200 px at stride 120, 128 of 100 px and 8 whole-image tiles."""
+    """`crop_scene` builds a tile's box only for a tile whose edge some
+    object's extent straddles: on the golden fixture all 32 tiles of 200 px
+    at stride 120, 104 of the 128 tiles of 100 px and none of the 8
+    whole-image tiles."""
     golden_outputs(tmp_path)
     built = []
     axis_aligned = OrientedBox.axis_aligned
@@ -165,7 +167,7 @@ def test_tiling_builds_a_pinned_number_of_tile_boxes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(OrientedBox, "axis_aligned", classmethod(counting))
     files = ["--input", str(tmp_path / "gt.json"), "--output", str(tmp_path / "count.json")]
-    for grid, expected in [(["200", "120"], 32), (["100", "100"], 128), (["320", "320"], 8)]:
+    for grid, expected in [(["200", "120"], 32), (["100", "100"], 104), (["320", "320"], 0)]:
         built.clear()
         assert cli.run(["tile", "--size", grid[0], "--stride", grid[1]] + files) == 0
         assert len(built) == expected, grid

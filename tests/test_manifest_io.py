@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 import oracles
 from obsg import (
     CategoryRegistry,
+    DataError,
     Dataset,
-    ManifestError,
     ObjectInstance,
     OrientedBox,
     RelationTriplet,
@@ -199,11 +199,12 @@ def _public_parser(scored):
 
 
 def _outcome(parse, *args):
-    """``repr`` of the dataset, which tells 1 from 1.0, or the error text."""
+    """``repr`` of the dataset, which tells 1 from 1.0, or the error type
+    and text: a range error comes from the ``Dataset`` both build."""
     try:
         return repr(parse(*args))
-    except ManifestError as exc:
-        return f"ManifestError: {exc}"
+    except DataError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 # --- the parser against the reference walk --------------------------------

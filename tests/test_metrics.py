@@ -454,7 +454,7 @@ def test_scene_triplets_resolve_objects_and_scores():
     assert rows(scored) == [Triplet(b, 2, a, 0.0625)]
     truth = SceneAnnotation("i0", 50, 50, (a, b), (RelationTriplet(4, 0, 7),))
     assert rows(truth) == [Triplet(a, 0, b)]
-    # Only a scene built in Python can name a missing id; parsing rejects it.
+    # A parsed prediction file can name a missing id too: ids are resolved here.
     for rel in (RelationTriplet(4, 0, 9), RelationTriplet(9, 0, 4)):
         dangling = SceneAnnotation("i0", 50, 50, (a, b), (rel,))
         with pytest.raises(DataError, match=r"'i0'.*missing object id 9"):
@@ -591,6 +591,16 @@ def test_evaluate_detections_duplicate_image_id():
     doubled = Dataset(preds.registry, "val", (preds.scenes[0], preds.scenes[0]))
     with pytest.raises(DataError):
         evaluate_detections(gt, doubled)
+
+
+def test_evaluate_detections_rejects_dangling_relation():
+    # Detection AP reads no relation, but every prediction scene's relations
+    # are resolved, so eval-det rejects the file that eval-sgg rejects.
+    gt, preds = det_fixture()
+    for rel in (RelationTriplet(0, 0, 9, 0.5), RelationTriplet(9, 0, 1, 0.5)):
+        dangling = replace(preds, scenes=(replace(preds.scenes[0], relations=(rel,)),))
+        with pytest.raises(DataError, match=r"^image 'i0': relation .* missing object id 9$"):
+            evaluate_detections(gt, dangling)
 
 
 def test_evaluate_detections_requires_ground_truth():

@@ -92,6 +92,9 @@ INVOCATIONS = (
         "--include-empty", "--format", "csv",
     ]),
     ("tiled.json", ["tile", "--input", "{gt}"]),
+    # Most objects straddle a tile edge on this grid, so the tile box that
+    # crop_scene builds only for such an object is built and used.
+    ("tiled_200.json", ["tile", "--input", "{gt}", "--size", "200", "--stride", "120"]),
     ("hbb.json", ["convert-hbb", "--input", "{gt}"]),
     ("pairs.json", [
         "pairs", "--input", "{gt}", "--max-pos", "4", "--max-neg", "8", "--seed", "{seed}",
