@@ -14,22 +14,24 @@ Prediction files use the same skeleton and parse to the same types, with a
 finite ``score`` on every object (after ``truncated``) and relation (after
 ``object``); ``serialize_dataset`` writes a score wherever one is set.
 
-Parsing is strict: ``parse_dataset`` either returns a dataset that passes
-``validate`` with zero violations or raises :class:`ManifestError` naming
-the offending path, or :func:`check_indices`' :class:`DataError` for a
-category or predicate outside the registry.  ``validate`` itself never
-raises on bad content; it reports coded violations so programmatically
-built datasets can be checked.
+The containers own the rules that make them usable, however they are
+built: a :class:`SceneAnnotation` rejects an extent outside
+``1..MAX_IMAGE_EXTENT`` and an object id named twice, and a
+:class:`Dataset` rejects an image id named twice and, through
+:func:`check_indices`, a category or predicate outside its registry.
+Each raises a :class:`DataError` naming the image.  Parsing is strict:
+``parse_dataset`` either returns a dataset that passes ``validate`` with
+zero violations, or raises :class:`ManifestError` naming the offending
+path, or one of those container errors.  ``validate`` itself never raises
+on bad content; it reports coded violations of the rules a dataset can
+break and still be built.
 
 Parsing is one pass over the decoded JSON with inline exact-type checks;
 it formats no path and no message for a scene, object or relation that
 passes them.  A value that fails its check goes to the located helper for
 that one value, which raises the :class:`ManifestError` naming its JSON
-path.  An image extent outside ``1..MAX_IMAGE_EXTENT`` has one text,
-``extent WxH outside 1..100000``: a located parse error in a prediction
-file, an ``IMAGE_EXTENT`` violation that ``validate`` reports in a manifest.
-``serialize_dataset`` writes the document text directly, with no dict per
-record, byte-identical to ``json.dumps`` of the nested dicts.
+path.  ``serialize_dataset`` writes the document text directly, with no
+dict per record, byte-identical to ``json.dumps`` of the nested dicts.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -67,6 +68,16 @@ def _check_extent(width: int, height: int) -> None:
     ``1..MAX_IMAGE_EXTENT``."""
     if not (0 < width <= MAX_IMAGE_EXTENT and 0 < height <= MAX_IMAGE_EXTENT):
         raise ValueError(f"extent {width}x{height} outside 1..{MAX_IMAGE_EXTENT}")
+
+
+def _repeated(values: Iterable[Any]) -> Any:
+    """The first of ``values`` equal to an earlier one, or ``None``."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            return value
+        seen.add(value)
+    return None
 
 
 def size_class(area: float) -> str:
@@ -181,7 +192,10 @@ class SceneAnnotation:
     """All annotations, or all predictions, of a single image.
 
     ``relations`` may be given as :class:`RelationTriplet` rows; they are
-    stored as :class:`RelationColumns`.
+    stored as :class:`RelationColumns`.  A width or height outside
+    ``1..MAX_IMAGE_EXTENT`` or an object id named by two objects is a
+    :class:`DataError` when the scene is built, ``dataclasses.replace``
+    included.
     """
 
     image_id: str
@@ -191,6 +205,16 @@ class SceneAnnotation:
     relations: RelationColumns
 
     def __post_init__(self) -> None:
+        try:
+            _check_extent(self.width, self.height)
+        except ValueError as exc:
+            raise DataError(f"image {self.image_id!r}: {exc}") from None
+        objects = self.objects
+        if len({obj.id for obj in objects}) < len(objects):
+            raise DataError(
+                f"image {self.image_id!r}: object id "
+                f"{_repeated(obj.id for obj in objects)} names two objects"
+            )
         if type(self.relations) is not RelationColumns:
             rows = list(self.relations)
             object.__setattr__(self, "relations", RelationColumns(
@@ -204,26 +228,19 @@ class SceneAnnotation:
     def relation_endpoints(self) -> tuple[list[int], list[int]]:
         """Positions in ``objects`` of each relation's subject and object, in
         relation order, resolved once per scene.  A relation that names an
-        object id missing from the scene or named by two objects, or whose
-        subject is its object, is a :class:`DataError` on every access."""
+        object id missing from the scene, or whose subject is its object, is
+        a :class:`DataError` on every access."""
         position = {obj.id: k for k, obj in enumerate(self.objects)}
         rel = self.relations
         subjects = list(map(position.get, rel.subjects))
         objects = list(map(position.get, rel.objects))
-        if None in subjects or None in objects or len(position) < len(self.objects) or any(
-            map(operator.eq, subjects, objects)
-        ):
-            named = Counter(obj.id for obj in self.objects)
+        if None in subjects or None in objects or any(map(operator.eq, subjects, objects)):
             for s, o in zip(rel.subjects, rel.objects):
                 for x in (s, o):
-                    if x not in named:
+                    if x not in position:
                         raise DataError(
                             f"image {self.image_id!r}: relation {s}->{o} "
                             f"references missing object id {x}"
-                        )
-                    if named[x] > 1:
-                        raise DataError(
-                            f"image {self.image_id!r}: object id {x} names two objects"
                         )
                 if s == o:
                     raise DataError(f"image {self.image_id!r}: object {s} relates to itself")
@@ -244,8 +261,10 @@ class SceneAnnotation:
 class Dataset:
     """A split worth of scenes sharing one category registry.
 
-    ``scenes`` is stored as a tuple.  A scene with a category or predicate
-    outside ``registry`` fails :func:`check_indices` as the dataset is built.
+    ``scenes`` is stored as a tuple.  An image id named by two scenes, or
+    a scene with a category or predicate outside ``registry`` (see
+    :func:`check_indices`), is a :class:`DataError` when the dataset is
+    built, ``dataclasses.replace`` included.
     """
 
     registry: CategoryRegistry
@@ -253,8 +272,13 @@ class Dataset:
     scenes: tuple[SceneAnnotation, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scenes", tuple(self.scenes))
-        for scene in self.scenes:
+        scenes = tuple(self.scenes)
+        object.__setattr__(self, "scenes", scenes)
+        if len({scene.image_id for scene in scenes}) < len(scenes):
+            raise DataError(
+                f"image id {_repeated(scene.image_id for scene in scenes)!r} names two scenes"
+            )
+        for scene in scenes:
             check_indices(scene, self.registry.num_objects, self.registry.num_relations)
 
 
@@ -291,31 +315,24 @@ class Violation:
 def validate(dataset: Dataset) -> list[Violation]:
     """Check every type invariant; an empty list means the dataset is clean.
 
-    Codes: SPLIT_NAME, IMAGE_EXTENT, DUPLICATE_IMAGE_ID, NEGATIVE_OBJECT_ID,
-    DUPLICATE_OBJECT_ID, DEGENERATE_BOX, VERTEX_ORDER, BOX_BOUNDS,
-    DANGLING_REFERENCE, SELF_RELATION, DUPLICATE_TRIPLET.  A vertex loop's
-    winding is taken relative to its first vertex, so where a box sits does
-    not change its code; a loop that encloses no area is DEGENERATE_BOX
-    rather than VERTEX_ORDER.  A parsed box can be one: the rectangle check's
-    tolerances are absolute, so a quad with sides below about 1e-6 px passes
-    it whatever its shape.  :class:`Dataset` checks categories and predicates.
+    Codes: SPLIT_NAME, NEGATIVE_OBJECT_ID, DEGENERATE_BOX, VERTEX_ORDER,
+    BOX_BOUNDS, DANGLING_REFERENCE, SELF_RELATION, DUPLICATE_TRIPLET.  A
+    vertex loop's winding is taken relative to its first vertex, so where a
+    box sits does not change its code; a loop that encloses no area is
+    DEGENERATE_BOX rather than VERTEX_ORDER.  A parsed box can be one: the
+    rectangle check's tolerances are absolute, so a quad with sides below
+    about 1e-6 px passes it whatever its shape.  Extents, repeated image
+    and object ids, categories and predicates have no code: a
+    :class:`SceneAnnotation` or :class:`Dataset` with one wrong cannot be
+    built.
     """
     violations: list[Violation] = []
     if dataset.split not in SPLITS:
         violations.append(
             Violation("SPLIT_NAME", None, f"unknown split {dataset.split!r}")
         )
-    seen_images: set[str] = set()
     for scene in dataset.scenes:
         img = scene.image_id
-        if img in seen_images:
-            violations.append(Violation("DUPLICATE_IMAGE_ID", img, "image id reused"))
-        seen_images.add(img)
-        try:
-            _check_extent(scene.width, scene.height)
-        except ValueError as exc:
-            violations.append(Violation("IMAGE_EXTENT", img, str(exc)))
-            continue
         slack = BOUNDS_SLACK * max(scene.width, scene.height)
         lo_x, hi_x = -slack, scene.width + slack
         lo_y, hi_y = -slack, scene.height + slack
@@ -324,10 +341,6 @@ def validate(dataset: Dataset) -> list[Violation]:
             if obj.id < 0:
                 violations.append(
                     Violation("NEGATIVE_OBJECT_ID", img, f"object id {obj.id}")
-                )
-            if obj.id in ids:
-                violations.append(
-                    Violation("DUPLICATE_OBJECT_ID", img, f"object id {obj.id} reused")
                 )
             ids.add(obj.id)
             winding = _winding(obj.box.vertices)
@@ -491,11 +504,10 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
     int`` is the integer check, bools excluded.  A value that fails its
     check goes to the located helper for it (``_get``, ``_expect``,
     ``_parse_box``, ``_parse_score``), which raises the located
-    :class:`ManifestError` or returns the value.  A prediction file never
-    passes through :func:`validate`, so duplicate object ids are rejected
-    here.  Indices are not checked against the registry (the returned
-    :class:`Dataset` runs :func:`check_indices`) nor relation ids against
-    the objects (:func:`validate` and ``relation_endpoints`` do).
+    :class:`ManifestError` or returns the value.  Extents and repeated ids
+    are left to the :class:`SceneAnnotation` and :class:`Dataset` it builds,
+    indices to :func:`check_indices` as the dataset is built, and relation
+    ids to :func:`validate` and ``relation_endpoints``.
     """
     root = _load_root(data)
     split, registry = _parse_header(root)
@@ -514,28 +526,15 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
         height = raw_scene.get("height")
         if type(height) is not int:
             height = _get(raw_scene, "height", int, f"$.images[{i}]")
-        if scored:
-            try:
-                _check_extent(width, height)
-            except ValueError as exc:
-                raise ManifestError(f"$.images[{i}]: {exc} (image {image_id!r})") from None
         raw_objects = raw_scene.get("objects")
         if type(raw_objects) is not list:
             raw_objects = _get(raw_scene, "objects", list, f"$.images[{i}]")
         objects = []
-        ids: set[int] = set()
         score = None
         for j, raw in enumerate(raw_objects):
             obj_id = raw.get("id") if type(raw) is dict else None
             if type(obj_id) is not int:
                 obj_id = _get(raw, "id", int, _item(i, "objects", j))
-            if scored:
-                if obj_id in ids:
-                    raise ManifestError(
-                        f"{_item(i, 'objects', j)}.id: object id {obj_id} reused"
-                        f" (image {image_id!r})"
-                    )
-                ids.add(obj_id)
             category = raw.get("category")
             if type(category) is not int:
                 category = _get(raw, "category", int, _item(i, "objects", j))
@@ -595,8 +594,10 @@ def parse_dataset(data: str | bytes, check: bool = True) -> Dataset:
         ManifestError: malformed syntax, a non-rectangular box or, with
             ``check``, any validation violation, a dangling relation id
             included.
-        DataError: a category or predicate outside the registry, from
-            :func:`check_indices` as the :class:`Dataset` is built.
+        DataError: an extent outside ``1..MAX_IMAGE_EXTENT`` or a repeated
+            object id, as a :class:`SceneAnnotation` is built; a repeated
+            image id, or a category or predicate outside the registry, as
+            the :class:`Dataset` is built.
     """
     dataset = _parse(data, scored=False)
     if check:
@@ -617,8 +618,7 @@ def parse_predictions(data: str | bytes) -> Dataset:
 
     Raises:
         ManifestError: as :func:`parse_dataset` without ``check``, and for
-            a missing or non-finite score, a reused object id or an image
-            whose width or height is not in ``1..MAX_IMAGE_EXTENT``.
+            a missing or non-finite score.
         DataError: as :func:`parse_dataset`.
     """
     return _parse(data, scored=True)

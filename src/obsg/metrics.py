@@ -334,18 +334,14 @@ def _paired_scenes(
 
     Raises:
         RegistryMismatchError: the two sides use different category lists.
-        DataError: a repeated prediction image id, an unscored prediction,
-            a non-finite object score or a relation that
-            ``relation_endpoints`` rejects.
+        DataError: an unscored prediction, a non-finite object score or a
+            relation that ``relation_endpoints`` rejects.
     """
     if predictions.registry != gt.registry:
         raise RegistryMismatchError(
             "prediction file and ground truth use different category lists"
         )
-    index: dict[str, SceneAnnotation] = {}
     for scene in predictions.scenes:
-        if scene.image_id in index:
-            raise DataError(f"duplicate prediction image id {scene.image_id!r}")
         for obj in scene.objects:
             score = obj.score
             if score is None or not math.isfinite(score):
@@ -360,7 +356,7 @@ def _paired_scenes(
                 f"{rel.subjects[k]}-{rel.predicates[k]}->{rel.objects[k]} has no score"
             )
         scene.relation_endpoints  # raises for a relation it rejects
-        index[scene.image_id] = scene
+    index = {scene.image_id: scene for scene in predictions.scenes}
     pairs = [(scene, index.get(scene.image_id)) for scene in gt.scenes]
     gt_ids = {scene.image_id for scene in gt.scenes}
     coverage = {

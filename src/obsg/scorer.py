@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import (
-    Dataset, RelationColumns, SceneAnnotation, _check_extent, _expect, _get, _load_root,
+    Dataset, RelationColumns, SceneAnnotation, _expect, _get, _load_root,
     check_indices,
 )
 from .errors import DataError, ManifestError, RegistryMismatchError, TrainingDivergenceError
@@ -310,7 +310,6 @@ def _pair_geometry(scene: SceneAnnotation, ii: np.ndarray, jj: np.ndarray) -> np
     overlap nowhere and keep 0.0.
     """
     width, height = scene.width, scene.height
-    _check_extent(width, height)
     params, extents = scene.box_columns
     scale = np.array([width, height, width, height, TWO_PI])
     s = params[ii]
@@ -574,8 +573,8 @@ def load_prior(text: str | bytes, registry: CategoryRegistry) -> FrequencyPrior:
 
     Every count entry must be four integers, ``[subject, object, predicate,
     count]``, with indices inside the table and a non-negative count;
-    ``alpha`` must be finite and non-negative, and keep every row total of
-    the table finite.
+    ``alpha`` must pass :class:`FrequencyPrior`'s check: finite,
+    non-negative, and keeping every row total of the table finite.
     """
     doc = _load_model_doc(text, "frequency_prior")
     _check_hash(doc, registry)
@@ -584,8 +583,6 @@ def load_prior(text: str | bytes, registry: CategoryRegistry) -> FrequencyPrior:
     if num_objects != registry.num_objects or num_relations != registry.num_relations:
         raise RegistryMismatchError("prior table size does not match the registry")
     alpha = _get(doc, "alpha", float, "$")
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ManifestError(f"$.alpha: expected a finite number >= 0, got {alpha!r}")
     shape = (num_objects, num_objects, num_relations + 1)
     counts = np.zeros(shape, dtype=np.int64)
     for k, entry in enumerate(_get(doc, "counts", list, "$")):

@@ -22,7 +22,8 @@ same way, from ``reference_match_triplets`` per image.  ``reference_serialize_da
 nested-dict ``json.dumps`` writer that the library's direct text writer
 must match byte for byte.  ``reference_parse`` keeps the located walk
 over a decoded document that the one-pass parser replaced; it is built on
-the parser's per-value helpers, which define every message.
+the parser's per-value helpers, which define every message, and leaves the
+rules of a scene and a dataset to the types that own them.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from obsg import (
     sample_pairs,
 )
 from obsg.datamodel import (
-    MAX_IMAGE_EXTENT,
     _expect,
     _get,
     _parse_box,
@@ -656,11 +656,10 @@ def reference_parse(root, scored: bool) -> Dataset:
     This is the walk the library's one-pass parser replaced; it raises the
     located :class:`ManifestError` of the first defect, and the parser must
     give the same dataset or the same message.  A prediction file must
-    score every object and relation and give the image an extent in
-    ``1..MAX_IMAGE_EXTENT``, and since it never passes through
-    ``validate``, duplicate object ids are rejected here.  As in the
-    parser, indices are left to the :class:`Dataset` it builds and relation
-    ids to ``validate`` and ``relation_endpoints``.
+    score every object and relation.  As in the parser, extents and
+    repeated ids are left to the :class:`SceneAnnotation` and
+    :class:`Dataset` it builds, indices to the :class:`Dataset`, and
+    relation ids to ``validate`` and ``relation_endpoints``.
     """
     split, registry = _parse_header(root)
     scenes = []
@@ -671,29 +670,16 @@ def reference_parse(root, scored: bool) -> Dataset:
             raise ManifestError(f"{path}.id: empty image id")
         width = _get(raw_scene, "width", int, path)
         height = _get(raw_scene, "height", int, path)
-        if scored and not (
-            min(width, height) >= 1 and max(width, height) <= MAX_IMAGE_EXTENT
-        ):
-            raise ManifestError(
-                f"{path}: extent {width}x{height} outside 1..{MAX_IMAGE_EXTENT}"
-                f" (image {image_id!r})"
-            )
         objects = []
-        ids: set[int] = set()
         for j, raw_obj in enumerate(_get(raw_scene, "objects", list, path)):
             opath = f"{path}.objects[{j}]"
             obj_id = _get(raw_obj, "id", int, opath)
-            if scored and obj_id in ids:
-                raise ManifestError(
-                    f"{opath}.id: object id {obj_id} reused (image {image_id!r})"
-                )
             category = _get(raw_obj, "category", int, opath)
             box = _parse_box(raw_obj, opath)
             truncated = raw_obj.get("truncated", False)
             _expect(truncated, bool, f"{opath}.truncated")
             score = _parse_score(raw_obj, opath, image_id) if scored else None
             objects.append(ObjectInstance(obj_id, category, box, truncated, score=score))
-            ids.add(obj_id)
         relations = []
         for j, raw_rel in enumerate(_get(raw_scene, "relations", list, path)):
             rpath = f"{path}.relations[{j}]"

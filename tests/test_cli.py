@@ -729,7 +729,7 @@ def test_eval_rejects_non_positive_prediction_extent(tmp_path, capsys):
     for command in (["eval-sgg"], ["eval-det"]):
         assert cli.run(command + ["--gt", str(gt), "--pred", str(pred)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: $.images[1]: extent 0x1024 outside 1..100000"), err
+        assert err == "error: image 'synth-000001': extent 0x1024 outside 1..100000\n", err
 
 
 def test_eval_rejects_prediction_box_whose_area_overflows(tmp_path, capsys):
@@ -767,18 +767,58 @@ def test_commands_reject_image_wider_than_the_maximum(tmp_path, capsys):
         doc["images"][0]["width"] = 2**64
         wide.write_text(json.dumps(doc))
     capsys.readouterr()
-    for argv, message in (
-        (["train-linear", "--input", str(wide_gt), "--seed", "1", "--epochs", "2"],
-         "IMAGE_EXTENT"),
-        (["predict", "--input", str(wide_gt), "--prior", str(prior), "--linear", str(scorer)],
-         "IMAGE_EXTENT"),
-        (["tile", "--input", str(wide_gt)], "IMAGE_EXTENT"),
-        (["eval-det", "--gt", str(gt), "--pred", str(wide_pred)],
-         "$.images[0]: extent 18446744073709551616x1024 outside 1..100000"),
+    message = "image 'synth-000000': extent 18446744073709551616x1024 outside 1..100000"
+    for argv in (
+        ["train-linear", "--input", str(wide_gt), "--seed", "1", "--epochs", "2"],
+        ["predict", "--input", str(wide_gt), "--prior", str(prior), "--linear", str(scorer)],
+        ["tile", "--input", str(wide_gt)],
+        ["eval-det", "--gt", str(gt), "--pred", str(wide_pred)],
     ):
         assert cli.run(argv) == 1, argv
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+        assert err == [f"error: {message}"], (argv, err)
+
+
+def test_validate_and_eval_det_reject_bad_extent_and_repeated_ids(tmp_path, capsys):
+    # None of these is a validation violation: the scene or dataset that
+    # holds one cannot be built, so the file fails to load.
+    gt = synth_manifest(tmp_path, images=3, seed=50)
+    prior = fitted_prior(tmp_path, gt)
+    pred = tmp_path / "pred.json"
+    argv = ["predict", "--input", str(gt), "--prior", str(prior), "--output", str(pred)]
+    assert cli.run(argv) == 0
+
+    def bad_extent(doc):
+        doc["images"][1]["height"] = 0
+        return f"image {doc['images'][1]['id']!r}: extent 1024x0 outside 1..100000"
+
+    def reused_object_id(doc):
+        objects = doc["images"][1]["objects"]
+        objects[1]["id"] = objects[0]["id"]
+        return f"image {doc['images'][1]['id']!r}: object id {objects[0]['id']} names two objects"
+
+    def repeated_image_id(doc):
+        doc["images"][2]["id"] = doc["images"][0]["id"]
+        return f"image id {doc['images'][0]['id']!r} names two scenes"
+
+    for defect in (bad_extent, reused_object_id, repeated_image_id):
+        bad_gt, bad_pred = tmp_path / "bad-gt.json", tmp_path / "bad-pred.json"
+        messages = {}
+        for path, bad in ((gt, bad_gt), (pred, bad_pred)):
+            doc = json.loads(path.read_text())
+            messages[bad] = defect(doc)
+            bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for argv, message in (
+            (["validate", "--input", str(bad_gt)], messages[bad_gt]),
+            (["eval-det", "--gt", str(bad_gt), "--pred", str(pred)], messages[bad_gt]),
+            (["eval-det", "--gt", str(gt), "--pred", str(bad_pred)], messages[bad_pred]),
+        ):
+            assert cli.run(argv + ["--output", str(tmp_path / "out")]) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [f"error: {message}"], (argv, captured.err)
+            assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

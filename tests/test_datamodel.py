@@ -1,13 +1,19 @@
 """Manifest parsing, validation codes, size classes and registries."""
 
+import importlib
+import inspect
 import json
+import pkgutil
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import obsg
 from obsg import (
     CategoryRegistry,
     DataError,
@@ -268,15 +274,17 @@ def test_validate_id_and_range_codes():
         [
             ObjectInstance(-1, 0, unit_box()),
             ObjectInstance(2, 2, unit_box(20, 20)),
-            ObjectInstance(2, 0, unit_box(40, 40)),
+            ObjectInstance(3, 0, unit_box(40, 40)),
         ],
         [RelationTriplet(2, 1, 2)],
     )
     dataset = Dataset(small_registry(), "train", (scene,))
     codes = sorted(v.code for v in validate(dataset))
-    # Categories and predicates outside the registry never reach validate:
-    # building the Dataset rejects them (test_out_of_registry_index_is_one_data_error).
-    assert codes == ["DUPLICATE_OBJECT_ID", "NEGATIVE_OBJECT_ID", "SELF_RELATION"]
+    # Repeated ids, categories and predicates outside the registry never
+    # reach validate: building the scene or Dataset rejects them
+    # (test_scene_rejects_extent_and_reused_object_id,
+    # test_out_of_registry_index_is_one_data_error).
+    assert codes == ["NEGATIVE_OBJECT_ID", "SELF_RELATION"]
 
 
 def test_validate_degenerate_box():
@@ -326,12 +334,37 @@ def test_validate_box_bounds_slack():
 
 
 def test_validate_image_extent_and_duplicate_image():
-    scene_a = make_scene([], [], image_id="dup")
-    scene_b = make_scene([], [], image_id="dup")
-    bad = make_scene([], [], image_id="bad", width=0)
-    dataset = Dataset(small_registry(), "train", (scene_a, scene_b, bad))
-    codes = sorted(v.code for v in validate(dataset))
-    assert codes == ["DUPLICATE_IMAGE_ID", "IMAGE_EXTENT"]
+    # A manifest with a bad extent or a repeated id never reaches validate:
+    # parsing builds the scene and Dataset, which reject it, with or
+    # without ``check``.
+    bad_extent = minimal_manifest()
+    bad_extent["images"][0]["width"] = 0
+    reused_object = minimal_manifest()
+    reused_object["images"][0]["objects"][1]["id"] = 0
+    repeated_image = minimal_manifest()
+    repeated_image["images"].append(repeated_image["images"][0])
+    for doc, message in (
+        (bad_extent, r"^image 'img-1': extent 0x100 outside 1\.\.100000$"),
+        (reused_object, r"^image 'img-1': object id 0 names two objects$"),
+        (repeated_image, r"^image id 'img-1' names two scenes$"),
+    ):
+        for check in (False, True):
+            with pytest.raises(DataError, match=message):
+                parse_dataset(json.dumps(doc), check=check)
+
+
+def test_validate_codes_agree_with_its_docstring_and_readme():
+    # A rule that moves out of validate must take its code out of the docs.
+    emitted = set(re.findall(r'Violation\(\s*"([A-Z_]+)"', inspect.getsource(validate)))
+    listed = validate.__doc__.split("Codes:")[1].split(".")[0]
+    documented = set(re.findall(r"[A-Z][A-Z_]+", listed))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    constants = set()
+    for module in pkgutil.iter_modules(obsg.__path__):
+        constants.update(vars(importlib.import_module(f"obsg.{module.name}")))
+    named = set(re.findall(r"`([A-Z][A-Z0-9_]*)`", readme)) - constants
+    assert emitted
+    assert emitted == documented == named
 
 
 def test_validate_split_name():
@@ -463,20 +496,19 @@ def test_prediction_rejects_non_finite_score():
 def test_prediction_rejects_reused_object_id():
     doc = scored_manifest()
     doc["images"][0]["objects"][1]["id"] = 0
-    with pytest.raises(ManifestError) as err:
+    with pytest.raises(DataError) as err:
         parse_predictions(json.dumps(doc))
-    assert "reused" in str(err.value)
+    assert str(err.value) == "image 'img-1': object id 0 names two objects"
 
 
 def test_prediction_rejects_non_positive_extent():
     for key, value, extent in (("width", 0, "0x100"), ("height", -5, "100x-5")):
         doc = scored_manifest()
         doc["images"][0][key] = value
-        with pytest.raises(ManifestError) as err:
-            parse_predictions(json.dumps(doc))
-        assert str(err.value) == f"$.images[0]: extent {extent} outside 1..100000 (image 'img-1')"
-        # A manifest leaves the extent to validate(), which reports IMAGE_EXTENT.
-        parse_dataset(json.dumps(doc), check=False)
+        for parse in (parse_predictions, parse_dataset):
+            with pytest.raises(DataError) as err:
+                parse(json.dumps(doc))
+            assert str(err.value) == f"image 'img-1': extent {extent} outside 1..100000"
 
 
 def test_image_extent_above_the_maximum():
@@ -486,18 +518,41 @@ def test_image_extent_above_the_maximum():
     ):
         doc = scored_manifest()
         doc["images"][0][key] = value
-        with pytest.raises(ManifestError) as err:
-            parse_predictions(json.dumps(doc))
-        assert str(err.value) == f"$.images[0]: extent {extent} outside 1..100000 (image 'img-1')"
-        # A manifest leaves the extent to validate(), which reports IMAGE_EXTENT.
-        violations = validate(parse_dataset(json.dumps(doc), check=False))
-        assert [(v.code, v.detail) for v in violations] == [
-            ("IMAGE_EXTENT", f"extent {extent} outside 1..100000")
-        ]
-        with pytest.raises(ManifestError, match="IMAGE_EXTENT"):
-            parse_dataset(json.dumps(doc))
+        for parse in (parse_predictions, parse_dataset):
+            with pytest.raises(DataError) as err:
+                parse(json.dumps(doc))
+            assert str(err.value) == f"image 'img-1': extent {extent} outside 1..100000"
     scene = make_scene([], [], width=MAX_IMAGE_EXTENT, height=MAX_IMAGE_EXTENT)
     assert validate(Dataset(small_registry(), "val", (scene,))) == []
+
+
+@pytest.mark.parametrize("extent", [0, MAX_IMAGE_EXTENT + 1, 2**64])
+def test_scene_rejects_extent_and_reused_object_id(extent):
+    good = make_scene([ObjectInstance(0, 0, unit_box()), ObjectInstance(1, 1, unit_box(20))], [])
+    reused = (good.objects[0], replace(good.objects[1], id=0))
+    for change, message in (
+        ({"width": extent}, rf"extent {extent}x100 outside 1\.\.100000"),
+        ({"height": extent}, rf"extent 100x{extent} outside 1\.\.100000"),
+        ({"objects": reused}, "object id 0 names two objects"),
+    ):
+        fields = {"width": 100, "height": 100, "objects": good.objects, **change}
+        with pytest.raises(DataError, match=f"^image 'img': {message}$"):
+            SceneAnnotation("img", relations=(), **fields)
+        with pytest.raises(DataError, match=f"^image 'img': {message}$"):
+            replace(good, **change)
+
+
+def test_dataset_rejects_repeated_image_id():
+    # Evaluating against a ground truth that held one scene twice counted
+    # one matching prediction as two true positives.
+    scene = make_scene([ObjectInstance(0, 0, unit_box())], [])
+    other = replace(scene, image_id="other")
+    dataset = Dataset(small_registry(), "val", (scene, other))
+    for scenes in ((scene, scene), (scene, other, scene)):
+        with pytest.raises(DataError, match=r"^image id 'img' names two scenes$"):
+            Dataset(small_registry(), "val", scenes)
+        with pytest.raises(DataError, match=r"^image id 'img' names two scenes$"):
+            replace(dataset, scenes=scenes)
 
 
 def index_scene(category=1, predicate=0, scored=False):
@@ -516,7 +571,9 @@ def index_callers():
     predictions = Dataset(registry, "train", (index_scene(scored=True),))
     return {
         "dataset": lambda scene: Dataset(registry, "train", (scene,)),
-        "replace_scenes": lambda scene: replace(clean, scenes=(index_scene(), scene)),
+        "replace_scenes": lambda scene: replace(
+            clean, scenes=(replace(index_scene(), image_id="t"), scene)
+        ),
         "compute_stats": lambda scene: compute_stats(Dataset(registry, "train", (scene,))),
         "fit_frequency_prior": lambda scene: fit_frequency_prior(
             Dataset(registry, "train", (scene,))

@@ -7,6 +7,7 @@ import pytest
 
 from obsg import (
     CategoryRegistry,
+    DataError,
     Dataset,
     ObjectInstance,
     OrientedBox,
@@ -481,8 +482,9 @@ def test_pair_geometry_fields_recomputed_from_vertices():
 
 
 def test_pair_geometry_rejects_bad_extent():
+    # The geometry never sees a bad extent: its scene cannot be built.
     box = OrientedBox.from_params(0.0, 0.0, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match=r"^image 's': extent 0\.0x100\.0 outside"):
         pair_block(box, box, 0.0, 100.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match=r"^image 's': extent 100\.0x-5\.0 outside"):
         pair_block(box, box, 100.0, -5.0)

@@ -265,13 +265,14 @@ def _number(draw, finite):
 def datasets(draw, finite=True):
     """A dataset built in Python; ``finite`` keeps it parseable.
 
-    Scored datasets score everything and keep ids unique and extents
-    positive, as a prediction file must.
+    Scored datasets score everything, as a prediction file must.  Image
+    ids, and object ids within a scene, are drawn as unique lists, and
+    extents in ``1..MAX_IMAGE_EXTENT``, as every dataset must have them.
     """
     registry = CategoryRegistry(tuple(draw(_NAMES)), tuple(draw(_NAMES)))
     scored = draw(st.booleans())
     scenes = []
-    for _ in range(draw(st.integers(0, 3))):
+    for image_id in draw(st.lists(st.text(min_size=1, max_size=8), max_size=3, unique=True)):
         ids = draw(st.lists(st.integers(-(10**6), 10**6), max_size=4, unique=True))
         objects = []
         for obj_id in ids:
@@ -310,7 +311,7 @@ def datasets(draw, finite=True):
         ]
         scenes.append(
             SceneAnnotation(
-                draw(st.text(min_size=1, max_size=8)),
+                image_id,
                 draw(st.integers(1, 10**5)),
                 draw(st.integers(1, 10**5)),
                 tuple(objects),

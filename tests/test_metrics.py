@@ -587,10 +587,12 @@ def test_evaluate_detections_registry_mismatch():
 
 
 def test_evaluate_detections_duplicate_image_id():
+    # A prediction or ground-truth set that names one image twice cannot be
+    # built, so the evaluator never pairs an image twice.
     gt, preds = det_fixture()
-    doubled = Dataset(preds.registry, "val", (preds.scenes[0], preds.scenes[0]))
-    with pytest.raises(DataError):
-        evaluate_detections(gt, doubled)
+    for dataset in (gt, preds):
+        with pytest.raises(DataError, match=r"^image id 'i0' names two scenes$"):
+            Dataset(dataset.registry, "val", (dataset.scenes[0], dataset.scenes[0]))
 
 
 def test_evaluate_detections_rejects_dangling_relation():

@@ -96,13 +96,16 @@ def test_pair_index_agrees_with_enumeration():
 )
 def test_dangling_relation_id_is_one_data_error(call, relations, repeated, message):
     # Every consumer rejects a malformed relation through one resolver: a
-    # relation to, then from, id 109 on a scene of objects 100 and 101; a
-    # self relation; or a relation to id 101 when a third object reuses it.
-    # Of these only the self relation can come from a parsed file: from a
-    # prediction file, which is never validated.
+    # relation to, then from, id 109 on a scene of objects 100 and 101; or
+    # a self relation.  Of these only the self relation can come from a
+    # parsed file: from a prediction file, which is never validated.  A
+    # relation to id 101 when a third object reuses it reaches no consumer:
+    # the scene that would hold it cannot be built.
     scene = scene_with_relations(3 if repeated else 2, relations)
     if repeated:
-        scene = replace(scene, objects=scene.objects[:2] + (replace(scene.objects[2], id=101),))
+        with pytest.raises(DataError, match=f"^image 's': {message}$"):
+            replace(scene, objects=scene.objects[:2] + (replace(scene.objects[2], id=101),))
+        return
     dataset = Dataset(CategoryRegistry(("a",), ("r",)), "train", (scene,))
     # The failure is not cached: every call raises it again.
     for _ in range(2):

@@ -211,10 +211,11 @@ def test_pair_features_layout():
     block = _pair_geometry(scene, np.array([0]), np.array([1]))
     assert block.shape == (1, 15)
     assert np.array_equal(block[0], vec[:15])
+    # A scene whose extent would scale the block wrongly cannot be built.
     for width in (0, MAX_IMAGE_EXTENT + 1, 2**64):
-        with pytest.raises(ValueError, match=rf"^extent {width}x100 outside 1\.\.100000$"):
-            bad = SceneAnnotation("s", width, 100, (a, b), ())
-            _pair_geometry(bad, np.array([0]), np.array([1]))
+        message = rf"^image 's': extent {width}x100 outside 1\.\.100000$"
+        with pytest.raises(DataError, match=message):
+            SceneAnnotation("s", width, 100, (a, b), ())
 
 
 def two_class_dataset():

@@ -209,7 +209,8 @@ def test_stats_csv_multi_split_column_order():
     base = small_dataset()
     train = compute_stats(base)
     val = compute_stats(Dataset(base.registry, "val", ()))
-    test = compute_stats(Dataset(base.registry, "test", base.scenes * 2))
+    twice = (base.scenes[0], replace(base.scenes[0], image_id="s1"))
+    test = compute_stats(Dataset(base.registry, "test", twice))
     # Input order should not matter; columns come out train,val,test.
     text = report_to_csv([test, train, val])
     lines = text.splitlines()
