@@ -166,7 +166,7 @@ def _load_rules(path: str, registry: CategoryRegistry) -> tuple[Rule, ...]:
 def _cmd_validate(args: argparse.Namespace) -> int:
     dataset = parse_dataset(_read_text(args.input), check=False)
     violations = validate(dataset)
-    lines = [f"{v.code} {v.image_id or '-'}: {v.detail}" for v in violations]
+    lines = [f"{v.code} {v.image_id}: {v.detail}" for v in violations]
     lines.append(f"{len(violations)} violations")
     _write_output(args.output, "\n".join(lines))
     return 0 if not violations else 1

@@ -15,16 +15,17 @@ finite ``score`` on every object (after ``truncated``) and relation (after
 ``object``); ``serialize_dataset`` writes a score wherever one is set.
 
 The containers own the rules that make them usable, however they are
-built: a :class:`SceneAnnotation` rejects an extent outside
-``1..MAX_IMAGE_EXTENT`` and an object id named twice, and a
-:class:`Dataset` rejects an image id named twice and, through
+built: a :class:`SceneAnnotation` rejects an extent that is not an ``int``
+in ``1..MAX_IMAGE_EXTENT``, an object id named twice and a relation that
+does not name two different objects of the scene, and a :class:`Dataset`
+rejects a split outside ``SPLITS``, an image id named twice and, through
 :func:`check_indices`, a category or predicate outside its registry.
-Each raises a :class:`DataError` naming the image.  Parsing is strict:
-``parse_dataset`` either returns a dataset that passes ``validate`` with
-zero violations, or raises :class:`ManifestError` naming the offending
-path, or one of those container errors.  ``validate`` itself never raises
-on bad content; it reports coded violations of the rules a dataset can
-break and still be built.
+Each raises a :class:`DataError`, naming the image where there is one.
+Parsing is strict: ``parse_dataset`` either returns a dataset that passes
+``validate`` with zero violations, or raises :class:`ManifestError`
+naming the offending path, or one of those container errors.
+``validate`` itself never raises on bad content; it reports coded
+violations of the rules a dataset can break and still be built.
 
 Parsing is one pass over the decoded JSON with inline exact-type checks;
 it formats no path and no message for a scene, object or relation that
@@ -64,10 +65,13 @@ BOUNDS_SLACK = 0.5
 
 
 def _check_extent(width: int, height: int) -> None:
-    """Raise ``ValueError`` unless width and height are both in
-    ``1..MAX_IMAGE_EXTENT``."""
-    if not (0 < width <= MAX_IMAGE_EXTENT and 0 < height <= MAX_IMAGE_EXTENT):
-        raise ValueError(f"extent {width}x{height} outside 1..{MAX_IMAGE_EXTENT}")
+    """Raise ``ValueError`` unless width and height are both ``int`` (not
+    ``bool``) in ``1..MAX_IMAGE_EXTENT``."""
+    if not (
+        type(width) is int and type(height) is int
+        and 0 < width <= MAX_IMAGE_EXTENT and 0 < height <= MAX_IMAGE_EXTENT
+    ):
+        raise ValueError(f"extent {width!r}x{height!r} outside 1..{MAX_IMAGE_EXTENT}")
 
 
 def _repeated(values: Iterable[Any]) -> Any:
@@ -192,10 +196,13 @@ class SceneAnnotation:
     """All annotations, or all predictions, of a single image.
 
     ``relations`` may be given as :class:`RelationTriplet` rows; they are
-    stored as :class:`RelationColumns`.  A width or height outside
-    ``1..MAX_IMAGE_EXTENT`` or an object id named by two objects is a
-    :class:`DataError` when the scene is built, ``dataclasses.replace``
-    included.
+    stored as :class:`RelationColumns`.  ``relation_endpoints`` holds the
+    positions in ``objects`` of each relation's subject and object, in
+    relation order, resolved once as the scene is built.  A width or height
+    that is not an ``int`` in ``1..MAX_IMAGE_EXTENT``, an object id named by
+    two objects, and a relation that names an object id missing from the
+    scene or whose subject is its object, are each a :class:`DataError`
+    when the scene is built, ``dataclasses.replace`` included.
     """
 
     image_id: str
@@ -203,6 +210,9 @@ class SceneAnnotation:
     height: int
     objects: tuple[ObjectInstance, ...]
     relations: RelationColumns
+    relation_endpoints: tuple[list[int], list[int]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         try:
@@ -210,31 +220,31 @@ class SceneAnnotation:
         except ValueError as exc:
             raise DataError(f"image {self.image_id!r}: {exc}") from None
         objects = self.objects
-        if len({obj.id for obj in objects}) < len(objects):
+        position = {obj.id: k for k, obj in enumerate(objects)}
+        if len(position) < len(objects):
             raise DataError(
                 f"image {self.image_id!r}: object id "
                 f"{_repeated(obj.id for obj in objects)} names two objects"
             )
-        if type(self.relations) is not RelationColumns:
-            rows = list(self.relations)
-            object.__setattr__(self, "relations", RelationColumns(
+        rel = self.relations
+        if type(rel) is not RelationColumns:
+            rows = list(rel)
+            rel = RelationColumns(
                 [r.subject for r in rows],
                 [r.predicate for r in rows],
                 [r.object for r in rows],
                 [r.score for r in rows],
-            ))
-
-    @_cached
-    def relation_endpoints(self) -> tuple[list[int], list[int]]:
-        """Positions in ``objects`` of each relation's subject and object, in
-        relation order, resolved once per scene.  A relation that names an
-        object id missing from the scene, or whose subject is its object, is
-        a :class:`DataError` on every access."""
-        position = {obj.id: k for k, obj in enumerate(self.objects)}
-        rel = self.relations
-        subjects = list(map(position.get, rel.subjects))
-        objects = list(map(position.get, rel.objects))
-        if None in subjects or None in objects or any(map(operator.eq, subjects, objects)):
+            )
+            object.__setattr__(self, "relations", rel)
+        try:
+            endpoints = (
+                list(map(position.__getitem__, rel.subjects)),
+                list(map(position.__getitem__, rel.objects)),
+            )
+            valid = all(map(operator.ne, rel.subjects, rel.objects))
+        except KeyError:
+            valid = False
+        if not valid:
             for s, o in zip(rel.subjects, rel.objects):
                 for x in (s, o):
                     if x not in position:
@@ -244,7 +254,7 @@ class SceneAnnotation:
                         )
                 if s == o:
                     raise DataError(f"image {self.image_id!r}: object {s} relates to itself")
-        return subjects, objects
+        object.__setattr__(self, "relation_endpoints", endpoints)
 
     @_cached
     def box_columns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -261,10 +271,10 @@ class SceneAnnotation:
 class Dataset:
     """A split worth of scenes sharing one category registry.
 
-    ``scenes`` is stored as a tuple.  An image id named by two scenes, or
-    a scene with a category or predicate outside ``registry`` (see
-    :func:`check_indices`), is a :class:`DataError` when the dataset is
-    built, ``dataclasses.replace`` included.
+    ``scenes`` is stored as a tuple.  A split outside ``SPLITS``, an image
+    id named by two scenes, or a scene with a category or predicate outside
+    ``registry`` (see :func:`check_indices`), is a :class:`DataError` when
+    the dataset is built, ``dataclasses.replace`` included.
     """
 
     registry: CategoryRegistry
@@ -272,6 +282,8 @@ class Dataset:
     scenes: tuple[SceneAnnotation, ...]
 
     def __post_init__(self) -> None:
+        if self.split not in SPLITS:
+            raise DataError(f"split {self.split!r} is not one of {', '.join(SPLITS)}")
         scenes = tuple(self.scenes)
         object.__setattr__(self, "scenes", scenes)
         if len({scene.image_id for scene in scenes}) < len(scenes):
@@ -308,41 +320,34 @@ class Violation:
     """A single validation finding; ``code`` is machine-matchable."""
 
     code: str
-    image_id: str | None
+    image_id: str
     detail: str
 
 
 def validate(dataset: Dataset) -> list[Violation]:
     """Check every type invariant; an empty list means the dataset is clean.
 
-    Codes: SPLIT_NAME, NEGATIVE_OBJECT_ID, DEGENERATE_BOX, VERTEX_ORDER,
-    BOX_BOUNDS, DANGLING_REFERENCE, SELF_RELATION, DUPLICATE_TRIPLET.  A
-    vertex loop's winding is taken relative to its first vertex, so where a
-    box sits does not change its code; a loop that encloses no area is
-    DEGENERATE_BOX rather than VERTEX_ORDER.  A parsed box can be one: the
-    rectangle check's tolerances are absolute, so a quad with sides below
-    about 1e-6 px passes it whatever its shape.  Extents, repeated image
-    and object ids, categories and predicates have no code: a
-    :class:`SceneAnnotation` or :class:`Dataset` with one wrong cannot be
-    built.
+    Codes: NEGATIVE_OBJECT_ID, DEGENERATE_BOX, VERTEX_ORDER, BOX_BOUNDS,
+    DUPLICATE_TRIPLET.  A vertex loop's winding is taken relative to its
+    first vertex, so where a box sits does not change its code; a loop that
+    encloses no area is DEGENERATE_BOX rather than VERTEX_ORDER.  A parsed
+    box can be one: the rectangle check's tolerances are absolute, so a
+    quad with sides below about 1e-6 px passes it whatever its shape.  The
+    split, extents, repeated image and object ids, relation endpoints,
+    categories and predicates have no code: a :class:`SceneAnnotation` or
+    :class:`Dataset` with one wrong cannot be built.
     """
     violations: list[Violation] = []
-    if dataset.split not in SPLITS:
-        violations.append(
-            Violation("SPLIT_NAME", None, f"unknown split {dataset.split!r}")
-        )
     for scene in dataset.scenes:
         img = scene.image_id
         slack = BOUNDS_SLACK * max(scene.width, scene.height)
         lo_x, hi_x = -slack, scene.width + slack
         lo_y, hi_y = -slack, scene.height + slack
-        ids: set[int] = set()
         for obj in scene.objects:
             if obj.id < 0:
                 violations.append(
                     Violation("NEGATIVE_OBJECT_ID", img, f"object id {obj.id}")
                 )
-            ids.add(obj.id)
             winding = _winding(obj.box.vertices)
             if winding == 0.0:
                 violations.append(
@@ -369,22 +374,6 @@ def validate(dataset: Dataset) -> list[Violation]:
         seen_triplets: set[tuple[int, int, int]] = set()
         rel = scene.relations
         for key in zip(rel.subjects, rel.predicates, rel.objects):
-            subject, _, object_ = key
-            for endpoint in (subject, object_):
-                if endpoint not in ids:
-                    violations.append(
-                        Violation(
-                            "DANGLING_REFERENCE",
-                            img,
-                            f"relation references missing object id {endpoint}",
-                        )
-                    )
-            if subject == object_:
-                violations.append(
-                    Violation(
-                        "SELF_RELATION", img, f"object id {subject} relates to itself"
-                    )
-                )
             if key in seen_triplets:
                 violations.append(
                     Violation("DUPLICATE_TRIPLET", img, f"triplet {key} repeated")
@@ -457,8 +446,6 @@ def _parse_header(root: Any) -> tuple[str, CategoryRegistry]:
     if version != MANIFEST_VERSION:
         raise ManifestError(f"$.version: unsupported version {version!r}")
     split = _get(root, "split", str, "$")
-    if split not in SPLITS:
-        raise ManifestError(f"$.split: expected one of {SPLITS}, got {split!r}")
     object_names = _parse_names(root, "object_categories")
     relation_names = _parse_names(root, "relation_categories")
     try:
@@ -504,10 +491,10 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
     int`` is the integer check, bools excluded.  A value that fails its
     check goes to the located helper for it (``_get``, ``_expect``,
     ``_parse_box``, ``_parse_score``), which raises the located
-    :class:`ManifestError` or returns the value.  Extents and repeated ids
-    are left to the :class:`SceneAnnotation` and :class:`Dataset` it builds,
-    indices to :func:`check_indices` as the dataset is built, and relation
-    ids to :func:`validate` and ``relation_endpoints``.
+    :class:`ManifestError` or returns the value.  Extents, repeated ids,
+    relation endpoints and the split are left to the
+    :class:`SceneAnnotation` and :class:`Dataset` it builds, indices to
+    :func:`check_indices` as the dataset is built.
     """
     root = _load_root(data)
     split, registry = _parse_header(root)
@@ -592,12 +579,12 @@ def parse_dataset(data: str | bytes, check: bool = True) -> Dataset:
 
     Raises:
         ManifestError: malformed syntax, a non-rectangular box or, with
-            ``check``, any validation violation, a dangling relation id
-            included.
-        DataError: an extent outside ``1..MAX_IMAGE_EXTENT`` or a repeated
-            object id, as a :class:`SceneAnnotation` is built; a repeated
-            image id, or a category or predicate outside the registry, as
-            the :class:`Dataset` is built.
+            ``check``, any validation violation.
+        DataError: an extent outside ``1..MAX_IMAGE_EXTENT``, a repeated
+            object id, or a relation to a missing id or from an object to
+            itself, as a :class:`SceneAnnotation` is built; a split outside
+            ``SPLITS``, a repeated image id, or a category or predicate
+            outside the registry, as the :class:`Dataset` is built.
     """
     dataset = _parse(data, scored=False)
     if check:

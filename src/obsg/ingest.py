@@ -93,8 +93,7 @@ def crop_scene(
     ``intersection_area(box, tile) / box.area`` is at least
     ``keep_fraction``.  Survivors keep their ids and are translated by the
     negative tile origin; boxes that poke past the tile edge are flagged
-    truncated.  A relation survives only if both endpoints do; one that
-    ``relation_endpoints`` rejects is a :class:`DataError`.
+    truncated.  A relation survives only if both endpoints do.
     """
     _check_keep_fraction(keep_fraction)
     x0, y0 = tile.origin_x, tile.origin_y

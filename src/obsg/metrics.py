@@ -334,8 +334,7 @@ def _paired_scenes(
 
     Raises:
         RegistryMismatchError: the two sides use different category lists.
-        DataError: an unscored prediction, a non-finite object score or a
-            relation that ``relation_endpoints`` rejects.
+        DataError: an unscored prediction or a non-finite object score.
     """
     if predictions.registry != gt.registry:
         raise RegistryMismatchError(
@@ -355,7 +354,6 @@ def _paired_scenes(
                 f"prediction image {scene.image_id!r}: relation "
                 f"{rel.subjects[k]}-{rel.predicates[k]}->{rel.objects[k]} has no score"
             )
-        scene.relation_endpoints  # raises for a relation it rejects
     index = {scene.image_id: scene for scene in predictions.scenes}
     pairs = [(scene, index.get(scene.image_id)) for scene in gt.scenes]
     gt_ids = {scene.image_id for scene in gt.scenes}
@@ -438,8 +436,7 @@ def scene_triplets(scene: SceneAnnotation) -> TripletColumns:
     score times object score; an unscored (ground-truth) one keeps ``None``.
 
     Raises:
-        DataError: a relation that ``relation_endpoints`` rejects, or one
-            whose composite score is not finite.
+        DataError: a relation whose composite score is not finite.
     """
     rel = scene.relations
     if not rel.predicates:
@@ -475,8 +472,8 @@ def evaluate_scene_graphs(
 
     Raises:
         DataError: a prediction scene that :func:`_paired_scenes` rejects,
-            a relation that :func:`scene_triplets` rejects, or ground truth
-            without relation triplets.
+            a relation whose composite score :func:`scene_triplets` rejects,
+            or ground truth without relation triplets.
     """
     config = config or MatchConfig()
     pairs, coverage = _paired_scenes(gt, predictions)

@@ -36,11 +36,7 @@ def pair_endpoints(n: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def relation_pairs(scene: SceneAnnotation) -> list[int]:
-    """Pair index of every relation of the scene, in relation order.
-
-    Raises:
-        DataError: as :attr:`SceneAnnotation.relation_endpoints` does.
-    """
+    """Pair index of every relation of the scene, in relation order."""
     n = len(scene.objects)
     return [i * (n - 1) + j - (j > i) for i, j in zip(*scene.relation_endpoints)]
 

@@ -113,8 +113,6 @@ def fit_frequency_prior(dataset: Dataset, alpha: float = DEFAULT_ALPHA) -> Frequ
     objects and relations are visited, never the pairs themselves.
 
     Raises:
-        DataError: a relation that ``SceneAnnotation.relation_endpoints``
-            rejects.
         ValueError: ``alpha`` is negative, not finite, or so large that a
             row total of the table overflows.
     """
@@ -375,10 +373,6 @@ def train_linear(dataset: Dataset, config: TrainConfig) -> LinearScorer:
     data reproduce the scorer exactly.  The recorded loss history has one
     entry per epoch plus the final loss.  The batch is checked and grouped
     once per run, and every epoch takes one step on it.
-
-    Raises:
-        DataError: a relation that ``SceneAnnotation.relation_endpoints``
-            rejects.
     """
     registry = dataset.registry
     num_relations = registry.num_relations
@@ -618,7 +612,8 @@ def save_scorer(scorer: LinearScorer) -> str:
 def load_scorer(text: str | bytes, registry: CategoryRegistry) -> LinearScorer:
     """Scorer saved by :func:`save_scorer`, checked against ``registry``.
 
-    ``weights`` must hold exactly as many finite numbers as ``shape`` asks.
+    ``weights`` must hold exactly as many finite numbers as ``shape`` asks,
+    and every ``loss_history`` entry must be a finite number.
     """
     doc = _load_model_doc(text, "linear_scorer")
     _check_hash(doc, registry)
@@ -646,11 +641,11 @@ def load_scorer(text: str | bytes, registry: CategoryRegistry) -> LinearScorer:
     if bad.size:
         raise ManifestError(f"$.weights[{bad[0]}]: non-finite weight {raw[bad[0]]!r}")
     history = _get(doc, "loss_history", list, "$") if "loss_history" in doc else []
-    return LinearScorer(
-        weights.reshape(shape),
-        doc["registry_hash"],
-        tuple(_expect(v, float, f"$.loss_history[{i}]") for i, v in enumerate(history)),
-    )
+    losses = tuple(_expect(v, float, f"$.loss_history[{i}]") for i, v in enumerate(history))
+    for i, loss in enumerate(losses):
+        if not math.isfinite(loss):
+            raise ManifestError(f"$.loss_history[{i}]: non-finite loss {loss!r}")
+    return LinearScorer(weights.reshape(shape), doc["registry_hash"], losses)
 
 
 def _load_model_doc(text: str | bytes, kind: str) -> dict:

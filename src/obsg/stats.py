@@ -48,8 +48,7 @@ def compute_stats(dataset: Dataset) -> StatsReport:
     """Exhaustive recount of a dataset; an empty dataset gives zeros.
 
     Raises:
-        DataError: ``relation_endpoints`` rejects a relation, or a box has
-            no area.
+        DataError: a box has no area.
     """
     registry = dataset.registry
     num_objects = registry.num_objects

@@ -656,10 +656,10 @@ def reference_parse(root, scored: bool) -> Dataset:
     This is the walk the library's one-pass parser replaced; it raises the
     located :class:`ManifestError` of the first defect, and the parser must
     give the same dataset or the same message.  A prediction file must
-    score every object and relation.  As in the parser, extents and
-    repeated ids are left to the :class:`SceneAnnotation` and
-    :class:`Dataset` it builds, indices to the :class:`Dataset`, and
-    relation ids to ``validate`` and ``relation_endpoints``.
+    score every object and relation.  As in the parser, extents, repeated
+    ids and relation endpoints are left to the :class:`SceneAnnotation` it
+    builds, and the split, repeated image ids and indices to the
+    :class:`Dataset`.
     """
     split, registry = _parse_header(root)
     scenes = []

@@ -80,20 +80,26 @@ def test_validate_reports_violations(tmp_path):
     assert lines[-1] == "1 violations"
 
 
-def test_validate_lists_dangling_reference(tmp_path):
+def test_validate_lists_dangling_reference(tmp_path, capsys):
+    # A dangling or self relation cannot be built into a scene, so validate
+    # stops with one error line, as every other command does.
     gt = synth_manifest(tmp_path, images=2, seed=44)
     doc = json.loads(gt.read_text())
     image = doc["images"][1]
-    image["relations"].append({"subject": image["objects"][0]["id"], "predicate": 0,
-                               "object": 999})
+    first = image["objects"][0]["id"]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
     out = tmp_path / "report.txt"
-    assert cli.run(["validate", "--input", str(bad), "--output", str(out)]) == 1
-    assert out.read_text().splitlines() == [
-        f"DANGLING_REFERENCE {image['id']}: relation references missing object id 999",
-        "1 violations",
-    ]
+    for target, message in (
+        (999, f"relation {first}->999 references missing object id 999"),
+        (first, f"object {first} relates to itself"),
+    ):
+        image["relations"].append({"subject": first, "predicate": 0, "object": target})
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.run(["validate", "--input", str(bad), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: image {image['id']!r}: {message}\n"
+        assert not out.exists()
+        image["relations"].pop()
 
 
 def test_commands_reject_dangling_relation(tmp_path, capsys):
@@ -112,28 +118,28 @@ def test_commands_reject_dangling_relation(tmp_path, capsys):
         image["relations"].append(extra)
         bad.write_text(json.dumps(doc))
     capsys.readouterr()
-    # A manifest stops at validate; a prediction file where its relations
-    # are resolved, in eval-det too, which reads no relation.
-    manifest_error = f"DANGLING_REFERENCE[{image['id']}]: relation references missing object id 999"
-    for argv, message in (
-        (["stats", "--input", str(bad_gt)], manifest_error),
-        (["tile", "--input", str(bad_gt)], manifest_error),
-        (["convert-hbb", "--input", str(bad_gt)], manifest_error),
-        (["pairs", "--input", str(bad_gt), "--max-pos", "1", "--seed", "1"], manifest_error),
-        (["fit-prior", "--input", str(bad_gt)], manifest_error),
-        (["train-linear", "--input", str(bad_gt), "--seed", "1", "--epochs", "1"],
-         manifest_error),
-        (["predict", "--input", str(bad_gt), "--prior", str(prior)], manifest_error),
-        (["eval-det", "--gt", str(bad_gt), "--pred", str(pred)], manifest_error),
-        (["eval-sgg", "--gt", str(bad_gt), "--pred", str(pred)], manifest_error),
-        (["eval-det", "--gt", str(gt), "--pred", str(bad_pred)], "references missing object id 999"),
-        (["eval-sgg", "--gt", str(gt), "--pred", str(bad_pred)], "references missing object id 999"),
-        (["eval-sgg", "--gt", str(gt), "--pred", str(bad_pred), "--task", "sgdet"],
-         "references missing object id 999"),
+    # Manifest and prediction file alike stop where the parser builds the
+    # scene, in eval-det too, which reads no relation.
+    message = (
+        f"error: image {image['id']!r}: relation 999->{image['objects'][0]['id']} "
+        "references missing object id 999"
+    )
+    for argv in (
+        ["stats", "--input", str(bad_gt)],
+        ["tile", "--input", str(bad_gt)],
+        ["convert-hbb", "--input", str(bad_gt)],
+        ["pairs", "--input", str(bad_gt), "--max-pos", "1", "--seed", "1"],
+        ["fit-prior", "--input", str(bad_gt)],
+        ["train-linear", "--input", str(bad_gt), "--seed", "1", "--epochs", "1"],
+        ["predict", "--input", str(bad_gt), "--prior", str(prior)],
+        ["eval-det", "--gt", str(bad_gt), "--pred", str(pred)],
+        ["eval-sgg", "--gt", str(bad_gt), "--pred", str(pred)],
+        ["eval-det", "--gt", str(gt), "--pred", str(bad_pred)],
+        ["eval-sgg", "--gt", str(gt), "--pred", str(bad_pred)],
+        ["eval-sgg", "--gt", str(gt), "--pred", str(bad_pred), "--task", "sgdet"],
     ):
         assert cli.run(argv + ["--output", str(tmp_path / "out")]) == 1, argv
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and message in err[0], (argv, err)
+        assert capsys.readouterr().err.splitlines() == [message], argv
     assert not (tmp_path / "out").exists()
 
 

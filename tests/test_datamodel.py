@@ -1,5 +1,6 @@
 """Manifest parsing, validation codes, size classes and registries."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -32,6 +33,7 @@ from obsg import (
     generate,
     parse_dataset,
     parse_predictions,
+    plan_tiles,
     predict_triplets,
     serialize_dataset,
     size_class,
@@ -119,22 +121,16 @@ def test_parse_minimal_manifest():
 
 
 def test_parse_rejects_dangling_reference():
-    # The parser leaves relation ids to their owners: validate lists a
-    # dangling one in a manifest, and relation_endpoints rejects it in a
-    # prediction file where a consumer reads it.
-    doc = minimal_manifest()
-    doc["images"][0]["relations"][0]["object"] = 99
-    with pytest.raises(ManifestError, match="DANGLING_REFERENCE.img-1.*missing object id 99"):
-        parse_dataset(json.dumps(doc))
-    unchecked = parse_dataset(json.dumps(doc), check=False)
-    assert [(v.code, v.image_id) for v in validate(unchecked)] == [
-        ("DANGLING_REFERENCE", "img-1")
-    ]
-    doc = scored_manifest()
-    doc["images"][0]["relations"][0]["object"] = 99
-    scene = parse_predictions(json.dumps(doc)).scenes[0]
-    with pytest.raises(DataError, match="^image 'img-1': relation 0->99 references missing"):
-        scene.relation_endpoints
+    # The parser leaves relation ids to the scene it builds, which rejects
+    # a dangling one in a manifest, checked or not, and in a prediction file.
+    unchecked = (lambda text: parse_dataset(text, check=False), minimal_manifest)
+    for parse, make_doc in (*PARSERS, unchecked):
+        doc = make_doc()
+        doc["images"][0]["relations"][0]["object"] = 99
+        with pytest.raises(
+            DataError, match="^image 'img-1': relation 0->99 references missing object id 99$"
+        ):
+            parse(json.dumps(doc))
 
 
 def test_parse_rejects_empty_image_id():
@@ -174,10 +170,11 @@ def test_parse_rejects_unknown_version_and_split():
     doc["version"] = "2.0"
     with pytest.raises(ManifestError):
         parse_dataset(json.dumps(doc))
-    doc = minimal_manifest()
-    doc["split"] = "training"
-    with pytest.raises(ManifestError):
-        parse_dataset(json.dumps(doc))
+    for parse, make_doc in PARSERS:
+        doc = make_doc()
+        doc["split"] = "training"
+        with pytest.raises(DataError, match="^split 'training' is not one of train, val, test$"):
+            parse(json.dumps(doc))
 
 
 def test_parse_rejects_category_out_of_range():
@@ -246,27 +243,19 @@ def test_validate_clean_scene_is_empty():
 
 
 def test_validate_self_relation():
-    scene = make_scene(
-        [ObjectInstance(0, 0, unit_box())],
-        [RelationTriplet(0, 0, 0)],
-    )
-    dataset = Dataset(small_registry(), "train", (scene,))
-    codes = [v.code for v in validate(dataset)]
-    assert codes == ["SELF_RELATION"]
+    # A self relation never reaches validate: the scene cannot be built.
+    with pytest.raises(DataError, match="^image 'img': object 0 relates to itself$"):
+        make_scene([ObjectInstance(0, 0, unit_box())], [RelationTriplet(0, 0, 0)])
 
 
 def test_validate_duplicate_triplet_and_dangling():
-    scene = make_scene(
-        [ObjectInstance(0, 0, unit_box()), ObjectInstance(1, 1, unit_box(20, 20))],
-        [
-            RelationTriplet(0, 0, 1),
-            RelationTriplet(0, 0, 1),
-            RelationTriplet(0, 1, 5),
-        ],
-    )
+    objects = [ObjectInstance(0, 0, unit_box()), ObjectInstance(1, 1, unit_box(20, 20))]
+    scene = make_scene(objects, [RelationTriplet(0, 0, 1), RelationTriplet(0, 0, 1)])
     dataset = Dataset(small_registry(), "train", (scene,))
-    codes = sorted(v.code for v in validate(dataset))
-    assert codes == ["DANGLING_REFERENCE", "DUPLICATE_TRIPLET"]
+    assert [v.code for v in validate(dataset)] == ["DUPLICATE_TRIPLET"]
+    # A dangling id never reaches validate: the scene cannot be built.
+    with pytest.raises(DataError, match="^image 'img': relation 0->5 references missing"):
+        make_scene(objects, [RelationTriplet(0, 0, 1), RelationTriplet(0, 1, 5)])
 
 
 def test_validate_id_and_range_codes():
@@ -276,15 +265,16 @@ def test_validate_id_and_range_codes():
             ObjectInstance(2, 2, unit_box(20, 20)),
             ObjectInstance(3, 0, unit_box(40, 40)),
         ],
-        [RelationTriplet(2, 1, 2)],
+        [RelationTriplet(2, 1, 3)],
     )
     dataset = Dataset(small_registry(), "train", (scene,))
     codes = sorted(v.code for v in validate(dataset))
-    # Repeated ids, categories and predicates outside the registry never
-    # reach validate: building the scene or Dataset rejects them
-    # (test_scene_rejects_extent_and_reused_object_id,
+    # Repeated ids, relation endpoints, categories and predicates outside
+    # the registry never reach validate: building the scene or Dataset
+    # rejects them (test_scene_rejects_extent_and_reused_object_id,
+    # test_dangling_relation_id_is_one_data_error,
     # test_out_of_registry_index_is_one_data_error).
-    assert codes == ["NEGATIVE_OBJECT_ID", "SELF_RELATION"]
+    assert codes == ["NEGATIVE_OBJECT_ID"]
 
 
 def test_validate_degenerate_box():
@@ -367,9 +357,39 @@ def test_validate_codes_agree_with_its_docstring_and_readme():
     assert emitted == documented == named
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "references missing object id",
+        "relates to itself",
+        "names two objects",
+        "names two scenes",
+        "is not one of",
+        "outside 1..",
+    ],
+)
+def test_each_container_rule_is_raised_from_one_place(text):
+    # A scene or dataset checks these rules where it is built; a second
+    # f-string with the same text would be a second owner of the rule.
+    found = []
+    for path in sorted(Path(obsg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.JoinedStr):
+                literal = "".join(v.value for v in node.values if isinstance(v, ast.Constant))
+                if text in literal:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert len(found) == 1, found
+
+
 def test_validate_split_name():
-    dataset = Dataset(small_registry(), "holdout", ())
-    assert [v.code for v in validate(dataset)] == ["SPLIT_NAME"]
+    # A split outside SPLITS never reaches validate or report_to_csv: the
+    # Dataset cannot be built, nor replaced into.
+    dataset = Dataset(small_registry(), "test", ())
+    for split in ("holdout", "trainx"):
+        with pytest.raises(DataError, match=f"^split '{split}' is not one of train, val, test$"):
+            Dataset(small_registry(), split, ())
+        with pytest.raises(DataError, match=f"^split '{split}' is not one of train, val, test$"):
+            replace(dataset, split=split)
 
 
 def test_size_class_boundaries():
@@ -526,13 +546,18 @@ def test_image_extent_above_the_maximum():
     assert validate(Dataset(small_registry(), "val", (scene,))) == []
 
 
-@pytest.mark.parametrize("extent", [0, MAX_IMAGE_EXTENT + 1, 2**64])
+@pytest.mark.parametrize("extent", [0, MAX_IMAGE_EXTENT + 1, 2**64, 800.5, True, None, "800"])
 def test_scene_rejects_extent_and_reused_object_id(extent):
+    # An extent must be an int, not a bool, in range; plan_tiles checks the
+    # same rule before any scene exists.
     good = make_scene([ObjectInstance(0, 0, unit_box()), ObjectInstance(1, 1, unit_box(20))], [])
     reused = (good.objects[0], replace(good.objects[1], id=0))
+    text = re.escape(repr(extent))
+    with pytest.raises(ValueError, match=rf"^extent {text}x100 outside 1\.\.100000$"):
+        plan_tiles(extent, 100)
     for change, message in (
-        ({"width": extent}, rf"extent {extent}x100 outside 1\.\.100000"),
-        ({"height": extent}, rf"extent 100x{extent} outside 1\.\.100000"),
+        ({"width": extent}, rf"extent {text}x100 outside 1\.\.100000"),
+        ({"height": extent}, rf"extent 100x{text} outside 1\.\.100000"),
         ({"objects": reused}, "object id 0 names two objects"),
     ):
         fields = {"width": 100, "height": 100, "objects": good.objects, **change}

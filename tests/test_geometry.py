@@ -421,7 +421,7 @@ def test_iou_against_monte_carlo_sample():
         assert abs(rotated_iou(a, b) - estimate) <= allowance
 
 
-def pair_block(a, b, width=100.0, height=100.0):
+def pair_block(a, b, width=100, height=100):
     """Geometry rows of the pairs (a, b) and (b, a) of a two-box scene."""
     objects = (ObjectInstance(0, 0, a), ObjectInstance(1, 0, b))
     scene = SceneAnnotation("s", width, height, objects, ())
@@ -447,7 +447,7 @@ def test_pair_geometry_swap_law():
     for _ in range(100):
         a = random_box(rng)
         b = random_box(rng)
-        sab, sba = pair_block(a, b, 200.0, 150.0)
+        sab, sba = pair_block(a, b, 200, 150)
         assert abs(sab[1] + sba[1]) < 1e-9
         assert abs(sab[0] - sba[0]) < 1e-12
         assert abs(sab[4] - sba[4]) < 1e-9
@@ -458,7 +458,7 @@ def test_pair_geometry_swap_law():
 
 def test_pair_geometry_fields_recomputed_from_vertices():
     rng = np.random.default_rng(15)
-    width, height = 320.0, 240.0
+    width, height = 320, 240
     for _ in range(100):
         a = random_box(rng)
         b = random_box(rng)
@@ -484,7 +484,7 @@ def test_pair_geometry_fields_recomputed_from_vertices():
 def test_pair_geometry_rejects_bad_extent():
     # The geometry never sees a bad extent: its scene cannot be built.
     box = OrientedBox.from_params(0.0, 0.0, 1.0, 1.0, 0.0)
-    with pytest.raises(DataError, match=r"^image 's': extent 0\.0x100\.0 outside"):
-        pair_block(box, box, 0.0, 100.0)
-    with pytest.raises(DataError, match=r"^image 's': extent 100\.0x-5\.0 outside"):
-        pair_block(box, box, 100.0, -5.0)
+    with pytest.raises(DataError, match=r"^image 's': extent 0x100 outside"):
+        pair_block(box, box, 0, 100)
+    with pytest.raises(DataError, match=r"^image 's': extent 100x-5 outside"):
+        pair_block(box, box, 100, -5)

@@ -56,6 +56,11 @@ def _score_json(draw):
     return draw(st.floats(0, 1) | st.integers(0, 3))
 
 
+def _two_ids(draw, ids):
+    """Two different ids of ``ids``: a relation's subject and object."""
+    return draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
+
+
 @st.composite
 def documents(draw):
     """A valid manifest (``scored`` False) or prediction file (True)."""
@@ -86,11 +91,12 @@ def documents(draw):
                 obj["score"] = _score_json(draw)
             objects.append(obj)
         relations = []
-        for _ in range(draw(st.integers(0, 5)) if ids else 0):
+        for _ in range(draw(st.integers(0, 5)) if len(ids) > 1 else 0):
+            subject, object_ = _two_ids(draw, ids)
             rel = {
-                "subject": draw(st.sampled_from(ids)),
+                "subject": subject,
                 "predicate": draw(st.integers(0, num_relations - 1)),
-                "object": draw(st.sampled_from(ids)),
+                "object": object_,
             }
             if scored:
                 rel["score"] = _score_json(draw)
@@ -177,7 +183,8 @@ def _with(doc, path, value):
 
 def _mutants(doc, rnd):
     """(label, document) for every defect at one drawn place of every field
-    it fits, and a reused object id in every scene with two objects."""
+    it fits, a reused object id in every scene with two objects, and a self
+    relation in every scene with a relation."""
     paths = _paths(doc)
     for name, (fields, values) in MUTATIONS.items():
         for field in sorted(paths) if fields is None else fields:
@@ -192,6 +199,11 @@ def _mutants(doc, rnd):
             a, b = rnd.sample(range(len(objects)), 2)
             path = ("images", i, "objects", b, "id")
             yield f"reused id at {path}", _with(doc, path, objects[a]["id"])
+        relations = scene["relations"]
+        if relations:
+            j = rnd.randrange(len(relations))
+            path = ("images", i, "relations", j, "object")
+            yield f"self relation at {path}", _with(doc, path, relations[j]["subject"])
 
 
 def _public_parser(scored):
@@ -266,8 +278,9 @@ def datasets(draw, finite=True):
     """A dataset built in Python; ``finite`` keeps it parseable.
 
     Scored datasets score everything, as a prediction file must.  Image
-    ids, and object ids within a scene, are drawn as unique lists, and
-    extents in ``1..MAX_IMAGE_EXTENT``, as every dataset must have them.
+    ids, object ids within a scene and the two ids of a relation are drawn
+    as unique lists, and extents in ``1..MAX_IMAGE_EXTENT``, as every
+    dataset must have them.
     """
     registry = CategoryRegistry(tuple(draw(_NAMES)), tuple(draw(_NAMES)))
     scored = draw(st.booleans())
@@ -300,15 +313,15 @@ def datasets(draw, finite=True):
                     score=_number(draw, finite) if scored else None,
                 )
             )
-        relations = [
-            RelationTriplet(
-                draw(st.sampled_from(ids)),
+        relations = []
+        for _ in range(draw(st.integers(0, 4)) if len(ids) > 1 else 0):
+            subject, object_ = _two_ids(draw, ids)
+            relations.append(RelationTriplet(
+                subject,
                 draw(st.integers(0, registry.num_relations - 1)),
-                draw(st.sampled_from(ids)),
+                object_,
                 _number(draw, finite) if scored else None,
-            )
-            for _ in range(draw(st.integers(0, 4)) if ids else 0)
-        ]
+            ))
         scenes.append(
             SceneAnnotation(
                 image_id,

@@ -454,11 +454,11 @@ def test_scene_triplets_resolve_objects_and_scores():
     assert rows(scored) == [Triplet(b, 2, a, 0.0625)]
     truth = SceneAnnotation("i0", 50, 50, (a, b), (RelationTriplet(4, 0, 7),))
     assert rows(truth) == [Triplet(a, 0, b)]
-    # A parsed prediction file can name a missing id too: ids are resolved here.
+    # A relation to a missing id never reaches scene_triplets: ids are
+    # resolved where the scene is built, so it cannot be.
     for rel in (RelationTriplet(4, 0, 9), RelationTriplet(9, 0, 4)):
-        dangling = SceneAnnotation("i0", 50, 50, (a, b), (rel,))
-        with pytest.raises(DataError, match=r"'i0'.*missing object id 9"):
-            scene_triplets(dangling)
+        with pytest.raises(DataError, match=r"^image 'i0': relation .* missing object id 9$"):
+            SceneAnnotation("i0", 50, 50, (a, b), (rel,))
 
 
 def test_scene_triplets_reject_non_finite_composite_score():
@@ -596,13 +596,13 @@ def test_evaluate_detections_duplicate_image_id():
 
 
 def test_evaluate_detections_rejects_dangling_relation():
-    # Detection AP reads no relation, but every prediction scene's relations
-    # are resolved, so eval-det rejects the file that eval-sgg rejects.
+    # Detection AP reads no relation, and no prediction set reaches it with
+    # a dangling one: the scene that would hold it cannot be built, so
+    # eval-det rejects the file that eval-sgg rejects.
     gt, preds = det_fixture()
     for rel in (RelationTriplet(0, 0, 9, 0.5), RelationTriplet(9, 0, 1, 0.5)):
-        dangling = replace(preds, scenes=(replace(preds.scenes[0], relations=(rel,)),))
         with pytest.raises(DataError, match=r"^image 'i0': relation .* missing object id 9$"):
-            evaluate_detections(gt, dangling)
+            replace(preds.scenes[0], relations=(rel,))
 
 
 def test_evaluate_detections_requires_ground_truth():
@@ -648,12 +648,12 @@ def test_evaluate_detections_rejects_category_outside_registry():
 
 def test_evaluate_detections_rejects_predicate_outside_registry():
     gt, preds = det_fixture()
-    stray = RelationTriplet(0, gt.registry.num_relations, 0)
+    stray = RelationTriplet(0, gt.registry.num_relations, 1)
+    other = ObjectInstance(1, 1, OrientedBox.axis_aligned(50, 50, 70, 70))
+    objects = gt.scenes[0].objects + (other,)
     # The ground truth cannot be built: the Dataset checks its scenes.
-    with pytest.raises(DataError, match=r"^image 'i0': relation 0->0 has predicate 1"):
-        Dataset(
-            gt.registry, "val", (SceneAnnotation("i0", 100, 100, gt.scenes[0].objects, (stray,)),)
-        )
+    with pytest.raises(DataError, match=r"^image 'i0': relation 0->1 has predicate 1"):
+        Dataset(gt.registry, "val", (SceneAnnotation("i0", 100, 100, objects, (stray,)),))
 
 
 def random_detection_case(rng):

@@ -95,22 +95,19 @@ def test_pair_index_agrees_with_enumeration():
     ids=["object", "subject", "self", "repeated-id"],
 )
 def test_dangling_relation_id_is_one_data_error(call, relations, repeated, message):
-    # Every consumer rejects a malformed relation through one resolver: a
-    # relation to, then from, id 109 on a scene of objects 100 and 101; or
-    # a self relation.  Of these only the self relation can come from a
-    # parsed file: from a prediction file, which is never validated.  A
-    # relation to id 101 when a third object reuses it reaches no consumer:
-    # the scene that would hold it cannot be built.
-    scene = scene_with_relations(3 if repeated else 2, relations)
-    if repeated:
-        with pytest.raises(DataError, match=f"^image 's': {message}$"):
-            replace(scene, objects=scene.objects[:2] + (replace(scene.objects[2], id=101),))
-        return
-    dataset = Dataset(CategoryRegistry(("a",), ("r",)), "train", (scene,))
-    # The failure is not cached: every call raises it again.
-    for _ in range(2):
-        with pytest.raises(DataError, match=f"^image 's': {message}$"):
-            call(scene, dataset)
+    # No consumer meets a malformed relation: a relation to, then from, id
+    # 109 on a scene of objects 100 and 101, a self relation, or a relation
+    # to id 101 when a third object reuses it, is rejected where the scene
+    # is built, here by dataclasses.replace of a clean scene.  Every
+    # consumer then reads the endpoints the clean scene resolved.
+    clean = scene_with_relations(3 if repeated else 2, [(0, 0, 1)])
+    with pytest.raises(DataError, match=f"^image 's': {message}$"):
+        if repeated:
+            replace(clean, objects=clean.objects[:2] + (replace(clean.objects[2], id=101),))
+        else:
+            triplets = [RelationTriplet(100 + s, p, 100 + o) for s, p, o in relations]
+            replace(clean, relations=triplets)
+    call(clean, Dataset(CategoryRegistry(("a",), ("r",)), "train", (clean,)))
 
 
 def test_relation_endpoints_are_object_positions():
@@ -120,23 +117,30 @@ def test_relation_endpoints_are_object_positions():
 
 
 def test_tiling_and_prior_fit_resolve_each_scene_once(monkeypatch):
-    resolver = SceneAnnotation.__dict__["relation_endpoints"]
-    original = resolver.func
-    resolved = []
+    # Each scene resolves its relations once, as it is built, and stores
+    # them; no consumer resolves them again.
+    built = []
+    post_init = SceneAnnotation.__post_init__
 
     def counting(scene):
-        resolved.append(scene.image_id)
-        return original(scene)
+        post_init(scene)
+        built.append(scene.image_id)
+        assert "relation_endpoints" in vars(scene)
 
-    monkeypatch.setattr(resolver, "func", counting)
+    monkeypatch.setattr(SceneAnnotation, "__post_init__", counting)
     registry = CategoryRegistry(("a",), ("r",))
     relations = [(0, 0, 1), (2, 0, 3), (1, 0, 0)]
+    scene = scene_with_relations(4, relations)
+    assert scene.relation_endpoints == ([0, 2, 1], [1, 3, 0])
     # A 1000 px scene has a 2x2 grid of 800 px tiles.
-    tiled = tile_dataset(Dataset(registry, "train", (scene_with_relations(4, relations),)))
+    tiled = tile_dataset(Dataset(registry, "train", (scene,)))
     assert len(tiled.scenes) == 4
-    assert resolved == ["s"]
-    fit_frequency_prior(Dataset(registry, "train", (scene_with_relations(4, relations),)))
-    assert resolved == ["s", "s"]
+    assert built == ["s"] + [tile.image_id for tile in tiled.scenes]
+    fit_frequency_prior(Dataset(registry, "train", (scene,)))
+    fit_frequency_prior(tiled)
+    assert len(built) == 5
+    # A stored field, not a descriptor that a later read could run again.
+    assert "relation_endpoints" not in vars(SceneAnnotation)
 
 
 def test_relation_pairs_follow_relation_order():

@@ -309,11 +309,11 @@ def test_fit_prior_matches_per_pair_reference(dataset, alpha):
 def test_fit_prior_rejects_self_relation():
     dataset = two_class_dataset()
     scene = dataset.scenes[0]
-    looped = SceneAnnotation(
-        "s", 100, 100, scene.objects, tuple(scene.relations) + (RelationTriplet(1, 0, 1),)
-    )
+    # No self relation reaches the fit: the scene cannot be built.
     with pytest.raises(DataError, match="^image 's': object 1 relates to itself$"):
-        fit_frequency_prior(Dataset(dataset.registry, "train", (looped,)))
+        SceneAnnotation(
+            "s", 100, 100, scene.objects, tuple(scene.relations) + (RelationTriplet(1, 0, 1),)
+        )
 
 
 def test_fit_prior_rejects_negative_alpha():
@@ -796,9 +796,8 @@ def test_training_labels_take_the_first_triplet():
     pairs = oracles.reference_pairs(4)
     assert len(labels) == len(pairs)
     assert labels.tolist() == [expected.get(pair, 3) for pair in pairs]
-    self_related = SceneAnnotation("s", 100, 100, objects, (RelationTriplet(11, 0, 11),))
     with pytest.raises(DataError, match="^image 's': object 11 relates to itself$"):
-        _scene_pair_rows(self_related, 2, 3, 64, 192, np.random.default_rng(0))
+        SceneAnnotation("s", 100, 100, objects, (RelationTriplet(11, 0, 11),))
 
 
 def prior_doc():
@@ -856,6 +855,18 @@ def test_load_scorer_rejects_malformed_documents(edit):
     doc = json.loads(save_scorer(scorer))
     edit(doc)
     with pytest.raises(ManifestError, match=r"\$"):
+        load_scorer(json.dumps(doc), registry)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_load_scorer_rejects_non_finite_loss_history(value):
+    # Loaded, it would be written back by save_scorer as NaN or Infinity,
+    # which is not JSON.
+    registry, _ = one_relation_prior()
+    scorer = LinearScorer(np.zeros((feature_count(2), 2)), registry.content_hash(), (1.0, 0.5))
+    doc = json.loads(save_scorer(scorer))
+    doc["loss_history"][1] = value
+    with pytest.raises(ManifestError, match=rf"^\$\.loss_history\[1\]: non-finite loss {value!r}$"):
         load_scorer(json.dumps(doc), registry)
 
 
