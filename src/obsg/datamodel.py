@@ -15,11 +15,12 @@ finite ``score`` on every object (after ``truncated``) and relation (after
 ``object``); ``serialize_dataset`` writes a score wherever one is set.
 
 The containers own the rules that make them usable, however they are
-built: a :class:`SceneAnnotation` rejects an extent that is not an ``int``
-in ``1..MAX_IMAGE_EXTENT``, an object id named twice and a relation that
-does not name two different objects of the scene, and a :class:`Dataset`
-rejects a split outside ``SPLITS``, an image id named twice and, through
-:func:`check_indices`, a category or predicate outside its registry.
+built: a :class:`SceneAnnotation` rejects an empty or non-``str`` image
+id, an extent not an ``int`` in ``1..MAX_IMAGE_EXTENT``, an object id named
+twice and a relation that does not name two different objects of the
+scene, and a :class:`Dataset` rejects a split outside ``SPLITS``, an image
+id named twice and, through :func:`check_indices`, a category or predicate
+outside its registry.
 Each raises a :class:`DataError`, naming the image where there is one.
 Parsing is strict: ``parse_dataset`` either returns a dataset that passes
 ``validate`` with zero violations, or raises :class:`ManifestError`
@@ -134,9 +135,9 @@ class RelationColumns:
     """A scene's relations as four aligned tuples: subject and object ids,
     predicates, and scores (``None`` on ground truth).
 
-    It is the one stored form of a scene's relations; iteration gives
-    :class:`RelationTriplet` rows.  Any iterable is stored as a tuple, so
-    equal columns compare and hash equal.
+    It is the one form in which a scene takes and stores its relations;
+    iteration is a read-only view of :class:`RelationTriplet` rows, which
+    acceptance criterion 09 reads.  Any iterable is stored as a tuple.
     """
 
     subjects: tuple[int, ...]
@@ -195,14 +196,13 @@ def _rank(scores: Sequence[float | None]) -> list[int]:
 class SceneAnnotation:
     """All annotations, or all predictions, of a single image.
 
-    ``relations`` may be given as :class:`RelationTriplet` rows; they are
-    stored as :class:`RelationColumns`.  ``relation_endpoints`` holds the
-    positions in ``objects`` of each relation's subject and object, in
-    relation order, resolved once as the scene is built.  A width or height
-    that is not an ``int`` in ``1..MAX_IMAGE_EXTENT``, an object id named by
-    two objects, and a relation that names an object id missing from the
-    scene or whose subject is its object, are each a :class:`DataError`
-    when the scene is built, ``dataclasses.replace`` included.
+    ``objects`` is stored as a tuple; ``relations`` must be
+    :class:`RelationColumns`, else a ``TypeError``.  ``relation_endpoints``
+    holds the positions in ``objects`` of each relation's subject and
+    object, in relation order, resolved once as the scene is built.  An
+    empty or non-``str`` id, a bad extent, a repeated object id or a bad
+    relation (see the module docstring) is a :class:`DataError` when the
+    scene is built, ``dataclasses.replace`` included.
     """
 
     image_id: str
@@ -215,11 +215,14 @@ class SceneAnnotation:
     )
 
     def __post_init__(self) -> None:
+        if type(self.image_id) is not str or not self.image_id:
+            raise DataError(f"image id {self.image_id!r} is not a non-empty string")
         try:
             _check_extent(self.width, self.height)
         except ValueError as exc:
             raise DataError(f"image {self.image_id!r}: {exc}") from None
-        objects = self.objects
+        objects = tuple(self.objects)
+        object.__setattr__(self, "objects", objects)
         position = {obj.id: k for k, obj in enumerate(objects)}
         if len(position) < len(objects):
             raise DataError(
@@ -228,14 +231,7 @@ class SceneAnnotation:
             )
         rel = self.relations
         if type(rel) is not RelationColumns:
-            rows = list(rel)
-            rel = RelationColumns(
-                [r.subject for r in rows],
-                [r.predicate for r in rows],
-                [r.object for r in rows],
-                [r.score for r in rows],
-            )
-            object.__setattr__(self, "relations", rel)
+            raise TypeError(f"relations must be RelationColumns, got {type(rel).__name__}")
         try:
             endpoints = (
                 list(map(position.__getitem__, rel.subjects)),
@@ -282,8 +278,7 @@ class Dataset:
     scenes: tuple[SceneAnnotation, ...]
 
     def __post_init__(self) -> None:
-        if self.split not in SPLITS:
-            raise DataError(f"split {self.split!r} is not one of {', '.join(SPLITS)}")
+        _check_split(self.split)
         scenes = tuple(self.scenes)
         object.__setattr__(self, "scenes", scenes)
         if len({scene.image_id for scene in scenes}) < len(scenes):
@@ -292,6 +287,12 @@ class Dataset:
             )
         for scene in scenes:
             check_indices(scene, self.registry.num_objects, self.registry.num_relations)
+
+
+def _check_split(split: str) -> None:
+    """Raise :class:`DataError` unless ``split`` is one of ``SPLITS``."""
+    if split not in SPLITS:
+        raise DataError(f"split {split!r} is not one of {', '.join(SPLITS)}")
 
 
 def check_indices(scene: SceneAnnotation, num_objects: int, num_relations: int) -> None:
@@ -491,10 +492,9 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
     int`` is the integer check, bools excluded.  A value that fails its
     check goes to the located helper for it (``_get``, ``_expect``,
     ``_parse_box``, ``_parse_score``), which raises the located
-    :class:`ManifestError` or returns the value.  Extents, repeated ids,
-    relation endpoints and the split are left to the
-    :class:`SceneAnnotation` and :class:`Dataset` it builds, indices to
-    :func:`check_indices` as the dataset is built.
+    :class:`ManifestError` or returns the value.  The rules of a scene and
+    a dataset are left to the :class:`SceneAnnotation` and :class:`Dataset`
+    it builds.
     """
     root = _load_root(data)
     split, registry = _parse_header(root)
@@ -505,8 +505,6 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
         image_id = raw_scene.get("id") if type(raw_scene) is dict else None
         if type(image_id) is not str:
             image_id = _get(raw_scene, "id", str, f"$.images[{i}]")
-        if not image_id:
-            raise ManifestError(f"$.images[{i}].id: empty image id")
         width = raw_scene.get("width")
         if type(width) is not int:
             width = _get(raw_scene, "width", int, f"$.images[{i}]")
@@ -580,11 +578,8 @@ def parse_dataset(data: str | bytes, check: bool = True) -> Dataset:
     Raises:
         ManifestError: malformed syntax, a non-rectangular box or, with
             ``check``, any validation violation.
-        DataError: an extent outside ``1..MAX_IMAGE_EXTENT``, a repeated
-            object id, or a relation to a missing id or from an object to
-            itself, as a :class:`SceneAnnotation` is built; a split outside
-            ``SPLITS``, a repeated image id, or a category or predicate
-            outside the registry, as the :class:`Dataset` is built.
+        DataError: a rule of :class:`SceneAnnotation` or :class:`Dataset`
+            (see the module docstring), as the scenes and dataset are built.
     """
     dataset = _parse(data, scored=False)
     if check:

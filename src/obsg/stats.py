@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .datamodel import Dataset, SIZE_CLASS_NAMES, SPLITS, size_class
+from .datamodel import Dataset, SIZE_CLASS_NAMES, SPLITS, _check_split, size_class
 from .errors import DataError, RegistryMismatchError
 from .metrics import _csv_cell
 
@@ -27,7 +27,8 @@ class StatsReport:
     Histograms map an integer per-image value to the number of images with
     that value; their masses sum to ``num_images``.  ``cooccurrence_log``
     is ``log(1 + count)`` of relations between a subject row and an object
-    column, in registry order.
+    column, in registry order.  A split outside ``SPLITS`` is a
+    :class:`DataError`, as in :class:`Dataset`.
     """
 
     split: str
@@ -42,6 +43,9 @@ class StatsReport:
     relation_categories_per_image: dict[int, int]
     size_class_fractions: dict[str, float]
     cooccurrence_log: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self) -> None:
+        _check_split(self.split)
 
 
 def compute_stats(dataset: Dataset) -> StatsReport:

@@ -39,10 +39,9 @@ from obsg import (
     EvalReport,
     FrequencyPrior,
     LinearScorer,
-    ManifestError,
     ObjectInstance,
     OrientedBox,
-    RelationTriplet,
+    RelationColumns,
     SceneAnnotation,
     Triplet,
     average_precision,
@@ -124,6 +123,12 @@ def mc_intersection_area(
     estimate = p * box_area
     sigma = box_area * math.sqrt(p * (1.0 - p) / n_samples)
     return estimate, sigma
+
+
+def relation_columns(rows) -> RelationColumns:
+    """The :class:`RelationColumns` of ``(subject, predicate, object[,
+    score])`` tuples, in row order; a row of three has no score."""
+    return RelationColumns(*zip(*((*row, None)[:4] for row in rows)))
 
 
 def random_box(
@@ -563,7 +568,8 @@ def reference_prior_row(prior, subject_class, object_class) -> np.ndarray:
 
 def reference_predict_triplets(scene, prior, linear=None, top_m=None, graph_constraint=True):
     """Per-pair relation scoring: one prior row, feature vector and softmax
-    per ordered pair, in enumeration order, as ``predict_triplets`` defines."""
+    per ordered pair, in enumeration order, as ``predict_triplets`` defines;
+    the relations as columns."""
     if top_m is not None and top_m < 0:
         raise ValueError(f"top_m must be >= 0: {top_m}")
     num_relations = prior.num_relations
@@ -605,8 +611,8 @@ def reference_predict_triplets(scene, prior, linear=None, top_m=None, graph_cons
         else:
             chosen = list(range(num_relations))
         for p in chosen:
-            out.append(RelationTriplet(subj.id, p, obj.id, float(predicate_probs[p])))
-    return out
+            out.append((subj.id, p, obj.id, float(predicate_probs[p])))
+    return relation_columns(out)
 
 
 def reference_serialize_dataset(dataset) -> str:
@@ -656,18 +662,16 @@ def reference_parse(root, scored: bool) -> Dataset:
     This is the walk the library's one-pass parser replaced; it raises the
     located :class:`ManifestError` of the first defect, and the parser must
     give the same dataset or the same message.  A prediction file must
-    score every object and relation.  As in the parser, extents, repeated
-    ids and relation endpoints are left to the :class:`SceneAnnotation` it
-    builds, and the split, repeated image ids and indices to the
-    :class:`Dataset`.
+    score every object and relation.  As in the parser, empty image ids,
+    extents, repeated ids and relation endpoints are left to the
+    :class:`SceneAnnotation` it builds, and the split, repeated image ids
+    and indices to the :class:`Dataset`.
     """
     split, registry = _parse_header(root)
     scenes = []
     for i, raw_scene in enumerate(_get(root, "images", list, "$")):
         path = f"$.images[{i}]"
         image_id = _get(raw_scene, "id", str, path)
-        if not image_id:
-            raise ManifestError(f"{path}.id: empty image id")
         width = _get(raw_scene, "width", int, path)
         height = _get(raw_scene, "height", int, path)
         objects = []
@@ -687,8 +691,8 @@ def reference_parse(root, scored: bool) -> Dataset:
             predicate = _get(raw_rel, "predicate", int, rpath)
             obj_ref = _get(raw_rel, "object", int, rpath)
             score = _parse_score(raw_rel, rpath, image_id) if scored else None
-            relations.append(RelationTriplet(subject, predicate, obj_ref, score))
+            relations.append((subject, predicate, obj_ref, score))
         scenes.append(
-            SceneAnnotation(image_id, width, height, tuple(objects), tuple(relations))
+            SceneAnnotation(image_id, width, height, tuple(objects), relation_columns(relations))
         )
     return Dataset(registry, split, tuple(scenes))

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import obsg
+from oracles import relation_columns
 from obsg import (
     CategoryRegistry,
     DataError,
@@ -40,7 +41,7 @@ from obsg import (
     train_linear,
     validate,
 )
-from obsg.datamodel import MAX_IMAGE_EXTENT, _rank
+from obsg.datamodel import MAX_IMAGE_EXTENT, NO_RELATIONS, _rank
 
 
 def unit_box(x=0.0, y=0.0, s=10.0):
@@ -98,13 +99,13 @@ PARSERS = ((parse_dataset, minimal_manifest), (parse_predictions, scored_manifes
 def test_box_columns_are_params_and_extents_in_object_order():
     boxes = (OrientedBox.from_params(30.0, 20.0, 12.0, 5.0, 0.4), unit_box(50.0, 60.0))
     objects = tuple(ObjectInstance(9 - k, 0, box) for k, box in enumerate(boxes))
-    scene = SceneAnnotation("s", 100, 100, objects, ())
+    scene = SceneAnnotation("s", 100, 100, objects, NO_RELATIONS)
     params, extents = scene.box_columns
     assert params.dtype == extents.dtype == np.float64
     assert params.tolist() == [list(box.params) for box in boxes]
     assert extents.tolist() == [list(box.extent) for box in boxes]
     assert scene.box_columns is scene.box_columns
-    empty = SceneAnnotation("e", 100, 100, (), ())
+    empty = SceneAnnotation("e", 100, 100, (), NO_RELATIONS)
     assert [column.shape for column in empty.box_columns] == [(0, 5), (0, 4)]
 
 
@@ -134,12 +135,13 @@ def test_parse_rejects_dangling_reference():
 
 
 def test_parse_rejects_empty_image_id():
+    # The parser checks that an id is a string; the scene it builds rejects
+    # an empty one.
     for parse, make_doc in PARSERS:
         doc = make_doc()
         doc["images"][0]["id"] = ""
-        with pytest.raises(ManifestError) as err:
+        with pytest.raises(DataError, match="^image id '' is not a non-empty string$"):
             parse(json.dumps(doc))
-        assert "$.images[0].id" in str(err.value)
 
 
 def test_parse_rejects_bad_box_with_path():
@@ -230,13 +232,13 @@ def test_parse_check_rejects_validation_violations():
 
 
 def make_scene(objects, relations, image_id="img", width=100, height=100):
-    return SceneAnnotation(image_id, width, height, tuple(objects), tuple(relations))
+    return SceneAnnotation(image_id, width, height, tuple(objects), relation_columns(relations))
 
 
 def test_validate_clean_scene_is_empty():
     scene = make_scene(
         [ObjectInstance(0, 0, unit_box()), ObjectInstance(1, 1, unit_box(20, 20))],
-        [RelationTriplet(0, 0, 1)],
+        [(0, 0, 1)],
     )
     dataset = Dataset(small_registry(), "val", (scene,))
     assert validate(dataset) == []
@@ -245,17 +247,17 @@ def test_validate_clean_scene_is_empty():
 def test_validate_self_relation():
     # A self relation never reaches validate: the scene cannot be built.
     with pytest.raises(DataError, match="^image 'img': object 0 relates to itself$"):
-        make_scene([ObjectInstance(0, 0, unit_box())], [RelationTriplet(0, 0, 0)])
+        make_scene([ObjectInstance(0, 0, unit_box())], [(0, 0, 0)])
 
 
 def test_validate_duplicate_triplet_and_dangling():
     objects = [ObjectInstance(0, 0, unit_box()), ObjectInstance(1, 1, unit_box(20, 20))]
-    scene = make_scene(objects, [RelationTriplet(0, 0, 1), RelationTriplet(0, 0, 1)])
+    scene = make_scene(objects, [(0, 0, 1), (0, 0, 1)])
     dataset = Dataset(small_registry(), "train", (scene,))
     assert [v.code for v in validate(dataset)] == ["DUPLICATE_TRIPLET"]
     # A dangling id never reaches validate: the scene cannot be built.
     with pytest.raises(DataError, match="^image 'img': relation 0->5 references missing"):
-        make_scene(objects, [RelationTriplet(0, 0, 1), RelationTriplet(0, 1, 5)])
+        make_scene(objects, [(0, 0, 1), (0, 1, 5)])
 
 
 def test_validate_id_and_range_codes():
@@ -265,7 +267,7 @@ def test_validate_id_and_range_codes():
             ObjectInstance(2, 2, unit_box(20, 20)),
             ObjectInstance(3, 0, unit_box(40, 40)),
         ],
-        [RelationTriplet(2, 1, 3)],
+        [(2, 1, 3)],
     )
     dataset = Dataset(small_registry(), "train", (scene,))
     codes = sorted(v.code for v in validate(dataset))
@@ -365,6 +367,7 @@ def test_validate_codes_agree_with_its_docstring_and_readme():
         "names two objects",
         "names two scenes",
         "is not one of",
+        "is not a non-empty string",
         "outside 1..",
     ],
 )
@@ -483,7 +486,7 @@ def test_prediction_round_trip():
             ObjectInstance(0, 0, unit_box(), score=0.9),
             ObjectInstance(1, 1, unit_box(20, 20), True, score=0.7),
         ),
-        relations=(RelationTriplet(0, 1, 1, 0.5),),
+        relations=relation_columns([(0, 1, 1, 0.5)]),
     )
     preds = Dataset(small_registry(), "val", (scene,))
     text = serialize_dataset(preds)
@@ -562,9 +565,46 @@ def test_scene_rejects_extent_and_reused_object_id(extent):
     ):
         fields = {"width": 100, "height": 100, "objects": good.objects, **change}
         with pytest.raises(DataError, match=f"^image 'img': {message}$"):
-            SceneAnnotation("img", relations=(), **fields)
+            SceneAnnotation("img", relations=NO_RELATIONS, **fields)
         with pytest.raises(DataError, match=f"^image 'img': {message}$"):
             replace(good, **change)
+
+
+@pytest.mark.parametrize("image_id", ["", 5, None, b"img"])
+def test_scene_rejects_an_image_id_that_is_not_a_non_empty_string(image_id):
+    # serialize_dataset wrote such a scene, which parse_dataset then rejected.
+    good = make_scene([ObjectInstance(0, 0, unit_box())], [])
+    message = rf"^image id {re.escape(repr(image_id))} is not a non-empty string$"
+    with pytest.raises(DataError, match=message):
+        make_scene(good.objects, [], image_id=image_id)
+    with pytest.raises(DataError, match=message):
+        replace(good, image_id=image_id)
+
+
+@pytest.mark.parametrize(
+    "relations",
+    [(RelationTriplet(0, 0, 1),), [RelationTriplet(0, 0, 1)], (), None],
+    ids=["rows", "list", "empty-tuple", "none"],
+)
+def test_scene_takes_relations_as_columns_only(relations):
+    # RelationColumns is the one input form; iterating it is a row view.
+    good = make_scene([ObjectInstance(0, 0, unit_box()), ObjectInstance(1, 1, unit_box(20))], [])
+    message = rf"^relations must be RelationColumns, got {type(relations).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        SceneAnnotation("img", 100, 100, good.objects, relations)
+    with pytest.raises(TypeError, match=message):
+        replace(good, relations=relations)
+
+
+def test_scene_stores_objects_as_a_tuple():
+    objects = (ObjectInstance(0, 0, unit_box()), ObjectInstance(1, 1, unit_box(20, 20)))
+    scene = make_scene(objects, [(0, 0, 1)])
+    assert scene.objects is objects
+    for given_objects in (list(objects), (obj for obj in objects)):
+        built = SceneAnnotation("img", 100, 100, given_objects, scene.relations)
+        assert type(built.objects) is tuple
+        assert built == scene and hash(built) == hash(scene)
+        assert built.relation_endpoints == scene.relation_endpoints
 
 
 def test_dataset_rejects_repeated_image_id():
@@ -586,7 +626,7 @@ def index_scene(category=1, predicate=0, scored=False):
         ObjectInstance(0, 0, unit_box(), score=score),
         ObjectInstance(1, category, unit_box(20, 20), score=score),
     )
-    return make_scene(objects, [RelationTriplet(0, predicate, 1, score)], image_id="s")
+    return make_scene(objects, [(0, predicate, 1, score)], image_id="s")
 
 
 def index_callers():

@@ -17,6 +17,7 @@ from obsg import (
     rotated_iou,
     shoelace_area,
 )
+from obsg.datamodel import NO_RELATIONS
 from obsg.scorer import _pair_geometry
 
 from oracles import (
@@ -233,7 +234,7 @@ def hbb_boxes(boxes: list[OrientedBox]) -> list[OrientedBox]:
     """The boxes ``convert_to_hbb`` gives for ``boxes``, in order."""
     registry = CategoryRegistry(("a",), ("r",))
     objects = tuple(ObjectInstance(i, 0, box) for i, box in enumerate(boxes))
-    scene = SceneAnnotation("s", 100, 100, objects, ())
+    scene = SceneAnnotation("s", 100, 100, objects, NO_RELATIONS)
     converted = convert_to_hbb(Dataset(registry, "train", (scene,)))
     return [obj.box for obj in converted.scenes[0].objects]
 
@@ -424,7 +425,7 @@ def test_iou_against_monte_carlo_sample():
 def pair_block(a, b, width=100, height=100):
     """Geometry rows of the pairs (a, b) and (b, a) of a two-box scene."""
     objects = (ObjectInstance(0, 0, a), ObjectInstance(1, 0, b))
-    scene = SceneAnnotation("s", width, height, objects, ())
+    scene = SceneAnnotation("s", width, height, objects, NO_RELATIONS)
     return _pair_geometry(scene, np.array([0, 1]), np.array([1, 0]))
 
 

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import relation_columns
 from obsg import (
     CategoryRegistry,
     Dataset,
     Detection,
     ObjectInstance,
     OrientedBox,
-    RelationTriplet,
     SceneAnnotation,
     TileSpec,
     convert_to_hbb,
@@ -28,7 +28,7 @@ from obsg.datamodel import MAX_IMAGE_EXTENT
 
 
 def scene_of(objects, relations=(), image_id="scene", width=1000, height=1000):
-    return SceneAnnotation(image_id, width, height, tuple(objects), tuple(relations))
+    return SceneAnnotation(image_id, width, height, tuple(objects), relation_columns(relations))
 
 
 def test_plan_tiles_large_grid():
@@ -116,7 +116,7 @@ def test_crop_keeps_inner_object_untouched():
 def test_crop_keeps_object_and_relation_scores():
     a = ObjectInstance(0, 0, OrientedBox.axis_aligned(10, 10, 50, 50), score=0.9)
     b = ObjectInstance(1, 1, OrientedBox.axis_aligned(60, 10, 90, 50), score=0.25)
-    cropped = crop_scene(scene_of([a, b], [RelationTriplet(0, 0, 1, 0.5)]), TileSpec(0, 0, 400))
+    cropped = crop_scene(scene_of([a, b], [(0, 0, 1, 0.5)]), TileSpec(0, 0, 400))
     assert [o.score for o in cropped.objects] == [0.9, 0.25]
     assert cropped.relations.scores == (0.5,)
 
@@ -127,7 +127,7 @@ def test_crop_drops_object_and_relations():
     outside = ObjectInstance(1, 1, OrientedBox.axis_aligned(396, 10, 436, 50))
     scene = scene_of(
         [inside, outside],
-        [RelationTriplet(0, 0, 1), RelationTriplet(1, 0, 0)],
+        [(0, 0, 1), (1, 0, 0)],
     )
     cropped = crop_scene(scene, TileSpec(0, 0, 400))
     assert [o.id for o in cropped.objects] == [0]
@@ -195,7 +195,7 @@ def test_crop_keeps_every_contained_box_at_keep_fraction_one():
         for i in range(40)
     ]
     objects.append(ObjectInstance(40, 0, OrientedBox.axis_aligned(490, 200, 510, 220)))
-    relations = [RelationTriplet(i, 0, i + 1) for i in range(40)]
+    relations = [(i, 0, i + 1) for i in range(40)]
     scene = scene_of(objects, relations)
     cropped = crop_scene(scene, TileSpec(100, 100, 400), keep_fraction=1.0)
     assert [o.id for o in cropped.objects] == list(range(40))

@@ -17,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import relation_columns
 from obsg import (
     CategoryRegistry,
     DataError,
     Dataset,
     ObjectInstance,
     OrientedBox,
-    RelationTriplet,
     SceneAnnotation,
     SynthConfig,
     generate,
@@ -249,7 +249,7 @@ def test_pipeline_files_round_trip():
             replace(
                 s,
                 objects=tuple(replace(o, score=0.5) for o in s.objects),
-                relations=tuple(replace(r, score=0.25) for r in s.relations),
+                relations=replace(s.relations, scores=(0.25,) * len(s.relations)),
             )
             for s in dataset.scenes
         ),
@@ -316,7 +316,7 @@ def datasets(draw, finite=True):
         relations = []
         for _ in range(draw(st.integers(0, 4)) if len(ids) > 1 else 0):
             subject, object_ = _two_ids(draw, ids)
-            relations.append(RelationTriplet(
+            relations.append((
                 subject,
                 draw(st.integers(0, registry.num_relations - 1)),
                 object_,
@@ -328,7 +328,7 @@ def datasets(draw, finite=True):
                 draw(st.integers(1, 10**5)),
                 draw(st.integers(1, 10**5)),
                 tuple(objects),
-                tuple(relations),
+                relation_columns(relations),
             )
         )
     return Dataset(registry, draw(st.sampled_from(SPLITS)), tuple(scenes)), scored

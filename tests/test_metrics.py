@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import relation_columns
 from obsg import (
     CategoryRegistry,
     DataError,
@@ -19,7 +20,6 @@ from obsg import (
     ObjectInstance,
     OrientedBox,
     RegistryMismatchError,
-    RelationTriplet,
     SceneAnnotation,
     SynthConfig,
     Triplet,
@@ -37,6 +37,7 @@ from obsg import (
     rotated_iou,
     scene_triplets,
 )
+from obsg.datamodel import NO_RELATIONS
 from obsg.metrics import SUBTASKS, _take_best, report_to_csv, report_to_json
 
 
@@ -375,8 +376,8 @@ def as_scene(triplets, scored):
     for t in triplets:
         for obj in (t.subject, t.object):
             objects.setdefault(obj.id, replace(obj, score=1.0 if scored else None))
-    relations = [RelationTriplet(t.subject.id, t.predicate, t.object.id, t.score) for t in triplets]
-    return SceneAnnotation("s", 100, 100, tuple(objects.values()), tuple(relations))
+    relations = [(t.subject.id, t.predicate, t.object.id, t.score) for t in triplets]
+    return SceneAnnotation("s", 100, 100, tuple(objects.values()), relation_columns(relations))
 
 
 @settings(max_examples=200, deadline=None)
@@ -415,13 +416,13 @@ def test_sgdet_computes_each_object_pair_iou_at_most_once(monkeypatch):
         ObjectInstance(10 + k, 0, box.translate(1, 0), score=1.0) for k, box in enumerate(boxes)
     )
     pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
-    gt = SceneAnnotation("s", 100, 100, truth, [RelationTriplet(i, 0, j) for i, j in pairs])
+    gt = SceneAnnotation("s", 100, 100, truth, relation_columns((i, 0, j) for i, j in pairs))
     # Every prediction shares each endpoint with five others, under two predicates.
-    relations = [
-        RelationTriplet(10 + i, p, 10 + j, 1.0 - 0.01 * k)
+    relations = relation_columns(
+        (10 + i, p, 10 + j, 1.0 - 0.01 * k)
         for k, (i, j) in enumerate(pairs)
         for p in (0, 1)
-    ]
+    )
     pred = SceneAnnotation("s", 100, 100, detected, relations)
     owner = {id(obj.box): obj.id for obj in truth + detected}
     calls = []
@@ -450,15 +451,15 @@ def test_scene_triplets_resolve_objects_and_scores():
             for i, p, j, score in zip(t.subjects, t.predicates, t.objects, t.scores)
         ]
 
-    scored = SceneAnnotation("i0", 50, 50, (a, b), (RelationTriplet(7, 2, 4, 0.5),))
+    scored = SceneAnnotation("i0", 50, 50, (a, b), relation_columns([(7, 2, 4, 0.5)]))
     assert rows(scored) == [Triplet(b, 2, a, 0.0625)]
-    truth = SceneAnnotation("i0", 50, 50, (a, b), (RelationTriplet(4, 0, 7),))
+    truth = SceneAnnotation("i0", 50, 50, (a, b), relation_columns([(4, 0, 7)]))
     assert rows(truth) == [Triplet(a, 0, b)]
     # A relation to a missing id never reaches scene_triplets: ids are
     # resolved where the scene is built, so it cannot be.
-    for rel in (RelationTriplet(4, 0, 9), RelationTriplet(9, 0, 4)):
+    for rel in ((4, 0, 9), (9, 0, 4)):
         with pytest.raises(DataError, match=r"^image 'i0': relation .* missing object id 9$"):
-            SceneAnnotation("i0", 50, 50, (a, b), (rel,))
+            SceneAnnotation("i0", 50, 50, (a, b), relation_columns([rel]))
 
 
 def test_scene_triplets_reject_non_finite_composite_score():
@@ -468,7 +469,7 @@ def test_scene_triplets_reject_non_finite_composite_score():
     c = ObjectInstance(9, 1, box.translate(40, 0), score=1e300)
     # 1e300 ** 3 overflows to inf, and inf times a 0.0 object score is NaN.
     for obj, score in ((9, "inf"), (7, "nan")):
-        relations = (RelationTriplet(9, 0, 7, 0.5), RelationTriplet(4, 2, obj, 1e300))
+        relations = relation_columns([(9, 0, 7, 0.5), (4, 2, obj, 1e300)])
         scene = SceneAnnotation("i0", 50, 50, (a, b, c), relations)
         message = f"'i0': relation 4-2->{obj} has non-finite composite score {score}$"
         with pytest.raises(DataError, match=message):
@@ -511,14 +512,11 @@ def grid_box(idx):
 def long_tail_fixture():
     registry = CategoryRegistry(("thing",), ("common", "rare"))
     objects = tuple(ObjectInstance(i, 0, grid_box(i)) for i in range(202))
-    relations = tuple(RelationTriplet(2 * i, 0, 2 * i + 1) for i in range(100))
-    relations += (RelationTriplet(200, 1, 201),)
-    scene = SceneAnnotation("tail", 300, 200, objects, relations)
+    relations = [(2 * i, 0, 2 * i + 1) for i in range(100)] + [(200, 1, 201)]
+    scene = SceneAnnotation("tail", 300, 200, objects, relation_columns(relations))
     gt = Dataset(registry, "val", (scene,))
     scored = tuple(ObjectInstance(o.id, 0, o.box, score=1.0) for o in objects)
-    pred_rels = tuple(
-        RelationTriplet(2 * i, 0, 2 * i + 1, 1.0) for i in range(100)
-    )
+    pred_rels = relation_columns((2 * i, 0, 2 * i + 1, 1.0) for i in range(100))
     preds = Dataset(
         registry, "val", (SceneAnnotation("tail", 300, 200, scored, pred_rels),)
     )
@@ -540,7 +538,7 @@ def test_long_tail_recall_vs_mean_recall():
 def det_fixture():
     registry = CategoryRegistry(("a", "b"), ("r",))
     box = OrientedBox.axis_aligned(10, 10, 30, 30)
-    scene = SceneAnnotation("i0", 100, 100, (ObjectInstance(0, 0, box),), ())
+    scene = SceneAnnotation("i0", 100, 100, (ObjectInstance(0, 0, box),), NO_RELATIONS)
     gt = Dataset(registry, "val", (scene,))
     preds = Dataset(
         registry,
@@ -556,7 +554,7 @@ def det_fixture():
                         1, 1, OrientedBox.axis_aligned(50, 50, 70, 70), score=0.8
                     ),
                 ),
-                (),
+                NO_RELATIONS,
             ),
         ),
     )
@@ -600,14 +598,14 @@ def test_evaluate_detections_rejects_dangling_relation():
     # a dangling one: the scene that would hold it cannot be built, so
     # eval-det rejects the file that eval-sgg rejects.
     gt, preds = det_fixture()
-    for rel in (RelationTriplet(0, 0, 9, 0.5), RelationTriplet(9, 0, 1, 0.5)):
+    for rel in ((0, 0, 9, 0.5), (9, 0, 1, 0.5)):
         with pytest.raises(DataError, match=r"^image 'i0': relation .* missing object id 9$"):
-            replace(preds.scenes[0], relations=(rel,))
+            replace(preds.scenes[0], relations=relation_columns([rel]))
 
 
 def test_evaluate_detections_requires_ground_truth():
     registry = CategoryRegistry(("a",), ("r",))
-    gt = Dataset(registry, "val", (SceneAnnotation("i0", 10, 10, (), ()),))
+    gt = Dataset(registry, "val", (SceneAnnotation("i0", 10, 10, (), NO_RELATIONS),))
     preds = Dataset(registry, "val", ())
     with pytest.raises(DataError):
         evaluate_detections(gt, preds)
@@ -617,7 +615,7 @@ def test_evaluate_detections_checks_threshold_without_predictions():
     # No prediction object reaches the matcher, so only the up-front check
     # can reject the threshold.
     gt, preds = det_fixture()
-    empty = Dataset(preds.registry, "val", (SceneAnnotation("i0", 100, 100, (), ()),))
+    empty = Dataset(preds.registry, "val", (SceneAnnotation("i0", 100, 100, (), NO_RELATIONS),))
     for bad in (0.0, -0.5, 1.5):
         for predictions in (empty, Dataset(preds.registry, "val", ())):
             with pytest.raises(ValueError, match="iou_threshold"):
@@ -636,24 +634,28 @@ def test_evaluate_detections_rejects_category_outside_registry():
             Dataset(
                 preds.registry,
                 "val",
-                (SceneAnnotation("i0", 100, 100, scene.objects + (stray,), ()),),
+                (SceneAnnotation("i0", 100, 100, scene.objects + (stray,), NO_RELATIONS),),
             )
         with pytest.raises(DataError, match=message):
             Dataset(
                 gt.registry,
                 "val",
-                (SceneAnnotation("i0", 100, 100, gt.scenes[0].objects + (stray,), ()),),
+                (
+                    SceneAnnotation(
+                        "i0", 100, 100, gt.scenes[0].objects + (stray,), NO_RELATIONS
+                    ),
+                ),
             )
 
 
 def test_evaluate_detections_rejects_predicate_outside_registry():
     gt, preds = det_fixture()
-    stray = RelationTriplet(0, gt.registry.num_relations, 1)
+    stray = relation_columns([(0, gt.registry.num_relations, 1)])
     other = ObjectInstance(1, 1, OrientedBox.axis_aligned(50, 50, 70, 70))
     objects = gt.scenes[0].objects + (other,)
     # The ground truth cannot be built: the Dataset checks its scenes.
     with pytest.raises(DataError, match=r"^image 'i0': relation 0->1 has predicate 1"):
-        Dataset(gt.registry, "val", (SceneAnnotation("i0", 100, 100, objects, (stray,)),))
+        Dataset(gt.registry, "val", (SceneAnnotation("i0", 100, 100, objects, stray),))
 
 
 def random_detection_case(rng):
@@ -671,7 +673,7 @@ def random_detection_case(rng):
         for k in range(int(rng.integers(0, 7))):
             box = oracles.random_box(rng, center_lo=10, center_hi=90, side_lo=6, side_hi=30)
             truths.append(ObjectInstance(k, int(rng.choice([0, 1, 2, 4])), box))
-        gt_scenes.append(SceneAnnotation(image_id, 100, 100, tuple(truths), ()))
+        gt_scenes.append(SceneAnnotation(image_id, 100, 100, tuple(truths), NO_RELATIONS))
         if rng.uniform() < 0.2:
             continue
         preds = []
@@ -687,11 +689,11 @@ def random_detection_case(rng):
                 category = 3
             score = float(rng.choice([0.25, 0.5, 0.75]))
             preds.append(ObjectInstance(k, category, box, score=score))
-        pred_scenes.append(SceneAnnotation(image_id, 100, 100, tuple(preds), ()))
+        pred_scenes.append(SceneAnnotation(image_id, 100, 100, tuple(preds), NO_RELATIONS))
     for index in range(int(rng.integers(0, 3))):
         box = oracles.random_box(rng, center_lo=10, center_hi=90, side_lo=6, side_hi=30)
         stray = ObjectInstance(0, int(rng.integers(0, 4)), box, score=0.5)
-        pred_scenes.append(SceneAnnotation(f"unknown{index}", 100, 100, (stray,), ()))
+        pred_scenes.append(SceneAnnotation(f"unknown{index}", 100, 100, (stray,), NO_RELATIONS))
     order = rng.permutation(len(pred_scenes))
     return (
         Dataset(registry, "val", tuple(gt_scenes)),
@@ -734,9 +736,9 @@ def predictions_from_gt(dataset):
         objects = tuple(
             ObjectInstance(o.id, o.category, o.box, score=1.0) for o in scene.objects
         )
-        relations = tuple(
-            RelationTriplet(r.subject, r.predicate, r.object, 1.0)
-            for r in scene.relations
+        rel = scene.relations
+        relations = relation_columns(
+            (s, p, o, 1.0) for s, p, o in zip(rel.subjects, rel.predicates, rel.objects)
         )
         scenes.append(
             SceneAnnotation(scene.image_id, scene.width, scene.height, objects, relations)
@@ -777,9 +779,8 @@ def test_evaluation_rejects_unscored_predictions():
     # Scored objects but an unscored relation.
     scored = predictions_from_gt(gt)
     scene = next(s for s in scored.scenes if s.relations)
-    unscored = tuple(
-        RelationTriplet(r.subject, r.predicate, r.object) for r in scene.relations
-    )
+    rel = scene.relations
+    unscored = relation_columns(zip(rel.subjects, rel.predicates, rel.objects))
     scenes = tuple(
         SceneAnnotation(s.image_id, s.width, s.height, s.objects, unscored)
         if s is scene
@@ -805,7 +806,7 @@ def test_evaluation_rejects_non_finite_object_scores(score):
 def test_evaluate_scene_graphs_requires_triplets():
     registry = CategoryRegistry(("a",), ("r",))
     box = OrientedBox.axis_aligned(0, 0, 10, 10)
-    scene = SceneAnnotation("i0", 20, 20, (ObjectInstance(0, 0, box),), ())
+    scene = SceneAnnotation("i0", 20, 20, (ObjectInstance(0, 0, box),), NO_RELATIONS)
     gt = Dataset(registry, "val", (scene,))
     with pytest.raises(DataError):
         evaluate_scene_graphs(gt, predictions_from_gt(gt))
@@ -835,15 +836,14 @@ def predicted_scene(rng, image_id, objects, relations, subtask):
     for _ in range(int(rng.integers(0, 16))):
         predicate = int(rng.integers(0, 4))
         if relations and rng.uniform() < 0.5:
-            rel = relations[int(rng.integers(0, len(relations)))]
-            a, b = rel.subject, rel.object
+            a, rel_predicate, b = relations[int(rng.integers(0, len(relations)))]
             if rng.uniform() < 0.7:
-                predicate = rel.predicate
+                predicate = rel_predicate
         else:
             a, b = rng.choice(len(detected), size=2, replace=False).tolist()
         score = float(rng.choice([0.25, 0.5, 1.0]))
-        predicted.append(RelationTriplet(detected[a].id, predicate, detected[b].id, score))
-    return SceneAnnotation(image_id, 100, 100, tuple(detected), tuple(predicted))
+        predicted.append((detected[a].id, predicate, detected[b].id, score))
+    return SceneAnnotation(image_id, 100, 100, tuple(detected), relation_columns(predicted))
 
 
 @st.composite
@@ -885,10 +885,12 @@ def scene_graph_cases(draw):
         relations = []
         for _ in range(int(rng.integers(0, 8))):
             i, j = rng.choice(n, size=2, replace=False).tolist()
-            relations.append(RelationTriplet(i, int(rng.integers(0, 3)), j))
+            relations.append((i, int(rng.integers(0, 3)), j))
         image_id = f"img{index}"
         if index < n_images:
-            gt_scenes.append(SceneAnnotation(image_id, 100, 100, objects, tuple(relations)))
+            gt_scenes.append(
+                SceneAnnotation(image_id, 100, 100, objects, relation_columns(relations))
+            )
             if rng.uniform() < 0.2:
                 continue
         elif rng.uniform() < 0.5:

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import relation_columns
 from obsg import (
     CategoryRegistry,
     DataError,
     Dataset,
     ObjectInstance,
     OrientedBox,
-    RelationTriplet,
     SceneAnnotation,
     TileSpec,
     TrainConfig,
@@ -50,7 +50,7 @@ def scene_with_relations(n, relations):
     objects = tuple(
         ObjectInstance(100 + i, 0, box.translate(12.0 * i, 0.0)) for i in range(n)
     )
-    triplets = tuple(RelationTriplet(100 + s, p, 100 + o) for s, p, o in relations)
+    triplets = relation_columns((100 + s, p, 100 + o) for s, p, o in relations)
     return SceneAnnotation("s", 1000, 1000, objects, triplets)
 
 
@@ -105,7 +105,7 @@ def test_dangling_relation_id_is_one_data_error(call, relations, repeated, messa
         if repeated:
             replace(clean, objects=clean.objects[:2] + (replace(clean.objects[2], id=101),))
         else:
-            triplets = [RelationTriplet(100 + s, p, 100 + o) for s, p, o in relations]
+            triplets = relation_columns((100 + s, p, 100 + o) for s, p, o in relations)
             replace(clean, relations=triplets)
     call(clean, Dataset(CategoryRegistry(("a",), ("r",)), "train", (clean,)))
 

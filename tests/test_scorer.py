@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import relation_columns
 from obsg import (
     CategoryRegistry,
     DataError,
@@ -39,7 +40,7 @@ from obsg import (
     train_linear,
 )
 from obsg import scorer as scorer_module
-from obsg.datamodel import MAX_IMAGE_EXTENT
+from obsg.datamodel import MAX_IMAGE_EXTENT, NO_RELATIONS
 from obsg.scorer import (
     _pair_geometry,
     _prior_rows,
@@ -197,7 +198,7 @@ def test_linear_loss_rejects_malformed_hot(hot):
 def test_pair_features_layout():
     a = ObjectInstance(0, 1, OrientedBox.axis_aligned(0, 0, 10, 10))
     b = ObjectInstance(1, 2, OrientedBox.axis_aligned(30, 40, 40, 50))
-    scene = SceneAnnotation("s", 100, 100, (a, b), ())
+    scene = SceneAnnotation("s", 100, 100, (a, b), NO_RELATIONS)
     vec = oracles.reference_pair_features(a, b, scene, num_classes=4)
     assert vec.shape == (feature_count(4),)
     assert feature_count(4) == 15 + 8 + 1
@@ -215,14 +216,14 @@ def test_pair_features_layout():
     for width in (0, MAX_IMAGE_EXTENT + 1, 2**64):
         message = rf"^image 's': extent {width}x100 outside 1\.\.100000$"
         with pytest.raises(DataError, match=message):
-            SceneAnnotation("s", width, 100, (a, b), ())
+            SceneAnnotation("s", width, 100, (a, b), NO_RELATIONS)
 
 
 def two_class_dataset():
     registry = CategoryRegistry(("A", "B"), ("r0",))
     a = ObjectInstance(0, 0, OrientedBox.axis_aligned(0, 0, 10, 10))
     b = ObjectInstance(1, 1, OrientedBox.axis_aligned(20, 0, 30, 10))
-    scene = SceneAnnotation("s", 100, 100, (a, b), (RelationTriplet(0, 0, 1),))
+    scene = SceneAnnotation("s", 100, 100, (a, b), relation_columns([(0, 0, 1)]))
     return Dataset(registry, "train", (scene,))
 
 
@@ -289,10 +290,9 @@ def prior_datasets(draw):
                 lambda e: e[0] != e[1]
             )
             for i, j in draw(st.lists(ends, max_size=2 * n)):
-                relations.append(
-                    RelationTriplet(objects[i].id, draw(st.integers(0, 1)), objects[j].id)
-                )
-        scenes.append(SceneAnnotation(f"s{index}", 100, 100, objects, tuple(relations)))
+                relations.append((objects[i].id, draw(st.integers(0, 1)), objects[j].id))
+        relations = relation_columns(relations)
+        scenes.append(SceneAnnotation(f"s{index}", 100, 100, objects, relations))
     return Dataset(registry, "train", tuple(scenes))
 
 
@@ -309,11 +309,11 @@ def test_fit_prior_matches_per_pair_reference(dataset, alpha):
 def test_fit_prior_rejects_self_relation():
     dataset = two_class_dataset()
     scene = dataset.scenes[0]
+    rel = scene.relations
+    rows = [*zip(rel.subjects, rel.predicates, rel.objects), (1, 0, 1)]
     # No self relation reaches the fit: the scene cannot be built.
     with pytest.raises(DataError, match="^image 's': object 1 relates to itself$"):
-        SceneAnnotation(
-            "s", 100, 100, scene.objects, tuple(scene.relations) + (RelationTriplet(1, 0, 1),)
-        )
+        SceneAnnotation("s", 100, 100, scene.objects, relation_columns(rows))
 
 
 def test_fit_prior_rejects_negative_alpha():
@@ -365,7 +365,7 @@ def separable_dataset():
             100,
             100,
             (ObjectInstance(0, 0, base), ObjectInstance(1, 0, other)),
-            (RelationTriplet(0, predicate, 1), RelationTriplet(1, predicate, 0)),
+            relation_columns([(0, predicate, 1), (1, predicate, 0)]),
         )
 
     registry = CategoryRegistry(("thing",), ("overlap", "apart"))
@@ -417,7 +417,8 @@ def test_train_linear_reduces_loss_on_synthetic_data():
 def test_train_linear_requires_pairs():
     registry = CategoryRegistry(("A",), ("r0",))
     lonely = SceneAnnotation(
-        "s", 50, 50, (ObjectInstance(0, 0, OrientedBox.axis_aligned(0, 0, 9, 9)),), ()
+        "s", 50, 50, (ObjectInstance(0, 0, OrientedBox.axis_aligned(0, 0, 9, 9)),),
+        NO_RELATIONS,
     )
     with pytest.raises(DataError):
         train_linear(Dataset(registry, "train", (lonely,)), TrainConfig(seed=1))
@@ -434,7 +435,7 @@ def divergent_dataset():
             1000,
             1000,
             (ObjectInstance(0, 0, a), ObjectInstance(1, 0, b)),
-            (RelationTriplet(0, predicate, 1),),
+            relation_columns([(0, predicate, 1)]),
         )
 
     registry = CategoryRegistry(("thing",), ("p0", "p1"))
@@ -470,7 +471,7 @@ def one_relation_prior():
 def pair_scene():
     a = ObjectInstance(10, 0, OrientedBox.axis_aligned(0, 0, 10, 10))
     b = ObjectInstance(20, 1, OrientedBox.axis_aligned(20, 0, 30, 10))
-    return SceneAnnotation("s", 100, 100, (a, b), ())
+    return SceneAnnotation("s", 100, 100, (a, b), NO_RELATIONS)
 
 
 def test_predict_triplets_skips_zero_predicate_mass():
@@ -619,7 +620,7 @@ def scoring_cases(draw):
         for k, box in enumerate(boxes)
     )
     extent = int(offset + 100)
-    scene = SceneAnnotation("s", extent, extent, objects, ())
+    scene = SceneAnnotation("s", extent, extent, objects, NO_RELATIONS)
     # Small counts with many zero cells: with alpha == 0 some class pairs
     # are unseen (uniform rows) and many rows tie on relatedness.
     counts = np.array(
@@ -658,7 +659,7 @@ def test_predict_triplets_matches_per_pair_reference(case):
         assert abs(f.score - s.score) <= SCORE_TOL
     if linear is None:
         # Prior-only scores take the same arithmetic path: equal bits.
-        assert list(fast) == slow
+        assert fast == slow
 
 
 @pytest.mark.parametrize("block", [scorer_module.PAIR_BLOCK, 100, 1])
@@ -672,7 +673,7 @@ def test_predict_triplets_blocks_cover_long_rows(monkeypatch, block):
         ObjectInstance(k, k % 2, oracles.random_box(rng, 0.0, 400.0, 2.0, 30.0))
         for k in range(40)
     )
-    scene = SceneAnnotation("s", 400, 400, objects, ())
+    scene = SceneAnnotation("s", 400, 400, objects, NO_RELATIONS)
     linear = LinearScorer(
         rng.normal(size=(feature_count(2), 3)), registry.content_hash()
     )
@@ -714,7 +715,7 @@ def test_training_rows_of_a_scene_without_pairs():
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         geometry, hot, labels = _scene_pair_rows(
-            SceneAnnotation("s", 100, 100, objects, ()), 2, 3, 64, 192, rng
+            SceneAnnotation("s", 100, 100, objects, NO_RELATIONS), 2, 3, 64, 192, rng
         )
         assert (geometry.shape, geometry.dtype) == ((0, 15), np.float64)
         assert (hot.shape, hot.dtype) == ((0, 3), np.intp)
@@ -786,9 +787,8 @@ def test_training_labels_take_the_first_triplet():
         ObjectInstance(10 + k, k % 2, OrientedBox.axis_aligned(20 * k, 0, 20 * k + 9, 9))
         for k in range(4)
     )
-    relations = tuple(
-        RelationTriplet(10 + s, p, 10 + o)
-        for s, p, o in ((0, 2, 1), (2, 1, 0), (0, 0, 1), (1, 0, 0))
+    relations = relation_columns(
+        (10 + s, p, 10 + o) for s, p, o in ((0, 2, 1), (2, 1, 0), (0, 0, 1), (1, 0, 0))
     )
     scene = SceneAnnotation("s", 100, 100, objects, relations)
     _, _, labels = _scene_pair_rows(scene, 2, 3, 64, 192, np.random.default_rng(0))
@@ -797,7 +797,7 @@ def test_training_labels_take_the_first_triplet():
     assert len(labels) == len(pairs)
     assert labels.tolist() == [expected.get(pair, 3) for pair in pairs]
     with pytest.raises(DataError, match="^image 's': object 11 relates to itself$"):
-        SceneAnnotation("s", 100, 100, objects, (RelationTriplet(11, 0, 11),))
+        SceneAnnotation("s", 100, 100, objects, relation_columns([(11, 0, 11)]))
 
 
 def prior_doc():

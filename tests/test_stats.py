@@ -7,6 +7,7 @@ from dataclasses import asdict, fields, replace
 
 import pytest
 
+from oracles import relation_columns
 from obsg import (
     CategoryRegistry,
     DataError,
@@ -14,7 +15,6 @@ from obsg import (
     ObjectInstance,
     OrientedBox,
     RegistryMismatchError,
-    RelationTriplet,
     SceneAnnotation,
     StatsReport,
     SynthConfig,
@@ -33,7 +33,7 @@ def small_dataset():
         100,
         100,
         (ObjectInstance(0, 0, box), ObjectInstance(1, 0, box.translate(20, 0))),
-        (RelationTriplet(0, 0, 1),),
+        relation_columns([(0, 0, 1)]),
     )
     return Dataset(registry, "train", (scene,))
 
@@ -64,8 +64,8 @@ def test_small_dataset_counts():
     [
         (lambda o, r: ((replace(o[0], category=-1), o[1]), r), "object 0 has category -1"),
         (lambda o, r: ((o[0], replace(o[1], category=99)), r), "object 1 has category 99"),
-        (lambda o, r: (o, (replace(list(r)[0], object=7),)), "0->7 references missing object id 7"),
-        (lambda o, r: (o, (replace(list(r)[0], predicate=1),)), "0->1 has predicate 1"),
+        (lambda o, r: (o, replace(r, objects=(7,))), "0->7 references missing object id 7"),
+        (lambda o, r: (o, replace(r, predicates=(1,))), "0->1 has predicate 1"),
         (
             lambda o, r: ((replace(o[0], box=OrientedBox(((1.0, 1.0),) * 4)), o[1]), r),
             "object 0 has a degenerate box of area 0.0",
@@ -231,3 +231,12 @@ def test_stats_csv_validation():
         report_to_csv([train, other])
     with pytest.raises(ValueError):
         report_to_csv([])
+
+
+def test_stats_report_rejects_split_outside_splits():
+    # report_to_csv orders reports by their position in SPLITS, which
+    # raised a bare ValueError for a report built with any other split.
+    report = compute_stats(small_dataset())
+    for split in ("holdout", "trainx"):
+        with pytest.raises(DataError, match=f"^split '{split}' is not one of train, val, test$"):
+            replace(report, split=split)

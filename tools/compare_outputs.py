@@ -58,6 +58,14 @@ INVOCATIONS = (
         "train-linear", "--input", "{gt}", "--seed", "{seed}", "--epochs", "5", "--lr", "1e300",
     ]),
     ("pred_prior.json", ["predict", "--input", "{gt}", "--prior", "{prior.json}"]),
+    # Prior-only predict under each option that changes which relations it
+    # emits.
+    ("pred_prior_top.json", [
+        "predict", "--input", "{gt}", "--prior", "{prior.json}", "--top-m", "30",
+    ]),
+    ("pred_prior_all.json", [
+        "predict", "--input", "{gt}", "--prior", "{prior.json}", "--no-graph-constraint",
+    ]),
     ("pred_fused.json", [
         "predict", "--input", "{gt}", "--prior", "{prior.json}", "--linear", "{linear.json}",
     ]),
