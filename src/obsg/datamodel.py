@@ -653,15 +653,25 @@ def _scene_text(scene: SceneAnnotation) -> str:
             f'"truncated":{truncated}{score}}}'
         )
     rel = scene.relations
-    relations = [
-        f'{{"subject":{s},"predicate":{p},"object":{o}'
-        f'{"" if score is None else _SCORE_FIELD + _number_text(score)}}}'
-        for s, p, o, score in zip(rel.subjects, rel.predicates, rel.objects, rel.scores)
-    ]
+    try:  # one pass when every score is a finite float, as in a prediction file
+        scores = map(_float_repr, rel.scores)
+        relations = ",".join([
+            f'{{"subject":{s},"predicate":{p},"object":{o},"score":{t}}}'
+            for s, p, o, t in zip(rel.subjects, rel.predicates, rel.objects, scores)
+        ])
+        one_pass = "n" not in relations  # a nan or inf score: no key or int has an "n"
+    except TypeError:  # an int or None score
+        one_pass = False
+    if not one_pass:
+        relations = ",".join([
+            f'{{"subject":{s},"predicate":{p},"object":{o}'
+            f'{"" if score is None else _SCORE_FIELD + _number_text(score)}}}'
+            for s, p, o, score in zip(rel.subjects, rel.predicates, rel.objects, rel.scores)
+        ])
     return (
         f'{{"id":{_dumps(scene.image_id)},"width":{scene.width},'
         f'"height":{scene.height},"objects":[{",".join(objects)}],'
-        f'"relations":[{",".join(relations)}]}}'
+        f'"relations":[{relations}]}}'
     )
 
 

@@ -35,7 +35,7 @@ from .registry import CategoryRegistry
 DEFAULT_ALPHA = 1.0
 FEATURE_VERSION = 1
 GEOMETRY_FEATURES = 15
-# Pairs scored per array block in predict_triplets: large enough to amortise
+# Pairs per array block of fused scoring in predict_triplets: large enough to amortise
 # the per-block numpy calls, small enough that the block's temporaries stay
 # far below the memory of the scene itself.
 PAIR_BLOCK = 1024
@@ -441,9 +441,9 @@ def predict_triplets(
     back as :class:`RelationColumns` of object ids, pairs in enumeration
     order and each pair's predicates ascending.
 
-    Pairs are scored as arrays, in blocks of whole subject rows of at most
-    ``PAIR_BLOCK`` pairs (one row when a row is longer), so memory stays
-    bounded on scenes with many objects.
+    Each class pair's prior row, and with no scorer all that follows from it,
+    is computed once; fused scoring runs in blocks of whole subject rows of at
+    most ``PAIR_BLOCK`` pairs (one row when a row is longer) to bound memory.
 
     Raises:
         DataError: a category or predicate of the scene lies outside the
@@ -463,47 +463,44 @@ def predict_triplets(
             f"{num_objects} classes and {num_relations} predicates"
         )
     n = len(scene.objects)
-    num_pairs = n * (n - 1)
     categories = _categories(scene)
-    # Per pair: relatedness, whether any predicate mass is left, and the
-    # scores of the predicates it would emit (the best one under the graph
-    # constraint, whose index goes to ``best``).
-    relatedness = np.empty(num_pairs, dtype=np.float64)
-    emitting = np.empty(num_pairs, dtype=bool)
-    scores = np.empty((num_pairs, 1 if graph_constraint else num_relations))
-    best = np.empty(num_pairs, dtype=np.intp)
-    rows_per_block = max(1, PAIR_BLOCK // max(n - 1, 1))
-    for first in range(0, n, rows_per_block):
-        block = np.arange(
-            first * (n - 1), min(first + rows_per_block, n) * (n - 1), dtype=np.intp
-        )
-        ii, jj = pair_endpoints(n, block)
-        cs = categories[ii]
-        co = categories[jj]
-        # Warnings off: a row total that overflows or is not positive gives a
-        # NaN row, a DataError below; a 0/0 row has no mass and is not emitted.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            fused = _prior_rows(prior, cs, co)
-            if linear is not None:
-                hot_columns = (GEOMETRY_FEATURES + cs, GEOMETRY_FEATURES + num_objects + co, -1)
-                soft = _logits(linear.weights, _pair_geometry(scene, ii, jj), hot_columns)
+    pair_ii, pair_jj = pair_endpoints(n, np.arange(n * (n - 1)))
+    # A prior row depends on the class pair only: it is computed once per class
+    # pair the scene has, each pair's code found by a dense lookup over C*C keys.
+    keys = categories[pair_ii] * num_objects + categories[pair_jj]
+    present = np.zeros(num_objects * num_objects, dtype=bool)
+    present[keys] = True
+    distinct = present.nonzero()[0]
+    lookup = np.empty(num_objects * num_objects, dtype=np.intp)
+    lookup[distinct] = np.arange(len(distinct))
+    codes = lookup[keys]
+    # Warnings off: a row total that overflows or is not positive gives a NaN
+    # row, a DataError; a 0/0 row has no predicate mass and is not emitted.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        prior_rows = _prior_rows(prior, *np.divmod(distinct, num_objects))
+        if linear is None:
+            columns = _emit_columns(prior_rows, graph_constraint, scene.image_id)
+            relatedness, emitting, best, scores = (column[codes] for column in columns)
+        else:
+            relatedness = np.empty(len(codes), dtype=np.float64)
+            emitting = np.empty(len(codes), dtype=bool)
+            best = np.empty(len(codes), dtype=np.intp)
+            scores = np.empty((len(codes), 1 if graph_constraint else num_relations))
+            rows_per_block = max(1, PAIR_BLOCK // max(n - 1, 1))
+            for first in range(0, n, rows_per_block):
+                block = slice(first * (n - 1), min(first + rows_per_block, n) * (n - 1))
+                cs, co = categories[pair_ii[block]], categories[pair_jj[block]]
+                hot = (GEOMETRY_FEATURES + cs, GEOMETRY_FEATURES + num_objects + co)
+                geometry = _pair_geometry(scene, pair_ii[block], pair_jj[block])
+                soft = _logits(linear.weights, geometry, (*hot, -1))
                 _softmax(soft)
+                fused = prior_rows[codes[block]]
                 fused *= soft
                 total = fused.sum(axis=1, keepdims=True)
                 fused /= np.where(total > 0, total, np.nan)
-            mass = fused[:, :num_relations].sum(axis=1, keepdims=True)
-            probs = fused[:, :num_relations] / mass
-        if np.isnan(fused[:, num_relations]).any():
-            raise DataError(
-                f"image {scene.image_id!r}: a prior or fused row total is not finite and positive"
-            )
-        relatedness[block] = 1.0 - fused[:, num_relations]
-        emitting[block] = mass[:, 0] > 0
-        if graph_constraint:
-            best[block] = probs.argmax(axis=1)
-            scores[block, 0] = probs[np.arange(len(block)), best[block]]
-        else:
-            scores[block] = probs
+                columns = _emit_columns(fused, graph_constraint, scene.image_id)
+                for out, column in zip((relatedness, emitting, best, scores), columns):
+                    out[block] = column
     if top_m is None:
         surviving = np.flatnonzero(emitting)
     else:
@@ -513,17 +510,30 @@ def predict_triplets(
         chosen = best[surviving][:, None]
     else:
         chosen = np.broadcast_to(np.arange(num_relations), (len(surviving), num_relations))
-    ii, jj = pair_endpoints(n, surviving)
     per_pair = chosen.shape[1]
     ids = [obj.id for obj in scene.objects].__getitem__
     # Lists of known length: a tuple grown from an iterator is resized again
     # and again, which raised the benchmark's peak RSS by about 3%.
     return RelationColumns(
-        list(map(ids, np.repeat(ii, per_pair).tolist())),
+        list(map(ids, np.repeat(pair_ii[surviving], per_pair).tolist())),
         chosen.ravel().tolist(),
-        list(map(ids, np.repeat(jj, per_pair).tolist())),
+        list(map(ids, np.repeat(pair_jj[surviving], per_pair).tolist())),
         scores[surviving].ravel().tolist(),
     )
+
+
+def _emit_columns(fused: np.ndarray, graph_constraint: bool, image: str) -> tuple:
+    """Relatedness, emit flag, best predicate and emitted scores (the best
+    one's under the graph constraint) of each row of ``fused``."""
+    num_relations = fused.shape[1] - 1
+    mass = fused[:, :num_relations].sum(axis=1, keepdims=True)
+    probs = fused[:, :num_relations] / mass
+    if np.isnan(fused[:, num_relations]).any():
+        raise DataError(f"image {image!r}: a prior or fused row total is not finite and positive")
+    # Without the graph constraint every predicate is emitted and no best is read.
+    best = probs.argmax(axis=1) if graph_constraint else np.zeros(len(probs), np.intp)
+    scores = probs[np.arange(len(probs)), best][:, None] if graph_constraint else probs
+    return 1.0 - fused[:, num_relations], mass[:, 0] > 0, best, scores
 
 
 def _prior_rows(prior: FrequencyPrior, cs: np.ndarray, co: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import replace
 from functools import partial
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -338,6 +339,30 @@ def datasets(draw, finite=True):
 @given(datasets(finite=False))
 def test_writer_is_byte_identical_to_json_dumps(case):
     dataset, _ = case
+    assert serialize_dataset(dataset) == oracles.reference_serialize_dataset(dataset)
+
+
+@pytest.mark.parametrize(
+    "scores",
+    [
+        [np.float64(0.25), np.float64(1 / 3), np.float64(1e-300)],
+        [0.25, 1 / 3, 7],
+        [0.25, 1 / 3, math.nan],
+        [0.25, 1 / 3, -math.inf],
+    ],
+    ids=["float64", "int-last", "nan-last", "neg-inf-last"],
+)
+def test_writer_score_column_falls_back_per_score(scores):
+    # A column of finite floats (float64 included) is formatted in one pass;
+    # a last score that is not one sends the whole scene to the per-score path.
+    box = OrientedBox.axis_aligned(0, 0, 10, 10)
+    objects = tuple(ObjectInstance(k, k % 2, box, score=1.0) for k in range(4))
+    rows = [(k, k % 2, k + 1, score) for k, score in enumerate(scores)]
+    scenes = (
+        SceneAnnotation("a", 100, 100, objects, relation_columns(rows)),
+        SceneAnnotation("b", 100, 100, objects, relation_columns(rows[:2])),
+    )
+    dataset = Dataset(CategoryRegistry(("A", "B"), ("r0", "r1")), "test", scenes)
     assert serialize_dataset(dataset) == oracles.reference_serialize_dataset(dataset)
 
 

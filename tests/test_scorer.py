@@ -42,6 +42,7 @@ from obsg import (
 from obsg import scorer as scorer_module
 from obsg.datamodel import MAX_IMAGE_EXTENT, NO_RELATIONS
 from obsg.scorer import (
+    GEOMETRY_FEATURES,
     _pair_geometry,
     _prior_rows,
     _scene_pair_rows,
@@ -684,6 +685,112 @@ def test_predict_triplets_blocks_cover_long_rows(monkeypatch, block):
             (t.subject, t.object, t.predicate) for t in slow
         ]
         assert max(abs(f.score - s.score) for f, s in zip(fast, slow)) <= SCORE_TOL
+
+
+def _with_class(prior, linear):
+    """``prior`` and ``linear`` with one more class, which no object has: its
+    counts are zero and its one-hot weight rows too, so every score is kept."""
+    c = prior.num_objects
+    counts = np.zeros((c + 1, c + 1, prior.counts.shape[2]), dtype=np.int64)
+    counts[:c, :c] = prior.counts
+    wider = FrequencyPrior(counts, prior.alpha, "h")
+    if linear is None:
+        return wider, None
+    zero = np.zeros((1, linear.weights.shape[1]))
+    geometry, subject, obj, bias = np.split(
+        linear.weights, [GEOMETRY_FEATURES, GEOMETRY_FEATURES + c, GEOMETRY_FEATURES + 2 * c]
+    )
+    return wider, LinearScorer(np.concatenate([geometry, subject, zero, obj, zero, bias]), "h")
+
+
+@settings(max_examples=200, deadline=None)
+@given(scoring_cases(), st.data())
+def test_predict_triplets_ignore_class_pairs_the_scene_lacks(case, data):
+    scene, prior, linear, top_m, graph_constraint = case
+    prior, linear = _with_class(prior, linear)
+    c = prior.num_objects
+    classes = [obj.category for obj in scene.objects]
+    present = {(classes[i], classes[j]) for i, j in oracles.reference_pairs(len(classes))}
+    absent = sorted({(s, o) for s in range(c) for o in range(c)} - present)
+    s, o = data.draw(st.sampled_from(absent))
+    counts = prior.counts.copy()
+    width = NUM_PREDICATES + 1
+    cell = st.lists(st.sampled_from([0, 1, 7, 2**62]), min_size=width, max_size=width)
+    counts[s, o] = data.draw(cell)
+    changed = FrequencyPrior(counts, prior.alpha, "h")
+    expected = predict_triplets(scene, prior, linear, top_m, graph_constraint)
+    assert predict_triplets(scene, changed, linear, top_m, graph_constraint) == expected
+    if len(classes) >= 2:
+        # Weights this large overflow every pair's logits to a NaN row.
+        huge = LinearScorer(np.full((feature_count(c), width), 1e308), "h")
+        named = SceneAnnotation("img 9", scene.width, scene.height, scene.objects, NO_RELATIONS)
+        message = "^image 'img 9': a prior or fused row total is not finite and positive$"
+        with pytest.raises(DataError, match=message):
+            predict_triplets(named, changed, huge, top_m, graph_constraint)
+
+
+def test_predict_triplets_on_a_large_two_class_scene():
+    # The large-sgdet shape: 64 objects in 2 of 60 classes, 4,032 pairs over
+    # 4 class pairs.  With alpha 0, two of them were never seen in training
+    # (uniform rows) and many predicate cells are empty.
+    rng = np.random.default_rng(17)
+    num_classes, num_predicates = 60, 64
+    shape = (num_classes, num_classes, num_predicates + 1)
+    counts = rng.integers(0, 5, size=shape) * (rng.random(shape) < 0.3)
+    a, b = 7, 41
+    counts[a, b] = 0
+    counts[b, b] = 0
+    prior = FrequencyPrior(counts.astype(np.int64), 0.0, "h")
+    objects = tuple(
+        ObjectInstance(100 + k, (a, b)[k % 2], oracles.random_box(rng, 0.0, 6000.0, 50.0, 600.0))
+        for k in range(64)
+    )
+    scene = SceneAnnotation("grid", 6000, 6000, objects, NO_RELATIONS)
+    linear = LinearScorer(rng.normal(size=(feature_count(num_classes), num_predicates + 1)), "h")
+    for top_m, graph_constraint in ((None, True), (100, False)):
+        fast = predict_triplets(scene, prior, None, top_m, graph_constraint)
+        slow = oracles.reference_predict_triplets(scene, prior, None, top_m, graph_constraint)
+        assert fast == slow
+        fast = predict_triplets(scene, prior, linear, top_m, graph_constraint)
+        slow = oracles.reference_predict_triplets(scene, prior, linear, top_m, graph_constraint)
+        assert len(fast) > 0
+        assert (fast.subjects, fast.predicates, fast.objects) == (
+            slow.subjects, slow.predicates, slow.objects
+        )
+        assert max(abs(f - s) for f, s in zip(fast.scores, slow.scores)) <= SCORE_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 2 * scorer_module.PAIR_BLOCK), st.booleans())
+def test_predict_triplets_computes_prior_rows_once(n, block, fused):
+    registry, prior = two_relation_prior()
+    rng = np.random.default_rng(n)
+    objects = tuple(
+        ObjectInstance(k, k % 2, oracles.random_box(rng, 0.0, 400.0, 2.0, 30.0)) for k in range(n)
+    )
+    scene = SceneAnnotation("s", 400, 400, objects, NO_RELATIONS)
+    linear = LinearScorer(rng.normal(size=(feature_count(2), 3)), registry.content_hash())
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _prior_rows(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scorer_module, "_prior_rows", spy)
+        patch.setattr(scorer_module, "PAIR_BLOCK", block)
+        predict_triplets(scene, prior, linear if fused else None)
+    assert len(calls) == 1
+
+
+def test_predict_triplets_without_predicates_emit_nothing_unconstrained():
+    # No best predicate is looked for when every predicate is emitted, so a
+    # prior without predicates gives no relations rather than an argmax error.
+    prior = FrequencyPrior(np.zeros((2, 2, 1), dtype=np.int64), 1.0, "h")
+    box = OrientedBox.axis_aligned(0, 0, 10, 10)
+    objects = tuple(ObjectInstance(k, k % 2, box) for k in range(3))
+    scene = SceneAnnotation("s", 100, 100, objects, NO_RELATIONS)
+    assert predict_triplets(scene, prior, graph_constraint=False) == NO_RELATIONS
 
 
 def test_training_rows_match_pair_features():

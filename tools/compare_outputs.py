@@ -66,6 +66,12 @@ INVOCATIONS = (
     ("pred_prior_all.json", [
         "predict", "--input", "{gt}", "--prior", "{prior.json}", "--no-graph-constraint",
     ]),
+    # Every predicate score of the top pairs, each gathered from its class
+    # pair's row.
+    ("pred_prior_top_all.json", [
+        "predict", "--input", "{gt}", "--prior", "{prior.json}", "--top-m", "30",
+        "--no-graph-constraint",
+    ]),
     ("pred_fused.json", [
         "predict", "--input", "{gt}", "--prior", "{prior.json}", "--linear", "{linear.json}",
     ]),
