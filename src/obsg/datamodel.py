@@ -262,6 +262,16 @@ class SceneAnnotation:
             np.array([box.extent for box in boxes], dtype=np.float64).reshape(-1, 4),
         )
 
+    @_cached
+    def x_index(self) -> tuple[list[float], list[int], float]:
+        """The objects' ``xmin`` ascending, their positions in that order
+        (ties in object order) and the widest ``xmax - xmin``, built once."""
+        extents = [obj.box.extent for obj in self.objects]
+        xmins = [e[0] for e in extents]
+        order = sorted(range(len(xmins)), key=xmins.__getitem__)
+        widest = max([e[2] - e[0] for e in extents], default=0.0)
+        return [xmins[k] for k in order], order, widest
+
 
 @dataclass(frozen=True)
 class Dataset:

@@ -299,9 +299,12 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     """Intersection over union of two oriented boxes, clamped to [0, 1].
 
     Two boxes with equal vertex loops overlap in exactly their area, so
-    their IoU is 1.0; the clipped area can miss it in the last bit.
+    their IoU is 1.0; the clipped area can miss it in the last bit.  A zero
+    intersection costs no area read or division (the union is positive).
     """
     inter = a.area if a.vertices == b.vertices else intersection_area(a, b)
+    if inter == 0.0:
+        return 0.0
     union = a.area + b.area - inter
     if union <= 0.0:
         return 0.0

@@ -6,11 +6,14 @@ far edge of the last tile coincides with the image edge.  Cropping keeps an
 object that lies inside the tile, or else when at least ``keep_fraction`` of
 its box area does; kept boxes are translated into tile-local coordinates.
 Reassembly is the inverse translation followed by per-category rotated NMS.
+Cost grows with the box pairs that can meet: a crop tests only the objects
+near its tile, and NMS compares a candidate only with its own category.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -94,6 +97,8 @@ def crop_scene(
     ``keep_fraction``.  Survivors keep their ids and are translated by the
     negative tile origin; boxes that poke past the tile edge are flagged
     truncated.  A relation survives only if both endpoints do.
+    Cost: two bisections of ``scene.x_index``, a test per object whose
+    x-extent can reach the tile, and a relation scan if two objects survive.
     """
     _check_keep_fraction(keep_fraction)
     x0, y0 = tile.origin_x, tile.origin_y
@@ -101,27 +106,31 @@ def crop_scene(
     y1 = min(y0 + tile.size, scene.height)
     if x1 <= x0 or y1 <= y0:
         raise ValueError(f"tile {tile} lies outside image {scene.image_id!r}")
+    lo_x, lo_y, hi_x, hi_y = x0 - _EDGE_EPS, y0 - _EDGE_EPS, x1 + _EDGE_EPS, y1 + _EDGE_EPS
+    # The tests below keep or clip an object only if xmin <= hi_x and
+    # xmin + widest >= xmax >= lo_x; the ulp margin covers the rounding of
+    # the subtractions, which eps does not far from the origin.
+    xmins, order, widest = scene.x_index
+    left = lo_x - widest
+    left -= 4.0 * math.ulp(abs(left) + widest)
+    window = sorted(order[bisect_left(xmins, left) : bisect_right(xmins, hi_x)])
     tile_box = None
     kept: list[ObjectInstance] = []
-    keeps: list[bool] = []
-    for obj in scene.objects:
+    keeps: set[int] = set()
+    for k in window:
+        obj = scene.objects[k]
         xmin, ymin, xmax, ymax = obj.box.extent
         # Containment is decided on the extent: the clipped area of a
         # contained box can come out an ulp below its area.  A box whose
         # extent misses the tile has no area inside it; the tile's own box
         # is built for the first one that straddles its edge.
-        inside = (
-            x0 - _EDGE_EPS <= xmin
-            and xmax <= x1 + _EDGE_EPS
-            and y0 - _EDGE_EPS <= ymin
-            and ymax <= y1 + _EDGE_EPS
-        )
+        inside = lo_x <= xmin and xmax <= hi_x and lo_y <= ymin and ymax <= hi_y
         keep = inside
         if not inside and xmin <= x1 and x0 <= xmax and ymin <= y1 and y0 <= ymax:
             tile_box = tile_box or OrientedBox.axis_aligned(x0, y0, x1, y1)
             keep = intersection_area(obj.box, tile_box) / obj.box.area >= keep_fraction
-        keeps.append(keep)
         if keep:
+            keeps.add(k)
             kept.append(ObjectInstance(
                 obj.id, obj.category, obj.box.translate(-x0, -y0), obj.truncated or not inside,
                 score=obj.score,
@@ -129,8 +138,8 @@ def crop_scene(
     rel = scene.relations
     n = len(rel.predicates)
     survivors = [
-        k for k, i, j in zip(range(n), *scene.relation_endpoints) if keeps[i] and keeps[j]
-    ]
+        k for k, i, j in zip(range(n), *scene.relation_endpoints) if i in keeps and j in keeps
+    ] if len(keeps) > 1 else []
     if not survivors:
         rel = NO_RELATIONS
     elif len(survivors) < n:
@@ -182,18 +191,17 @@ def rotated_nms(
     Detections are visited by descending score (ties keep input order); one
     is kept unless it overlaps an already kept detection of the same
     category with rotated IoU >= ``iou_threshold``.  Returns survivors in
-    visiting order.
+    visiting order.  Cost: one ``rotated_iou`` per candidate and kept box of
+    its own category.
     """
     _check_iou_threshold(iou_threshold)
     kept: list[Detection] = []
+    kept_boxes: dict[int, list[OrientedBox]] = {}
     for i in _rank([d.score for d in detections]):
         candidate = detections[i]
-        suppressed = any(
-            kept_det.category == candidate.category
-            and rotated_iou(candidate.box, kept_det.box) >= iou_threshold
-            for kept_det in kept
-        )
-        if not suppressed:
+        boxes = kept_boxes.setdefault(candidate.category, [])
+        if not any(rotated_iou(candidate.box, box) >= iou_threshold for box in boxes):
+            boxes.append(candidate.box)
             kept.append(candidate)
     return kept
 

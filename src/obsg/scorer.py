@@ -74,8 +74,8 @@ class FrequencyPrior:
 
     ``counts[s, o, p]`` tallies triplets of that class pair; the final cell
     ``counts[s, o, R]`` tallies enumerated pairs that carry no relation.
-    Every row total of ``counts + alpha``, summed in float64 as
-    :func:`_prior_rows` sums it, must be finite.
+    It needs a class and a predicate.  Every row total of ``counts + alpha``,
+    summed in float64 as :func:`_prior_rows` sums it, must be finite.
     """
 
     counts: np.ndarray
@@ -83,8 +83,9 @@ class FrequencyPrior:
     registry_hash: str
 
     def __post_init__(self) -> None:
-        if self.counts.ndim != 3 or self.counts.shape[0] != self.counts.shape[1]:
-            raise ValueError(f"bad counts shape {self.counts.shape}")
+        shape = self.counts.shape
+        if len(shape) != 3 or not shape[0] == shape[1] >= 1 or shape[2] < 2:
+            raise ValueError(f"bad counts shape {shape}")
         _check_alpha(self.alpha)
         # A row total is at most width * (_MAX_COUNT + alpha), far from float64's
         # limit unless alpha is huge; only then is the table summed.

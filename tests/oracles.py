@@ -14,7 +14,10 @@ class pair (``reference_prior_row``), which define the numbers that the
 array paths must reproduce.  ``reference_linear_loss_and_grad`` keeps the
 hot-row loss that checked, sorted and allocated its whole batch on every
 call, which the library's once-per-run training batch must reproduce bit
-for bit.  ``reference_evaluate_detections`` keeps the
+for bit.  ``reference_rotated_iou`` keeps the IoU that divided a zero
+intersection by the union, and ``reference_crop_scene`` the crop that
+tested every object of the scene against the tile; the library must match
+both bit for bit.  ``reference_evaluate_detections`` keeps the
 per-(image, class) detection evaluation that the library replaced with one
 ranking per class over the whole file;
 ``reference_evaluate_scene_graphs`` gates the whole scene-graph report the
@@ -45,11 +48,13 @@ from obsg import (
     SceneAnnotation,
     Triplet,
     average_precision,
+    intersection_area,
     match_detections,
     rotated_iou,
     sample_pairs,
 )
 from obsg.datamodel import (
+    NO_RELATIONS,
     _expect,
     _get,
     _parse_box,
@@ -57,6 +62,7 @@ from obsg.datamodel import (
     _parse_score,
 )
 from obsg.geometry import TWO_PI
+from obsg.ingest import _EDGE_EPS, _check_keep_fraction
 from obsg.scorer import GEOMETRY_FEATURES, feature_count, linear_loss_and_grad
 
 
@@ -354,6 +360,74 @@ def reference_evaluate_scene_graphs(gt, predictions, config):
         mean_recall_at_k={
             k: sum(r[k] for r in per_predicate.values()) / len(per_predicate) for k in ks
         },
+    )
+
+
+def reference_rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
+    """The IoU that divides whatever intersection it gets, 0.0 included, by
+    the union; the library returns a zero intersection at once."""
+    inter = a.area if a.vertices == b.vertices else intersection_area(a, b)
+    union = a.area + b.area - inter
+    if union <= 0.0:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
+
+
+def reference_crop_scene(scene, tile, keep_fraction) -> SceneAnnotation:
+    """``crop_scene`` as a test of every object of the scene against the
+    tile, and a scan of every relation; the library visits only the objects
+    that its x-extent index puts near the tile."""
+    _check_keep_fraction(keep_fraction)
+    x0, y0 = tile.origin_x, tile.origin_y
+    x1 = min(x0 + tile.size, scene.width)
+    y1 = min(y0 + tile.size, scene.height)
+    if x1 <= x0 or y1 <= y0:
+        raise ValueError(f"tile {tile} lies outside image {scene.image_id!r}")
+    tile_box = None
+    kept: list[ObjectInstance] = []
+    keeps: list[bool] = []
+    for obj in scene.objects:
+        xmin, ymin, xmax, ymax = obj.box.extent
+        # Containment is decided on the extent: the clipped area of a
+        # contained box can come out an ulp below its area.  A box whose
+        # extent misses the tile has no area inside it; the tile's own box
+        # is built for the first one that straddles its edge.
+        inside = (
+            x0 - _EDGE_EPS <= xmin
+            and xmax <= x1 + _EDGE_EPS
+            and y0 - _EDGE_EPS <= ymin
+            and ymax <= y1 + _EDGE_EPS
+        )
+        keep = inside
+        if not inside and xmin <= x1 and x0 <= xmax and ymin <= y1 and y0 <= ymax:
+            tile_box = tile_box or OrientedBox.axis_aligned(x0, y0, x1, y1)
+            keep = intersection_area(obj.box, tile_box) / obj.box.area >= keep_fraction
+        keeps.append(keep)
+        if keep:
+            kept.append(ObjectInstance(
+                obj.id, obj.category, obj.box.translate(-x0, -y0), obj.truncated or not inside,
+                score=obj.score,
+            ))
+    rel = scene.relations
+    n = len(rel.predicates)
+    survivors = [
+        k for k, i, j in zip(range(n), *scene.relation_endpoints) if keeps[i] and keeps[j]
+    ]
+    if not survivors:
+        rel = NO_RELATIONS
+    elif len(survivors) < n:
+        rel = RelationColumns(
+            [rel.subjects[k] for k in survivors],
+            [rel.predicates[k] for k in survivors],
+            [rel.objects[k] for k in survivors],
+            [rel.scores[k] for k in survivors],
+        )
+    return SceneAnnotation(
+        image_id=f"{scene.image_id}@{x0}_{y0}",
+        width=x1 - x0,
+        height=y1 - y0,
+        objects=tuple(kept),
+        relations=rel,
     )
 
 

@@ -25,6 +25,7 @@ from oracles import (
     mc_iou,
     random_box,
     reference_intersection_area,
+    reference_rotated_iou,
     reference_shoelace,
 )
 
@@ -361,6 +362,35 @@ def test_iou_ignores_the_winding_of_either_box():
             assert intersection_area(first, second) == intersection_area(a, b)
             assert abs(rotated_iou(first, second) - iou) <= 1e-12
         assert abs(rotated_iou(a, ra) - 1.0) <= 1e-12
+
+
+def test_iou_is_bitwise_the_iou_that_divides_a_zero_intersection():
+    """Returning a zero intersection at once gives the bits, sign of zero
+    included, of dividing it by the union, which is positive."""
+    rng = np.random.default_rng(15)
+    square = OrientedBox.axis_aligned(0, 0, 10, 10)
+    pairs = [
+        (square, square),
+        (square, OrientedBox(tuple(reversed(square.vertices)))),
+        (square, OrientedBox.axis_aligned(10, 0, 20, 10)),
+        (square, OrientedBox.axis_aligned(10, 10, 20, 20)),
+        (square, OrientedBox.axis_aligned(30, 0, 40, 10)),
+        (square, OrientedBox.axis_aligned(5, 5, 15, 15)),
+    ]
+    for _ in range(300):
+        a = random_box(rng, center_hi=60.0)
+        b = random_box(rng, center_hi=60.0)
+        v = a.vertices
+        touching = a.translate(v[0][0] - v[3][0], v[0][1] - v[3][1])
+        pairs += [(a, b), (a, a), (a, touching), (a, a.translate(200.0, 0.0))]
+        pairs.append((a, OrientedBox(tuple(reversed(b.vertices)))))
+    zeros = 0
+    for a, b in pairs:
+        for first, second in ((a, b), (b, a)):
+            got, want = rotated_iou(first, second), reference_rotated_iou(first, second)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+            zeros += got == 0.0
+    assert zeros > 600
 
 
 def test_extent_is_the_vertex_bounding_box():

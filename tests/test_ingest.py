@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import relation_columns
@@ -24,6 +26,7 @@ from obsg import (
     rotated_nms,
     tile_dataset,
 )
+from obsg import ingest as ingest_module
 from obsg.datamodel import MAX_IMAGE_EXTENT
 
 
@@ -203,6 +206,83 @@ def test_crop_keeps_every_contained_box_at_keep_fraction_one():
     assert list(cropped.relations) == list(scene.relations)[:39]
 
 
+def crop_matches_reference(scene, tile, keep_fraction):
+    """Assert that ``crop_scene`` equals the oracle's whole scene, float bits
+    included, and clips the same boxes in the same order."""
+    results, clipped = [], []
+    for module, crop in ((ingest_module, crop_scene), (oracles, oracles.reference_crop_scene)):
+        calls = []
+        clipped.append(calls)
+
+        def spy(a, b, calls=calls):
+            calls.append(a.vertices)
+            return intersection_area(a, b)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, "intersection_area", spy)
+            results.append(crop(scene, tile, keep_fraction))
+    got, want = results
+    assert got == want and repr(got) == repr(want)
+    assert clipped[0] == clipped[1]
+    return got
+
+
+def dense_crop_scene(rng, width=1000, height=900):
+    """70 random boxes of 5 classes, boxes whose extent meets a tile edge of
+    every grid below exactly (edges at multiples of 40), two wider than a
+    tile, and a 1e-3 px box near 1e8 px; 120 relations."""
+    boxes = [
+        oracles.random_box(rng, center_lo=-20.0, center_hi=1020.0, side_hi=150.0)
+        for _ in range(70)
+    ]
+    for edge in range(0, 1001, 40):
+        along = float(rng.uniform(0, 880))
+        boxes.append(OrientedBox.axis_aligned(edge - 25, along, edge, along + 15))
+        boxes.append(OrientedBox.axis_aligned(along, edge, along + 15, edge + 25))
+    boxes.append(OrientedBox.axis_aligned(50, 300, 950, 330))
+    boxes.append(OrientedBox.from_params(500.0, 450.0, 1000.0, 40.0, 0.4))
+    boxes.append(OrientedBox.axis_aligned(1e8, 50, 1e8 + 1e-3, 50 + 1e-3))
+    objects = [
+        ObjectInstance(i, int(rng.integers(0, 5)), box, bool(rng.integers(0, 2)))
+        for i, box in enumerate(boxes)
+    ]
+    relations = []
+    for _ in range(120):
+        s, o = (int(k) for k in rng.choice(len(objects), 2, replace=False))
+        relations.append((s, int(rng.integers(0, 4)), o, float(rng.uniform())))
+    return scene_of(objects, relations, width=width, height=height)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_crop_equals_per_object_reference_on_every_tile(seed):
+    scene = dense_crop_scene(np.random.default_rng(seed))
+    kept = 0
+    for size, stride in ((800, 400), (200, 120), (100, 100)):
+        for tile in plan_tiles(scene.width, scene.height, size, stride):
+            for keep_fraction in (0.5, 1.0):
+                kept += len(crop_matches_reference(scene, tile, keep_fraction).objects)
+    assert kept > 0
+
+
+def test_crop_window_reaches_a_box_far_wider_than_the_tile():
+    # The rounding of x0 - eps - widest at 1e8 px exceeds eps: without the
+    # ulp margin the window would start one step right of this box's xmin,
+    # and the box, whose extent ends on the tile's left edge, would not be
+    # clipped.  The 1e-3 px box near 1e8 px never reaches a tile.
+    long = OrientedBox.axis_aligned(-134160686.05805148, 10, 99200.0, 20)
+    tiny = OrientedBox.axis_aligned(1e8, 50, 1e8 + 1e-3, 50 + 1e-3)
+    inner = OrientedBox.axis_aligned(99300, 10, 99400, 20)
+    scene = scene_of(
+        [ObjectInstance(k, k, box) for k, box in enumerate((long, tiny, inner))],
+        [(0, 0, 2), (2, 0, 1)], width=MAX_IMAGE_EXTENT, height=800,
+    )
+    for x in (98800, 99200):
+        for keep_fraction in (1e-300, 0.5, 1.0):
+            crop_matches_reference(scene, TileSpec(x, 0, 800), keep_fraction)
+    assert len(crop_scene(scene, TileSpec(98800, 0, 800), 1e-300).relations) == 1
+
+
 def test_crop_translation_round_trip():
     rng = np.random.default_rng(42)
     tile = TileSpec(200, 200, 300)
@@ -274,16 +354,26 @@ def test_nms_keeps_disjoint_and_cross_category():
 
 def test_nms_matches_reference():
     rng = np.random.default_rng(44)
-    for _ in range(10):
-        dets = [
-            Detection(
-                oracles.random_box(rng, side_lo=5.0, side_hi=40.0),
-                int(rng.integers(0, 3)),
-                float(rng.uniform(0, 1)),
-            )
-            for _ in range(50)
-        ]
-        assert rotated_nms(dets, 0.5) == oracles.reference_nms(dets, 0.5)
+    for categories in (3, 5, 8):
+        for _ in range(6):
+            dets = [
+                Detection(
+                    oracles.random_box(rng, side_lo=5.0, side_hi=40.0),
+                    int(rng.integers(0, categories)),
+                    float(rng.uniform(0, 1)),
+                )
+                for _ in range(50)
+            ]
+            # Exact duplicates, some of them under another category, and
+            # boxes whose extents touch another's.
+            for det in dets[:10]:
+                dets.append(Detection(det.box, int(rng.integers(0, categories)), det.score))
+            for det in dets[10:20]:
+                xmin, ymin, xmax, ymax = det.box.extent
+                box = OrientedBox.axis_aligned(xmax, ymin, xmax + 10.0, ymax)
+                dets.append(Detection(box, det.category, float(rng.uniform(0, 1))))
+            for threshold in (0.05, 0.5, 1.0):
+                assert rotated_nms(dets, threshold) == oracles.reference_nms(dets, threshold)
 
 
 def test_nms_survivors_are_mutually_separated():

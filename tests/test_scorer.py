@@ -783,14 +783,13 @@ def test_predict_triplets_computes_prior_rows_once(n, block, fused):
     assert len(calls) == 1
 
 
-def test_predict_triplets_without_predicates_emit_nothing_unconstrained():
-    # No best predicate is looked for when every predicate is emitted, so a
-    # prior without predicates gives no relations rather than an argmax error.
-    prior = FrequencyPrior(np.zeros((2, 2, 1), dtype=np.int64), 1.0, "h")
-    box = OrientedBox.axis_aligned(0, 0, 10, 10)
-    objects = tuple(ObjectInstance(k, k % 2, box) for k in range(3))
-    scene = SceneAnnotation("s", 100, 100, objects, NO_RELATIONS)
-    assert predict_triplets(scene, prior, graph_constraint=False) == NO_RELATIONS
+def test_prior_without_a_predicate_or_class_is_rejected():
+    # Under the graph constraint predict takes each pair's best predicate; a
+    # table without a predicate cell left it numpy's bare argmax error.
+    for shape in ((2, 2, 1), (2, 2, 0), (0, 0, 3), (2, 3, 3), (2, 2)):
+        with pytest.raises(ValueError, match=rf"^bad counts shape {re.escape(str(shape))}$"):
+            FrequencyPrior(np.zeros(shape, dtype=np.int64), 1.0, "h")
+    assert FrequencyPrior(np.zeros((1, 1, 2), dtype=np.int64), 1.0, "h").num_relations == 1
 
 
 def test_training_rows_match_pair_features():

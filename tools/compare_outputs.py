@@ -105,10 +105,20 @@ INVOCATIONS = (
         "eval-det", "--gt", "{gt}", "--pred", "{jitter}", "--iou-threshold", "0.7",
         "--include-empty", "--format", "csv",
     ]),
+    # Near-zero IoUs decide the matches.
+    ("det_loose.json", [
+        "eval-det", "--gt", "{gt}", "--pred", "{jitter}", "--iou-threshold", "0.05",
+    ]),
     ("tiled.json", ["tile", "--input", "{gt}"]),
     # Most objects straddle a tile edge on this grid, so the tile box that
     # crop_scene builds only for such an object is built and used.
     ("tiled_200.json", ["tile", "--input", "{gt}", "--size", "200", "--stride", "120"]),
+    # Only containment keeps a box.
+    ("tiled_contained.json", ["tile", "--input", "{gt}", "--keep-fraction", "1.0"]),
+    # Nearly every object that straddles a tile edge is kept.
+    ("tiled_200_straddle.json", [
+        "tile", "--input", "{gt}", "--size", "200", "--stride", "120", "--keep-fraction", "0.05",
+    ]),
     ("hbb.json", ["convert-hbb", "--input", "{gt}"]),
     ("pairs.json", [
         "pairs", "--input", "{gt}", "--max-pos", "4", "--max-neg", "8", "--seed", "{seed}",
