@@ -11,6 +11,7 @@ stochastic subcommand requires an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -356,6 +357,7 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="obsg",
@@ -465,7 +467,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Entry point returning an exit code instead of raising SystemExit."""
+    """Entry point returning an exit code instead of raising SystemExit.
+
+    The parser is built on the first call and reused for the rest of the
+    process, which saves its build only for callers that run several stages
+    in one process, such as the test suite and ``perfbench/run.py``.  Each
+    call parses into a fresh namespace.  The ``_cmd_*`` handlers and the
+    option defaults are bound at that first build.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

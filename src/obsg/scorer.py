@@ -557,10 +557,9 @@ def _prior_rows(prior: FrequencyPrior, cs: np.ndarray, co: np.ndarray) -> np.nda
 
 def save_prior(prior: FrequencyPrior) -> str:
     """JSON document with the sparse non-zero counts; deterministic."""
-    nz = np.argwhere(prior.counts > 0)
-    entries = [
-        [int(s), int(o), int(p), int(prior.counts[s, o, p])] for s, o, p in nz
-    ]
+    cells = np.unravel_index(np.flatnonzero(prior.counts > 0), prior.counts.shape)
+    values = prior.counts[cells].tolist()
+    entries = [list(entry) for entry in zip(*(index.tolist() for index in cells), values)]
     doc = {
         "kind": "frequency_prior",
         "version": 1,
@@ -591,15 +590,17 @@ def load_prior(text: str | bytes, registry: CategoryRegistry) -> FrequencyPrior:
     shape = (num_objects, num_objects, num_relations + 1)
     counts = np.zeros(shape, dtype=np.int64)
     for k, entry in enumerate(_get(doc, "counts", list, "$")):
-        path = f"$.counts[{k}]"
-        if not isinstance(entry, list) or len(entry) != 4:
-            raise ManifestError(f"{path}: expected [subject, object, predicate, count]")
-        s, o, p, c = (_expect(v, int, f"{path}[{i}]") for i, v in enumerate(entry))
-        for i, (index, size) in enumerate(zip((s, o, p), shape)):
+        if type(entry) is not list or len(entry) != 4:
+            raise ManifestError(f"$.counts[{k}]: expected [subject, object, predicate, count]")
+        for i, value in enumerate(entry):
+            if type(value) is not int:
+                _expect(value, int, f"$.counts[{k}][{i}]")
+        s, o, p, c = entry
+        for i, (index, size) in enumerate(zip(entry, shape)):
             if not 0 <= index < size:
-                raise ManifestError(f"{path}[{i}]: index {index} outside 0..{size - 1}")
+                raise ManifestError(f"$.counts[{k}][{i}]: index {index} outside 0..{size - 1}")
         if not 0 <= c <= _MAX_COUNT:
-            raise ManifestError(f"{path}[3]: count {c} outside 0..{_MAX_COUNT}")
+            raise ManifestError(f"$.counts[{k}][3]: count {c} outside 0..{_MAX_COUNT}")
         counts[s, o, p] = c
     try:
         return FrequencyPrior(counts, alpha, doc["registry_hash"])

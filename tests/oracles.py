@@ -23,7 +23,8 @@ ranking per class over the whole file;
 ``reference_evaluate_scene_graphs`` gates the whole scene-graph report the
 same way, from ``reference_match_triplets`` per image.  ``reference_serialize_dataset`` keeps the
 nested-dict ``json.dumps`` writer that the library's direct text writer
-must match byte for byte.  ``reference_parse`` keeps the located walk
+must match byte for byte, and ``reference_save_prior`` the prior writer
+that visited every cell of the count table.  ``reference_parse`` keeps the located walk
 over a decoded document that the one-pass parser replaced; it is built on
 the parser's per-value helpers, which define every message, and leaves the
 rules of a scene and a dataset to the types that own them.
@@ -627,6 +628,25 @@ def reference_fit_frequency_prior(dataset, alpha) -> FrequencyPrior:
             if (i, j) not in related:
                 counts[classes[i], classes[j], num_relations] += 1
     return FrequencyPrior(counts, alpha, dataset.registry.content_hash())
+
+
+def reference_save_prior(prior) -> str:
+    """Prior file text from ``np.argwhere`` over the whole count table:
+    one ``[s, o, p, count]`` entry per positive cell, in C order."""
+    entries = [
+        [int(s), int(o), int(p), int(prior.counts[s, o, p])]
+        for s, o, p in np.argwhere(prior.counts > 0)
+    ]
+    doc = {
+        "kind": "frequency_prior",
+        "version": 1,
+        "registry_hash": prior.registry_hash,
+        "num_objects": prior.num_objects,
+        "num_relations": prior.num_relations,
+        "alpha": prior.alpha,
+        "counts": entries,
+    }
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def reference_prior_row(prior, subject_class, object_class) -> np.ndarray:

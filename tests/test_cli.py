@@ -1,5 +1,6 @@
 """End-to-end CLI runs, in process, against temporary files."""
 
+import argparse
 import copy
 import hashlib
 import json
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from obsg import cli, parse_dataset, parse_predictions, serialize_dataset
 from obsg.registry import canonical_registry
 from obsg.scorer import load_scorer
+from test_golden_outputs import EXPECTED, golden_outputs
 
 
 def sha256(path):
@@ -191,6 +193,157 @@ def test_module_entry_point_runs_the_cli(tmp_path):
 def test_unknown_subcommand_and_bad_flags(tmp_path):
     assert cli.run(["no-such-command"]) == 2
     assert cli.run(["synth", "--images", "3"]) == 2  # --seed missing
+
+
+@pytest.fixture(scope="module")
+def golden(tmp_path_factory):
+    """The golden fixture's files, plus a linear scorer for fused predict."""
+    work = tmp_path_factory.mktemp("golden")
+    golden_outputs(work)
+    argv = ["train-linear", "--input", str(work / "gt.json"), "--seed", "3",
+            "--epochs", "5", "--output", str(work / "linear.json")]
+    assert cli.run(argv) == 0
+    return work
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Start without a cached parser; list the prog of every
+    ``argparse.ArgumentParser`` constructed from then on."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    yield built
+    cli._build_parser.cache_clear()
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import obsg.cli as c; print(c._build_parser.cache_info().misses)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_one_parser_serves_every_subcommand_in_any_order(golden, tmp_path, parser_builds):
+    """Ten pipeline stages on the golden fixture, forward then reversed,
+    through one parser: the same bytes both times, equal to the golden
+    digests where those exist."""
+    w = {name: str(golden / name) for name in
+         ("gt.json", "prior.json", "linear.json", "pred.json", "jitter.json")}
+
+    def stages(out):
+        return [
+            ["validate", "--input", w["gt.json"], "--output", f"{out}/report.txt"],
+            ["stats", "--input", w["gt.json"], "--output", f"{out}/stats.json"],
+            ["fit-prior", "--input", w["gt.json"], "--alpha", "0.5",
+             "--output", f"{out}/prior.json"],
+            ["train-linear", "--input", w["gt.json"], "--seed", "3", "--epochs", "5",
+             "--output", f"{out}/linear.json"],
+            ["predict", "--input", w["gt.json"], "--prior", w["prior.json"],
+             "--output", f"{out}/pred.json"],
+            ["predict", "--input", w["gt.json"], "--prior", w["prior.json"],
+             "--linear", w["linear.json"], "--output", f"{out}/fused.json"],
+            ["eval-sgg", "--gt", w["gt.json"], "--pred", w["pred.json"], "--task",
+             "predcls", "--k", "5,20,100", "--output", f"{out}/predcls.json"],
+            ["eval-sgg", "--gt", w["gt.json"], "--pred", w["jitter.json"], "--task",
+             "sgdet", "--k", "5,20,100", "--output", f"{out}/sgdet.json"],
+            ["eval-det", "--gt", w["gt.json"], "--pred", w["jitter.json"],
+             "--output", f"{out}/det.json"],
+            ["tile", "--input", w["gt.json"], "--size", "200", "--stride", "120",
+             "--output", f"{out}/tiled.json"],
+        ]
+
+    digests = []
+    for order, runs in (("forward", stages), ("reverse", lambda out: stages(out)[::-1])):
+        out = tmp_path / order
+        out.mkdir()
+        for argv in runs(out):
+            assert cli.run(argv) == 0, argv
+        digests.append({path.name: sha256(path) for path in out.iterdir()})
+    forward, reverse = digests
+    assert len(forward) == 10
+    assert forward == reverse
+    golden_names = forward.keys() & EXPECTED.keys()
+    assert len(golden_names) == 8
+    assert {name: forward[name] for name in golden_names} == {
+        name: EXPECTED[name] for name in golden_names
+    }
+    assert forward["linear.json"] == sha256(golden / "linear.json")
+    # The top-level parser and one subparser per subcommand, built once.
+    assert parser_builds.count("obsg") == 1
+    assert len(parser_builds) == 12
+
+
+def test_reused_parser_answers_each_call_as_a_fresh_one(golden, capsys, parser_builds):
+    """No state carries from one call to the next: every call gives the
+    exit code, stdout and stderr of the same call on a fresh parser."""
+    gt, hbb, tiled = (str(golden / name) for name in ("gt.json", "hbb.json", "tiled.json"))
+    pred_all = str(golden / "pred_all.json")
+    eval_all = ["eval-sgg", "--gt", gt, "--pred", pred_all, "--task", "predcls"]
+    calls = [
+        ["stats", "--input", gt, "--input", hbb],
+        ["stats", "--input", tiled],
+        eval_all + ["--no-graph-constraint"],
+        eval_all,
+        ["stats", "--input", gt, "--format", "xml"],
+        ["stats", "--input", tiled],
+        ["--version"],
+        ["stats", "--input", tiled],
+    ]
+
+    def outcome(argv):
+        code = cli.run(argv)
+        return (code, *capsys.readouterr())
+
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli._build_parser.cache_clear()
+    parser_builds.clear()
+    reused = [outcome(argv) for argv in calls]
+    assert parser_builds.count("obsg") == 1
+    assert reused == fresh
+    # The calls themselves differ where their flags do.
+    assert isinstance(json.loads(reused[0][1]), list)
+    assert isinstance(json.loads(reused[1][1]), dict)
+    assert reused[2][1] != reused[3][1]
+    code, out, err = reused[4]
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: obsg stats")
+    assert "invalid choice: 'xml'" in err
+    assert reused[6][:2] == (0, "obsg 0.1.0\n")
+
+
+def test_reused_parser_formats_help_at_the_current_width(capsys, monkeypatch, parser_builds):
+    def help_at(columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert cli.run(["predict", "--help"]) == 0
+        return capsys.readouterr().out
+
+    fresh = {}
+    for columns in ("40", "200"):
+        cli._build_parser.cache_clear()
+        fresh[columns] = help_at(columns)
+    assert fresh["40"] != fresh["200"]
+    cli._build_parser.cache_clear()
+    parser_builds.clear()
+    assert [help_at(c) for c in ("40", "200", "40")] == [fresh["40"], fresh["200"], fresh["40"]]
+    assert parser_builds.count("obsg") == 1
 
 
 def test_synth_deterministic_and_parseable(tmp_path):

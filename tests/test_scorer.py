@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -937,6 +937,82 @@ def test_load_prior_rejects_malformed_documents(edit):
     edit(doc)
     with pytest.raises(ManifestError, match=r"\$"):
         load_prior(json.dumps(doc), registry)
+
+
+# The exact text of each located check; a type error is reported before a
+# range error.
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (7, ": expected [subject, object, predicate, count]"),
+        ({"a": 1}, ": expected [subject, object, predicate, count]"),
+        ([0, 1, 0], ": expected [subject, object, predicate, count]"),
+        ([0, 1, 0, 1, 1], ": expected [subject, object, predicate, count]"),
+        ([999, 0, 0, 1], "[0]: index 999 outside 0..1"),
+        ([-1, 0, 0, 1], "[0]: index -1 outside 0..1"),
+        ([0, 2, 0, 1], "[1]: index 2 outside 0..1"),
+        ([0, 1, 2, 1], "[2]: index 2 outside 0..1"),
+        ([0, 0, 0, -5], "[3]: count -5 outside 0..9223372036854775807"),
+        ([0, 1, 0, 2**63],
+         "[3]: count 9223372036854775808 outside 0..9223372036854775807"),
+        (["0", 1, 0, 1], "[0]: expected integer, got '0'"),
+        ([0, True, 0, 1], "[1]: expected integer, got True"),
+        ([0, 1, None, 1], "[2]: expected integer, got None"),
+        ([0, 1, 0, 1.5], "[3]: expected integer, got 1.5"),
+        ([0, 1, 0, False], "[3]: expected integer, got False"),
+        ([999, 0, 0, 1.5], "[3]: expected integer, got 1.5"),
+    ],
+)
+@pytest.mark.parametrize("first", [True, False])
+def test_load_prior_locates_each_bad_entry(entry, message, first):
+    registry, doc = prior_doc()
+    k = 0 if first else len(doc["counts"])
+    doc["counts"].insert(k, entry)
+    with pytest.raises(ManifestError, match=f"^{re.escape(f'$.counts[{k}]{message}')}$"):
+        load_prior(json.dumps(doc), registry)
+
+
+def test_load_prior_keeps_the_last_entry_for_a_cell():
+    registry, doc = prior_doc()
+    doc["counts"].append([0, 1, 0, 2])
+    assert load_prior(json.dumps(doc), registry).counts[0, 1, 0] == 2
+
+
+def count_table(shape, fill=0, cells=()):
+    counts = np.full(shape, fill, dtype=np.int64)
+    for cell in cells:
+        counts[cell] = 1
+    return counts
+
+
+@st.composite
+def count_tables(draw):
+    """Count tables of 1-4 classes and 1-4 predicates, mixing zero, small,
+    negative and maximal counts."""
+    n = draw(st.integers(1, 4))
+    width = draw(st.integers(2, 5))
+    top = scorer_module._MAX_COUNT
+    cell = st.sampled_from([0, 0, 0, -3, 1, 7, top]) | st.integers(0, top)
+    values = draw(st.lists(cell, min_size=n * n * width, max_size=n * n * width))
+    return np.array(values, dtype=np.int64).reshape(n, n, width)
+
+
+@settings(max_examples=60, deadline=None)
+@given(count_tables())
+@example(count_table((1, 1, 2)))
+@example(count_table((4, 4, 5)))
+@example(count_table((3, 3, 4), cells=[(2, 0, 3)]))
+@example(count_table((2, 2, 3), fill=scorer_module._MAX_COUNT))
+def test_save_prior_matches_the_whole_table_scan(counts):
+    n, _, width = counts.shape
+    registry = CategoryRegistry(
+        tuple(f"c{i}" for i in range(n)), tuple(f"r{i}" for i in range(width - 1))
+    )
+    prior = FrequencyPrior(counts, 0.5, registry.content_hash())
+    text = save_prior(prior)
+    assert text == oracles.reference_save_prior(prior)
+    expected = np.where(counts > 0, counts, 0).astype(np.int64)
+    assert np.array_equal(load_prior(text, registry).counts, expected)
 
 
 @pytest.mark.parametrize(
