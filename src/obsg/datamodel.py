@@ -75,6 +75,13 @@ def _check_extent(width: int, height: int) -> None:
         raise ValueError(f"extent {width!r}x{height!r} outside 1..{MAX_IMAGE_EXTENT}")
 
 
+def _check_ints(values: Sequence[Any], what: str) -> None:
+    """Raise ``ValueError`` naming the first of ``values`` whose type is not ``int``."""
+    if operator.countOf(map(type, values), int) < len(values):
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"{what} must be int, got {bad!r}")
+
+
 def _repeated(values: Iterable[Any]) -> Any:
     """The first of ``values`` equal to an earlier one, or ``None``."""
     seen = set()
@@ -106,7 +113,8 @@ class ObjectInstance:
     """One object: scene-unique id, category index, oriented box.
 
     ``score`` is the detection confidence of a predicted object and stays
-    ``None`` on ground truth.
+    ``None`` on ground truth.  An id or category whose type is not ``int``
+    is a ``ValueError``.
     """
 
     id: int
@@ -114,6 +122,10 @@ class ObjectInstance:
     box: OrientedBox
     truncated: bool = False
     score: float | None = field(default=None, kw_only=True)
+
+    def __post_init__(self) -> None:
+        if not type(self.id) is type(self.category) is int:
+            _check_ints((self.id, self.category), "object id and category")
 
 
 @dataclass(frozen=True)
@@ -137,7 +149,8 @@ class RelationColumns:
 
     It is the one form in which a scene takes and stores its relations;
     iteration is a read-only view of :class:`RelationTriplet` rows, which
-    acceptance criterion 09 reads.  Any iterable is stored as a tuple.
+    acceptance criterion 09 reads.  Any iterable is stored as a tuple; an
+    id or predicate whose type is not ``int`` is a ``ValueError``.
     """
 
     subjects: tuple[int, ...]
@@ -157,6 +170,7 @@ class RelationColumns:
             raise ValueError(
                 f"relation columns differ in length: {', '.join(str(len(c)) for c in columns)}"
             )
+        _check_ints(columns[0] + columns[1] + columns[2], "relation ids and predicates")
         set_field = object.__setattr__
         set_field(self, "subjects", columns[0])
         set_field(self, "predicates", columns[1])
@@ -509,7 +523,6 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
     root = _load_root(data)
     split, registry = _parse_header(root)
     isfinite = math.isfinite
-    from_vertices = OrientedBox.from_vertices
     scenes = []
     for i, raw_scene in enumerate(_get(root, "images", list, "$")):
         image_id = raw_scene.get("id") if type(raw_scene) is dict else None
@@ -535,7 +548,7 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
                 category = _get(raw, "category", int, _item(i, "objects", j))
             obb = raw.get("obb")
             try:
-                box = from_vertices(obb)
+                box = OrientedBox(obb)
             except (TypeError, ValueError, OverflowError):
                 box = _parse_box(raw, _item(i, "objects", j))
             truncated = raw.get("truncated", False)
@@ -639,18 +652,12 @@ def _number_text(value: Any) -> str:
 
 
 def _box_text(box: OrientedBox) -> str:
+    """A box's vertices as JSON; a box holds only finite floats."""
     (x1, y1), (x2, y2), (x3, y3), (x4, y4) = box.vertices
-    try:
-        text = (
-            f"[[{_float_repr(x1)},{_float_repr(y1)}],[{_float_repr(x2)},{_float_repr(y2)}],"
-            f"[{_float_repr(x3)},{_float_repr(y3)}],[{_float_repr(x4)},{_float_repr(y4)}]]"
-        )
-        if "n" not in text:
-            return text
-    except TypeError:
-        pass
-    # An int or a non-finite coordinate: json.dumps has the rules for it.
-    return _dumps([list(p) for p in box.vertices], separators=(",", ":"))
+    return (
+        f"[[{_float_repr(x1)},{_float_repr(y1)}],[{_float_repr(x2)},{_float_repr(y2)}],"
+        f"[{_float_repr(x3)},{_float_repr(y3)}],[{_float_repr(x4)},{_float_repr(y4)}]]"
+    )
 
 
 def _scene_text(scene: SceneAnnotation) -> str:
@@ -691,7 +698,7 @@ def serialize_dataset(dataset: Dataset) -> str:
     Scores are written wherever they are set.  The text is written
     directly, with no dict per record.  For fields of the declared types
     (``int`` ids, categories, predicates and extents, ``bool`` truncation,
-    ``int`` or ``float`` coordinates and scores, ``str`` names) it is
+    ``int`` or ``float`` scores, ``str`` names) it is
     byte-identical to ``json.dumps(doc, separators=(",", ":"))`` of the
     nested-dict document.
     """

@@ -30,7 +30,7 @@ DEGENERATE_EPS = 1e-9
 # Collinear/duplicate vertices produced by clipping are snapped at this scale.
 SNAP_EPS = 1e-9
 
-# from_vertices accepts a quad as a rectangle within this many pixels.
+# A box's four points form a rectangle within this many pixels.
 RECTANGLE_TOL = 1e-6
 
 
@@ -74,11 +74,11 @@ def _point(p: Sequence[float]) -> Point:
         x, y = p
     except (TypeError, ValueError):
         raise ValueError(f"expected an (x, y) point, got {p!r}") from None
-    if type(x) is float and type(y) is float:
-        return (x, y)
-    for v in (x, y):
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ValueError(f"non-numeric coordinate in point {p!r}")
+    # Exact floats and ints, such as JSON numbers, skip the numbers.Real test.
+    if not (type(x) in (float, int) and type(y) in (float, int)):
+        for v in (x, y):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"non-numeric coordinate in point {p!r}")
     return (float(x), float(y))
 
 
@@ -109,14 +109,66 @@ class _cached:
 class OrientedBox:
     """Rectangle with arbitrary planar rotation.
 
-    ``vertices`` keeps the corner order exactly as constructed.  Derived
-    center/size/angle parameters assume the clockwise-on-screen order that
-    :meth:`from_params` produces; dataset validation checks whether the
-    stored order satisfies that (a positive :func:`_winding`) rather than
-    rejecting it here.
+    ``vertices`` keeps the corner order exactly as constructed, as four
+    ``(float, float)`` tuples.  Derived center/size/angle parameters assume
+    the clockwise-on-screen order that :meth:`from_params` produces;
+    dataset validation checks whether the stored order satisfies that (a
+    positive :func:`_winding`) rather than rejecting it here.
+
+    Every way of building a box, ``dataclasses.replace`` included, checks
+    that the points form a rectangle: opposite edges equal within
+    ``RECTANGLE_TOL`` pixels and adjacent edges perpendicular within the
+    same scale.  Both windings are accepted.
+
+    Raises:
+        ValueError: wrong point count, a point that is not exactly
+            ``(x, y)``, a coordinate that is a ``bool`` or not a real
+            number (such as a ``str``), non-finite values, sides or area,
+            degenerate sides, or a quad that is not a rectangle within
+            ``RECTANGLE_TOL``.
     """
 
     vertices: tuple[Point, Point, Point, Point]
+
+    def __post_init__(self) -> None:
+        try:
+            (x0, y0), (x1, y1), (x2, y2), (x3, y3) = self.vertices
+            # Eight exact floats, as the methods below and JSON floats give, skip _point.
+            exact = (float is type(x0) is type(y0) is type(x1) is type(y1) is type(x2)
+                     is type(y2) is type(x3) is type(y3))
+        except (TypeError, ValueError):
+            exact = False
+        if not exact:
+            pts = [_point(p) for p in self.vertices]
+            if len(pts) != 4:
+                raise ValueError(f"expected 4 points, got {pts!r}")
+            (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
+        # Frozen: stored in the instance dict directly, as _cached stores its values.
+        self.__dict__["vertices"] = vertices = ((x0, y0), (x1, y1), (x2, y2), (x3, y3))
+        isfinite, hypot = math.isfinite, math.hypot
+        if not (
+            isfinite(x0) and isfinite(y0) and isfinite(x1) and isfinite(y1)
+            and isfinite(x2) and isfinite(y2) and isfinite(x3) and isfinite(y3)
+        ):
+            raise ValueError(f"non-finite vertex in {list(vertices)!r}")
+        e1x, e1y = x1 - x0, y1 - y0
+        e2x, e2y = x2 - x1, y2 - y1
+        e3x, e3y = x3 - x2, y3 - y2
+        e4x, e4y = x0 - x3, y0 - y3
+        side1, side2 = hypot(e1x, e1y), hypot(e2x, e2y)
+        # Overflow makes NaN, which passes a `>` test; the corner test uses `<=`.
+        if not (isfinite(side1) and isfinite(side2)):
+            raise ValueError(f"non-finite side in {list(vertices)!r}")
+        if side1 <= DEGENERATE_EPS or side2 <= DEGENERATE_EPS:
+            raise ValueError(f"degenerate side in {list(vertices)!r}")
+        tol = RECTANGLE_TOL
+        if hypot(e1x + e3x, e1y + e3y) > tol or hypot(e2x + e4x, e2y + e4y) > tol:
+            raise ValueError(f"opposite sides differ beyond tol={tol}: {list(vertices)!r}")
+        if not abs(e1x * e2x + e1y * e2y) <= tol * max(side1, side2):
+            raise ValueError(f"corners not perpendicular within tol={tol}: {list(vertices)!r}")
+        # An infinite area makes the IoU of the box with itself inf - inf.
+        if not isfinite(side1 * side2):
+            raise ValueError(f"box area overflows in {list(vertices)!r}")
 
     @classmethod
     def from_params(
@@ -133,7 +185,7 @@ class OrientedBox:
 
         Raises:
             ValueError: if a size is not above 1e-9 (NaN included), or the
-                vertices fail :meth:`from_vertices`.
+                vertices fail the class's rectangle check.
         """
         if not (w > DEGENERATE_EPS and h > DEGENERATE_EPS):
             raise ValueError(f"degenerate box size: w={w!r} h={h!r}")
@@ -143,60 +195,25 @@ class OrientedBox:
         nx, ny = -uy, ux
         hw, hh = w / 2.0, h / 2.0
         corners = ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh))
-        return cls.from_vertices(
+        return cls(tuple(
             (cx + dx * ux + dy * nx, cy + dx * uy + dy * ny) for dx, dy in corners
-        )
+        ))  # type: ignore[arg-type]
 
     @classmethod
     def from_vertices(cls, vertices: Iterable[Sequence[float]]) -> "OrientedBox":
-        """Build from four corner points, preserving their order.
-
-        The points must form a rectangle: opposite edges equal within
-        ``RECTANGLE_TOL`` pixels and adjacent edges perpendicular within the
-        same scale.  Both windings are accepted; orientation is a dataset
-        validation concern, not a construction error.
-
-        Raises:
-            ValueError: wrong point count, a point that is not exactly
-                ``(x, y)``, a coordinate that is a ``bool`` or not a real
-                number (such as a ``str``), non-finite values, sides or
-                area, degenerate sides, or a quad that is not a rectangle within ``RECTANGLE_TOL``.
-        """
-        pts = [_point(p) for p in vertices]
-        if len(pts) != 4:
-            raise ValueError(f"expected 4 points, got {pts!r}")
-        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
-        if not all(map(math.isfinite, (x0, y0, x1, y1, x2, y2, x3, y3))):
-            raise ValueError(f"non-finite vertex in {pts!r}")
-        e1x, e1y = x1 - x0, y1 - y0
-        e2x, e2y = x2 - x1, y2 - y1
-        e3x, e3y = x3 - x2, y3 - y2
-        e4x, e4y = x0 - x3, y0 - y3
-        side1, side2 = math.hypot(e1x, e1y), math.hypot(e2x, e2y)
-        # Overflow makes NaN, which passes a `>` test; the corner test uses `<=`.
-        if not (math.isfinite(side1) and math.isfinite(side2)):
-            raise ValueError(f"non-finite side in {pts!r}")
-        if side1 <= DEGENERATE_EPS or side2 <= DEGENERATE_EPS:
-            raise ValueError(f"degenerate side in {pts!r}")
-        tol = RECTANGLE_TOL
-        if math.hypot(e1x + e3x, e1y + e3y) > tol or math.hypot(e2x + e4x, e2y + e4y) > tol:
-            raise ValueError(f"opposite sides differ beyond tol={tol}: {pts!r}")
-        if not abs(e1x * e2x + e1y * e2y) <= tol * max(side1, side2):
-            raise ValueError(f"corners not perpendicular within tol={tol}: {pts!r}")
-        # An infinite area makes the IoU of the box with itself inf - inf.
-        if not math.isfinite(side1 * side2):
-            raise ValueError(f"box area overflows in {pts!r}")
-        return cls(tuple(pts))  # type: ignore[arg-type]
+        """Build from four corner points, preserving their order; the class
+        docstring has the rule they must meet."""
+        return cls(tuple(vertices))  # type: ignore[arg-type]
 
     @classmethod
     def axis_aligned(
         cls, xmin: float, ymin: float, xmax: float, ymax: float
     ) -> "OrientedBox":
-        """Axis-aligned rectangle in canonical clockwise order, checked by :meth:`from_vertices`."""
+        """Axis-aligned rectangle in canonical clockwise order."""
         if not (xmin < xmax and ymin < ymax):
             raise ValueError(f"inverted or empty extent: {(xmin, ymin, xmax, ymax)}")
         x0, y0, x1, y1 = float(xmin), float(ymin), float(xmax), float(ymax)
-        return cls.from_vertices(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+        return cls(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
 
     @_cached
     def params(self) -> tuple[float, float, float, float, float]:
@@ -227,7 +244,10 @@ class OrientedBox:
         return p[2] * p[3]
 
     def translate(self, dx: float, dy: float) -> "OrientedBox":
-        return OrientedBox(tuple((x + dx, y + dy) for x, y in self.vertices))  # type: ignore[arg-type]
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = self.vertices
+        return OrientedBox(
+            ((x0 + dx, y0 + dy), (x1 + dx, y1 + dy), (x2 + dx, y2 + dy), (x3 + dx, y3 + dy))
+        )
 
 
 def _positive_loop(vertices: Sequence[Point]) -> list[Point]:

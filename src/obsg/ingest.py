@@ -25,6 +25,7 @@ from .datamodel import (
     RelationColumns,
     SceneAnnotation,
     _check_extent,
+    _check_ints,
     _rank,
 )
 from .geometry import OrientedBox, _check_iou_threshold, intersection_area, rotated_iou
@@ -39,7 +40,8 @@ _EDGE_EPS = 1e-9
 
 @dataclass(frozen=True)
 class TileSpec:
-    """One square tile of the sliding grid, in source-image pixels."""
+    """One square tile of the sliding grid, in source-image pixels; its
+    origin and size are ``int``, the size > 0 and the origin >= 0."""
 
     origin_x: int
     origin_y: int
@@ -50,6 +52,8 @@ class TileSpec:
             raise ValueError(f"bad tile size: {self.size}")
         if not (self.origin_x >= 0 and self.origin_y >= 0):
             raise ValueError(f"negative tile origin: {self}")
+        if not type(self.origin_x) is type(self.origin_y) is type(self.size) is int:
+            _check_ints((self.origin_x, self.origin_y, self.size), "tile origin and size")
 
 
 def _grid_positions(extent: int, size: int, stride: int) -> list[int]:

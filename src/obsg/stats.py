@@ -49,11 +49,7 @@ class StatsReport:
 
 
 def compute_stats(dataset: Dataset) -> StatsReport:
-    """Exhaustive recount of a dataset; an empty dataset gives zeros.
-
-    Raises:
-        DataError: a box has no area.
-    """
+    """Exhaustive recount of a dataset; an empty dataset gives zeros."""
     registry = dataset.registry
     num_objects = registry.num_objects
     num_relations = registry.num_relations
@@ -67,14 +63,8 @@ def compute_stats(dataset: Dataset) -> StatsReport:
     relation_cats_hist: Counter[int] = Counter()
     for scene in dataset.scenes:
         for obj in scene.objects:
-            area = obj.box.area
-            if not area > 0:
-                raise DataError(
-                    f"image {scene.image_id!r}: object {obj.id} has a degenerate box "
-                    f"of area {area}"
-                )
             object_counts[obj.category] += 1
-            size_counts[size_class(area)] += 1
+            size_counts[size_class(obj.box.area)] += 1
         predicates = scene.relations.predicates
         for i, j, p in zip(*scene.relation_endpoints, predicates):
             relation_counts[p] += 1

@@ -28,12 +28,16 @@ that visited every cell of the count table.  ``reference_parse`` keeps the locat
 over a decoded document that the one-pass parser replaced; it is built on
 the parser's per-value helpers, which define every message, and leaves the
 rules of a scene and a dataset to the types that own them.
+``reference_from_vertices`` keeps the rectangle rule as ``from_vertices``
+applied it before every way of building a box did; the box must accept the
+same quads, with the same vertices, and reject the rest with the same message.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -62,7 +66,7 @@ from obsg.datamodel import (
     _parse_header,
     _parse_score,
 )
-from obsg.geometry import TWO_PI
+from obsg.geometry import DEGENERATE_EPS, RECTANGLE_TOL, TWO_PI
 from obsg.ingest import _EDGE_EPS, _check_keep_fraction
 from obsg.scorer import GEOMETRY_FEATURES, feature_count, linear_loss_and_grad
 
@@ -152,6 +156,49 @@ def random_box(
         h=float(rng.uniform(side_lo, side_hi)),
         theta=float(rng.uniform(0.0, 2.0 * math.pi)),
     )
+
+
+def _reference_point(p):
+    try:
+        x, y = p
+    except (TypeError, ValueError):
+        raise ValueError(f"expected an (x, y) point, got {p!r}") from None
+    if type(x) is float and type(y) is float:
+        return (x, y)
+    for v in (x, y):
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"non-numeric coordinate in point {p!r}")
+    return (float(x), float(y))
+
+
+def reference_from_vertices(vertices) -> tuple:
+    """The vertices of the box that ``OrientedBox.from_vertices`` built when
+    it alone applied the rectangle rule, or its ``ValueError``."""
+    pts = [_reference_point(p) for p in vertices]
+    if len(pts) != 4:
+        raise ValueError(f"expected 4 points, got {pts!r}")
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
+    if not all(map(math.isfinite, (x0, y0, x1, y1, x2, y2, x3, y3))):
+        raise ValueError(f"non-finite vertex in {pts!r}")
+    e1x, e1y = x1 - x0, y1 - y0
+    e2x, e2y = x2 - x1, y2 - y1
+    e3x, e3y = x3 - x2, y3 - y2
+    e4x, e4y = x0 - x3, y0 - y3
+    side1, side2 = math.hypot(e1x, e1y), math.hypot(e2x, e2y)
+    # Overflow makes NaN, which passes a `>` test; the corner test uses `<=`.
+    if not (math.isfinite(side1) and math.isfinite(side2)):
+        raise ValueError(f"non-finite side in {pts!r}")
+    if side1 <= DEGENERATE_EPS or side2 <= DEGENERATE_EPS:
+        raise ValueError(f"degenerate side in {pts!r}")
+    tol = RECTANGLE_TOL
+    if math.hypot(e1x + e3x, e1y + e3y) > tol or math.hypot(e2x + e4x, e2y + e4y) > tol:
+        raise ValueError(f"opposite sides differ beyond tol={tol}: {pts!r}")
+    if not abs(e1x * e2x + e1y * e2y) <= tol * max(side1, side2):
+        raise ValueError(f"corners not perpendicular within tol={tol}: {pts!r}")
+    # An infinite area makes the IoU of the box with itself inf - inf.
+    if not math.isfinite(side1 * side2):
+        raise ValueError(f"box area overflows in {pts!r}")
+    return tuple(pts)
 
 
 def reference_match_detections(detections, truths, iou_threshold):

@@ -41,7 +41,7 @@ from obsg import (
     train_linear,
     validate,
 )
-from obsg.datamodel import MAX_IMAGE_EXTENT, NO_RELATIONS, _rank
+from obsg.datamodel import MAX_IMAGE_EXTENT, NO_RELATIONS, RelationColumns, _rank
 
 
 def unit_box(x=0.0, y=0.0, s=10.0):
@@ -280,12 +280,9 @@ def test_validate_id_and_range_codes():
 
 
 def test_validate_degenerate_box():
-    # Four equal vertices: no area, so no vertex order to check.
-    point = ObjectInstance(3, 0, OrientedBox(((1.0, 1.0),) * 4))
-    dataset = Dataset(small_registry(), "train", (make_scene([point], []),))
-    violations = validate(dataset)
-    assert [v.code for v in violations] == ["DEGENERATE_BOX"]
-    assert violations[0].detail == "object 3: no enclosed area"
+    # Four equal vertices: no box can be built from them.
+    with pytest.raises(ValueError, match="degenerate side"):
+        OrientedBox(((1.0, 1.0),) * 4)
     # A collinear quad far below the rectangle check's absolute tolerances
     # parses, and only validate names it.
     doc = minimal_manifest()
@@ -594,6 +591,25 @@ def test_scene_takes_relations_as_columns_only(relations):
         SceneAnnotation("img", 100, 100, good.objects, relations)
     with pytest.raises(TypeError, match=message):
         replace(good, relations=relations)
+
+
+@pytest.mark.parametrize("value", [True, 0.0, np.int64(0), "0", None])
+def test_ids_categories_and_predicates_are_exact_ints(value):
+    # An object id of True was written as `"id":True`, which is not JSON, and
+    # a relation subject of 0.0 resolved to object 0.
+    message = rf"must be int, got {re.escape(repr(value))}$"
+    for fields in ((value, 0), (0, value)):
+        with pytest.raises(ValueError, match="^object id and category " + message):
+            ObjectInstance(*fields, unit_box())
+    with pytest.raises(ValueError, match=message):
+        replace(ObjectInstance(0, 0, unit_box()), id=value)
+    for k in range(3):
+        columns = [[0], [0], [1], [None]]
+        columns[k] = [value]
+        with pytest.raises(ValueError, match="^relation ids and predicates " + message):
+            RelationColumns(*columns)
+    with pytest.raises(ValueError, match=message):
+        replace(RelationColumns([0], [0], [1], [None]), subjects=(value,))
 
 
 def test_scene_stores_objects_as_a_tuple():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from obsg import (
     CategoryRegistry,
@@ -18,12 +20,14 @@ from obsg import (
     shoelace_area,
 )
 from obsg.datamodel import NO_RELATIONS
+from obsg.geometry import DEGENERATE_EPS, RECTANGLE_TOL, TWO_PI
 from obsg.scorer import _pair_geometry
 
 from oracles import (
     mc_intersection_area,
     mc_iou,
     random_box,
+    reference_from_vertices,
     reference_intersection_area,
     reference_rotated_iou,
     reference_shoelace,
@@ -224,6 +228,133 @@ def test_from_vertices_accepts_both_windings():
     assert abs(ccw.area - cw.area) < 1e-12
 
 
+def _corners(cx, cy, w, h, theta):
+    """The four corners ``from_params`` computes, unchecked."""
+    ux, uy = math.cos(theta), math.sin(theta)
+    hw, hh = w / 2.0, h / 2.0
+    return [
+        (cx + dx * ux - dy * uy, cy + dx * uy + dy * ux)
+        for dx, dy in ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh))
+    ]
+
+
+def _outcome(build, quad):
+    """``build(quad)``'s vertices as text (their exact bits), or its error."""
+    try:
+        return repr(build(quad))
+    except (ValueError, OverflowError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+# A float coordinate as each type a caller may pass; values a type cannot
+# hold stay floats.
+_COORDINATE_TYPES = {
+    "float": lambda v: v,
+    "int": lambda v: int(v) if math.isfinite(v) else v,
+    "int64": lambda v: np.int64(v) if abs(v) < 2.0**62 else v,
+    "float32": lambda v: v if abs(v) > 3e38 else np.float32(v),
+    "float64": np.float64,
+    "bool": lambda v: v > 0,
+    "str": str,
+    "huge int": lambda v: 10**400,
+}
+
+
+@st.composite
+def quads(draw):
+    """Quads on both sides of every clause of the rectangle rule, with
+    coordinates of every type and points of every shape a caller may pass."""
+    shape = draw(st.sampled_from(["rectangle", "tolerance", "collinear", "overflow"]))
+    if shape == "rectangle":
+        scale = 10.0 ** draw(st.floats(-6, 8))
+        quad = _corners(
+            draw(st.floats(-1e5, 1e5)), draw(st.floats(-1e5, 1e5)),
+            scale * draw(st.floats(0.1, 10)), scale * draw(st.floats(0.1, 10)),
+            draw(st.floats(0, TWO_PI)),
+        )
+    elif shape == "tolerance":
+        # A rectangle with one side, or one coordinate's offset, near a bound.
+        x, y = draw(st.sampled_from([0.0]) | st.floats(-1e4, 1e4)), draw(st.floats(-1e4, 1e4))
+        factor = draw(st.sampled_from([1.0]) | st.floats(0.5, 2.0))
+        w = draw(st.sampled_from([DEGENERATE_EPS * factor, 1.0, 100.0]))
+        h = draw(st.sampled_from([DEGENERATE_EPS * factor, 3.0, 1000.0]))
+        quad = [(x, y), (x + w, y), (x + w, y + h), (x, y + h)]
+        k, axis = draw(st.integers(0, 3)), draw(st.integers(0, 1))
+        point = list(quad[k])
+        point[axis] += RECTANGLE_TOL * factor * draw(st.sampled_from([0.0, 1.0, -1.0]))
+        quad[k] = tuple(point)
+    elif shape == "collinear":
+        a = 10.0 ** draw(st.floats(-10, 3))
+        x = draw(st.floats(-1e5, 1e5))
+        quad = [(x, 0.0), (x + a, 0.0), (x + 2 * a, 0.0), (x + a, 0.0)]
+    elif draw(st.booleans()):
+        big = draw(st.sampled_from([1e154, 1e155, 1e200, 1e308]))
+        quad = _corners(0.0, 0.0, big, big * draw(st.floats(0.5, 2)), draw(st.floats(0, 1)))
+    else:  # sides beyond float range
+        x = draw(st.sampled_from([1e307, 9e307, 1.7e308]))
+        quad = [(-x, 0.0), (x, 0.0), (x, 10.0), (-x, 10.0)]
+    if draw(st.integers(0, 4)) == 0:
+        k, axis = draw(st.integers(0, 3)), draw(st.integers(0, 1))
+        point = list(quad[k])
+        point[axis] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        quad[k] = tuple(point)
+    kind = draw(st.sampled_from(["float"] * 4 + sorted(_COORDINATE_TYPES)))
+    mixed = draw(st.booleans())
+    points = []
+    for point in quad:
+        cast = [
+            _COORDINATE_TYPES[draw(st.sampled_from(["float", kind])) if mixed else kind](v)
+            for v in point
+        ]
+        points.append(draw(st.sampled_from([tuple, list]))(cast))
+    defect = draw(st.sampled_from([None] * 4 + ["three", "count", "not-a-point"]))
+    k = draw(st.integers(0, 3))
+    if defect == "three":
+        points[k] = (*points[k], 0.0)
+    elif defect == "count":
+        points = points[:3] if draw(st.booleans()) else [*points, points[0]]
+    elif defect == "not-a-point":
+        points[k] = draw(st.sampled_from([7, None, "ab"]))
+    return draw(st.sampled_from([tuple, list]))(points)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(quads())
+@example([(0, 0), (10, 0), (10, 10), (0, 10)])
+@example(((1.0, 1.0),) * 4)
+@example([(0.0, 0.0), (1e-8, 0.0), (2e-8, 0.0), (1e-8, 0.0)])
+@example([(0.0, 0.0), (1e-9, 0.0), (1e-9, 1.0), (0.0, 1.0)])
+@example([(0.0, 0.0), (1.0, 0.0), (1.0 + 1.5e-6, 1000.0), (0.0, 1000.0)])
+@example([(0.0, 0.0), (1.0, 0.0), (1.0 + 0.5e-6, 1000.0), (0.0, 1000.0)])
+@example([(0.0, 0.0), (1000.0, 0.0), (1000.0 + 1.5e-6, 1.0), (1.5e-6, 1.0)])
+@example([(0.0, 0.0), (1000.0, 0.0), (1000.0 + 0.5e-6, 1.0), (0.5e-6, 1.0)])
+def test_every_constructor_applies_the_reference_rule(quad):
+    expected = _outcome(reference_from_vertices, quad)
+    assert _outcome(lambda q: OrientedBox.from_vertices(q).vertices, quad) == expected
+    assert _outcome(lambda q: OrientedBox(q).vertices, quad) == expected
+    if isinstance(expected, str):
+        box = OrientedBox(quad)
+        assert all(type(c) is float for point in box.vertices for c in point)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.floats(-1e8, 1e8),
+    st.floats(-1e8, 1e8),
+    st.floats(-6, 8).map(lambda e: 10.0**e),
+    st.floats(0.1, 10),
+    st.floats(0, TWO_PI),
+    st.floats() | st.integers(-(10**6), 10**6) | st.sampled_from([1.7e308, -1.7e308]),
+    st.floats() | st.integers(-(10**6), 10**6),
+)
+@example(5.0, 5.0, 10.0, 1.0, 0.0, 1.7e308, 0.0)
+def test_translate_applies_the_reference_rule(cx, cy, scale, aspect, theta, dx, dy):
+    box = OrientedBox.from_params(cx, cy, scale, scale * aspect, theta)
+    shifted = [(x + dx, y + dy) for x, y in box.vertices]
+    expected = _outcome(reference_from_vertices, shifted)
+    assert _outcome(lambda _: box.translate(dx, dy).vertices, None) == expected
+
+
 def test_shoelace_sign_convention():
     # Clockwise on screen (y down) means positive shoelace sum.
     cw = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)]
@@ -276,9 +407,9 @@ def test_intersection_identical_boxes():
         # Equal vertex loops, in one object or two, are an IoU of exactly 1.
         assert rotated_iou(box, box) == 1.0
         assert rotated_iou(box, OrientedBox(box.vertices)) == 1.0
-    # A loop with no area overlaps nothing, not even itself.
-    point = OrientedBox(((1.0, 1.0),) * 4)
-    assert rotated_iou(point, point) == 0.0
+    # A loop with no area is not a box.
+    with pytest.raises(ValueError, match="degenerate side"):
+        OrientedBox(((1.0, 1.0),) * 4)
 
 
 def test_intersection_disjoint_boxes():

@@ -100,6 +100,16 @@ def test_crop_rejects_a_nan_tile():
             TileSpec(*args)
 
 
+@pytest.mark.parametrize(
+    "args", [(True, 0, 800), (0, False, 800), (0.5, 0, 800), (0, 0, 800.0), (np.int64(0), 0, 800)]
+)
+def test_tile_origin_and_size_are_exact_ints(args):
+    # A bool origin cropped to a scene with id 'x@True_0', and a fractional
+    # one failed later, in crop_scene, on the crop's extent.
+    with pytest.raises(ValueError, match="^tile origin and size must be int, got "):
+        TileSpec(*args)
+
+
 def test_crop_keeps_inner_object_untouched():
     box = OrientedBox.from_params(500.0, 450.0, 30.0, 12.0, 0.7)
     scene = scene_of([ObjectInstance(3, 2, box)])

@@ -302,9 +302,6 @@ def datasets(draw, finite=True):
                     draw(st.floats(0.01, 1e3)),
                     draw(st.floats(-10, 10)),
                 )
-            if not finite and draw(st.booleans()):
-                (x1, y1), *rest = box.vertices
-                box = OrientedBox(((draw(st.sampled_from([math.nan, math.inf, -math.inf])), y1), *rest))
             objects.append(
                 ObjectInstance(
                     obj_id,

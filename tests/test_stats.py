@@ -66,12 +66,8 @@ def test_small_dataset_counts():
         (lambda o, r: ((o[0], replace(o[1], category=99)), r), "object 1 has category 99"),
         (lambda o, r: (o, replace(r, objects=(7,))), "0->7 references missing object id 7"),
         (lambda o, r: (o, replace(r, predicates=(1,))), "0->1 has predicate 1"),
-        (
-            lambda o, r: ((replace(o[0], box=OrientedBox(((1.0, 1.0),) * 4)), o[1]), r),
-            "object 0 has a degenerate box of area 0.0",
-        ),
     ],
-    ids=["category-1", "category-99", "missing-object", "predicate-1", "degenerate-box"],
+    ids=["category-1", "category-99", "missing-object", "predicate-1"],
 )
 def test_compute_stats_rejects_inconsistent_datasets(edit, message):
     dataset = small_dataset()

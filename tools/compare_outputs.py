@@ -28,10 +28,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-# Rules files by name.  "rules" holds a distance rule and an IoU rule, so synth
-# exercises both conditions; the other two are rejected, one for a class index
-# out of range and one for a repeated class pair.
-RULES = {
+# Input files by name, written as JSON into each tree's work directory.
+# "rules" holds a distance rule and an IoU rule, so synth exercises both
+# conditions; "rules_range" and "rules_pair" are rejected, one for a class
+# index out of range and one for a repeated class pair.  "int_gt" is a
+# manifest whose coordinates are JSON integers (one box mixes in floats), as
+# annotation tools write pixel corners: axis-aligned, 45-degree and 3-4-5
+# rotated boxes, one across a tile edge.
+FILES = {
     "rules": [
         {"subject": "van", "object": "van", "predicate": "park at", "max_center_distance": 150},
         {"subject": "small car", "object": "van", "predicate": "close to", "min_iou": 0.0},
@@ -41,9 +45,45 @@ RULES = {
         {"subject": "van", "object": "road", "predicate": "drive on"},
         {"subject": "van", "object": "road", "predicate": "park at"},
     ],
+    "int_gt": {
+        "version": "1.0",
+        "split": "train",
+        "object_categories": ["plane", "ship"],
+        "relation_categories": ["near", "beside"],
+        "images": [
+            {
+                "id": "int-1", "width": 1000, "height": 900,
+                "objects": [
+                    {"id": 0, "category": 0,
+                     "obb": [[100, 100], [300, 100], [300, 200], [100, 200]]},
+                    {"id": 1, "category": 1,
+                     "obb": [[500, 300], [600, 400], [500, 500], [400, 400]]},
+                    {"id": 2, "category": 1,
+                     "obb": [[350, 600], [450, 600], [450, 650], [350, 650]]},
+                    {"id": 3, "category": 0, "truncated": True,
+                     "obb": [[700.5, 100], [900, 100], [900, 300.25], [700.5, 300.25]]},
+                    {"id": 4, "category": 0,
+                     "obb": [[600, 500], [680, 560], [620, 640], [540, 580]]},
+                ],
+                "relations": [
+                    {"subject": 0, "predicate": 0, "object": 1},
+                    {"subject": 2, "predicate": 1, "object": 4},
+                    {"subject": 1, "predicate": 0, "object": 3},
+                ],
+            },
+            {
+                "id": "int-2", "width": 500, "height": 400,
+                "objects": [
+                    {"id": 7, "category": 1, "obb": [[10, 20], [30, 20], [30, 60], [10, 60]]},
+                    {"id": 9, "category": 1, "obb": [[40, 20], [60, 20], [60, 60], [40, 60]]},
+                ],
+                "relations": [{"subject": 7, "predicate": 1, "object": 9}],
+            },
+        ],
+    },
 }
 
-# (output name, argv); ``{gt}``, ``{jitter}``, ``{seed}``, ``{<rules name>}``
+# (output name, argv); ``{gt}``, ``{jitter}``, ``{seed}``, ``{<FILES name>}``
 # and ``{<name>}`` of an earlier output are substituted, and ``--output`` is
 # added.
 INVOCATIONS = (
@@ -133,6 +173,12 @@ INVOCATIONS = (
     ("synth_rule_pair.json", [
         "synth", "--images", "2", "--seed", "{seed}", "--rules", "{rules_pair}",
     ]),
+    # Integer coordinates, which the parser converts to floats point by point.
+    ("int_validate.txt", ["validate", "--input", "{int_gt}"]),
+    ("int_stats.json", ["stats", "--input", "{int_gt}"]),
+    ("int_prior.json", ["fit-prior", "--input", "{int_gt}"]),
+    ("int_tiled.json", ["tile", "--input", "{int_gt}"]),
+    ("int_hbb.json", ["convert-hbb", "--input", "{int_gt}"]),
 )
 
 
@@ -173,9 +219,9 @@ def run_invocations(tree: Path, inputs: Path, seed: int, work: Path) -> dict[str
         "jitter": str(inputs / "pred_jitter.json"),
         "seed": str(seed),
     }
-    for name, rules in RULES.items():
+    for name, doc in FILES.items():
         names[name] = str(work / f"{name}.json")
-        (work / f"{name}.json").write_text(json.dumps(rules), encoding="utf-8")
+        (work / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
     results = {}
     for output, argv in INVOCATIONS:
         path = work / output
