@@ -28,12 +28,13 @@ naming the offending path, or one of those container errors.
 ``validate`` itself never raises on bad content; it reports coded
 violations of the rules a dataset can break and still be built.
 
-Parsing is one pass over the decoded JSON with inline exact-type checks;
-it formats no path and no message for a scene, object or relation that
-passes them.  A value that fails its check goes to the located helper for
-that one value, which raises the :class:`ManifestError` naming its JSON
-path.  ``serialize_dataset`` writes the document text directly, with no
-dict per record, byte-identical to ``json.dumps`` of the nested dicts.
+Parsing builds each scene straight from its decoded JSON on a fast path
+that formats no path and no message, and leaves the box, ``int`` and
+scene rules to the containers.  Only a scene in which something raises is
+read again, field by field, by a walk that raises the
+:class:`ManifestError` naming the JSON path of its first defect.
+``serialize_dataset`` writes the document text directly, with no dict per
+record, byte-identical to ``json.dumps`` of the nested dicts.
 """
 
 from __future__ import annotations
@@ -503,92 +504,84 @@ def _parse_score(raw: Any, path: str, image_id: str) -> float:
     return score
 
 
-def _item(i: int, key: str, j: int) -> str:
-    """JSON path of object or relation ``j`` of image ``i``."""
-    return f"$.images[{i}].{key}[{j}]"
+def _scores(records: list[Any], scored: bool) -> Sequence[float | None]:
+    """The ``score`` of each of ``records``, or ``None`` each without
+    ``scored``; a score that is not a finite ``float`` is a ``ValueError``."""
+    if not scored:
+        return (None,) * len(records)
+    scores = [record["score"] for record in records]
+    if operator.countOf(map(type, scores), float) == len(scores) and all(
+        map(math.isfinite, scores)
+    ):
+        return scores
+    raise ValueError("a score is not a finite float")
+
+
+def _walk_scene(raw: Any, i: int, scored: bool) -> SceneAnnotation:
+    """Scene ``i`` of a document read field by field, in document order."""
+    path = f"$.images[{i}]"
+    image_id = _get(raw, "id", str, path)
+    width = _get(raw, "width", int, path)
+    height = _get(raw, "height", int, path)
+    objects = []
+    for j, raw_obj in enumerate(_get(raw, "objects", list, path)):
+        item = f"{path}.objects[{j}]"
+        obj_id = _get(raw_obj, "id", int, item)
+        category = _get(raw_obj, "category", int, item)
+        box = _parse_box(raw_obj, item)
+        truncated = _expect(raw_obj.get("truncated", False), bool, f"{item}.truncated")
+        score = _parse_score(raw_obj, item, image_id) if scored else None
+        objects.append(ObjectInstance(obj_id, category, box, truncated, score=score))
+    rows = []
+    for j, raw_rel in enumerate(_get(raw, "relations", list, path)):
+        item = f"{path}.relations[{j}]"
+        ids = [_get(raw_rel, key, int, item) for key in ("subject", "predicate", "object")]
+        rows.append((*ids, _parse_score(raw_rel, item, image_id) if scored else None))
+    relations = RelationColumns(*zip(*rows)) if rows else NO_RELATIONS
+    return SceneAnnotation(image_id, width, height, tuple(objects), relations)
+
+
+def _parse_scene(raw: Any, i: int, scored: bool) -> SceneAnnotation:
+    """Scene ``i`` of a document on the fast path, or on a defect by the walk."""
+    try:
+        image_id, width, height = raw["id"], raw["width"], raw["height"]
+        raw_objects, raw_relations = raw["objects"], raw["relations"]
+        truncated = [obj.get("truncated", False) for obj in raw_objects]
+        if not (type(image_id) is str and type(width) is type(height) is int
+                and type(raw_objects) is type(raw_relations) is list
+                and operator.countOf(map(type, truncated), bool) == len(truncated)):
+            raise TypeError("a scene field has the wrong type")
+        objects = tuple([
+            ObjectInstance(obj["id"], obj["category"], OrientedBox(obj["obb"]), cut, score=score)
+            for obj, cut, score in zip(raw_objects, truncated, _scores(raw_objects, scored))
+        ])
+        relations = NO_RELATIONS
+        if raw_relations:
+            ids = [(rel["subject"], rel["predicate"], rel["object"]) for rel in raw_relations]
+            relations = RelationColumns(*zip(*ids), _scores(raw_relations, scored))
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError):
+        return _walk_scene(raw, i, scored)
+    return SceneAnnotation(image_id, width, height, objects, relations)
 
 
 def _parse(data: str | bytes, scored: bool) -> Dataset:
     """Dataset of a manifest, or with ``scored`` of a prediction file.
 
-    Fields are read in document order.  JSON decodes to exact ``dict``,
-    ``list``, ``str``, ``int``, ``float`` and ``bool``, so ``type(v) is
-    int`` is the integer check, bools excluded.  A value that fails its
-    check goes to the located helper for it (``_get``, ``_expect``,
-    ``_parse_box``, ``_parse_score``), which raises the located
-    :class:`ManifestError` or returns the value.  The rules of a scene and
-    a dataset are left to the :class:`SceneAnnotation` and :class:`Dataset`
-    it builds.
+    The header is read field by field.  Each scene is built straight from
+    its fields on a fast path, which checks only what no container owns:
+    the scene's ``str`` id, ``int`` extents and ``list`` fields, ``bool``
+    truncation and finite ``float`` scores.  The boxes, the ``int`` rule of
+    ids, categories and predicates, and the rules of a scene and a dataset
+    are left to the containers it builds.  Any defect makes the fast path
+    raise, and the scene is read again by ``_walk_scene`` with ``_get``,
+    ``_expect``, ``_parse_box`` and ``_parse_score``, which raise the
+    located :class:`ManifestError` of the first defect in document order.
+    A walk that finds none (JSON-integer scores, made floats) returns the scene.
     """
     root = _load_root(data)
     split, registry = _parse_header(root)
-    isfinite = math.isfinite
-    scenes = []
-    for i, raw_scene in enumerate(_get(root, "images", list, "$")):
-        image_id = raw_scene.get("id") if type(raw_scene) is dict else None
-        if type(image_id) is not str:
-            image_id = _get(raw_scene, "id", str, f"$.images[{i}]")
-        width = raw_scene.get("width")
-        if type(width) is not int:
-            width = _get(raw_scene, "width", int, f"$.images[{i}]")
-        height = raw_scene.get("height")
-        if type(height) is not int:
-            height = _get(raw_scene, "height", int, f"$.images[{i}]")
-        raw_objects = raw_scene.get("objects")
-        if type(raw_objects) is not list:
-            raw_objects = _get(raw_scene, "objects", list, f"$.images[{i}]")
-        objects = []
-        score = None
-        for j, raw in enumerate(raw_objects):
-            obj_id = raw.get("id") if type(raw) is dict else None
-            if type(obj_id) is not int:
-                obj_id = _get(raw, "id", int, _item(i, "objects", j))
-            category = raw.get("category")
-            if type(category) is not int:
-                category = _get(raw, "category", int, _item(i, "objects", j))
-            obb = raw.get("obb")
-            try:
-                box = OrientedBox(obb)
-            except (TypeError, ValueError, OverflowError):
-                box = _parse_box(raw, _item(i, "objects", j))
-            truncated = raw.get("truncated", False)
-            if type(truncated) is not bool:
-                truncated = _expect(truncated, bool, f"{_item(i, 'objects', j)}.truncated")
-            if scored:
-                score = raw.get("score")
-                if type(score) is not float or not isfinite(score):
-                    score = _parse_score(raw, _item(i, "objects", j), image_id)
-            objects.append(ObjectInstance(obj_id, category, box, truncated, score=score))
-        raw_relations = raw_scene.get("relations")
-        if type(raw_relations) is not list:
-            raw_relations = _get(raw_scene, "relations", list, f"$.images[{i}]")
-        subjects, predicates, obj_refs, scores = [], [], [], []
-        for j, raw in enumerate(raw_relations):
-            subject = raw.get("subject") if type(raw) is dict else None
-            if type(subject) is not int:
-                subject = _get(raw, "subject", int, _item(i, "relations", j))
-            predicate = raw.get("predicate")
-            if type(predicate) is not int:
-                predicate = _get(raw, "predicate", int, _item(i, "relations", j))
-            obj_ref = raw.get("object")
-            if type(obj_ref) is not int:
-                obj_ref = _get(raw, "object", int, _item(i, "relations", j))
-            if scored:
-                score = raw.get("score")
-                if type(score) is not float or not isfinite(score):
-                    score = _parse_score(raw, _item(i, "relations", j), image_id)
-                scores.append(score)
-            subjects.append(subject)
-            predicates.append(predicate)
-            obj_refs.append(obj_ref)
-        if not subjects:
-            relations = NO_RELATIONS
-        else:
-            if not scored:
-                scores = (None,) * len(subjects)
-            relations = RelationColumns(subjects, predicates, obj_refs, scores)
-        scenes.append(SceneAnnotation(image_id, width, height, tuple(objects), relations))
-    return Dataset(registry, split, tuple(scenes))
+    images = enumerate(_get(root, "images", list, "$"))
+    return Dataset(registry, split, tuple([_parse_scene(raw, i, scored) for i, raw in images]))
 
 
 def parse_dataset(data: str | bytes, check: bool = True) -> Dataset:

@@ -143,8 +143,9 @@ class OrientedBox:
             if len(pts) != 4:
                 raise ValueError(f"expected 4 points, got {pts!r}")
             (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
-        # Frozen: stored in the instance dict directly, as _cached stores its values.
-        self.__dict__["vertices"] = vertices = ((x0, y0), (x1, y1), (x2, y2), (x3, y3))
+        # Frozen.  object.__setattr__ builds no instance dict, as reading self.__dict__ would.
+        vertices = ((x0, y0), (x1, y1), (x2, y2), (x3, y3))
+        object.__setattr__(self, "vertices", vertices)
         isfinite, hypot = math.isfinite, math.hypot
         if not (
             isfinite(x0) and isfinite(y0) and isfinite(x1) and isfinite(y1)

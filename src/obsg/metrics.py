@@ -20,6 +20,7 @@ recall averages the per-predicate recalls of predicates with ground truth.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -277,15 +278,8 @@ def match_triplets(
         buckets.setdefault(key, []).append(g)
     keys = _match_keys(predictions, identity)
     detected, truths = predictions.instances, targets.instances
-    ious: dict[tuple[int, int], float] = {}
-
-    def iou(a: int, b: int) -> float:
-        """IoU of predicted instance ``a`` and target instance ``b``, computed once."""
-        value = ious.get((a, b))
-        if value is None:
-            value = ious[a, b] = rotated_iou(detected[a].box, truths[b].box)
-        return value
-
+    # IoU of predicted instance a and target instance b, computed once.
+    iou = functools.cache(lambda a, b: rotated_iou(detected[a].box, truths[b].box))
     threshold = config.iou_threshold
     matched: list[int] = []
     for i in ranking:

@@ -25,7 +25,8 @@ same way, from ``reference_match_triplets`` per image.  ``reference_serialize_da
 nested-dict ``json.dumps`` writer that the library's direct text writer
 must match byte for byte, and ``reference_save_prior`` the prior writer
 that visited every cell of the count table.  ``reference_parse`` keeps the located walk
-over a decoded document that the one-pass parser replaced; it is built on
+over a whole decoded document, which the parser now takes per scene and only
+after its fast path meets a defect; it is built on
 the parser's per-value helpers, which define every message, and leaves the
 rules of a scene and a dataset to the types that own them.
 ``reference_from_vertices`` keeps the rectangle rule as ``from_vertices``
@@ -800,10 +801,10 @@ def reference_parse(root, scored: bool) -> Dataset:
     """Dataset of a decoded manifest, or with ``scored`` of a prediction file,
     checked field by field with the JSON path of every check at hand.
 
-    This is the walk the library's one-pass parser replaced; it raises the
-    located :class:`ManifestError` of the first defect, and the parser must
-    give the same dataset or the same message.  A prediction file must
-    score every object and relation.  As in the parser, empty image ids,
+    The library walks a scene only when its fast path meets a defect; this
+    walks every scene.  It raises the located :class:`ManifestError` of the
+    first defect, and the parser must give the same dataset or the same
+    message.  A prediction file must score every object and relation.  As in the parser, empty image ids,
     extents, repeated ids and relation endpoints are left to the
     :class:`SceneAnnotation` it builds, and the split, repeated image ids
     and indices to the :class:`Dataset`.

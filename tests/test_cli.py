@@ -10,13 +10,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from obsg import cli, parse_dataset, parse_predictions, serialize_dataset
+from obsg import OrientedBox, cli, parse_dataset, parse_predictions, serialize_dataset
 from obsg.registry import canonical_registry
 from obsg.scorer import load_scorer
+from test_compare_outputs import compare_outputs
 from test_golden_outputs import EXPECTED, golden_outputs
 
 
@@ -344,6 +346,46 @@ def test_reused_parser_formats_help_at_the_current_width(capsys, monkeypatch, pa
     parser_builds.clear()
     assert [help_at(c) for c in ("40", "200", "40")] == [fresh["40"], fresh["200"], fresh["40"]]
     assert parser_builds.count("obsg") == 1
+
+
+def jittered_predictions(gt_text, seed):
+    """A prediction file drawn as the benchmark draws its own: every box
+    redrawn from noisy parameters, and numpy-drawn scores made floats."""
+    rng = np.random.default_rng(seed)
+    doc = json.loads(gt_text)
+    for scene in doc["images"]:
+        for obj in scene["objects"]:
+            cx, cy, w, h, theta = OrientedBox.from_vertices(obj["obb"]).params
+            box = OrientedBox.from_params(
+                cx + rng.normal(0.0, 2.0), cy + rng.normal(0.0, 2.0),
+                w * rng.uniform(0.9, 1.1), h * rng.uniform(0.9, 1.1), theta + rng.normal(0.0, 0.05),
+            )
+            obj["obb"] = [list(v) for v in box.vertices]
+            obj["score"] = float(rng.uniform(0.3, 1.0))
+        scene["relations"] = [
+            dict(r, score=float(rng.uniform(0.0, 1.0))) for r in scene["relations"]
+        ]
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def test_valid_files_never_take_the_located_walk(golden, tmp_path, monkeypatch):
+    """Every file the pipeline writes parses on the fast path alone, and so
+    does a manifest of integer coordinates."""
+    import obsg.datamodel
+
+    def walk(raw, i, scored):
+        raise AssertionError(f"scene {i} took the located walk")
+
+    monkeypatch.setattr(obsg.datamodel, "_walk_scene", walk)
+    gt = golden / "gt.json"
+    fused = tmp_path / "fused.json"
+    assert cli.run(["predict", "--input", str(gt), "--prior", str(golden / "prior.json"),
+                    "--linear", str(golden / "linear.json"), "--output", str(fused)]) == 0
+    assert parse_dataset(gt.read_text()).scenes
+    for pred in (golden / "pred.json", golden / "pred_all.json", fused):
+        assert parse_predictions(pred.read_text()).scenes
+    assert parse_predictions(jittered_predictions(gt.read_text(), seed=3)).scenes
+    assert parse_dataset(json.dumps(compare_outputs.FILES["int_gt"])).scenes
 
 
 def test_synth_deterministic_and_parseable(tmp_path):

@@ -1,12 +1,17 @@
 """Geometry tests: constructions, areas, clipping IoU and pair geometry."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import obsg
 from obsg import (
     CategoryRegistry,
     DataError,
@@ -226,6 +231,36 @@ def test_from_vertices_accepts_both_windings():
     assert shoelace_area(cw.vertices) > 0
     assert shoelace_area(ccw.vertices) < 0
     assert abs(ccw.area - cw.area) < 1e-12
+
+
+# A box keeps its attribute values in an array sized by the names its class
+# has stored so far, so once any box has cached ``params`` and ``extent``
+# every new box takes 16 B more: the budget is measured in a fresh interpreter.
+BOX_BYTES = """
+import tracemalloc
+from obsg import OrientedBox
+points = [((float(k), 0.0), (k + 10.0, 0.0), (k + 10.0, 5.0), (float(k), 5.0))
+          for k in range(10_000)]
+tracemalloc.start()
+start = tracemalloc.get_traced_memory()[0]
+boxes = [OrientedBox(p) for p in points]
+print((tracemalloc.get_traced_memory()[0] - start) / len(boxes))
+"""
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the budget is measured on CPython 3.11, the CI version",
+)
+def test_a_box_holds_its_vertices_in_at_most_400_bytes():
+    # 384.7 B a box; 448.7 B when each box built an instance dict.
+    src = str(Path(obsg.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", BOX_BYTES], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True,
+    )
+    assert float(proc.stdout) <= 400
 
 
 def _corners(cx, cy, w, h, theta):

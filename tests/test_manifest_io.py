@@ -1,7 +1,8 @@
 """Manifest and prediction-file reading and writing against their references.
 
-The one-pass parser is checked against the located walk it replaced,
-``oracles.reference_parse``, on valid documents and on mutated ones; the
+The parser, a fast path per scene with a located walk behind it, is
+checked against ``oracles.reference_parse``, the walk over every scene, on
+valid documents and on mutated ones; the
 direct text writer is checked against the nested-dict ``json.dumps`` writer
 in ``oracles``.
 """

@@ -20,6 +20,7 @@ is identical.  The exit code is 1 if there is any difference, else 0.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import os
@@ -82,6 +83,41 @@ FILES = {
         ],
     },
 }
+
+
+def _scored(doc: dict) -> dict:
+    """A copy of ``doc`` that scores its objects and relations with JSON
+    integers, 1 and 0 in turn."""
+    out = copy.deepcopy(doc)
+    for scene in out["images"]:
+        for k, record in enumerate(scene["objects"] + scene["relations"]):
+            record["score"] = 1 - k % 2
+    return out
+
+
+def _changed(doc: dict, path: tuple, value) -> dict:
+    """A copy of ``doc`` with ``value`` at the key path ``path``."""
+    out = copy.deepcopy(doc)
+    *head, last = path
+    target = out
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return out
+
+
+# "int_pred" is a valid prediction file of int_gt whose scores are JSON
+# integers, which the parser converts to floats.  Each of the others holds
+# one defect whose located error names its path: an object id of true, a
+# relation subject of 1.0 (which hashes as the id 1) and a truncation of 1.
+FILES["int_pred"] = _scored(FILES["int_gt"])
+FILES["bool_id_gt"] = _changed(FILES["int_gt"], ("images", 0, "objects", 2, "id"), True)
+FILES["float_subject_pred"] = _changed(
+    FILES["int_pred"], ("images", 0, "relations", 1, "subject"), 1.0
+)
+FILES["int_truncated_gt"] = _changed(
+    FILES["int_gt"], ("images", 1, "objects", 0, "truncated"), 1
+)
 
 # (output name, argv); ``{gt}``, ``{jitter}``, ``{seed}``, ``{<FILES name>}``
 # and ``{<name>}`` of an earlier output are substituted, and ``--output`` is
@@ -179,6 +215,17 @@ INVOCATIONS = (
     ("int_prior.json", ["fit-prior", "--input", "{int_gt}"]),
     ("int_tiled.json", ["tile", "--input", "{int_gt}"]),
     ("int_hbb.json", ["convert-hbb", "--input", "{int_gt}"]),
+    # Integer scores take the parser's located walk, which finds no defect.
+    ("int_pred_sgg.json", [
+        "eval-sgg", "--gt", "{int_gt}", "--pred", "{int_pred}", "--task", "predcls",
+    ]),
+    ("int_pred_det.json", ["eval-det", "--gt", "{int_gt}", "--pred", "{int_pred}"]),
+    # One defect each: exit code 1 and the located error on stderr.
+    ("bool_id_validate.txt", ["validate", "--input", "{bool_id_gt}"]),
+    ("float_subject_sgg.json", [
+        "eval-sgg", "--gt", "{int_gt}", "--pred", "{float_subject_pred}", "--task", "predcls",
+    ]),
+    ("int_truncated_validate.txt", ["validate", "--input", "{int_truncated_gt}"]),
 )
 
 
