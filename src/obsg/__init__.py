@@ -77,6 +77,7 @@ from .scorer import (
     fit_frequency_prior,
     load_prior,
     load_scorer,
+    predict_scenes,
     predict_triplets,
     save_prior,
     save_scorer,

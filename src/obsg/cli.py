@@ -62,7 +62,7 @@ from .scorer import (
     fit_frequency_prior,
     load_prior,
     load_scorer,
-    predict_triplets,
+    predict_scenes,
     save_prior,
     save_scorer,
     train_linear,
@@ -272,21 +272,21 @@ def _cmd_train_linear(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     _check_top_m(args.top_m)
     dataset = _load_dataset(args.input)
-    prior = load_prior(_read_text(args.prior), dataset.registry)
-    linear = (
-        load_scorer(_read_text(args.linear), dataset.registry)
-        if args.linear
-        else None
+    # No name holds the prior, so its dense table is freed once predict_scenes
+    # has computed the rows of the class pairs the scenes have.
+    scored = predict_scenes(
+        dataset.scenes,
+        load_prior(_read_text(args.prior), dataset.registry),
+        linear=(
+            load_scorer(_read_text(args.linear), dataset.registry)
+            if args.linear
+            else None
+        ),
+        top_m=args.top_m,
+        graph_constraint=not args.no_graph_constraint,
     )
     scenes = []
-    for scene in dataset.scenes:
-        relations = predict_triplets(
-            scene,
-            prior,
-            linear=linear,
-            top_m=args.top_m,
-            graph_constraint=not args.no_graph_constraint,
-        )
+    for scene, relations in zip(dataset.scenes, scored):
         # The endpoints are annotated boxes: each is scored 1.0.
         objects = tuple(
             ObjectInstance(o.id, o.category, o.box, o.truncated, score=1.0)

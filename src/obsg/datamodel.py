@@ -506,15 +506,19 @@ def _parse_score(raw: Any, path: str, image_id: str) -> float:
 
 def _scores(records: list[Any], scored: bool) -> Sequence[float | None]:
     """The ``score`` of each of ``records``, or ``None`` each without
-    ``scored``; a score that is not a finite ``float`` is a ``ValueError``."""
+    ``scored``.  An exact ``int`` score becomes a ``float``; one too large
+    for a float is an ``OverflowError``, any other type a ``TypeError`` and
+    a score that is not finite a ``ValueError``."""
     if not scored:
         return (None,) * len(records)
     scores = [record["score"] for record in records]
-    if operator.countOf(map(type, scores), float) == len(scores) and all(
-        map(math.isfinite, scores)
-    ):
+    if operator.countOf(map(type, scores), float) != len(scores):
+        if not set(map(type, scores)) <= {int, float}:
+            raise TypeError("a score is not a number")
+        scores = list(map(float, scores))
+    if all(map(math.isfinite, scores)):
         return scores
-    raise ValueError("a score is not a finite float")
+    raise ValueError("a score is not finite")
 
 
 def _walk_scene(raw: Any, i: int, scored: bool) -> SceneAnnotation:
@@ -570,13 +574,13 @@ def _parse(data: str | bytes, scored: bool) -> Dataset:
     The header is read field by field.  Each scene is built straight from
     its fields on a fast path, which checks only what no container owns:
     the scene's ``str`` id, ``int`` extents and ``list`` fields, ``bool``
-    truncation and finite ``float`` scores.  The boxes, the ``int`` rule of
-    ids, categories and predicates, and the rules of a scene and a dataset
-    are left to the containers it builds.  Any defect makes the fast path
-    raise, and the scene is read again by ``_walk_scene`` with ``_get``,
-    ``_expect``, ``_parse_box`` and ``_parse_score``, which raise the
-    located :class:`ManifestError` of the first defect in document order.
-    A walk that finds none (JSON-integer scores, made floats) returns the scene.
+    truncation and finite scores (JSON integers made floats).  The boxes,
+    the ``int`` rule of ids, categories and predicates, and the rules of a
+    scene and a dataset are left to the containers it builds.  Any defect
+    makes the fast path raise, and the scene is read again by
+    ``_walk_scene`` with ``_get``, ``_expect``, ``_parse_box`` and
+    ``_parse_score``, which raise the located :class:`ManifestError` of the
+    first defect in document order.
     """
     root = _load_root(data)
     split, registry = _parse_header(root)

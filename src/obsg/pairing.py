@@ -29,8 +29,14 @@ def pair_endpoints(n: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return k, k
     if n < 2 or k.min() < 0 or k.max() >= n * (n - 1):
         raise ValueError(f"pair indices outside the {n * (n - 1)} pairs of n={n}")
-    ii = k // (n - 1)
-    jj = k - ii * (n - 1)
+    return _row_endpoints(k, n - 1)
+
+
+def _row_endpoints(k: np.ndarray, row: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pair_endpoints` unchecked, with ``row`` (one less than the
+    object count) given once or once per pair, for pairs of several scenes."""
+    ii = k // row
+    jj = k - ii * row
     jj += jj >= ii
     return ii, jj
 

@@ -16,28 +16,30 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datamodel import (
-    Dataset, RelationColumns, SceneAnnotation, _expect, _get, _load_root,
+    NO_RELATIONS, Dataset, RelationColumns, SceneAnnotation, _expect, _get, _load_root,
     check_indices,
 )
 from .errors import DataError, ManifestError, RegistryMismatchError, TrainingDivergenceError
 from .geometry import TWO_PI, rotated_iou
 from .pairing import (
-    MAX_NEGATIVE_PAIRS, MAX_POSITIVE_PAIRS, _check_caps, _check_seed, pair_endpoints,
-    relation_pairs, sample_pairs,
+    MAX_NEGATIVE_PAIRS, MAX_POSITIVE_PAIRS, _check_caps, _check_seed, _row_endpoints,
+    pair_endpoints, relation_pairs, sample_pairs,
 )
 from .registry import CategoryRegistry
 
 DEFAULT_ALPHA = 1.0
 FEATURE_VERSION = 1
 GEOMETRY_FEATURES = 15
-# Pairs per array block of fused scoring in predict_triplets: large enough to amortise
-# the per-block numpy calls, small enough that the block's temporaries stay
-# far below the memory of the scene itself.
+# Pairs per array block of predict_scenes, which packs consecutive whole scenes
+# into a block and splits a scene of more pairs into blocks of whole subject
+# rows: large enough to amortise the per-block numpy calls, small enough that
+# the block's temporaries stay far below the memory of a large scene.
 PAIR_BLOCK = 1024
 # Prior counts are stored as int64.
 _MAX_COUNT = np.iinfo(np.int64).max
@@ -135,10 +137,17 @@ def fit_frequency_prior(dataset: Dataset, alpha: float = DEFAULT_ALPHA) -> Frequ
             distinct[k] = cell
         related_cells.extend(distinct.values())
     histograms = _bincount(histogram_cells, (len(dataset.scenes), num_objects))
-    pairs = histograms.T @ histograms - np.diag(histograms.sum(axis=0))
+    pairs = _class_pair_counts(histograms)
     counts = _bincount(triplet_cells, (num_objects, num_objects, width))
     counts[:, :, -1] = pairs - _bincount(related_cells, (num_objects, num_objects))
     return FrequencyPrior(counts, alpha, dataset.registry.content_hash())
+
+
+def _class_pair_counts(histograms: np.ndarray) -> np.ndarray:
+    """(C, C) ordered object pairs of each class pair over scenes whose class
+    histograms are the rows of ``histograms``: h[s] * h[o], less h[s] when
+    s == o, summed over the rows."""
+    return histograms.T @ histograms - np.diag(histograms.sum(axis=0))
 
 
 def _bincount(cells: list[int], shape: tuple[int, ...]) -> np.ndarray:
@@ -296,9 +305,26 @@ def _categories(scene: SceneAnnotation) -> np.ndarray:
     return np.array([obj.category for obj in scene.objects], dtype=np.intp)
 
 
-def _pair_geometry(scene: SceneAnnotation, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """(k, 15) geometry block of the pairs (ii, jj) of ``scene``: the first
-    ``GEOMETRY_FEATURES`` columns of a scorer feature row.
+def _box_table(scenes: tuple[SceneAnnotation, ...]) -> tuple:
+    """The objects of ``scenes``, in order, as :func:`_pair_geometry` reads
+    them: their (n, 5) box ``params``, the same divided by their image's
+    width, height, width, height and 2*pi, their (n, 4) extents, and the
+    objects themselves.  ``scenes`` must not be empty."""
+    columns = [scene.box_columns for scene in scenes]
+    params = np.concatenate([column[0] for column in columns])
+    scale = np.repeat(
+        np.array([(s.width, s.height, s.width, s.height, TWO_PI) for s in scenes]),
+        [len(s.objects) for s in scenes],
+        axis=0,
+    )
+    objects = [obj for scene in scenes for obj in scene.objects]
+    return params, params / scale, np.concatenate([column[1] for column in columns]), objects
+
+
+def _pair_geometry(boxes: tuple, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """(k, 15) geometry block of the pairs (ii, jj) of the objects of a
+    :func:`_box_table`: the first ``GEOMETRY_FEATURES`` columns of a scorer
+    feature row.  Both objects of a pair are in one scene.
 
     Columns: image-normalized center distance; log area ratio; log
     aspect (w/h) of subject and of object; rotated IoU; then the five
@@ -308,13 +334,11 @@ def _pair_geometry(scene: SceneAnnotation, ii: np.ndarray, jj: np.ndarray) -> np
     IoU is computed only for pairs whose axis extents meet; the rest
     overlap nowhere and keep 0.0.
     """
-    width, height = scene.width, scene.height
-    params, extents = scene.box_columns
-    scale = np.array([width, height, width, height, TWO_PI])
+    params, normalized, extents, objects = boxes
     s = params[ii]
     o = params[jj]
-    ns = s / scale
-    no = o / scale
+    ns = normalized[ii]
+    no = normalized[jj]
     block = np.empty((len(ii), GEOMETRY_FEATURES), dtype=np.float64)
     block[:, 0] = np.hypot(ns[:, 0] - no[:, 0], ns[:, 1] - no[:, 1])
     block[:, 1] = np.log((s[:, 2] * s[:, 3]) / (o[:, 2] * o[:, 3]))
@@ -331,7 +355,6 @@ def _pair_geometry(scene: SceneAnnotation, ii: np.ndarray, jj: np.ndarray) -> np
         & (es[:, 1] <= eo[:, 3])
         & (eo[:, 1] <= es[:, 3])
     )
-    objects = scene.objects
     for k, i, j in zip(np.flatnonzero(meet).tolist(), ii[meet].tolist(), jj[meet].tolist()):
         block[k, 4] = rotated_iou(objects[i].box, objects[j].box)
     return block
@@ -363,7 +386,7 @@ def _scene_pair_rows(
     hot[:, 0] = GEOMETRY_FEATURES + categories[ii]
     hot[:, 1] = GEOMETRY_FEATURES + num_classes + categories[jj]
     hot[:, 2] = feature_count(num_classes) - 1
-    return _pair_geometry(scene, ii, jj), hot, labels[chosen]
+    return _pair_geometry(_box_table((scene,)), ii, jj), hot, labels[chosen]
 
 
 def train_linear(dataset: Dataset, config: TrainConfig) -> LinearScorer:
@@ -430,31 +453,59 @@ def predict_triplets(
     top_m: int | None = None,
     graph_constraint: bool = True,
 ) -> RelationColumns:
-    """Score relation candidates over a scene's annotated objects.
+    """Score relation candidates over a scene's annotated objects: the one
+    scene of :func:`predict_scenes`, with its rules and errors.  A scene of
+    at most ``PAIR_BLOCK`` pairs is one block, a larger one is scored in
+    blocks of whole subject rows, and its class pairs' prior rows are
+    computed once."""
+    return next(predict_scenes((scene,), prior, linear, top_m, graph_constraint))
+
+
+def predict_scenes(
+    scenes: Iterable[SceneAnnotation],
+    prior: FrequencyPrior,
+    linear: LinearScorer | None = None,
+    top_m: int | None = None,
+    graph_constraint: bool = True,
+) -> Iterator[RelationColumns]:
+    """Score relation candidates over each scene's annotated objects: an
+    iterator over each scene's relations, scene by scene.
 
     Every ordered object pair receives a fused predicate distribution (the
     prior row times the scorer softmax, renormalized; prior alone when no
-    scorer is given).  ``top_m`` keeps only the pairs with the highest
-    relatedness, defined as one minus the fused no-relation mass, ties by
-    enumeration order.  With ``graph_constraint`` each surviving pair emits
-    only its best predicate, otherwise every predicate.  Each emitted
-    relation is scored with its predicate probability.  The relations come
-    back as :class:`RelationColumns` of object ids, pairs in enumeration
-    order and each pair's predicates ascending.
+    scorer is given).  ``top_m`` keeps only each scene's pairs with the
+    highest relatedness, defined as one minus the fused no-relation mass,
+    ties by enumeration order.  With ``graph_constraint`` each surviving
+    pair emits only its best predicate, otherwise every predicate.  Each
+    emitted relation is scored with its predicate probability.  A scene's
+    relations come back as :class:`RelationColumns` of object ids, pairs in
+    enumeration order and each pair's predicates ascending.
 
-    Each class pair's prior row, and with no scorer all that follows from it,
-    is computed once; fused scoring runs in blocks of whole subject rows of at
-    most ``PAIR_BLOCK`` pairs (one row when a row is longer) to bound memory.
+    The pairs of all scenes are scored as one stream, in blocks of at most
+    ``PAIR_BLOCK`` pairs: consecutive whole scenes share a block, and a
+    scene with more pairs is scored alone, in blocks of whole subject rows
+    (one row when a row is longer).  :func:`_prior_rows` runs once per call,
+    for the class pairs the scenes have, and with no scorer all that follows
+    from a row is computed once per class pair.  Pair indices, endpoints
+    and class-pair codes live for one block; across its scene a pair keeps
+    only its relatedness and emit flag, and with a scorer its best
+    predicate and emitted scores, which prior-only scoring gathers for the
+    surviving pairs only.
+
+    The prior rows are computed at the call, and the iterator keeps them,
+    not ``prior``.
 
     Raises:
-        DataError: a category or predicate of the scene lies outside the
-            prior's table, or a prior or fused row total is not finite and
-            positive, as when a huge ``alpha`` or scorer weight overflows.
+        DataError: while iterating, naming the first scene, in order, with a
+            category or predicate outside the prior's table, or with a prior
+            or fused row total that is not finite and positive, as when a
+            huge ``alpha`` or scorer weight overflows.
+        ValueError: at the call, for a negative ``top_m`` or scorer weights
+            that do not fit the prior's table.
     """
     _check_top_m(top_m)
     num_objects = prior.num_objects
     num_relations = prior.num_relations
-    check_indices(scene, num_objects, num_relations)
     if linear is not None and linear.weights.shape != (
         feature_count(num_objects),
         num_relations + 1,
@@ -463,78 +514,213 @@ def predict_triplets(
             f"scorer weights {linear.weights.shape} do not fit the prior's "
             f"{num_objects} classes and {num_relations} predicates"
         )
-    n = len(scene.objects)
-    categories = _categories(scene)
-    pair_ii, pair_jj = pair_endpoints(n, np.arange(n * (n - 1)))
-    # A prior row depends on the class pair only: it is computed once per class
-    # pair the scene has, each pair's code found by a dense lookup over C*C keys.
-    keys = categories[pair_ii] * num_objects + categories[pair_jj]
-    present = np.zeros(num_objects * num_objects, dtype=bool)
-    present[keys] = True
-    distinct = present.nonzero()[0]
-    lookup = np.empty(num_objects * num_objects, dtype=np.intp)
-    lookup[distinct] = np.arange(len(distinct))
-    codes = lookup[keys]
-    # Warnings off: a row total that overflows or is not positive gives a NaN
-    # row, a DataError; a 0/0 row has no predicate mass and is not emitted.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        prior_rows = _prior_rows(prior, *np.divmod(distinct, num_objects))
-        if linear is None:
-            columns = _emit_columns(prior_rows, graph_constraint, scene.image_id)
-            relatedness, emitting, best, scores = (column[codes] for column in columns)
+    scenes = tuple(scenes)
+    failure = None
+    for stop, scene in enumerate(scenes):
+        try:
+            check_indices(scene, num_objects, num_relations)
+        except DataError as exc:
+            # Raised once the scenes before it are scored, which may fail first.
+            failure, scenes = exc, scenes[:stop]
+            break
+    return _scored(_PairStream(scenes, prior, linear, top_m, graph_constraint), failure)
+
+
+def _scored(stream: _PairStream, failure: DataError | None) -> Iterator[RelationColumns]:
+    """The relations of each scene of ``stream``, then ``failure`` raised."""
+    for first, end, step in stream.groups:
+        yield from stream.relations(first, end, step)
+    if failure is not None:
+        raise failure
+
+
+class _PairStream:
+    """Every ordered object pair of a sequence of scenes, scene after scene
+    and each scene's pairs in enumeration order, scored against one prior
+    and optional scorer, with the options of :func:`predict_scenes`.  A
+    pair is named by its index in the stream, and an object by its position
+    in the scenes' objects laid end to end."""
+
+    def __init__(
+        self,
+        scenes: tuple[SceneAnnotation, ...],
+        prior: FrequencyPrior,
+        linear: LinearScorer | None,
+        top_m: int | None,
+        graph_constraint: bool,
+    ) -> None:
+        sizes = np.array([len(scene.objects) for scene in scenes], dtype=np.intp)
+        objects = [obj for scene in scenes for obj in scene.objects]
+        num_objects = prior.num_objects
+        self.scenes, self.linear = scenes, linear
+        self.top_m, self.graph_constraint = top_m, graph_constraint
+        self.num_objects, self.num_relations = num_objects, prior.num_relations
+        self.ids = [obj.id for obj in objects]
+        self.categories = np.array([obj.category for obj in objects], dtype=np.intp)
+        self.rows = sizes - 1
+        self.first_object = np.cumsum(sizes) - sizes
+        self.bounds = np.concatenate(([0], np.cumsum(sizes * self.rows)))
+        self.groups = list(self._groups())
+        if linear is not None and scenes:
+            self.boxes = _box_table(scenes)
+            # Two (block, R+1) arrays that every block's logits, prior rows and
+            # fused rows reuse: fresh ones cost a page fault each 4 KiB.
+            bounds = self.bounds.tolist()
+            block = max(min(step, bounds[end] - bounds[first]) for first, end, step in self.groups)
+            self.work = np.empty((2, block, prior.num_relations + 1))
+        # A prior row depends on the class pair only: it is computed once per
+        # class pair the scenes have (found from their class histograms, in
+        # float64 for BLAS), each pair's code found by a dense lookup over C*C keys.
+        cells = np.repeat(np.arange(len(scenes)) * num_objects, sizes) + self.categories
+        histograms = np.bincount(cells, minlength=len(scenes) * num_objects)
+        pairs = _class_pair_counts(histograms.reshape(-1, num_objects).astype(np.float64))
+        distinct = np.flatnonzero(pairs > 0)
+        self.lookup = np.empty(num_objects * num_objects, dtype=np.intp)
+        self.lookup[distinct] = np.arange(len(distinct))
+        # Warnings off: a row total that overflows or is not positive gives a NaN
+        # row, a DataError; a 0/0 row has no predicate mass and is not emitted.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            prior_rows = _prior_rows(prior, *np.divmod(distinct, num_objects))
+            if linear is None:
+                self.class_columns = _emit_columns(prior_rows, graph_constraint)
+            else:
+                self.prior_rows = prior_rows
+
+    def _groups(self) -> Iterator[tuple[int, int, int]]:
+        """Scenes ``first..end-1`` scored together, and their block length in
+        pairs: consecutive whole scenes of at most ``PAIR_BLOCK`` pairs in
+        all, in one block, or one scene of more pairs alone, in blocks of
+        whole subject rows."""
+        bounds, rows = self.bounds.tolist(), self.rows.tolist()
+        first = 0
+        while first < len(rows):
+            end = first
+            while end < len(rows) and bounds[end + 1] - bounds[first] <= PAIR_BLOCK:
+                end += 1
+            if end > first:
+                yield first, end, PAIR_BLOCK
+            else:
+                yield first, first + 1, max(1, PAIR_BLOCK // rows[first]) * rows[first]
+                end = first + 1
+            first = end
+
+    def _endpoints(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The positions of the subject and the object of each of ``pairs``."""
+        scene = np.searchsorted(self.bounds, pairs, side="right") - 1
+        ii, jj = _row_endpoints(pairs - self.bounds[scene], self.rows[scene])
+        first = self.first_object[scene]
+        ii += first
+        jj += first
+        return ii, jj
+
+    def _codes(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+        """The class-pair code of each pair (ii, jj): its row of ``prior_rows``."""
+        return self.lookup[self.categories[ii] * self.num_objects + self.categories[jj]]
+
+    def _score(self, pairs: np.ndarray) -> tuple:
+        """The columns of each of ``pairs``: relatedness and emit flag, and
+        with a scorer also the best predicate and emitted scores (see
+        :func:`_emit_columns`; without the graph constraint these are a view
+        of ``work``, valid until the next block)."""
+        ii, jj = self._endpoints(pairs)
+        codes = self._codes(ii, jj)
+        if self.linear is None:
+            columns = tuple(column[codes] for column in self.class_columns[:2])
         else:
-            relatedness = np.empty(len(codes), dtype=np.float64)
-            emitting = np.empty(len(codes), dtype=bool)
-            best = np.empty(len(codes), dtype=np.intp)
-            scores = np.empty((len(codes), 1 if graph_constraint else num_relations))
-            rows_per_block = max(1, PAIR_BLOCK // max(n - 1, 1))
-            for first in range(0, n, rows_per_block):
-                block = slice(first * (n - 1), min(first + rows_per_block, n) * (n - 1))
-                cs, co = categories[pair_ii[block]], categories[pair_jj[block]]
-                hot = (GEOMETRY_FEATURES + cs, GEOMETRY_FEATURES + num_objects + co)
-                geometry = _pair_geometry(scene, pair_ii[block], pair_jj[block])
-                soft = _logits(linear.weights, geometry, (*hot, -1))
-                _softmax(soft)
-                fused = prior_rows[codes[block]]
-                fused *= soft
-                total = fused.sum(axis=1, keepdims=True)
-                fused /= np.where(total > 0, total, np.nan)
-                columns = _emit_columns(fused, graph_constraint, scene.image_id)
-                for out, column in zip((relatedness, emitting, best, scores), columns):
-                    out[block] = column
-    if top_m is None:
-        surviving = np.flatnonzero(emitting)
-    else:
-        surviving = np.sort(np.argsort(-relatedness, kind="stable")[:top_m])
-        surviving = surviving[emitting[surviving]]
-    if graph_constraint:
-        chosen = best[surviving][:, None]
-    else:
-        chosen = np.broadcast_to(np.arange(num_relations), (len(surviving), num_relations))
-    per_pair = chosen.shape[1]
-    ids = [obj.id for obj in scene.objects].__getitem__
-    # Lists of known length: a tuple grown from an iterator is resized again
-    # and again, which raised the benchmark's peak RSS by about 3%.
-    return RelationColumns(
-        list(map(ids, np.repeat(pair_ii[surviving], per_pair).tolist())),
-        chosen.ravel().tolist(),
-        list(map(ids, np.repeat(pair_jj[surviving], per_pair).tolist())),
-        scores[surviving].ravel().tolist(),
-    )
+            cs, co = self.categories[ii], self.categories[jj]
+            hot = (GEOMETRY_FEATURES + cs, GEOMETRY_FEATURES + self.num_objects + co, -1)
+            logits, work = self.work[:, : len(pairs)]
+            geometry = _pair_geometry(self.boxes, ii, jj)
+            soft = _logits(self.linear.weights, geometry, hot, logits, work)
+            _softmax(soft)
+            fused = np.take(self.prior_rows, codes, 0, work, "clip")
+            fused *= soft
+            total = fused.sum(axis=1, keepdims=True)
+            fused /= np.where(total > 0, total, np.nan)
+            columns = _emit_columns(fused, self.graph_constraint)
+        bad = np.flatnonzero(np.isnan(columns[0]))
+        if bad.size:
+            scene = np.searchsorted(self.bounds, pairs[bad[0]], side="right") - 1
+            raise DataError(
+                f"image {self.scenes[scene].image_id!r}: "
+                "a prior or fused row total is not finite and positive"
+            )
+        return columns
+
+    def relations(self, first: int, end: int, step: int) -> list:
+        """The :class:`RelationColumns` of scenes ``first..end-1``, their
+        pairs scored in blocks of ``step``."""
+        start, stop = int(self.bounds[first]), int(self.bounds[end])
+        if start == stop:
+            return [NO_RELATIONS] * (end - first)
+        width = 1 if self.graph_constraint else self.num_relations
+        # All that is kept of a pair across its blocks: its relatedness and emit
+        # flag, and with a scorer its best predicate and emitted scores.
+        kept = [np.empty(stop - start), np.empty(stop - start, dtype=bool)]
+        if self.linear is not None:
+            kept += [np.empty(stop - start, dtype=np.intp), np.empty((stop - start, width))]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for low in range(start, stop, step):
+                pairs = np.arange(low, min(low + step, stop))
+                for out, column in zip(kept, self._score(pairs)):
+                    out[low - start : low - start + len(pairs)] = column
+        relatedness, emitting = kept[:2]
+        if self.top_m is None:
+            rows = np.flatnonzero(emitting)
+        else:
+            # One stable sort ranks each scene's pairs by descending relatedness;
+            # the scene key has the smallest type that holds it, so a one-scene
+            # group pays 1 B a pair for it.
+            counts = np.diff(self.bounds[first : end + 1])
+            key = np.repeat(np.arange(end - first, dtype=np.min_scalar_type(end - first)), counts)
+            order = np.lexsort((np.negative(relatedness, out=relatedness), key))
+            # The first top_m places of each scene's run in ``order``.
+            taken = np.minimum(counts, self.top_m)
+            skip = self.bounds[first:end] - start - (np.cumsum(taken) - taken)
+            rows = np.sort(order[np.arange(taken.sum()) + np.repeat(skip, taken)])
+            rows = rows[emitting[rows]]
+        ii, jj = self._endpoints(rows + start)
+        if self.linear is None:
+            codes = self._codes(ii, jj)
+            best, scores = (column[codes] for column in self.class_columns[2:])
+        else:
+            best, scores = kept[2][rows], kept[3][rows]
+        if self.graph_constraint:
+            chosen = best[:, None]
+        else:
+            chosen = np.broadcast_to(np.arange(width), (len(rows), width))
+        ids = self.ids.__getitem__
+        # Lists of known length: a tuple grown from an iterator is resized again
+        # and again, which raised the benchmark's peak RSS by about 3%.
+        subjects = list(map(ids, np.repeat(ii, width).tolist()))
+        predicates = chosen.ravel().tolist()
+        objects = list(map(ids, np.repeat(jj, width).tolist()))
+        scores = scores.ravel().tolist()
+        cuts = (np.searchsorted(rows, self.bounds[first : end + 1] - start) * width).tolist()
+        return [
+            RelationColumns(subjects[a:b], predicates[a:b], objects[a:b], scores[a:b])
+            for a, b in zip(cuts, cuts[1:])
+        ]
 
 
-def _emit_columns(fused: np.ndarray, graph_constraint: bool, image: str) -> tuple:
+def _emit_columns(fused: np.ndarray, graph_constraint: bool) -> tuple:
     """Relatedness, emit flag, best predicate and emitted scores (the best
-    one's under the graph constraint) of each row of ``fused``."""
+    one's under the graph constraint) of each row of ``fused``; a NaN row
+    gets a NaN relatedness.  ``fused`` is overwritten: its predicate columns
+    become the predicate probabilities."""
     num_relations = fused.shape[1] - 1
-    mass = fused[:, :num_relations].sum(axis=1, keepdims=True)
-    probs = fused[:, :num_relations] / mass
-    if np.isnan(fused[:, num_relations]).any():
-        raise DataError(f"image {image!r}: a prior or fused row total is not finite and positive")
+    probs = fused[:, :num_relations]
+    mass = probs.sum(axis=1, keepdims=True)
+    probs /= mass
+    relatedness = 1.0 - fused[:, num_relations]
     # Without the graph constraint every predicate is emitted and no best is read.
-    best = probs.argmax(axis=1) if graph_constraint else np.zeros(len(probs), np.intp)
-    scores = probs[np.arange(len(probs)), best][:, None] if graph_constraint else probs
-    return 1.0 - fused[:, num_relations], mass[:, 0] > 0, best, scores
+    if not graph_constraint:
+        return relatedness, mass[:, 0] > 0, np.zeros(len(probs), np.intp), probs
+    # The argmax of whole rows, whose no-relation entry can never be the
+    # largest: that of the column view would copy it.
+    fused[:, num_relations] = -np.inf
+    best = fused.argmax(axis=1)
+    return relatedness, mass[:, 0] > 0, best, probs[np.arange(len(probs)), best][:, None]
 
 
 def _prior_rows(prior: FrequencyPrior, cs: np.ndarray, co: np.ndarray) -> np.ndarray:

@@ -513,6 +513,48 @@ def test_prediction_rejects_non_finite_score():
         parse_predictions(json.dumps(doc).replace("NaN", "1e999"))
 
 
+def scored_with(scores):
+    """``scored_manifest`` text with ``scores`` on its objects, then relations."""
+    doc = scored_manifest()
+    scene = doc["images"][0]
+    for item, score in zip(scene["objects"] + scene["relations"], scores, strict=True):
+        item["score"] = score
+    return json.dumps(doc)
+
+
+def test_integer_scores_stay_on_the_fast_path(monkeypatch):
+    # JSON integers, as other tools may write scores; 2**53 is exact as a float.
+    integers = scored_with([1, 0, 2**53])
+    floats = scored_with([1.0, 0.0, float(2**53)])
+    assert '"score": 1}' in integers and '"score": 1.0}' in floats
+    expected = parse_predictions(floats)
+
+    def walk(*args):
+        raise AssertionError("a scene left the fast path")
+
+    monkeypatch.setattr(obsg.datamodel, "_walk_scene", walk)
+    parsed = parse_predictions(integers)
+    assert parsed == expected
+    scene = parsed.scenes[0]
+    scores = [obj.score for obj in scene.objects] + list(scene.relations.scores)
+    assert scores == [1.0, 0.0, float(2**53)]
+    assert all(type(score) is float for score in scores)
+
+
+@pytest.mark.parametrize(
+    "scores, path",
+    [
+        ([10**400, 0.5, 0.5], "$.images[0].objects[0].score: integer too large for a float"),
+        ([0.5, 0.5, -(10**400)], "$.images[0].relations[0].score: integer too large for a float"),
+        ([0.5, True, 0.5], "$.images[0].objects[1].score: expected number, got True"),
+    ],
+)
+def test_a_score_the_fast_path_cannot_take_is_located(scores, path):
+    text = scored_with(scores)
+    with pytest.raises(ManifestError, match=f"^{re.escape(path)}$"):
+        parse_predictions(text)
+
+
 def test_prediction_rejects_reused_object_id():
     doc = scored_manifest()
     doc["images"][0]["objects"][1]["id"] = 0

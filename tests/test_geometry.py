@@ -26,7 +26,7 @@ from obsg import (
 )
 from obsg.datamodel import NO_RELATIONS
 from obsg.geometry import DEGENERATE_EPS, RECTANGLE_TOL, TWO_PI
-from obsg.scorer import _pair_geometry
+from obsg.scorer import _box_table, _pair_geometry
 
 from oracles import (
     mc_intersection_area,
@@ -622,7 +622,7 @@ def pair_block(a, b, width=100, height=100):
     """Geometry rows of the pairs (a, b) and (b, a) of a two-box scene."""
     objects = (ObjectInstance(0, 0, a), ObjectInstance(1, 0, b))
     scene = SceneAnnotation("s", width, height, objects, NO_RELATIONS)
-    return _pair_geometry(scene, np.array([0, 1]), np.array([1, 0]))
+    return _pair_geometry(_box_table((scene,)), np.array([0, 1]), np.array([1, 0]))
 
 
 def test_pair_geometry_identity_case():

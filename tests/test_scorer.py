@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from obsg import (
     label_pairs,
     load_prior,
     load_scorer,
+    predict_scenes,
     predict_triplets,
     sample_pairs,
     save_prior,
@@ -43,6 +45,7 @@ from obsg import scorer as scorer_module
 from obsg.datamodel import MAX_IMAGE_EXTENT, NO_RELATIONS
 from obsg.scorer import (
     GEOMETRY_FEATURES,
+    _box_table,
     _pair_geometry,
     _prior_rows,
     _scene_pair_rows,
@@ -210,7 +213,7 @@ def test_pair_features_layout():
     one_hots = vec[15:23]
     assert one_hots.tolist() == [0, 1, 0, 0, 0, 0, 1, 0]
     assert vec[-1] == 1.0
-    block = _pair_geometry(scene, np.array([0]), np.array([1]))
+    block = _pair_geometry(_box_table((scene,)), np.array([0]), np.array([1]))
     assert block.shape == (1, 15)
     assert np.array_equal(block[0], vec[:15])
     # A scene whose extent would scale the block wrongly cannot be built.
@@ -389,7 +392,7 @@ def test_train_linear_separates_by_geometry():
     total = 0
     for scene in dataset.scenes:
         # Pairs (0, 1) and (1, 0), with the one-hots of class 0 and a bias.
-        block = _pair_geometry(scene, np.array([0, 1]), np.array([1, 0]))
+        block = _pair_geometry(_box_table((scene,)), np.array([0, 1]), np.array([1, 0]))
         features = np.hstack([block, np.ones((2, 3))])
         predicted = np.argmax(features @ scorer.weights, axis=1)
         for k, rel in enumerate((0, 1)):
@@ -765,22 +768,160 @@ def test_predict_triplets_on_a_large_two_class_scene():
 def test_predict_triplets_computes_prior_rows_once(n, block, fused):
     registry, prior = two_relation_prior()
     rng = np.random.default_rng(n)
-    objects = tuple(
-        ObjectInstance(k, k % 2, oracles.random_box(rng, 0.0, 400.0, 2.0, 30.0)) for k in range(n)
-    )
-    scene = SceneAnnotation("s", 400, 400, objects, NO_RELATIONS)
+
+    def scene(image, size):
+        objects = tuple(
+            ObjectInstance(k, k % 2, oracles.random_box(rng, 0.0, 400.0, 2.0, 30.0))
+            for k in range(size)
+        )
+        return SceneAnnotation(image, 400, 400, objects, NO_RELATIONS)
+
+    # One scene alone, and the same scene among others of every size class:
+    # no pairs, a few, and more than some blocks hold.
+    alone = [scene("s", n)]
+    among = [scene("a", 1), scene("b", 3), alone[0], scene("c", 40), scene("d", 2)]
     linear = LinearScorer(rng.normal(size=(feature_count(2), 3)), registry.content_hash())
-    calls = []
+    for scenes in (alone, among):
+        calls = []
 
-    def spy(*args):
-        calls.append(args)
-        return _prior_rows(*args)
+        def spy(*args):
+            calls.append(args)
+            return _prior_rows(*args)
 
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scorer_module, "_prior_rows", spy)
+            patch.setattr(scorer_module, "PAIR_BLOCK", block)
+            results = list(predict_scenes(scenes, prior, linear if fused else None))
+        assert len(calls) == 1
+        assert len(results) == len(scenes)
+
+
+@st.composite
+def scene_lists(draw):
+    """Scenes of 1 object (no pairs) mixed with scenes of 2 to 8 objects and
+    of 40 (1,560 pairs), each on its own image size, with the prior, scorer
+    and options of one call."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    sizes = draw(
+        st.lists(st.sampled_from([1, 1, 2, 3, 5, 8, 40]), min_size=1, max_size=6).filter(
+            lambda sizes: sizes.count(40) <= 2
+        )
+    )
+    scenes = []
+    for index, size in enumerate(sizes):
+        width, height = (int(v) for v in rng.integers(100, 2000, size=2))
+        objects = tuple(
+            ObjectInstance(
+                100 + k,
+                int(rng.integers(NUM_CLASSES)),
+                oracles.random_box(rng, 0.0, min(width, height), 2.0, 40.0),
+            )
+            for k in range(size)
+        )
+        scenes.append(SceneAnnotation(f"img {index}", width, height, objects, NO_RELATIONS))
+    counts = rng.choice([0, 0, 0, 1, 2, 5], size=(NUM_CLASSES, NUM_CLASSES, NUM_PREDICATES + 1))
+    prior = FrequencyPrior(counts.astype(np.int64), draw(st.sampled_from([0.0, 0.5, 1.0])), "h")
+    linear = None
+    if draw(st.booleans()):
+        weights = rng.normal(size=(feature_count(NUM_CLASSES), NUM_PREDICATES + 1))
+        linear = LinearScorer(weights, "h")
+    block = draw(st.sampled_from([1, 7, 100, scorer_module.PAIR_BLOCK]))
+    top_m = draw(st.sampled_from([None, 0, 1, 5]))
+    return scenes, prior, linear, block, top_m, draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(scene_lists())
+def test_predict_scenes_matches_the_per_scene_reference(case):
+    scenes, prior, linear, block, top_m, graph_constraint = case
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scorer_module, "_prior_rows", spy)
         patch.setattr(scorer_module, "PAIR_BLOCK", block)
-        predict_triplets(scene, prior, linear if fused else None)
-    assert len(calls) == 1
+        fast = list(predict_scenes(scenes, prior, linear, top_m, graph_constraint))
+    slow = [
+        oracles.reference_predict_triplets(scene, prior, linear, top_m, graph_constraint)
+        for scene in scenes
+    ]
+    if linear is None:
+        # Prior-only scores take the same arithmetic path: equal bits.
+        assert fast == slow
+        return
+    assert len(fast) == len(slow)
+    for f, s in zip(fast, slow):
+        assert (f.subjects, f.predicates, f.objects) == (s.subjects, s.predicates, s.objects)
+        assert all(abs(a - b) <= SCORE_TOL for a, b in zip(f.scores, s.scores))
+
+
+def test_predict_scenes_names_the_first_failing_scene():
+    # Class 2's subject and object weights overflow the logits of a pair of
+    # two class-2 objects to a NaN row; category 3 is outside the prior's table.
+    prior = FrequencyPrior(np.ones((3, 3, 3), dtype=np.int64), 1.0, "h")
+    weights = np.zeros((feature_count(3), 3))
+    weights[GEOMETRY_FEATURES + 2] = weights[GEOMETRY_FEATURES + 3 + 2] = 1e308
+    linear = LinearScorer(weights, "h")
+
+    def scene(image, categories):
+        objects = tuple(
+            ObjectInstance(k, c, OrientedBox.axis_aligned(20 * k, 0, 20 * k + 10, 10))
+            for k, c in enumerate(categories)
+        )
+        return SceneAnnotation(image, 200, 100, objects, NO_RELATIONS)
+
+    fine = [scene("one", [2]), scene("mixed", [0, 2, 1])]
+    overflow = scene("overflow", [0, 2, 2])
+    outside = scene("outside", [0, 3])
+    overflow_message = (
+        "^image 'overflow': a prior or fused row total is not finite and positive$"
+    )
+    outside_message = "^image 'outside': object 1 has category 3, outside the registry's 3 classes$"
+    # Each scene alone fails with the message it fails with in a file.
+    for failing, message in ((overflow, overflow_message), (outside, outside_message)):
+        with pytest.raises(DataError, match=message):
+            predict_triplets(failing, prior, linear)
+    assert len(list(predict_scenes(fine, prior, linear))) == 2
+    for block in (1, scorer_module.PAIR_BLOCK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scorer_module, "PAIR_BLOCK", block)
+            for scenes, message in (
+                (fine + [overflow, outside] + fine, overflow_message),
+                (fine + [outside, overflow] + fine, outside_message),
+            ):
+                with pytest.raises(DataError, match=message):
+                    list(predict_scenes(scenes, prior, linear))
+    # Arguments are checked at the call, before any scene.
+    narrow = LinearScorer(np.zeros((1, 3)), "h")
+    message = r"^scorer weights \(1, 3\) do not fit the prior's 3 classes and 2 predicates$"
+    with pytest.raises(ValueError, match=message):
+        predict_scenes([outside], prior, narrow)
+
+
+def test_predict_scenes_memory_on_a_1000_object_scene():
+    # 999,000 ordered pairs over 60 classes and 64 predicates, top 100 kept.
+    # Only relatedness and the emit flag (and, fused, the best predicate and
+    # its score) are kept per pair; four index arrays kept over all pairs
+    # raised the peaks to 75.0 and 76.1 MB.
+    rng = np.random.default_rng(62)
+    num_classes, num_predicates = 60, 64
+    counts = rng.integers(0, 5, size=(num_classes, num_classes, num_predicates + 1))
+    prior = FrequencyPrior(counts.astype(np.int64), 1.0, "h")
+    objects = tuple(
+        ObjectInstance(
+            k, int(rng.integers(num_classes)), oracles.random_box(rng, 0.0, 20000.0, 5.0, 60.0)
+        )
+        for k in range(1000)
+    )
+    scene = SceneAnnotation("big", 20000, 20000, objects, NO_RELATIONS)
+    weights = rng.normal(size=(feature_count(num_classes), num_predicates + 1)) * 0.1
+    scene.box_columns  # built before the measurement, as a parsed scene's would be
+    for linear in (None, LinearScorer(weights, "h")):
+        tracemalloc.start()
+        try:
+            relations = predict_triplets(scene, prior, linear, top_m=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(relations) == 100
+        assert peak <= 42e6, f"peak {peak / 1e6:.1f} MB with scorer {linear is not None}"
 
 
 def test_prior_without_a_predicate_or_class_is_rejected():

@@ -203,6 +203,25 @@ INVOCATIONS = (
         "synth", "--images", "20", "--seed", "{seed}", "--rules", "{rules}",
         "--min-objects", "4", "--max-objects", "12",
     ]),
+    # Scenes of 1 to 45 objects (0 to 1,980 pairs): predict packs the small
+    # ones into shared pair blocks and splits the large ones by subject rows,
+    # which neither workload mixes in one file.
+    ("mixed.json", [
+        "synth", "--images", "24", "--seed", "{seed}", "--size", "2048",
+        "--min-objects", "1", "--max-objects", "45",
+    ]),
+    ("mixed_prior.json", ["predict", "--input", "{mixed.json}", "--prior", "{prior.json}"]),
+    ("mixed_prior_top.json", [
+        "predict", "--input", "{mixed.json}", "--prior", "{prior.json}", "--top-m", "30",
+    ]),
+    ("mixed_fused.json", [
+        "predict", "--input", "{mixed.json}", "--prior", "{prior.json}",
+        "--linear", "{linear.json}",
+    ]),
+    ("mixed_fused_top.json", [
+        "predict", "--input", "{mixed.json}", "--prior", "{prior.json}",
+        "--linear", "{linear.json}", "--top-m", "30",
+    ]),
     ("synth_rule_range.json", [
         "synth", "--images", "2", "--seed", "{seed}", "--rules", "{rules_range}",
     ]),
@@ -215,7 +234,7 @@ INVOCATIONS = (
     ("int_prior.json", ["fit-prior", "--input", "{int_gt}"]),
     ("int_tiled.json", ["tile", "--input", "{int_gt}"]),
     ("int_hbb.json", ["convert-hbb", "--input", "{int_gt}"]),
-    # Integer scores take the parser's located walk, which finds no defect.
+    # Integer scores, which the parser makes floats on its fast path.
     ("int_pred_sgg.json", [
         "eval-sgg", "--gt", "{int_gt}", "--pred", "{int_pred}", "--task", "predcls",
     ]),
